@@ -21,9 +21,10 @@ from .preserve import (  # noqa: F401
 )
 from .refine import (  # noqa: F401
     check_ca, check_refinement_pair, check_strategy, check_theorem1,
-    compose_renamings, load_chain,
+    compose_renamings, explore_chain, load_chain,
 )
 from .semantics import (  # noqa: F401
     ExploreLimits, StateGraph, check_deadlock_free, check_invariant, explore,
+    require_feasible,
 )
 from .traces import Trace, project_trace  # noqa: F401

@@ -34,6 +34,7 @@ from .errors import ExplorationLimitError
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
+from .search import bfs, path_to
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
 
@@ -273,7 +274,10 @@ class TableauAutomaton:
 # product searches
 
 class CounterexampleSearch:
-    """Search the (graph x automaton-of-negation) product for refutations."""
+    """Search the (graph x automaton-of-negation) product for refutations.
+
+    The product is built once, on construction, and both searches read it.
+    """
 
     def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
         self.graph = graph
@@ -290,8 +294,7 @@ class CounterexampleSearch:
                     seen.add(key)
                     moves.append(key)
             self._moves.append(moves)
-
-    # -- shared product exploration ------------------------------------------
+        self.nodes, self.adj, self.start = self._explore_product()
 
     def _explore_product(self):
         ids: dict[tuple[int, int], int] = {}
@@ -323,7 +326,7 @@ class CounterexampleSearch:
                     if succ not in expanded:
                         expanded.add(succ)
                         queue.append(succ)
-        return ids, nodes, adj, start
+        return nodes, adj, start
 
     # -- finite maximal traces -------------------------------------------------
 
@@ -331,39 +334,20 @@ class CounterexampleSearch:
         if not self.graph.deadlocks:
             return None
         deadlocks = set(self.graph.deadlocks)
-        ids, nodes, adj, start = self._explore_product()
-
-        def accepting(nid: int) -> bool:
-            s, q = nodes[nid]
-            return s in deadlocks and self.aut.accepts_empty(q)
-
-        parent: dict[int, tuple[int, str]] = {}
-        for nid in start:
-            if accepting(nid):
-                return Trace(FINITE, ())
-        queue = deque(start)
-        seen = set(start)
-        while queue:
-            nid = queue.popleft()
-            for succ, event in adj[nid]:
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                parent[succ] = (nid, event)
-                if accepting(succ):
-                    events: list[str] = []
-                    node = succ
-                    while node in parent:
-                        node, ev = parent[node]
-                        events.append(ev)
-                    return Trace(FINITE, tuple(reversed(events)))
-                queue.append(succ)
-        return None
+        accepting = {nid for nid, (s, q) in enumerate(self.nodes)
+                     if s in deadlocks and self.aut.accepts_empty(q)}
+        if any(nid in accepting for nid in self.start):
+            return Trace(FINITE, ())
+        parent, hit = bfs(self.start, self.adj.__getitem__, accepting.__contains__)
+        if hit is None:
+            return None
+        node, event, _ = hit
+        return Trace(FINITE, tuple(path_to(parent, node) + [event]))
 
     # -- infinite traces (accepting lassos) -------------------------------------
 
     def lasso_counterexample(self) -> Optional[Trace]:
-        ids, nodes, adj, start = self._explore_product()
+        nodes, adj = self.nodes, self.adj
         sccs = _tarjan(len(nodes), adj)
 
         def is_accepting_scc(scc: list[int]) -> bool:
@@ -382,7 +366,10 @@ class CounterexampleSearch:
         if not nontrivial:
             return None
 
-        dist, parent = _bfs_all(adj, start)
+        parent, _ = bfs(self.start, adj.__getitem__)
+        dist = dict.fromkeys(self.start, 0)
+        for node, (pred, _event) in parent.items():  # in discovery order
+            dist[node] = dist[pred] + 1
         best = None
         for scc in nontrivial:
             anchors = [n for n in scc if dist.get(n) is not None]
@@ -394,16 +381,8 @@ class CounterexampleSearch:
         if best is None:
             return None
         anchor, scc = best
-
-        prefix: list[str] = []
-        node = anchor
-        while node in parent:
-            node, ev = parent[node]
-            prefix.append(ev)
-        prefix.reverse()
-
         cycle = self._stitch_cycle(anchor, set(scc), adj, nodes)
-        return Trace(LASSO, tuple(prefix), tuple(cycle))
+        return Trace(LASSO, tuple(path_to(parent, anchor)), tuple(cycle))
 
     def _stitch_cycle(self, anchor: int, members: set[int], adj, nodes) -> list[str]:
         """Closed walk at `anchor` inside one SCC that hits, for every Until,
@@ -424,20 +403,6 @@ class CounterexampleSearch:
         return events
 
 
-def _bfs_all(adj, start: list[int]):
-    dist = {n: 0 for n in start}
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque(start)
-    while queue:
-        n = queue.popleft()
-        for succ, ev in adj[n]:
-            if succ not in dist:
-                dist[succ] = dist[n] + 1
-                parent[succ] = (n, ev)
-                queue.append(succ)
-    return dist, parent
-
-
 def _bfs_inside(adj, members: set[int], source: int, goals: set[int],
                 need_step: bool):
     """Shortest event path within `members` from source to any goal.
@@ -448,30 +413,10 @@ def _bfs_inside(adj, members: set[int], source: int, goals: set[int],
     """
     if source in goals and not need_step:
         return [], source
-
-    def chain(parent, node) -> list[str]:
-        events: list[str] = []
-        while node != source:
-            node, ev = parent[node]
-            events.append(ev)
-        events.reverse()
-        return events
-
-    parent: dict[int, tuple[int, str]] = {}
-    visited = {source}
-    queue = deque([source])
-    while queue:
-        n = queue.popleft()
-        for succ, ev in adj[n]:
-            if succ not in members:
-                continue
-            if succ in goals:
-                return chain(parent, n) + [ev], succ
-            if succ not in visited:
-                visited.add(succ)
-                parent[succ] = (n, ev)
-                queue.append(succ)
-    raise ExplorationLimitError("internal SCC walk failed")  # pragma: no cover
+    parent, (node, event, goal) = bfs(
+        [source], lambda n: [(t, ev) for t, ev in adj[n] if t in members],
+        goals.__contains__)
+    return path_to(parent, node) + [event], goal
 
 
 def _tarjan(n: int, adj) -> list[list[int]]:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    ChainError, EbltlError, EnumerationBudgetError, ExplorationLimitError,
-    InvariantViolation, ParseError, RenamingError, ToolkitBug, TypecheckError,
+    EbltlError, EnumerationBudgetError, ExplorationLimitError,
+    InvariantViolation, ParseError, ToolkitBug,
 )
 from .formulas import Formula, formula_to_text, parse_formula, parse_property_file
 from .ltl import model_check
@@ -28,10 +28,12 @@ from .machine_parser import parse_machine_file
 from .oracle import OracleBounds, corpus_root, cross_validate, load_corpus
 from .preserve import apply_lemma_gf, apply_preservation, check_beta_dependent
 from .refine import (
-    check_chain_pairs, check_refinement_pair, check_strategy, check_theorem1,
-    compose_renamings, explore_chain, load_chain,
+    check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
+    explore_chain, load_chain,
 )
-from .semantics import ExploreLimits, check_deadlock_free, check_invariant, explore
+from .semantics import (
+    ExploreLimits, check_deadlock_free, check_invariant, explore, require_feasible,
+)
 
 OK, FAILURE, BLOCKED, USAGE, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4, 70
 
@@ -116,7 +118,7 @@ def _cmd_parse(args, rep: _Reporter) -> int:
 
 def _cmd_explore(args, rep: _Reporter) -> int:
     machine = parse_machine_file(args.machine, _overrides(args))
-    graph = explore(machine, _limits(args))
+    graph = require_feasible(explore(machine, _limits(args)))
     inv = check_invariant(graph)
     dead = check_deadlock_free(graph)
     rep.say(f"{machine.name}: {len(graph.states)} state(s), {len(graph.edges)} "
@@ -143,14 +145,17 @@ def _cmd_explore(args, rep: _Reporter) -> int:
 def _cmd_po(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
     limits = _limits(args)
+    steps = range(len(chain.machines) - 1)
     if args.step is not None:
-        if not 0 <= args.step < len(chain.machines) - 1:
+        if args.step not in steps:
             raise EbltlError(f"step {args.step} out of range")
-        reports = [check_refinement_pair(chain.machines[args.step],
-                                         chain.machines[args.step + 1],
-                                         chain.links[args.step], limits)]
-    else:
-        reports = check_chain_pairs(chain, limits)
+        steps = [args.step]
+    # the obligations report infeasible firings (FIS_REF) instead of
+    # rejecting them, so the concrete graphs are used as explored
+    reports = [check_refinement_pair(chain.machines[k], chain.machines[k + 1],
+                                     chain.links[k],
+                                     explore(chain.machines[k + 1], limits))
+               for k in steps]
     ok = all(r.ok for r in reports)
     for r in reports:
         status = "pass" if r.ok else f"FAIL ({', '.join(r.failed())})"
@@ -183,7 +188,7 @@ def _cmd_strategy(args, rep: _Reporter) -> int:
 
 def _cmd_mc(args, rep: _Reporter) -> int:
     machine = parse_machine_file(args.machine, _overrides(args))
-    graph = explore(machine, _limits(args))
+    graph = require_feasible(explore(machine, _limits(args)))
     props = _resolve_props(args.prop, Path(args.machine))
     results = {}
     ok = True
@@ -269,8 +274,7 @@ def _report_certificate(cert, rep: _Reporter) -> int:
 
 def _cmd_theorem1(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
-    graphs = explore_chain(chain, _limits(args))
-    report = check_theorem1(chain, graphs[-1], _limits(args))
+    report = check_theorem1(chain, explore_chain(chain, _limits(args)))
     rep.say(f"C* = {', '.join(report.c_star) or '-'}")
     rep.say(f"O* = {', '.join(report.o_star) or '-'}")
     rep.say(f"chain obligations and strategy: "
@@ -299,26 +303,40 @@ def _cmd_oracle(args, rep: _Reporter) -> int:
     return OK if report.ok else FAILURE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with USAGE: argparse's own code 2 is BLOCKED here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ebltl",
         description="Bounded refinement and event-LTL checking for machine "
                     "specifications")
     parser.add_argument("--version", action="version", version=f"ebltl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, chain=False, machine=False, prop=False):
+    def common(p, chain=False, machine=False, prop=False, overrides=False,
+               bound=False, lasso=False, verbose=False):
+        """--json plus exactly the shared flags the subcommand reads."""
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--verbose", action="store_true",
-                       help="include full witness listings in text reports")
-        p.add_argument("--bound-states", type=int, default=100_000,
-                       help="state exploration limit")
-        p.add_argument("--lasso-prefix", type=int, default=4, metavar="P")
-        p.add_argument("--lasso-cycle", type=int, default=4, metavar="Q")
-        p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
-                       dest="overrides",
-                       help="override a declared constant (repeatable; names "
-                            "a machine does not declare are ignored)")
+        if verbose:
+            p.add_argument("--verbose", action="store_true",
+                           help="include full witness listings in text reports")
+        if bound:
+            p.add_argument("--bound-states", type=int, default=100_000,
+                           help="state exploration limit")
+        if lasso:
+            p.add_argument("--lasso-prefix", type=int, default=4, metavar="P")
+            p.add_argument("--lasso-cycle", type=int, default=4, metavar="Q")
+        if overrides:
+            p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
+                           dest="overrides",
+                           help="override a declared constant (repeatable; names "
+                                "a machine does not declare are ignored)")
         if chain:
             p.add_argument("--chain", required=True, help="chain manifest (JSON)")
         if machine:
@@ -328,31 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
                            help="formula, @file, or a name from the sibling props.ltl")
 
     p = sub.add_parser("parse", help="parse and typecheck a machine")
-    common(p, machine=True)
+    common(p, machine=True, overrides=True)
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("explore", help="build the reachable state graph")
-    common(p, machine=True)
+    common(p, machine=True, overrides=True, bound=True, verbose=True)
     p.add_argument("--format", choices=["summary", "graph", "edgelist"],
                    default="summary")
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("po", help="check refinement obligations of a chain")
-    common(p, chain=True)
+    common(p, chain=True, overrides=True, bound=True, verbose=True)
     p.add_argument("--step", type=int, default=None,
                    help="check one step only (0-based)")
     p.set_defaults(func=_cmd_po)
 
     p = sub.add_parser("strategy", help="check the development-strategy rules")
-    common(p, chain=True)
+    common(p, chain=True, overrides=True)
     p.set_defaults(func=_cmd_strategy)
 
     p = sub.add_parser("mc", help="model check properties on a machine")
-    common(p, machine=True, prop=True)
+    common(p, machine=True, prop=True, overrides=True, bound=True)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("beta", help="check projection-insensitivity of a property")
-    common(p, prop=True)
+    common(p, prop=True, lasso=True)
     p.add_argument("--beta", default=None, help="comma-separated event set")
     p.add_argument("--sigma", default=None,
                    help="ambient alphabet for the bounded search")
@@ -362,17 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate a property through the "
                                          "chain's composed renaming")
-    common(p, chain=True, prop=True)
+    common(p, chain=True, prop=True, overrides=True)
     p.add_argument("--at", type=int, required=True,
                    help="level the property is stated at (0-based)")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("gf", help="certify recurrence of the initial machine's events")
-    common(p, chain=True)
+    common(p, chain=True, overrides=True, bound=True)
     p.set_defaults(func=_cmd_gf)
 
     p = sub.add_parser("preserve", help="carry a property to the final machine")
-    common(p, chain=True, prop=True)
+    common(p, chain=True, prop=True, overrides=True, bound=True, lasso=True)
     p.add_argument("--at", type=int, required=True,
                    help="level the property is established at (0-based)")
     p.add_argument("--beta", default=None, help="comma-separated event set "
@@ -383,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preserve)
 
     p = sub.add_parser("theorem1", help="divergence freedom of the final machine")
-    common(p, chain=True)
+    common(p, chain=True, overrides=True, bound=True)
     p.set_defaults(func=_cmd_theorem1)
 
     p = sub.add_parser("oracle", help="differential run against the brute-force oracle")
-    common(p)
+    common(p, lasso=True)
     p.add_argument("--corpus", default=None, help="corpus root override")
     p.add_argument("--random", type=int, default=0,
                    help="additional random (graph, formula) pairs")
@@ -400,17 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rep = _Reporter(args.command, getattr(args, "json", False))
+    rep = _Reporter(args.command, args.json)
     try:
         code = args.func(args, rep)
-    except (ParseError, TypecheckError, ChainError, RenamingError) as exc:
-        rep.say(f"error: {exc}")
-        rep.result = {"error": str(exc)}
-        return rep.emit(USAGE)
-    except FileNotFoundError as exc:
-        rep.say(f"error: {exc}")
-        rep.result = {"error": str(exc)}
-        return rep.emit(USAGE)
     except InvariantViolation as exc:
         rep.say(f"invariant violation: {exc}")
         rep.result = {"error": str(exc), "kind": "invariant",
@@ -424,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         rep.say(f"internal cross-check failed: {exc}")
         rep.result = {"error": str(exc), "kind": "internal"}
         return rep.emit(INTERNAL)
-    except EbltlError as exc:
+    except (EbltlError, OSError, UnicodeDecodeError) as exc:
+        # parse, typecheck, chain and renaming errors; unreadable inputs
         rep.say(f"error: {exc}")
         rep.result = {"error": str(exc)}
         return rep.emit(USAGE)

@@ -36,7 +36,7 @@ from .formulas import (
 )
 from .machine_ast import Machine
 from .machine_parser import parse_machine_file
-from .semantics import StateGraph, explore, make_graph
+from .semantics import StateGraph, explore, make_graph, require_feasible
 from .traces import FINITE, LASSO, Trace
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ class CorpusEntry:
     def graph(self, machine_name: str, cache={}) -> StateGraph:
         key = (self.directory, machine_name)
         if key not in cache:
-            cache[key] = explore(self.machines[machine_name])
+            cache[key] = require_feasible(explore(self.machines[machine_name]))
         return cache[key]
 
 

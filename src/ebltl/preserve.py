@@ -285,8 +285,7 @@ def _chain_hypotheses(chain: RefinementChain, graphs: list[StateGraph],
                       from_level: int = 0,
                       include_strategy: bool = True) -> list[Hypothesis]:
     hyps: list[Hypothesis] = []
-    po_reports = check_chain_pairs(chain, from_level=from_level)
-    for r in po_reports:
+    for r in check_chain_pairs(chain, graphs, from_level=from_level):
         hyps.append(Hypothesis(
             f"refinement obligations {r.abstract} -> {r.concrete}",
             r.ok, "all of FIS/GRD/INV/WFD hold" if r.ok

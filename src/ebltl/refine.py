@@ -5,6 +5,9 @@ Obligations are checked semantically over bounded synchronized state
 spaces rather than discharged as proofs: every reachable concrete state is
 related to every invariant-satisfying abstract state compatible with the
 linking invariant, and the obligations are evaluated over those pairs.
+The reachable concrete states come from the caller's graphs: nothing here
+explores a machine except `explore_chain`, so each machine of a run is
+explored once, under the caller's bounds.
 The four obligations are kept independent, mirroring how proof assistants
 split them:
 
@@ -36,9 +39,11 @@ from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
 from .machine_parser import parse_expression, parse_machine_file
+from .search import bfs, path_to
 from .semantics import (
     ExploreLimits, StateGraph, _action_outcomes, _param_domains, eval_expr,
-    event_firings, explore, find_path, static_env, value_to_json,
+    event_firings, explore, find_path, require_feasible, static_env,
+    value_to_json,
 )
 from .traces import LASSO, Trace
 from .typecheck import link_typecheck
@@ -211,14 +216,33 @@ def build_chain(name: str, machines: list[Machine],
                            paths=paths or [])
 
 
+def _link_well_formed(link) -> bool:
+    if not isinstance(link, dict):
+        return link is None
+    renaming = link.get("renaming") or {}
+    return (isinstance(renaming, dict)
+            and all(isinstance(v, str) for v in renaming.values())
+            and isinstance(link.get("linking") or "", str))
+
+
 def load_chain(path, constant_overrides: dict[str, int] | None = None) -> RefinementChain:
     """Read a chain manifest: ordered machine files, optional per-step
     renaming maps and linking invariant strings."""
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    machine_paths = [path.parent / p for p in data["machines"]]
-    machines = [parse_machine_file(p, constant_overrides) for p in machine_paths]
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ChainError(f"chain {path} is not valid JSON: {exc}") from None
+    names = data.get("machines") if isinstance(data, dict) else None
+    if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
+        raise ChainError(f'chain {path} needs a "machines" list of file names')
     links = data.get("links")
+    if links is not None and not (isinstance(links, list)
+                                  and all(map(_link_well_formed, links))):
+        raise ChainError(f'chain {path}: "links" must list null or objects with '
+                         f'a "renaming" map of event names and a "linking" string')
+    machine_paths = [path.parent / p for p in names]
+    machines = [parse_machine_file(p, constant_overrides) for p in machine_paths]
     if links is not None and len(links) != len(machines) - 1:
         raise ChainError(
             f"chain {path} lists {len(machines)} machines but {len(links)} links")
@@ -228,7 +252,9 @@ def load_chain(path, constant_overrides: dict[str, int] | None = None) -> Refine
 
 def explore_chain(chain: RefinementChain,
                   limits: ExploreLimits | None = None) -> list[StateGraph]:
-    return [explore(m, limits) for m in chain.machines]
+    """One graph per level, in order; a machine with an infeasible firing
+    stops the chain with that error, as `require_feasible` reports it."""
+    return [require_feasible(explore(m, limits)) for m in chain.machines]
 
 
 def compose_renamings(chain: RefinementChain, i: int) -> RenamingMap:
@@ -406,11 +432,10 @@ def _abstract_action_outcomes(machine: Machine, env: dict, event) -> list[dict]:
 
 
 def check_refinement_pair(abstract: Machine, concrete: Machine,
-                          link: ChainLink,
-                          limits: ExploreLimits | None = None) -> POReport:
-    """Evaluate the four refinement obligations for one adjacent pair."""
+                          link: ChainLink, graph: StateGraph) -> POReport:
+    """Evaluate the four refinement obligations for one adjacent pair over
+    `graph`, the concrete machine's explored state graph."""
     link_typecheck(abstract, concrete, link.linking)
-    graph = explore(concrete, limits, on_infeasible="ignore")
     abs_universe = _enumerate_universe(abstract)
     abs_base = static_env(abstract)
     conc_base = static_env(concrete)
@@ -559,12 +584,13 @@ def _abstract_guard_holds(machine: Machine, env_vars: dict, event, base: dict) -
     return False
 
 
-def check_chain_pairs(chain: RefinementChain,
-                      limits: ExploreLimits | None = None,
+def check_chain_pairs(chain: RefinementChain, graphs: list[StateGraph],
                       from_level: int = 0) -> list[POReport]:
+    """Obligations of every step from `from_level` on; `graphs` holds one
+    graph per level of the chain, as `explore_chain` returns them."""
     return [
         check_refinement_pair(chain.machines[k], chain.machines[k + 1],
-                              chain.links[k], limits)
+                              chain.links[k], graphs[k + 1])
         for k in range(from_level, len(chain.machines) - 1)
     ]
 
@@ -593,7 +619,7 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     in C and O; they never occur, so they never matter."""
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
-    reachable = _reachable_states(graph)
+    reachable = set(graph.initial) | bfs(graph.initial, graph.successors)[0].keys()
     keep: list[list[tuple[int, str]]] = [[] for _ in graph.states]
     for e in graph.edges:
         if e.event not in ordinary and e.src in reachable:
@@ -617,22 +643,15 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     prefix = find_path(graph, witness_edge.src)
     cycle = [witness_edge.event]
     if witness_edge.tgt != witness_edge.src:
-        cycle += _path_in_subgraph(keep, comp, witness_edge.tgt, witness_edge.src)
+        # back from the target to the source without leaving their SCC
+        scc = comp[witness_edge.src]
+        parent, (node, event, _) = bfs(
+            [witness_edge.tgt],
+            lambda n: [(t, ev) for t, ev in keep[n] if comp[t] == scc],
+            lambda n: n == witness_edge.src)
+        cycle += path_to(parent, node) + [event]
     return CAVerdict(False, c_sorted, o_sorted,
                      witness=Trace(LASSO, tuple(prefix), tuple(cycle)))
-
-
-def _reachable_states(graph: StateGraph) -> set[int]:
-    from collections import deque
-    seen = set(graph.initial)
-    queue = deque(graph.initial)
-    while queue:
-        cur = queue.popleft()
-        for e in graph.out_edges(cur):
-            if e.tgt not in seen:
-                seen.add(e.tgt)
-                queue.append(e.tgt)
-    return seen
 
 
 def _scc_membership(n: int, adj: list[list[tuple[int, str]]]) -> list[int]:
@@ -642,28 +661,6 @@ def _scc_membership(n: int, adj: list[list[tuple[int, str]]]) -> list[int]:
         for node in scc:
             comp[node] = idx
     return comp
-
-
-def _path_in_subgraph(adj, comp, source: int, goal: int) -> list[str]:
-    from collections import deque
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque([source])
-    seen = {source}
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            break
-        for tgt, ev in adj[cur]:
-            if comp[tgt] == comp[source] and tgt not in seen:
-                seen.add(tgt)
-                parent[tgt] = (cur, ev)
-                queue.append(tgt)
-    events = []
-    node = goal
-    while node != source:
-        node, ev = parent[node]
-        events.append(ev)
-    return list(reversed(events))
 
 
 @dataclass
@@ -691,17 +688,16 @@ class Theorem1Report:
         }
 
 
-def check_theorem1(chain: RefinementChain, graph_n: StateGraph,
-                   limits: ExploreLimits | None = None,
-                   po_reports: list[POReport] | None = None) -> Theorem1Report:
+def check_theorem1(chain: RefinementChain,
+                   graphs: list[StateGraph]) -> Theorem1Report:
     """Divergence freedom of the final machine from the chain structure.
 
     C* pulls every level's convergent set down to the final alphabet via
     the composed renamings and adds the final machine's own convergent
     events; O* is the preimage of the first machine's ordinary events.  The
-    theorem-level certificate (obligations plus strategy) and a direct
-    cycle analysis of the final graph are both reported; their disagreement
-    would be a toolkit bug and raises.
+    theorem-level certificate (obligations plus strategy, over `graphs`,
+    one per level) and a direct cycle analysis of the final graph are both
+    reported; their disagreement would be a toolkit bug and raises.
     """
     n = len(chain.machines) - 1
     c_star: set[str] = set()
@@ -714,9 +710,8 @@ def check_theorem1(chain: RefinementChain, graph_n: StateGraph,
         chain.machines[0].events_with_status(ORDINARY))
 
     strategy = check_strategy(chain)
-    if po_reports is None:
-        po_reports = check_chain_pairs(chain, limits)
-    direct = check_ca(graph_n, tuple(sorted(c_star)), tuple(o_star))
+    po_reports = check_chain_pairs(chain, graphs)
+    direct = check_ca(graphs[-1], tuple(sorted(c_star)), tuple(o_star))
     certified = strategy.ok and all(r.ok for r in po_reports)
     report = Theorem1Report(tuple(sorted(c_star)), tuple(o_star), po_reports,
                             strategy, direct, certified)

@@ -7,6 +7,11 @@ on every state it discovers.  The resulting graph is canonical: variables
 are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
 identical graphs.
+
+A firing whose guard holds but whose bounded choice admits no value adds
+no transition and is recorded, so one exploration serves both the commands
+that reject it (`require_feasible`) and the refinement obligations, which
+report it as FIS_REF over the caller's graphs.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .machine_ast import (
     Assign, Binary, BoolLit, BoolType, Call, ElemType, Event, Expr,
     IfExpr, IntLit, IntRangeType, Machine, Name, SetLit, SetType, Unary,
 )
+from .search import bfs, path_to
 
 Value = object  # int | bool | str (carrier element) | frozenset[str]
 
@@ -211,6 +217,9 @@ class StateGraph:
     deadlocks: tuple[int, ...]
     alphabet: tuple[str, ...]
     bounds: dict = field(default_factory=dict)
+    # enabled firings without an after-state, as (state, event, params), in
+    # exploration order; not part of the JSON report
+    infeasible: list[tuple] = field(default_factory=list)
     _out: list[list[int]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -222,6 +231,9 @@ class StateGraph:
 
     def out_edges(self, state: int) -> list[Edge]:
         return [self.edges[i] for i in self._out[state]]
+
+    def successors(self, state: int) -> list[tuple[int, str]]:
+        return [(e.tgt, e.event) for e in self.out_edges(state)]
 
     def state_env(self, i: int) -> dict:
         return dict(zip(self.var_names, self.states[i]))
@@ -280,16 +292,14 @@ def _check_state(machine: Machine, env: dict, invariant_env: dict) -> str | None
     return None
 
 
-def explore(machine: Machine, limits: ExploreLimits | None = None,
-            on_infeasible: str = "error") -> StateGraph:
+def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph:
     """Breadth-first reachability closure of a typechecked machine.
 
     Raises InvariantViolation (with a witness event path) when a reachable
     state breaks the invariant or leaves a declared domain, and
-    ExplorationLimitError past `limits.max_states`.  `on_infeasible`
-    controls what happens when a guard holds but an inner bounded choice
-    admits no value: "error" raises, "ignore" records no transition (the
-    feasibility obligation check relies on this).
+    ExplorationLimitError past `limits.max_states`.  A firing whose guard
+    holds but whose bounded choice admits no value is recorded in
+    `infeasible` and adds no transition; see `require_feasible`.
     """
     if machine.sym is None:
         raise EvalError(f"machine {machine.name} was not typechecked")
@@ -302,13 +312,8 @@ def explore(machine: Machine, limits: ExploreLimits | None = None,
     states: list[tuple] = []
     parents: dict[int, tuple[int, str]] = {}
     edges: list[Edge] = []
-
-    def witness_path(i: int) -> list[str]:
-        path: list[str] = []
-        while i in parents:
-            i, ev = parents[i]
-            path.append(ev)
-        return list(reversed(path))
+    infeasible: list[tuple] = []
+    queue: deque[int] = deque()  # each new state, once, in discovery order
 
     def add_state(env: dict, parent: tuple[int, str] | None) -> int:
         key = _state_tuple(env, var_names)
@@ -324,11 +329,12 @@ def explore(machine: Machine, limits: ExploreLimits | None = None,
             parents[idx] = parent
         message = _check_state(machine, env, {**base, **env})
         if message:
-            path = witness_path(idx)
+            path = path_to(parents, idx)
             raise InvariantViolation(
                 f"state {idx} of {machine.name}: {message}"
                 + (f" (reached by {', '.join(path)})" if path else " (initial state)"),
                 state={n: env[n] for n in var_names}, path=path)
+        queue.append(idx)
         return idx
 
     # initial states: fire init from an empty valuation
@@ -342,29 +348,18 @@ def explore(machine: Machine, limits: ExploreLimits | None = None,
             initial.append(idx)
 
     events = sorted(machine.events, key=lambda e: e.name)
-    queue = deque(initial)
-    seen_in_queue = set(initial)
     while queue:
         src = queue.popleft()
         env = {**base, **dict(zip(var_names, states[src]))}
         for event in events:
             for valuation, outcomes in event_firings(machine, env, event):
                 if not outcomes:
-                    if on_infeasible == "error":
-                        raise InvariantViolation(
-                            f"event {event.name} of {machine.name} is enabled but has no "
-                            f"after-state at state {src} (empty bounded choice)",
-                            state=dict(zip(var_names, states[src])),
-                            path=witness_path(src))
-                    continue
+                    infeasible.append((src, event.name, valuation))
                 for upd in outcomes:
                     succ_env = dict(zip(var_names, states[src]))
                     succ_env.update(upd)
                     tgt = add_state(succ_env, (src, event.name))
                     edges.append(Edge(src, event.name, valuation, tgt))
-                    if tgt not in seen_in_queue:
-                        seen_in_queue.add(tgt)
-                        queue.append(tgt)
 
     outgoing = {e.src for e in edges}
     deadlocks = tuple(i for i in range(len(states)) if i not in outgoing)
@@ -373,7 +368,24 @@ def explore(machine: Machine, limits: ExploreLimits | None = None,
         initial=tuple(initial), edges=edges, deadlocks=deadlocks,
         alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
+        infeasible=infeasible,
     )
+
+
+def require_feasible(graph: StateGraph) -> StateGraph:
+    """The graph itself when every enabled firing has an after-state.
+
+    Otherwise raises InvariantViolation for the first infeasible firing in
+    exploration order, with a shortest event path to its state.  Commands
+    that reject such machines call this right after `explore`.
+    """
+    if graph.infeasible:
+        src, event, _params = graph.infeasible[0]
+        raise InvariantViolation(
+            f"event {event} of {graph.machine.name} is enabled but has no "
+            f"after-state at state {src} (empty bounded choice)",
+            state=graph.state_env(src), path=find_path(graph, src))
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +435,8 @@ def find_path(graph: StateGraph, target: int) -> list[str]:
     """Shortest event path from an initial state to `target` (BFS)."""
     if target in graph.initial:
         return []
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque(graph.initial)
-    seen = set(graph.initial)
-    while queue:
-        cur = queue.popleft()
-        for e in graph.out_edges(cur):
-            if e.tgt not in seen:
-                seen.add(e.tgt)
-                parent[e.tgt] = (cur, e.event)
-                if e.tgt == target:
-                    path = []
-                    node = target
-                    while node in parent:
-                        node, ev = parent[node]
-                        path.append(ev)
-                    return list(reversed(path))
-                queue.append(e.tgt)
-    raise EvalError(f"state {target} is not reachable")
+    parent, hit = bfs(graph.initial, graph.successors, lambda s: s == target)
+    if hit is None:
+        raise EvalError(f"state {target} is not reachable")
+    node, event, _ = hit
+    return path_to(parent, node) + [event]

@@ -6,6 +6,7 @@ see them stream).  Failures show up as ordinary pytest failures.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -25,7 +26,7 @@ from ebltl.preserve import (
 )
 from ebltl.refine import (
     ChainLink, build_chain, check_chain_pairs, check_refinement_pair,
-    check_strategy, check_theorem1, derive_renaming, load_chain,
+    check_strategy, check_theorem1, derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import explore
 from ebltl.traces import lasso, project_trace, same_word
@@ -46,8 +47,8 @@ def test_criterion_1_strategy_and_labels(vm1_chain):
     _ok(1, "strategy rules and label sets")
 
 
-def test_criterion_2_obligations_and_mutations(vm_chain):
-    for report in check_chain_pairs(vm_chain):
+def test_criterion_2_obligations_and_mutations(vm_chain, vm_chain_graphs):
+    for report in check_chain_pairs(vm_chain, vm_chain_graphs):
         assert report.ok, f"{report.abstract}->{report.concrete}"
     spec = json.loads((MUTANT_DIR / "mutants.json").read_text())
     for entry in spec["pair_mutants"]:
@@ -55,14 +56,14 @@ def test_criterion_2_obligations_and_mutations(vm_chain):
         concrete = parse_machine_file(MUTANT_DIR / entry["file"])
         link = ChainLink(derive_renaming(abstract, concrete, None),
                          concrete.linking)
-        report = check_refinement_pair(abstract, concrete, link)
+        report = check_refinement_pair(abstract, concrete, link, explore(concrete))
         assert report.failed() == [entry["expect_po"]], entry["name"]
     for entry in spec["chain_mutants"]:
         machines = [parse_machine_file(MUTANT_DIR / p) for p in entry["chain"]]
         chain = build_chain(entry["name"], machines)
         strat = check_strategy(chain)
         assert sorted({v.rule for v in strat.violations}) == [entry["expect_rule"]]
-        assert all(r.ok for r in check_chain_pairs(chain))
+        assert all(r.ok for r in check_chain_pairs(chain, explore_chain(chain)))
     _ok(2, "refinement obligations, six diagonal mutations")
 
 
@@ -125,13 +126,14 @@ def test_criterion_5_preservation_rule(vm_chain, vm_chain_graphs, vm_props):
 
 
 def test_criterion_6_divergence_freedom(vm1_chain, vm1_chain_graphs):
-    report = check_theorem1(vm1_chain, vm1_chain_graphs[-1])
+    report = check_theorem1(vm1_chain, vm1_chain_graphs)
     assert report.certified and report.direct.holds and report.consistent
     spec = json.loads((MUTANT_DIR / "mutants.json").read_text())["divergent_mutant"]
     machines = [parse_machine_file(MUTANT_DIR / p) for p in spec["chain"]]
     chain = build_chain(spec["name"], machines)
-    graph_n = explore(machines[-1])
-    mutant_report = check_theorem1(chain, graph_n)
+    graphs = explore_chain(chain)
+    graph_n = graphs[-1]
+    mutant_report = check_theorem1(chain, graphs)
     assert not mutant_report.certified
     assert not mutant_report.direct.holds
     witness = mutant_report.direct.witness
@@ -233,24 +235,64 @@ def test_criterion_9_differential_oracle():
     _ok(9, f"differential oracle, {len(report.rows)} comparisons in {elapsed:.1f}s")
 
 
-def test_criterion_10_deterministic_reports():
+def test_criterion_10_deterministic_reports(tmp_path):
+    fis = tmp_path / "fis.json"
+    fis.write_text(json.dumps({"name": "vm-fis", "machines": [
+        str(VM_DIR / "vm1.eb"), str(VM_DIR / "vm2.eb"),
+        str(MUTANT_DIR / "vm3_fis_empty_choice.eb")]}))
+    divergent = tmp_path / "divergent.json"
+    divergent.write_text(json.dumps({"name": "vm-divergent", "machines": [
+        str(VM_DIR / "vm1.eb"), str(VM_DIR / "vm2.eb"), str(VM_DIR / "vm3.eb"),
+        str(MUTANT_DIR / "vm4_divergent.eb")]}))
+    # (argv, exit code, sha256 of the --json stdout), pinned so that the
+    # reports stay byte-identical across changes to the checker, not only
+    # across two runs of one build
     commands = [
-        ("mc", str(VM_DIR / "vm4.eb"), "--prop", "phi2"),
-        ("explore", str(VM_DIR / "vm4.eb")),
-        ("po", "--chain", str(VM_DIR / "chain.json")),
-        ("strategy", "--chain", str(VM_DIR / "chain-vm1.json")),
-        ("gf", "--chain", str(VM_DIR / "chain.json")),
-        ("preserve", "--chain", str(VM_DIR / "chain.json"), "--at", "1",
-         "--prop", "phi2"),
-        ("theorem1", "--chain", str(VM_DIR / "chain-vm1.json")),
-        ("oracle", "--random", "50", "--seed", "7"),
+        (("mc", str(VM_DIR / "vm4.eb"), "--prop", "phi2"), 0,
+         "5cb3328ad3c05545139d18efe712687d118bfebce7890e74b0d8f8843d970d3b"),
+        (("explore", str(VM_DIR / "vm4.eb")), 0,
+         "0ae6f26115ddd89a888c961b62b3ecea9231e3a437b63a574ecd35df5be553a2"),
+        (("po", "--chain", str(VM_DIR / "chain.json")), 0,
+         "0d85f5282f6a5d13ae6e94cd5d4b8b3b472ef59a476cfb8689a61e28347c0f2c"),
+        (("strategy", "--chain", str(VM_DIR / "chain-vm1.json")), 0,
+         "0f4171f80b131e4495cf821c5c17f7456c28bce2107eba9576629242bc6e3451"),
+        (("gf", "--chain", str(VM_DIR / "chain.json")), 0,
+         "237b799d869e813c94d6375db9ef440007d4ccf8611b96e873b75fea0491005a"),
+        (("preserve", "--chain", str(VM_DIR / "chain.json"), "--at", "1",
+          "--prop", "phi2"), 0,
+         "a50c2314f80680e0e45b0301ac9830fe8d354322c30a7ba9fba9b2658fb5b748"),
+        (("theorem1", "--chain", str(VM_DIR / "chain-vm1.json")), 0,
+         "376e7555582fcdebf257ed8373cc1b34ac9779222f232dda4a0f3a541b6afaac"),
+        (("oracle", "--random", "50", "--seed", "7"), 0,
+         "7bcc2fa3fd563880f0f0a15cfc308b022e3d738b262047ff1f7892f5e8345f18"),
+        # an enabled event without an after-state: a FIS_REF failure for
+        # po, a "no after-state" error everywhere else
+        (("po", "--chain", str(fis)), 1,
+         "56d86b16ed19b9588f050efe72da589f9581eba739a43ae46049945865aed36f"),
+        (("gf", "--chain", str(fis)), 1,
+         "c5e75c7533b36cc55c3cad30da22c01137e65d324d57aebe8a95290ad3135144"),
+        (("theorem1", "--chain", str(fis)), 1,
+         "368816ff232f505a2e99775ffb320181da227d62f9e6386a6b92016b29b9ef13"),
+        (("explore", str(MUTANT_DIR / "vm3_fis_empty_choice.eb")), 1,
+         "1271a6c4a87916f9fd559a4399bb56f4be757fb491f05957081be03d97b68bb5"),
+        # the divergent chain: INV_REF fails in the last pair
+        (("po", "--chain", str(divergent)), 1,
+         "715bbd499f9772dc8ef4936117a94ab10b5f5b3dbe42ba0db3a899374d668912"),
+        (("gf", "--chain", str(divergent)), 2,
+         "035ad07428cb652f4208204bdeda0b563cbb25c0b5832b7eb772202b8e29c7c1"),
+        (("theorem1", "--chain", str(divergent)), 1,
+         "98dc57facfce1638c1fe92c15d36c216386f1110d11cc1482251815c5b539fc6"),
+        (("preserve", "--chain", str(divergent), "--at", "1",
+          "--prop", "G F [pay]"), 2,
+         "a2a87f0c4ef163e1cf003bb2c1543fd41d86bb0088d67d004174aecd807da3e1"),
     ]
-    for argv in commands:
+    for argv, code, digest in commands:
         runs = [
             subprocess.run([sys.executable, "-m", "ebltl.cli", *argv, "--json"],
                            capture_output=True, text=True)
             for _ in range(2)
         ]
         assert runs[0].stdout == runs[1].stdout, argv
-        assert runs[0].returncode == runs[1].returncode
+        assert runs[0].returncode == runs[1].returncode == code, argv
+        assert hashlib.sha256(runs[0].stdout.encode()).hexdigest() == digest, argv
     _ok(10, "byte-identical reports across consecutive runs")

@@ -203,3 +203,41 @@ def test_reports_byte_identical_across_runs(argv):
     first = run_cli(*argv, "--json")
     second = run_cli(*argv, "--json")
     assert first == second
+
+
+BAD_FILES = {
+    "latin1.eb": b"machine M\n# caf\xe9\n",
+    "broken.json": b'{"machines": [',
+    "no-machines.json": b'{"name": "x"}',
+}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("parse", "{tmp}"), 3),
+    (("parse", "{tmp}/latin1.eb"), 3),
+    (("po", "--chain", "{tmp}/broken.json"), 3),
+    (("po", "--chain", "{tmp}/no-machines.json"), 3),
+    (("mc", str(VM_DIR / "vm1.eb"), "--prop", "@{tmp}"), 3),
+    (("po",), 3),
+    (("strategy", "--chain", str(VM_DIR / "chain.json"), "--no-such-flag"), 3),
+    (("explore", str(VM_DIR / "vm0.eb"), "--bound-states", "abc"), 3),
+    (("parse", str(VM_DIR / "vm1.eb"), "--bound-states", "5"), 3),
+    (("gf", "--chain", str(VM_DIR / "chain.json"), "--lasso-prefix", "2"), 3),
+    (("oracle", "--set", "capacity=1"), 3),
+    (("mc", str(VM_DIR / "vm1.eb"), "--prop", "phi1", "--verbose"), 3),
+    (("--help",), 0),
+    (("explore", "--help"), 0),
+    (("--version",), 0),
+], ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
+        "chain-no-machines", "prop-file-directory", "missing-chain",
+        "unknown-flag", "bound-not-int", "parse-bound-states",
+        "gf-lasso-prefix", "oracle-set", "mc-verbose", "help",
+        "subcommand-help", "version"])
+def test_bad_input_is_a_usage_error(tmp_path, argv, code):
+    """Bad command lines and unreadable or malformed inputs exit 3, never
+    with a traceback; so does a flag the subcommand does not read."""
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    got, out, err = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert got == code
+    assert "Traceback" not in out + err

@@ -7,6 +7,7 @@ no-refutation of translated schema-certified formulas.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,10 @@ from ebltl.preserve import (
     apply_lemma_gf, apply_preservation, check_beta_dependent,
     complete_renaming, map_trace, translate_formula,
 )
-from ebltl.refine import RenamingMap
+from ebltl.refine import (
+    RenamingMap, check_chain_pairs, check_refinement_pair, check_theorem1,
+)
+from ebltl import semantics
 from ebltl.traces import Trace, finite_trace, lasso, project_trace, same_word
 
 SPLIT = RenamingMap.make(
@@ -348,3 +352,29 @@ def test_certificate_json_shape(vm_chain, vm_chain_graphs, vm_props):
     assert data["conclusion"] == "G F [pay]"
     assert all(h["passed"] for h in data["hypotheses"])
     assert data["cross_validation"]["holds"] is True
+
+
+def test_chain_checks_use_the_callers_graphs(vm_chain, vm_chain_graphs, vm_props,
+                                            monkeypatch):
+    """po, gf, theorem1 and preserve run on the graphs they are handed:
+    with every module binding of `explore` made to raise, they complete."""
+    original = semantics.explore
+
+    def explore_again(*args, **kwargs):
+        raise AssertionError("a machine was explored a second time")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if (name == "ebltl" or name.startswith("ebltl.")) \
+                and vars(module).get("explore") is original:
+            monkeypatch.setattr(module, "explore", explore_again)
+            patched.append(name)
+    assert {"ebltl.semantics", "ebltl.refine"} <= set(patched)
+
+    assert all(r.ok for r in check_chain_pairs(vm_chain, vm_chain_graphs))
+    assert check_refinement_pair(vm_chain.machines[0], vm_chain.machines[1],
+                                 vm_chain.links[0], vm_chain_graphs[1]).ok
+    assert apply_lemma_gf(vm_chain, vm_chain_graphs).asserted
+    assert check_theorem1(vm_chain, vm_chain_graphs).certified
+    assert apply_preservation(vm_chain, 1, vm_props["phi2"], None,
+                              vm_chain_graphs).asserted

@@ -11,7 +11,7 @@ from ebltl.machine_parser import parse_machine_file
 from ebltl.refine import (
     ChainLink, RenamingMap, build_chain, check_ca, check_chain_pairs,
     check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
-    derive_renaming, load_chain,
+    derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import explore, make_graph, static_env, eval_expr
 from ebltl.oracle import trace_realizable
@@ -24,15 +24,15 @@ def load_mutant_spec():
 
 # -- obligations on the corpus -------------------------------------------------
 
-def test_all_adjacent_pairs_pass(vm_chain):
-    for report in check_chain_pairs(vm_chain):
+def test_all_adjacent_pairs_pass(vm_chain, vm_chain_graphs):
+    for report in check_chain_pairs(vm_chain, vm_chain_graphs):
         assert report.ok, f"{report.abstract}->{report.concrete}: {report.failed()}"
 
 
-def test_identity_refinement_passes(vm_machines):
+def test_identity_refinement_passes(vm_machines, vm_graphs):
     m = vm_machines["VM2"]
     renaming = RenamingMap.identity(m.alphabet())
-    report = check_refinement_pair(m, m, ChainLink(renaming, None))
+    report = check_refinement_pair(m, m, ChainLink(renaming, None), vm_graphs["VM2"])
     assert report.ok
 
 
@@ -43,7 +43,8 @@ def test_pair_mutants_fail_exactly_their_obligation(entry):
     concrete = parse_machine_file(MUTANT_DIR / entry["file"])
     renaming = derive_renaming(abstract, concrete, None)
     report = check_refinement_pair(abstract, concrete,
-                                   ChainLink(renaming, concrete.linking))
+                                   ChainLink(renaming, concrete.linking),
+                                   explore(concrete))
     assert report.failed() == [entry["expect_po"]]
 
 
@@ -54,7 +55,8 @@ def test_grd_witness_replays(vm_machines):
     concrete = parse_machine_file(MUTANT_DIR / "vm2_grd_weak.eb")
     renaming = derive_renaming(abstract, concrete, None)
     report = check_refinement_pair(abstract, concrete,
-                                   ChainLink(renaming, concrete.linking))
+                                   ChainLink(renaming, concrete.linking),
+                                   explore(concrete))
     witness = report.results["GRD_REF"].witnesses[0]
     assert witness["abstract_event"] == "selectBiscuit"
     assert "biscuit" in witness["abstract_state"]["chosen"]
@@ -68,7 +70,8 @@ def test_wfd_witness_replays(vm_machines):
     concrete = parse_machine_file(MUTANT_DIR / "vm2_wfd_refund_keeps_flag.eb")
     renaming = derive_renaming(vm_machines["VM1"], concrete, None)
     report = check_refinement_pair(vm_machines["VM1"], concrete,
-                                   ChainLink(renaming, concrete.linking))
+                                   ChainLink(renaming, concrete.linking),
+                                   explore(concrete))
     witness = report.results["WFD_REF"].witnesses[0]
     assert witness["event"] == "refund"
     assert not witness["after"] < witness["before"]
@@ -81,7 +84,8 @@ def test_fis_witness_replays(vm_machines):
     concrete = parse_machine_file(MUTANT_DIR / "vm3_fis_empty_choice.eb")
     renaming = derive_renaming(vm_machines["VM2"], concrete, None)
     report = check_refinement_pair(vm_machines["VM2"], concrete,
-                                   ChainLink(renaming, concrete.linking))
+                                   ChainLink(renaming, concrete.linking),
+                                   explore(concrete))
     witness = report.results["FIS_REF"].witnesses[0]
     assert witness["event"] == "dispenseBiscuit"
     env = {**static_env(concrete)}
@@ -137,7 +141,7 @@ def test_label_flip_fails_exactly_rule_3(entry):
     chain = build_chain(entry["name"], machines)
     report = check_strategy(chain)
     assert sorted({v.rule for v in report.violations}) == [entry["expect_rule"]]
-    assert all(r.ok for r in check_chain_pairs(chain))
+    assert all(r.ok for r in check_chain_pairs(chain, explore_chain(chain)))
 
 
 def test_manifest_renaming_conflict_rejected(vm_machines):
@@ -247,7 +251,7 @@ def test_ca_foreign_events_allowed(vm_graphs):
 
 
 def test_theorem1_on_vm1_chain(vm1_chain, vm1_chain_graphs):
-    report = check_theorem1(vm1_chain, vm1_chain_graphs[-1])
+    report = check_theorem1(vm1_chain, vm1_chain_graphs)
     assert report.c_star == ("pay", "refill", "refund")
     assert report.o_star == ("dispenseBiscuit", "dispenseChoc",
                              "selectBiscuit", "selectChoc")
@@ -255,7 +259,7 @@ def test_theorem1_on_vm1_chain(vm1_chain, vm1_chain_graphs):
 
 
 def test_theorem1_on_vm0_chain(vm_chain, vm_chain_graphs):
-    report = check_theorem1(vm_chain, vm_chain_graphs[-1])
+    report = check_theorem1(vm_chain, vm_chain_graphs)
     # O* comes back through the split: the four concrete select/dispense events
     assert report.o_star == ("dispenseBiscuit", "dispenseChoc",
                              "selectBiscuit", "selectChoc")
@@ -264,7 +268,7 @@ def test_theorem1_on_vm0_chain(vm_chain, vm_chain_graphs):
 
 def test_theorem1_single_machine(vm_machines, vm_graphs):
     chain = build_chain("solo", [vm_machines["VM1"]])
-    report = check_theorem1(chain, vm_graphs["VM1"])
+    report = check_theorem1(chain, [vm_graphs["VM1"]])
     assert report.c_star == ()
     assert report.direct.holds
 
@@ -273,8 +277,9 @@ def test_divergent_mutant_fails_ca_with_witness(vm_chain):
     spec = load_mutant_spec()["divergent_mutant"]
     machines = [parse_machine_file(MUTANT_DIR / p) for p in spec["chain"]]
     chain = build_chain(spec["name"], machines)
-    graph_n = explore(machines[-1])
-    report = check_theorem1(chain, graph_n)
+    graphs = explore_chain(chain)
+    graph_n = graphs[-1]
+    report = check_theorem1(chain, graphs)
     assert not report.certified  # INV_REF breaks in the last pair
     assert any("INV_REF" in r.failed() for r in report.po_reports)
     assert not report.direct.holds

@@ -13,7 +13,7 @@ from ebltl.errors import ExplorationLimitError, InvariantViolation
 from ebltl.machine_parser import parse_machine
 from ebltl.semantics import (
     ExploreLimits, check_deadlock_free, check_invariant, eval_expr, explore,
-    find_path, static_env,
+    find_path, require_feasible, static_env,
 )
 
 
@@ -93,10 +93,33 @@ def test_infeasible_choice_is_an_error_by_default():
         "events\n  event init then s := {} end\n"
         "  event go\n    status ordinary\n    when true\n"
         "    then any x : set of IT where card(x) > 1 then s := x end end\nend")
-    with pytest.raises(InvariantViolation, match="no after-state"):
-        explore(m)
-    g = explore(m, on_infeasible="ignore")
+    g = explore(m)
     assert g.deadlocks == (0,)
+    assert g.infeasible == [(0, "go", ())]
+    assert "infeasible" not in g.to_json_dict()
+    with pytest.raises(InvariantViolation, match="no after-state") as err:
+        require_feasible(g)
+    assert str(err.value) == ("event go of Stuck is enabled but has no "
+                              "after-state at state 0 (empty bounded choice)")
+    assert err.value.path == [] and err.value.state == {"s": frozenset()}
+
+
+def test_infeasible_firing_then_later_error():
+    """Exploration runs past an infeasible firing (state 0 here), so an
+    invariant violation or state bound met later in BFS order is the error
+    reported, not the firing."""
+    m = parse_machine(
+        "machine Late\ncarriers\n  IT = { a }\nvariables\n  n : 0..3\n"
+        "  s : set of IT\ninvariant\n  n < 3\n"
+        "events\n  event init then n := 0 || s := {} end\n"
+        "  event go\n    status ordinary\n    when n = 0\n"
+        "    then any x : set of IT where card(x) > 1 then s := x end end\n"
+        "  event up\n    status ordinary\n    when true then n := n + 1 end\nend")
+    with pytest.raises(InvariantViolation, match="invariant is false") as err:
+        explore(m)
+    assert err.value.path == ["up", "up", "up"]
+    with pytest.raises(ExplorationLimitError):
+        explore(m, ExploreLimits(max_states=2))
 
 
 def test_edges_are_sound(vm_machines, vm_graphs):
