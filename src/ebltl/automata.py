@@ -34,7 +34,7 @@ from .errors import ExplorationLimitError
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
-from .search import bfs, path_to
+from .search import bfs, path_to, tarjan
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
 
@@ -198,9 +198,6 @@ class TableauAutomaton:
     def accepts_empty(self, qid: int) -> bool:
         return all(empty_true(f) for f in self._sets[qid])
 
-    def delayed_untils(self, qid: int) -> frozenset:
-        return frozenset(f for f in self._sets[qid] if isinstance(f, NUntil))
-
     def branches(self, qid: int) -> tuple[Branch, ...]:
         cached = self._branches.get(qid)
         if cached is not None:
@@ -348,7 +345,7 @@ class CounterexampleSearch:
 
     def lasso_counterexample(self) -> Optional[Trace]:
         nodes, adj = self.nodes, self.adj
-        sccs = _tarjan(len(nodes), adj)
+        sccs = tarjan(len(nodes), adj)
 
         def is_accepting_scc(scc: list[int]) -> bool:
             """Generalized Buchi: every Until must be non-delayed somewhere."""
@@ -417,51 +414,3 @@ def _bfs_inside(adj, members: set[int], source: int, goals: set[int],
         [source], lambda n: [(t, ev) for t, ev in adj[n] if t in members],
         goals.__contains__)
     return path_to(parent, node) + [event], goal
-
-
-def _tarjan(n: int, adj) -> list[list[int]]:
-    """Iterative Tarjan SCC; components come out in reverse topological order."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(adj[node]):
-                succ = adj[node][pi][0]
-                pi += 1
-                if index[succ] == -1:
-                    work[-1] = (node, pi)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                pnode, _ = work[-1]
-                low[pnode] = min(low[pnode], low[node])
-    return sccs

@@ -123,10 +123,6 @@ def formula_to_text(f: Formula, parent: int = 0) -> str:
     raise TypeError(f)
 
 
-def formula_sort_key(f: Formula) -> str:
-    return formula_to_text(f)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -13,7 +13,10 @@ trips compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
+
+if TYPE_CHECKING:
+    from .semantics import CompiledMachine
 
 Pos = tuple[int, int]
 
@@ -192,6 +195,8 @@ class Machine:
     source_path: Optional[str] = field(default=None, compare=False)
     # populated by the typechecker
     sym: Optional["SymbolTable"] = field(default=None, compare=False, repr=False)
+    # built from `sym` on first use by semantics.compile_machine
+    compiled: Optional["CompiledMachine"] = field(default=None, compare=False, repr=False)
 
     def alphabet(self) -> tuple[str, ...]:
         """Event names of the machine, sorted; init is not part of it."""

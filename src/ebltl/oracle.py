@@ -337,12 +337,14 @@ class CorpusEntry:
     properties: dict[str, Formula]
     verdicts: list[ExpectedVerdict]
     raw: dict = field(default_factory=dict)
+    # explored graphs of this entry's machines, by machine name
+    graphs: dict[str, StateGraph] = field(default_factory=dict, repr=False, compare=False)
 
-    def graph(self, machine_name: str, cache={}) -> StateGraph:
-        key = (self.directory, machine_name)
-        if key not in cache:
-            cache[key] = require_feasible(explore(self.machines[machine_name]))
-        return cache[key]
+    def graph(self, machine_name: str) -> StateGraph:
+        if machine_name not in self.graphs:
+            self.graphs[machine_name] = require_feasible(
+                explore(self.machines[machine_name]))
+        return self.graphs[machine_name]
 
 
 def load_entry(directory: Path) -> CorpusEntry:

@@ -282,20 +282,18 @@ class Certificate:
 
 
 def _chain_hypotheses(chain: RefinementChain, graphs: list[StateGraph],
-                      from_level: int = 0,
-                      include_strategy: bool = True) -> list[Hypothesis]:
+                      from_level: int = 0) -> list[Hypothesis]:
     hyps: list[Hypothesis] = []
     for r in check_chain_pairs(chain, graphs, from_level=from_level):
         hyps.append(Hypothesis(
             f"refinement obligations {r.abstract} -> {r.concrete}",
             r.ok, "all of FIS/GRD/INV/WFD hold" if r.ok
             else f"failed: {', '.join(r.failed())}"))
-    if include_strategy:
-        strat = check_strategy(chain)
-        hyps.append(Hypothesis(
-            "development strategy rules 1-6", strat.ok,
-            "labels conform" if strat.ok else "; ".join(
-                f"rule {v.rule}: {v.message}" for v in strat.violations)))
+    strat = check_strategy(chain)
+    hyps.append(Hypothesis(
+        "development strategy rules 1-6", strat.ok,
+        "labels conform" if strat.ok else "; ".join(
+            f"rule {v.rule}: {v.message}" for v in strat.violations)))
     dead = check_deadlock_free(graphs[-1])
     hyps.append(Hypothesis(
         f"{chain.final.name} deadlock free", dead.holds,
@@ -318,8 +316,7 @@ def _cross_validate(conclusion: Formula, graph_n: StateGraph) -> Verdict:
     return verdict
 
 
-def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph],
-                   use_renaming: bool = True) -> Certificate:
+def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph]) -> Certificate:
     """Certify that the final machine always eventually performs an event
     relating back to the first machine.
 
@@ -330,9 +327,6 @@ def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph],
     """
     hyps = _chain_hypotheses(chain, graphs)
     g = compose_renamings(chain, 1)
-    if not use_renaming and not g.is_identity():
-        raise RenamingError(
-            "chain has non-identity renamings; the renamed rule is required")
     events = g.preimage_set(chain.machines[0].alphabet())
     conclusion = Globally(Finally(or_all([Atom(e) for e in events])))
     lemma = 1 if g.is_identity() else 3

@@ -7,7 +7,10 @@ related to every invariant-satisfying abstract state compatible with the
 linking invariant, and the obligations are evaluated over those pairs.
 The reachable concrete states come from the caller's graphs: nothing here
 explores a machine except `explore_chain`, so each machine of a run is
-explored once, under the caller's bounds.
+explored once, under the caller's bounds.  Both machines are evaluated
+through their compiled events (`semantics.compile_machine`), the same
+firing path `explore` takes, and the linking invariant is compiled once
+per pair.
 The four obligations are kept independent, mirroring how proof assistants
 split them:
 
@@ -39,11 +42,10 @@ from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
 from .machine_parser import parse_expression, parse_machine_file
-from .search import bfs, path_to
+from .search import bfs, path_to, tarjan
 from .semantics import (
-    ExploreLimits, StateGraph, _action_outcomes, _param_domains, eval_expr,
-    event_firings, explore, find_path, require_feasible, static_env,
-    value_to_json,
+    ExploreLimits, StateGraph, compile_expr, compile_machine, explore,
+    find_path, require_feasible, value_to_json,
 )
 from .traces import LASSO, Trace
 from .typecheck import link_typecheck
@@ -142,17 +144,6 @@ class RefinementChain:
     @property
     def final(self) -> Machine:
         return self.machines[-1]
-
-    def level_of(self, machine_name: str) -> int:
-        for i, m in enumerate(self.machines):
-            if m.name == machine_name:
-                return i
-        raise ChainError(f"{machine_name!r} is not a machine of chain {self.name!r}")
-
-    def status_sets(self, level: int) -> dict[str, tuple[str, ...]]:
-        m = self.machines[level]
-        return {status: m.events_with_status(status)
-                for status in (ORDINARY, ANTICIPATED, CONVERGENT)}
 
 
 def derive_renaming(abstract: Machine, concrete: Machine,
@@ -403,32 +394,10 @@ class POReport:
 
 def _enumerate_universe(machine: Machine) -> list[dict]:
     """All valuations over the declared domains satisfying the invariant."""
-    sym = machine.sym
-    base = static_env(machine)
-    names = sym.var_names
-    domains = [sym.domain(sym.var_types[v]) for v in names]
-    out = []
-    for values in product(*domains):
-        env = dict(zip(names, values))
-        if machine.invariant is None or eval_expr(machine.invariant, {**base, **env}):
-            out.append(env)
-    return out
-
-
-def _abstract_action_outcomes(machine: Machine, env: dict, event) -> list[dict]:
-    """After-states of an event's action relation, guard ignored, over all
-    parameter valuations (the proof-obligation reading of simulation)."""
-    sym = machine.sym
-    outcomes: list[dict] = []
-    domains = _param_domains(event.params, sym)
-    for choice in product(*(dom for _, dom in domains)):
-        env2 = dict(env)
-        env2.update({name: v for (name, _), v in zip(domains, choice)})
-        for upd in _action_outcomes(event.actions, env2, sym):
-            result = {k: env[k] for k in sym.var_names}
-            result.update(upd)
-            outcomes.append(result)
-    return outcomes
+    sym, compiled = machine.sym, compile_machine(machine)
+    domains = [sym.domain(sym.var_types[v]) for v in sym.var_names]
+    valuations = (dict(zip(sym.var_names, values)) for values in product(*domains))
+    return [env for env in valuations if compiled.invariant({**compiled.static, **env})]
 
 
 def check_refinement_pair(abstract: Machine, concrete: Machine,
@@ -436,19 +405,20 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     """Evaluate the four refinement obligations for one adjacent pair over
     `graph`, the concrete machine's explored state graph."""
     link_typecheck(abstract, concrete, link.linking)
+    abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
     abs_universe = _enumerate_universe(abstract)
-    abs_base = static_env(abstract)
-    conc_base = static_env(concrete)
+    abs_base = abs_compiled.static
+    conc_base = conc_compiled.static
     shared = sorted(set(abstract.sym.var_types) & set(concrete.sym.var_types))
     renaming = link.renaming
+    linking = None if link.linking is None else compile_expr(link.linking)
 
     def linked(abs_env: dict, conc_env: dict) -> bool:
         if any(abs_env[v] != conc_env[v] for v in shared):
             return False
-        if link.linking is None:
+        if linking is None:
             return True
-        joint = {**abs_base, **conc_base, **abs_env, **conc_env}
-        return bool(eval_expr(link.linking, joint))
+        return bool(linking({**abs_base, **conc_base, **abs_env, **conc_env}))
 
     def render(env: dict, sym_names) -> dict:
         return {k: value_to_json(env[k]) for k in sym_names}
@@ -462,16 +432,12 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             r.witnesses.append(witness)
 
     # pair every reachable concrete state with each compatible abstract state
-    pairs_per_state: list[list[dict]] = []
-    for i in range(len(graph.states)):
-        conc_env = graph.state_env(i)
-        related = [a for a in abs_universe if linked(a, conc_env)]
-        pairs_per_state.append(related)
+    pairs_per_state = [[a for a in abs_universe if linked(a, conc_env)]
+                       for conc_env in map(graph.state_env, range(len(graph.states)))]
 
     # initial linkability: each concrete initial state needs an abstract
     # initial partner (initialisation is part of the simulation obligation)
-    abs_init_outcomes = _action_outcomes(abstract.init.actions, dict(abs_base),
-                                         abstract.sym)
+    abs_init_outcomes = abs_compiled.init(abs_base)
     for i in graph.initial:
         conc_env = graph.state_env(i)
         if not any(linked(a, conc_env) for a in abs_init_outcomes):
@@ -482,40 +448,41 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                            "concrete initial state",
             })
 
-    abs_events = {e.name: e for e in abstract.events}
-
-    # FIS_REF and GRD_REF scan reachable states and enabled valuations
+    # FIS_REF and GRD_REF scan reachable states and enabled valuations; the
+    # abstract side only needs some parameter choice satisfying its guard
     for i in range(len(graph.states)):
         conc_env_vars = graph.state_env(i)
         conc_env = {**conc_base, **conc_env_vars}
         related = pairs_per_state[i]
-        for event in sorted(concrete.events, key=lambda e: e.name):
-            target = renaming.apply(event.name)
-            for valuation, outcomes in event_firings(concrete, conc_env, event):
+        for name, event in conc_compiled.events.items():
+            target = renaming.apply(name)
+            for valuation, outcomes in event.firings(conc_env):
                 results["FIS_REF"].checked += 1
                 if not outcomes:
                     fail("FIS_REF", {
                         "kind": "no-after-state",
-                        "event": event.name,
+                        "event": name,
                         "params": [[n, value_to_json(v)] for n, v in valuation],
                         "concrete_state": render(conc_env_vars, concrete.sym.var_names),
                     })
                 if target is None:
                     continue
-                abs_event = abs_events[target]
+                abs_event = abs_compiled.events[target]
                 for abs_env in related:
                     results["GRD_REF"].checked += 1
-                    if not _abstract_guard_holds(abstract, abs_env, abs_event, abs_base):
+                    if next(abs_event.enabled({**abs_base, **abs_env}), None) is None:
                         fail("GRD_REF", {
                             "kind": "guard-not-strengthened",
-                            "event": event.name,
+                            "event": name,
                             "abstract_event": target,
                             "params": [[n, value_to_json(v)] for n, v in valuation],
                             "concrete_state": render(conc_env_vars, concrete.sym.var_names),
                             "abstract_state": render(abs_env, abstract.sym.var_names),
                         })
 
-    # INV_REF walks the concrete transitions
+    # INV_REF walks the concrete transitions; a refined event is matched by
+    # the abstract action relation over all parameter valuations, its guard
+    # ignored (the proof-obligation reading of simulation)
     for edge in graph.edges:
         conc_pre = graph.state_env(edge.src)
         conc_post = graph.state_env(edge.tgt)
@@ -525,10 +492,10 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             if target is None:
                 ok = linked(abs_env, conc_post)
             else:
-                abs_event = abs_events[target]
-                joint = {**abs_base, **abs_env}
-                outcomes = _abstract_action_outcomes(abstract, joint, abs_event)
-                ok = any(linked(a_post, conc_post) for a_post in outcomes)
+                abs_event = abs_compiled.events[target]
+                ok = any(linked({**abs_env, **upd}, conc_post)
+                         for _, inner in abs_event.bindings({**abs_base, **abs_env})
+                         for upd in abs_event.actions(inner))
             if not ok:
                 fail("INV_REF", {
                     "kind": "unmatched-transition" if target else "new-event-disturbs-link",
@@ -540,12 +507,11 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                 })
 
     # WFD_REF is local to the concrete machine's variant
-    if concrete.variant is not None:
+    if conc_compiled.variant is not None:
         statuses = {e.name: e.effective_status for e in concrete.events}
         variant_at: list[int] = []
         for i in range(len(graph.states)):
-            env = {**conc_base, **graph.state_env(i)}
-            value = eval_expr(concrete.variant, env)
+            value = conc_compiled.variant({**conc_base, **graph.state_env(i)})
             variant_at.append(value)
             results["WFD_REF"].checked += 1
             if not isinstance(value, int) or value < 0:
@@ -574,14 +540,6 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                     results=results,
                     bounds={"concrete_states": len(graph.states),
                             "abstract_universe": len(abs_universe)})
-
-
-def _abstract_guard_holds(machine: Machine, env_vars: dict, event, base: dict) -> bool:
-    """Is the abstract guard satisfiable for some parameter valuation?"""
-    env = {**base, **env_vars}
-    for _valuation, _outcomes in event_firings(machine, env, event):
-        return True
-    return False
 
 
 def check_chain_pairs(chain: RefinementChain, graphs: list[StateGraph],
@@ -655,9 +613,8 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
 
 
 def _scc_membership(n: int, adj: list[list[tuple[int, str]]]) -> list[int]:
-    from .automata import _tarjan
     comp = [0] * n
-    for idx, scc in enumerate(_tarjan(n, adj)):
+    for idx, scc in enumerate(tarjan(n, adj)):
         for node in scc:
             comp[node] = idx
     return comp

@@ -1,6 +1,7 @@
-"""Breadth-first search with parent links, behind every witness path of
-the package.  The oracle keeps its own search on purpose, to stay
-independent of this one."""
+"""Graph search shared by the package: breadth-first search with parent
+links, behind every witness path, and Tarjan's strongly connected
+components, behind lasso and divergence search.  The oracle keeps its own
+search on purpose, to stay independent of these."""
 from __future__ import annotations
 
 from collections import deque
@@ -39,3 +40,53 @@ def path_to(parent: dict, node) -> list:
         labels.append(label)
     labels.reverse()
     return labels
+
+
+def tarjan(n: int, adj) -> list[list[int]]:
+    """Strongly connected components of nodes 0..n-1, where `adj[node]`
+    lists `(successor, label)` pairs (iterative Tarjan); components come out
+    in reverse topological order."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            while pi < len(adj[node]):
+                succ = adj[node][pi][0]
+                pi += 1
+                if index[succ] == -1:
+                    work[-1] = (node, pi)
+                    work.append((succ, 0))
+                    advanced = True
+                    break
+                if on_stack[succ]:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(comp)
+            if work:
+                pnode, _ = work[-1]
+                low[pnode] = min(low[pnode], low[node])
+    return sccs

@@ -1,5 +1,10 @@
 """Transition-system semantics for machines.
 
+A typechecked machine is compiled once and kept on the machine
+(`compile_machine`): each event holds its parameter domains, resolved once,
+and closures (`compile_expr`) for its guard and actions.  Exploration, the
+invariant check and the refinement obligations all fire events that way.
+
 States are valuations of the declared variables; `explore` computes the
 breadth-first closure of the initial states under every enabled
 (event, parameter) pair, checking the invariant and the declared domains
@@ -15,23 +20,25 @@ report it as FIS_REF over the caller's graphs.
 """
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
 from .machine_ast import (
-    Assign, Binary, BoolLit, BoolType, Call, ElemType, Event, Expr,
+    AnyChoice, Assign, Binary, BoolLit, BoolType, Call, ElemType, Event, Expr,
     IfExpr, IntLit, IntRangeType, Machine, Name, SetLit, SetType, Unary,
 )
 from .search import bfs, path_to
+from .typecheck import resolve_type
 
 Value = object  # int | bool | str (carrier element) | frozenset[str]
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation
+# compiled expressions and events
 
 def static_env(machine: Machine) -> dict:
     """Bindings that do not change between states: constants, elements,
@@ -45,75 +52,164 @@ def static_env(machine: Machine) -> dict:
     return env
 
 
-def eval_expr(e: Expr, env: dict) -> Value:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
+# operators that evaluate both operands, left first
+_VALUE_OPS = {
+    "=": operator.eq, "/=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "in": lambda l, r: l in r, "notin": lambda l, r: l not in r,
+    "<:": operator.le,  # frozenset subset
+    "union": operator.or_, "inter": operator.and_, "diff": operator.sub,
+}
+
+Compiled = Callable[[dict], Value]
+
+
+def compile_expr(e: Expr) -> Compiled:
+    """A closure evaluating `e` in an environment of name bindings.
+
+    Each node is dispatched once, here; the closure raises EvalError for
+    an unbound name.  `&`, `or` and `=>` evaluate their right operand only
+    when the left one leaves the result open.
+    """
+    if isinstance(e, (IntLit, BoolLit)):
+        value = e.value
+        return lambda env: value
     if isinstance(e, Name):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound name {e.name!r}") from None
+        name = e.name
+
+        def lookup(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound name {name!r}") from None
+        return lookup
     if isinstance(e, SetLit):
-        return frozenset(eval_expr(i, env) for i in e.items)
+        items = tuple(map(compile_expr, e.items))
+        return lambda env: frozenset(item(env) for item in items)
     if isinstance(e, Unary):
-        v = eval_expr(e.operand, env)
-        return -v if e.op == "neg" else (not v)
+        operand = compile_expr(e.operand)
+        if e.op == "neg":
+            return lambda env: -operand(env)
+        return lambda env: not operand(env)
     if isinstance(e, Binary):
-        op = e.op
-        if op == "&":
-            return eval_expr(e.left, env) and eval_expr(e.right, env)
-        if op == "or":
-            return eval_expr(e.left, env) or eval_expr(e.right, env)
-        if op == "=>":
-            return (not eval_expr(e.left, env)) or eval_expr(e.right, env)
-        if op == "<=>":
-            return bool(eval_expr(e.left, env)) == bool(eval_expr(e.right, env))
-        l = eval_expr(e.left, env)
-        r = eval_expr(e.right, env)
-        if op == "=":
-            return l == r
-        if op == "/=":
-            return l != r
-        if op == "<":
-            return l < r
-        if op == "<=":
-            return l <= r
-        if op == ">":
-            return l > r
-        if op == ">=":
-            return l >= r
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "in":
-            return l in r
-        if op == "notin":
-            return l not in r
-        if op == "<:":
-            return l <= r  # frozenset subset
-        if op == "union":
-            return l | r
-        if op == "inter":
-            return l & r
-        if op == "diff":
-            return l - r
-        raise EvalError(f"unknown operator {op!r}")
+        left, right = compile_expr(e.left), compile_expr(e.right)
+        if e.op == "&":
+            return lambda env: left(env) and right(env)
+        if e.op == "or":
+            return lambda env: left(env) or right(env)
+        if e.op == "=>":
+            return lambda env: (not left(env)) or right(env)
+        if e.op == "<=>":
+            return lambda env: bool(left(env)) == bool(right(env))
+        fn = _VALUE_OPS.get(e.op)
+        if fn is None:
+            raise EvalError(f"unknown operator {e.op!r}")
+        return lambda env: fn(left(env), right(env))
     if isinstance(e, Call):
+        first = compile_expr(e.args[0])
         if e.fn == "card":
-            return len(eval_expr(e.args[0], env))
-        l = eval_expr(e.args[0], env)
-        r = eval_expr(e.args[1], env)
-        return min(l, r) if e.fn == "min" else max(l, r)
+            return lambda env: len(first(env))
+        second = compile_expr(e.args[1])
+        fn = min if e.fn == "min" else max
+        return lambda env: fn(first(env), second(env))
     if isinstance(e, IfExpr):
-        if eval_expr(e.cond, env):
-            return eval_expr(e.then, env)
-        return eval_expr(e.orelse, env)
+        cond, then, orelse = map(compile_expr, (e.cond, e.then, e.orelse))
+        return lambda env: then(env) if cond(env) else orelse(env)
     raise EvalError(f"cannot evaluate {e!r}")
+
+
+_TRUE = BoolLit(True)  # an absent guard or invariant
+
+
+@dataclass(frozen=True)
+class CompiledEvent:
+    """An event, or a bounded choice block inside one, with its parameter
+    domains resolved and its guard and actions compiled.  Environments
+    passed in hold the static bindings, a state's variables and the
+    parameters of enclosing blocks."""
+
+    params: tuple[str, ...]
+    domains: tuple[tuple, ...]
+    guard: Compiled
+    actions: Callable[[dict], list[dict]]
+
+    def bindings(self, env: dict):
+        """(valuation, env extended by it) for every parameter valuation in
+        canonical order, the guard ignored."""
+        for values in product(*self.domains):
+            valuation = tuple(zip(self.params, values))
+            inner = dict(env)
+            inner.update(valuation)
+            yield valuation, inner
+
+    def enabled(self, env: dict):
+        """(valuation, env extended by it) for every valuation whose guard
+        holds."""
+        guard = self.guard
+        return ((v, inner) for v, inner in self.bindings(env) if guard(inner))
+
+    def firings(self, env: dict):
+        """(valuation, update dicts) for every enabled valuation; an empty
+        list means the guard held but no after-state exists."""
+        return ((v, self.actions(inner)) for v, inner in self.enabled(env))
+
+
+def _compile_event(params, guard: Expr | None, actions, sym) -> CompiledEvent:
+    return CompiledEvent(tuple(p.name for p in params),
+                         tuple(sym.domain(resolve_type(p.ptype, sym)) for p in params),
+                         compile_expr(guard or _TRUE), _compile_actions(actions, sym))
+
+
+def _compile_actions(actions, sym) -> Callable[[dict], list[dict]]:
+    """A closure giving every parallel-update dictionary the action list
+    can produce in an environment.
+
+    Bounded choice blocks multiply outcomes; a block with no admissible
+    valuation yields no outcome at all (the event cannot fire).
+    """
+    assigns = tuple((a.target, compile_expr(a.expr))
+                    for a in actions if isinstance(a, Assign))
+    choices = tuple(_compile_event(a.params, a.where, a.actions, sym)
+                    for a in actions if isinstance(a, AnyChoice))
+
+    def outcomes(env: dict) -> list[dict]:
+        result = [{target: expr(env) for target, expr in assigns}]
+        for choice in choices:
+            found = [upd for _, updates in choice.firings(env) for upd in updates]
+            result = [{**o, **i} for o in result for i in found]
+        return result
+    return outcomes
+
+
+@dataclass(frozen=True)
+class CompiledMachine:
+    """Everything evaluation needs from a typechecked machine: the static
+    bindings, init's actions, the events keyed and ordered by name, and
+    the invariant and variant."""
+
+    static: dict
+    init: Callable[[dict], list[dict]]
+    events: dict[str, CompiledEvent]
+    invariant: Compiled
+    variant: Optional[Compiled]
+
+
+def compile_machine(machine: Machine) -> CompiledMachine:
+    """The machine's compiled form, built on first use and kept on the
+    machine next to its symbol table."""
+    if machine.compiled is None:
+        sym = machine.sym
+        if sym is None:
+            raise EvalError(f"machine {machine.name} was not typechecked")
+        machine.compiled = CompiledMachine(
+            static=static_env(machine),
+            init=_compile_actions(machine.init.actions, sym),
+            events={e.name: _compile_event(e.params, e.guard, e.actions, sym)
+                    for e in sorted(machine.events, key=lambda e: e.name)},
+            invariant=compile_expr(machine.invariant or _TRUE),
+            variant=None if machine.variant is None else compile_expr(machine.variant))
+    return machine.compiled
 
 
 def value_in_domain(value: Value, vtype, sym) -> bool:
@@ -134,61 +230,10 @@ def value_to_json(value: Value):
     return value
 
 
-# ---------------------------------------------------------------------------
-# event firing
-
-def _param_domains(params, sym):
-    resolved = []
-    for p in params:
-        ptype = p.ptype
-        if isinstance(ptype, IntRangeType) and isinstance(ptype.lo, str):
-            ptype = IntRangeType(sym.constants[ptype.lo], ptype.hi)
-        if isinstance(ptype, IntRangeType) and isinstance(ptype.hi, str):
-            ptype = IntRangeType(ptype.lo, sym.constants[ptype.hi])
-        resolved.append((p.name, sym.domain(ptype)))
-    return resolved
-
-
-def _action_outcomes(actions, env: dict, sym) -> list[dict]:
-    """All parallel-update dictionaries an action list can produce.
-
-    Bounded choice blocks multiply outcomes; a block with no admissible
-    valuation yields no outcome at all (the event cannot fire).
-    """
-    outcomes: list[dict] = [{}]
-    for a in actions:
-        if isinstance(a, Assign):
-            value = eval_expr(a.expr, env)
-            for o in outcomes:
-                o[a.target] = value
-        else:  # AnyChoice
-            inner: list[dict] = []
-            for choice in product(*(dom for _, dom in _param_domains(a.params, sym))):
-                env2 = dict(env)
-                for (name, _), v in zip(_param_domains(a.params, sym), choice):
-                    env2[name] = v
-                if eval_expr(a.where, env2):
-                    inner.extend(_action_outcomes(a.actions, env2, sym))
-            outcomes = [dict(o, **i) for o in outcomes for i in inner]
-    return outcomes
-
-
 def event_firings(machine: Machine, state_env: dict, event: Event):
-    """Yield (param_valuation, update_dicts) for every enabled valuation.
-
-    `update_dicts` empty means the guard held but no after-state exists
-    (an infeasible bounded choice) -- the caller decides whether that is
-    an error or a feasibility finding.
-    """
-    sym = machine.sym
-    domains = _param_domains(event.params, sym)
-    for choice in product(*(dom for _, dom in domains)):
-        env = dict(state_env)
-        valuation = tuple((name, v) for (name, _), v in zip(domains, choice))
-        env.update(dict(valuation))
-        if event.guard is not None and not eval_expr(event.guard, env):
-            continue
-        yield valuation, _action_outcomes(event.actions, env, sym)
+    """`CompiledEvent.firings` of `event` in `state_env`, which holds the
+    static bindings and a state's variables."""
+    return compile_machine(machine).events[event.name].firings(state_env)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +323,13 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     )
 
 
-def _state_tuple(env: dict, var_names) -> tuple:
-    return tuple(env[v] for v in var_names)
-
-
-def _check_state(machine: Machine, env: dict, invariant_env: dict) -> str | None:
-    """Domain membership plus invariant truth; returns a message on failure."""
+def _check_state(machine: Machine, env: dict) -> str | None:
+    """Domain membership plus invariant truth in `env` (the static bindings
+    and a state's variables); returns a message on failure."""
     for name, vtype in machine.sym.var_types.items():
         if not value_in_domain(env[name], vtype, machine.sym):
             return f"{name} = {value_to_json(env[name])!r} leaves its declared domain"
-    if machine.invariant is not None and not eval_expr(machine.invariant, invariant_env):
+    if not compile_machine(machine).invariant(env):
         return "invariant is false"
     return None
 
@@ -301,12 +343,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     holds but whose bounded choice admits no value is recorded in
     `infeasible` and adds no transition; see `require_feasible`.
     """
-    if machine.sym is None:
-        raise EvalError(f"machine {machine.name} was not typechecked")
+    compiled = compile_machine(machine)
     limits = limits or ExploreLimits()
-    sym = machine.sym
-    base = static_env(machine)
-    var_names = sym.var_names
+    base = compiled.static
+    var_names = machine.sym.var_names
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
@@ -316,7 +356,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     queue: deque[int] = deque()  # each new state, once, in discovery order
 
     def add_state(env: dict, parent: tuple[int, str] | None) -> int:
-        key = _state_tuple(env, var_names)
+        key = tuple(env[v] for v in var_names)
         if key in index:
             return index[key]
         if len(states) >= limits.max_states:
@@ -327,7 +367,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         states.append(key)
         if parent is not None:
             parents[idx] = parent
-        message = _check_state(machine, env, {**base, **env})
+        message = _check_state(machine, {**base, **env})
         if message:
             path = path_to(parents, idx)
             raise InvariantViolation(
@@ -338,7 +378,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         return idx
 
     # initial states: fire init from an empty valuation
-    init_outcomes = _action_outcomes(machine.init.actions, dict(base), sym)
+    init_outcomes = compiled.init(base)
     if not init_outcomes:
         raise InvariantViolation(f"init of {machine.name} admits no state")
     initial = []
@@ -347,19 +387,17 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         if idx not in initial:
             initial.append(idx)
 
-    events = sorted(machine.events, key=lambda e: e.name)
     while queue:
         src = queue.popleft()
-        env = {**base, **dict(zip(var_names, states[src]))}
-        for event in events:
-            for valuation, outcomes in event_firings(machine, env, event):
+        state = dict(zip(var_names, states[src]))
+        env = {**base, **state}
+        for name, event in compiled.events.items():
+            for valuation, outcomes in event.firings(env):
                 if not outcomes:
-                    infeasible.append((src, event.name, valuation))
+                    infeasible.append((src, name, valuation))
                 for upd in outcomes:
-                    succ_env = dict(zip(var_names, states[src]))
-                    succ_env.update(upd)
-                    tgt = add_state(succ_env, (src, event.name))
-                    edges.append(Edge(src, event.name, valuation, tgt))
+                    tgt = add_state({**state, **upd}, (src, name))
+                    edges.append(Edge(src, name, valuation, tgt))
 
     outgoing = {e.src for e in edges}
     deadlocks = tuple(i for i in range(len(states)) if i not in outgoing)
@@ -408,10 +446,9 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
     machine = graph.machine
     if machine is None:
         return GraphVerdict(True, detail="bare graph, nothing to check")
-    base = static_env(machine)
+    base = compile_machine(machine).static
     for i in range(len(graph.states)):
-        env = graph.state_env(i)
-        message = _check_state(machine, env, {**base, **env})
+        message = _check_state(machine, {**base, **graph.state_env(i)})
         if message:
             try:
                 path = find_path(graph, i)

@@ -64,6 +64,27 @@ def _unify(a, b):
     return None
 
 
+def resolve_type(vtype: VarType, sym: SymbolTable) -> VarType:
+    """A declared type with constant range bounds replaced by their values;
+    the one place bounds are resolved, for variables and parameters alike."""
+    if isinstance(vtype, IntRangeType):
+        lo, hi = vtype.lo, vtype.hi
+        if isinstance(lo, str):
+            if lo not in sym.constants:
+                raise TypecheckError(f"range bound {lo!r} is not a declared constant")
+            lo = sym.constants[lo]
+        if isinstance(hi, str):
+            if hi not in sym.constants:
+                raise TypecheckError(f"range bound {hi!r} is not a declared constant")
+            hi = sym.constants[hi]
+        if lo > hi:
+            raise TypecheckError(f"empty integer range {lo}..{hi}")
+        return IntRangeType(lo, hi)
+    if isinstance(vtype, (SetType, ElemType)) and vtype.carrier not in sym.carrier_elems:
+        raise TypecheckError(f"unknown carrier {vtype.carrier!r}")
+    return vtype
+
+
 class _Checker:
     def __init__(self, machine: Machine):
         self.m = machine
@@ -108,31 +129,11 @@ class _Checker:
         var_types: dict[str, VarType] = {}
         for name, vtype in m.variables:
             claim(name, "variable")
-            var_types[name] = self.resolve_type(vtype, constants)
+            var_types[name] = resolve_type(vtype, self.sym)
 
         self.sym.var_types = var_types
         self.sym.var_names = tuple(sorted(var_types))
         return self.sym
-
-    def resolve_type(self, vtype: VarType, constants: dict[str, int]) -> VarType:
-        if isinstance(vtype, IntRangeType):
-            lo, hi = vtype.lo, vtype.hi
-            if isinstance(lo, str):
-                if lo not in constants:
-                    self.error(f"range bound {lo!r} is not a declared constant")
-                lo = constants[lo]
-            if isinstance(hi, str):
-                if hi not in constants:
-                    self.error(f"range bound {hi!r} is not a declared constant")
-                hi = constants[hi]
-            if lo > hi:
-                self.error(f"empty integer range {lo}..{hi}")
-            return IntRangeType(lo, hi)
-        if isinstance(vtype, (SetType, ElemType)):
-            carrier = vtype.carrier
-            if carrier not in self.sym.carrier_elems:
-                self.error(f"unknown carrier {carrier!r}")
-        return vtype
 
     # -- expression typing ----------------------------------------------------
 
@@ -252,7 +253,7 @@ class _Checker:
         for p in params:
             if p.name in env.table or p.name in seen or p.name in extra:
                 self.error(f"parameter {p.name!r} shadows another name", p)
-            resolved = self.resolve_type(p.ptype, self.sym.constants)
+            resolved = resolve_type(p.ptype, self.sym)
             extra[p.name] = _sem_type(resolved)
         return env.child(extra)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 
@@ -9,10 +10,11 @@ from ebltl.errors import EnumerationBudgetError
 from ebltl.formulas import Atom, Globally, TRUE, parse_formula
 from ebltl.ltl import model_check
 from ebltl.oracle import (
-    OracleBounds, cross_validate, load_corpus, oracle_holds_on,
-    oracle_model_check, random_formula, random_graph, trace_realizable,
+    OracleBounds, corpus_root, cross_validate, load_corpus, load_entry,
+    oracle_holds_on, oracle_model_check, random_formula, random_graph,
+    trace_realizable,
 )
-from ebltl.semantics import make_graph
+from ebltl.semantics import explore, make_graph
 from ebltl.traces import finite_trace, lasso
 
 
@@ -104,6 +106,20 @@ def test_corpus_root_env_override(monkeypatch, tmp_path):
     assert corpus_root() == tmp_path
     monkeypatch.delenv("EBLTL_CORPUS")
     assert corpus_root().name == "corpus"
+
+
+def test_corpus_graphs_follow_the_loaded_machines(tmp_path):
+    """Each entry explores its own machines: loading a directory again
+    after an edit gives the edited machine's graph, not an earlier one."""
+    directory = tmp_path / "vm"
+    shutil.copytree(corpus_root() / "vm", directory)
+    assert len(load_entry(directory).graph("VM4").states) == 132
+    vm4 = directory / "vm4.eb"
+    vm4.write_text(vm4.read_text().replace("capacity = 2", "capacity = 4"))
+    entry = load_entry(directory)
+    assert entry.machines["VM4"].sym.constants == {"capacity": 4}
+    assert entry.graph("VM4").states == explore(entry.machines["VM4"]).states
+    assert len(entry.graph("VM4").states) > 132
 
 
 def test_trace_invariants():

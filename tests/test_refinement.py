@@ -13,7 +13,7 @@ from ebltl.refine import (
     check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
     derive_renaming, explore_chain, load_chain,
 )
-from ebltl.semantics import explore, make_graph, static_env, eval_expr
+from ebltl.semantics import compile_expr, explore, make_graph, static_env
 from ebltl.oracle import trace_realizable
 from tests.conftest import MUTANT_DIR, VM_DIR
 
@@ -63,7 +63,7 @@ def test_grd_witness_replays(vm_machines):
     abs_guard = abstract.event("selectBiscuit").guard
     env = {**static_env(abstract),
            "chosen": frozenset(witness["abstract_state"]["chosen"])}
-    assert not eval_expr(abs_guard, env)
+    assert not compile_expr(abs_guard)(env)
 
 
 def test_wfd_witness_replays(vm_machines):
@@ -103,7 +103,7 @@ def test_wfd_edges_on_corpus(vm_chain, vm_chain_graphs):
         graph = vm_chain_graphs[level]
         statuses = {e.name: e.effective_status for e in machine.events}
         base = static_env(machine)
-        values = [eval_expr(machine.variant, {**base, **graph.state_env(i)})
+        values = [compile_expr(machine.variant)({**base, **graph.state_env(i)})
                   for i in range(len(graph.states))]
         assert all(isinstance(v, int) and v >= 0 for v in values)
         for e in graph.edges:

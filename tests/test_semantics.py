@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from ebltl.errors import ExplorationLimitError, InvariantViolation
-from ebltl.machine_parser import parse_machine
+from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
+from ebltl.machine_parser import parse_expression, parse_machine
 from ebltl.semantics import (
-    ExploreLimits, check_deadlock_free, check_invariant, eval_expr, explore,
+    ExploreLimits, check_deadlock_free, check_invariant, compile_expr, explore,
     find_path, require_feasible, static_env,
 )
 
@@ -246,4 +246,38 @@ def test_eval_expr_min_max_card(vm_machines):
     m = vm_machines["VM4"]
     env = {**static_env(m), "credit": 1, "chosen": frozenset({"choc"}),
            "refundEnabled": False, "chocStock": 2, "biscuitStock": 0}
-    assert eval_expr(m.variant, env) == 1  # max((2+0)-1, 0)
+    assert compile_expr(m.variant)(env) == 1  # max((2+0)-1, 0)
+
+
+EVAL_ENV = {"a": "a", "b": "b", "c": "c", "IT": frozenset("abc"),
+            "S": frozenset("ab"), "T": frozenset("bc"),
+            "x": 3, "y": 5, "t": True, "f": False}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("7", 7), ("true", True), ("x", 3), ("{}", frozenset()),
+    ("{ a, c }", frozenset("ac")),
+    ("-x", -3), ("not f", True), ("not t", False),
+    ("t & f", False), ("t & t", True), ("t or f", True), ("f or f", False),
+    ("t => f", False), ("f => f", True), ("t <=> f", False), ("f <=> f", True),
+    # the right operand is never evaluated
+    ("f & missing", False), ("t or missing", True), ("f => missing", True),
+    ("x = 3", True), ("x /= 3", False), ("x < y", True), ("y < x", False),
+    ("x <= 3", True), ("x > y", False), ("y >= 6", False), ("y >= 5", True),
+    ("x + y", 8), ("x - y", -2), ("x * y", 15),
+    ("a in S", True), ("c in S", False), ("c notin S", True),
+    ("S <: IT", True), ("S <: T", False),
+    ("S \\/ T", frozenset("abc")), ("S /\\ T", frozenset("b")),
+    ("S \\ T", frozenset("a")),
+    ("card(S)", 2), ("card({})", 0), ("min(x, y)", 3), ("max(x, y)", 5),
+    ("if x < y then x else y end", 3), ("if f then x else y end", 5),
+    ("x + missing", EvalError),
+])
+def test_compile_expr_operators(text, expected):
+    evaluate = compile_expr(parse_expression(text))
+    if expected is EvalError:
+        with pytest.raises(EvalError, match="unbound name 'missing'"):
+            evaluate(EVAL_ENV)
+        return
+    value = evaluate(EVAL_ENV)
+    assert value == expected and type(value) is type(expected)
