@@ -150,8 +150,8 @@ def _cmd_po(args, rep: _Reporter) -> int:
         if args.step not in steps:
             raise EbltlError(f"step {args.step} out of range")
         steps = [args.step]
-    # the obligations report infeasible firings (FIS_REF) instead of
-    # rejecting them, so the concrete graphs are used as explored
+    # the obligations read each concrete graph's recorded firings and report
+    # an infeasible one as FIS_REF, so the graphs are used as explored
     reports = [check_refinement_pair(chain.machines[k], chain.machines[k + 1],
                                      chain.links[k],
                                      explore(chain.machines[k + 1], limits))
@@ -303,6 +303,16 @@ def _cmd_oracle(args, rep: _Reporter) -> int:
     return OK if report.ok else FAILURE
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, so an out-of-range
+    flag is a usage error and not a bound or a silently empty run."""
+    def parse(text: str) -> int:
+        if not text.lstrip("-").isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit with USAGE: argparse's own code 2 is BLOCKED here."""
 
@@ -327,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--verbose", action="store_true",
                            help="include full witness listings in text reports")
         if bound:
-            p.add_argument("--bound-states", type=int, default=100_000,
+            p.add_argument("--bound-states", type=_int_at_least(1), default=100_000,
                            help="state exploration limit")
         if lasso:
-            p.add_argument("--lasso-prefix", type=int, default=4, metavar="P")
-            p.add_argument("--lasso-cycle", type=int, default=4, metavar="Q")
+            p.add_argument("--lasso-prefix", type=_int_at_least(0), default=4, metavar="P")
+            p.add_argument("--lasso-cycle", type=_int_at_least(1), default=4, metavar="Q")
         if overrides:
             p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
                            dest="overrides",
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="differential run against the brute-force oracle")
     common(p, lasso=True)
     p.add_argument("--corpus", default=None, help="corpus root override")
-    p.add_argument("--random", type=int, default=0,
+    p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="additional random (graph, formula) pairs")
     p.add_argument("--seed", type=int, default=20240)
     p.set_defaults(func=_cmd_oracle)

@@ -5,12 +5,13 @@ Obligations are checked semantically over bounded synchronized state
 spaces rather than discharged as proofs: every reachable concrete state is
 related to every invariant-satisfying abstract state compatible with the
 linking invariant, and the obligations are evaluated over those pairs.
-The reachable concrete states come from the caller's graphs: nothing here
+The concrete machine is read only through the caller's graph: the enabled
+firings its exploration recorded, its edges and its states.  Nothing here
 explores a machine except `explore_chain`, so each machine of a run is
-explored once, under the caller's bounds.  Both machines are evaluated
-through their compiled events (`semantics.compile_machine`), the same
-firing path `explore` takes, and the linking invariant is compiled once
-per pair.
+explored once, under the caller's bounds.  The abstract machine's guards
+and action relations are evaluated through its compiled events
+(`semantics.compile_machine`) once per (universe state, event) per pair,
+and the linking invariant is compiled once per pair.
 The four obligations are kept independent, mirroring how proof assistants
 split them:
 
@@ -403,14 +404,14 @@ def _enumerate_universe(machine: Machine) -> list[dict]:
 def check_refinement_pair(abstract: Machine, concrete: Machine,
                           link: ChainLink, graph: StateGraph) -> POReport:
     """Evaluate the four refinement obligations for one adjacent pair over
-    `graph`, the concrete machine's explored state graph."""
+    `graph`, the concrete machine's explored state graph: its firings, edges
+    and states are the only view of the concrete events taken here."""
     link_typecheck(abstract, concrete, link.linking)
     abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
     abs_universe = _enumerate_universe(abstract)
-    abs_base = abs_compiled.static
-    conc_base = conc_compiled.static
+    abs_base, conc_base = abs_compiled.static, conc_compiled.static
     shared = sorted(set(abstract.sym.var_types) & set(concrete.sym.var_types))
-    renaming = link.renaming
+    renaming = link.renaming.mapping
     linking = None if link.linking is None else compile_expr(link.linking)
 
     def linked(abs_env: dict, conc_env: dict) -> bool:
@@ -420,8 +421,8 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             return True
         return bool(linking({**abs_base, **conc_base, **abs_env, **conc_env}))
 
-    def render(env: dict, sym_names) -> dict:
-        return {k: value_to_json(env[k]) for k in sym_names}
+    def abstract_json(a: int) -> dict:
+        return {k: value_to_json(v) for k, v in abs_universe[a].items()}
 
     results = {name: POResult(name, True) for name in PO_NAMES}
 
@@ -431,8 +432,25 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         if len(r.witnesses) < 5:
             r.witnesses.append(witness)
 
+    # the abstract side, once per (universe state, refined abstract event):
+    # whether some parameter choice satisfies the guard, and every outcome
+    # of the action relation over all parameter valuations, the guard
+    # ignored (the proof-obligation reading of simulation)
+    abs_enabled: dict[tuple[int, str], bool] = {}
+    abs_posts: dict[tuple[int, str], list[dict]] = {}
+    targets = sorted(set(renaming.values()))
+    for a, abs_env in enumerate(abs_universe):
+        env = {**abs_base, **abs_env}
+        for target in targets:
+            event = abs_compiled.events[target]
+            abs_enabled[a, target] = next(event.enabled(env), None) is not None
+            abs_posts[a, target] = [{**abs_env, **upd}
+                                    for _, inner in event.bindings(env)
+                                    for upd in event.actions(inner)]
+
     # pair every reachable concrete state with each compatible abstract state
-    pairs_per_state = [[a for a in abs_universe if linked(a, conc_env)]
+    pairs_per_state = [[a for a, abs_env in enumerate(abs_universe)
+                        if linked(abs_env, conc_env)]
                        for conc_env in map(graph.state_env, range(len(graph.states)))]
 
     # initial linkability: each concrete initial state needs an abstract
@@ -443,67 +461,48 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         if not any(linked(a, conc_env) for a in abs_init_outcomes):
             fail("INV_REF", {
                 "kind": "init",
-                "concrete_state": render(conc_env, concrete.sym.var_names),
+                "concrete_state": graph.state_json(i),
                 "message": "no abstract initial state is linked to this "
                            "concrete initial state",
             })
 
-    # FIS_REF and GRD_REF scan reachable states and enabled valuations; the
-    # abstract side only needs some parameter choice satisfying its guard
-    for i in range(len(graph.states)):
-        conc_env_vars = graph.state_env(i)
-        conc_env = {**conc_base, **conc_env_vars}
-        related = pairs_per_state[i]
-        for name, event in conc_compiled.events.items():
-            target = renaming.apply(name)
-            for valuation, outcomes in event.firings(conc_env):
-                results["FIS_REF"].checked += 1
-                if not outcomes:
-                    fail("FIS_REF", {
-                        "kind": "no-after-state",
-                        "event": name,
-                        "params": [[n, value_to_json(v)] for n, v in valuation],
-                        "concrete_state": render(conc_env_vars, concrete.sym.var_names),
-                    })
-                if target is None:
-                    continue
-                abs_event = abs_compiled.events[target]
-                for abs_env in related:
-                    results["GRD_REF"].checked += 1
-                    if next(abs_event.enabled({**abs_base, **abs_env}), None) is None:
-                        fail("GRD_REF", {
-                            "kind": "guard-not-strengthened",
-                            "event": name,
-                            "abstract_event": target,
-                            "params": [[n, value_to_json(v)] for n, v in valuation],
-                            "concrete_state": render(conc_env_vars, concrete.sym.var_names),
-                            "abstract_state": render(abs_env, abstract.sym.var_names),
-                        })
+    # FIS_REF and GRD_REF scan the enabled firings the exploration recorded
+    def firing_json(src: int, name: str, valuation) -> dict:
+        return {"event": name, "params": [[n, value_to_json(v)] for n, v in valuation],
+                "concrete_state": graph.state_json(src)}
 
-    # INV_REF walks the concrete transitions; a refined event is matched by
-    # the abstract action relation over all parameter valuations, its guard
-    # ignored (the proof-obligation reading of simulation)
+    for src, name, valuation, feasible in graph.firings:
+        results["FIS_REF"].checked += 1
+        if not feasible:
+            fail("FIS_REF", {"kind": "no-after-state", **firing_json(src, name, valuation)})
+        target = renaming.get(name)
+        if target is None:
+            continue
+        for a in pairs_per_state[src]:
+            results["GRD_REF"].checked += 1
+            if not abs_enabled[a, target]:
+                fail("GRD_REF", {"kind": "guard-not-strengthened",
+                                 **firing_json(src, name, valuation),
+                                 "abstract_event": target,
+                                 "abstract_state": abstract_json(a)})
+
+    # INV_REF walks the concrete transitions: some candidate abstract
+    # post-state must be linked to the concrete post-state; a new event
+    # must leave the abstract state unchanged
     for edge in graph.edges:
-        conc_pre = graph.state_env(edge.src)
         conc_post = graph.state_env(edge.tgt)
-        target = renaming.apply(edge.event)
-        for abs_env in pairs_per_state[edge.src]:
+        target = renaming.get(edge.event)
+        for a in pairs_per_state[edge.src]:
             results["INV_REF"].checked += 1
-            if target is None:
-                ok = linked(abs_env, conc_post)
-            else:
-                abs_event = abs_compiled.events[target]
-                ok = any(linked({**abs_env, **upd}, conc_post)
-                         for _, inner in abs_event.bindings({**abs_base, **abs_env})
-                         for upd in abs_event.actions(inner))
-            if not ok:
+            posts = [abs_universe[a]] if target is None else abs_posts[a, target]
+            if not any(linked(post, conc_post) for post in posts):
                 fail("INV_REF", {
                     "kind": "unmatched-transition" if target else "new-event-disturbs-link",
                     "event": edge.event,
                     "abstract_event": target,
-                    "concrete_pre": render(conc_pre, concrete.sym.var_names),
-                    "concrete_post": render(conc_post, concrete.sym.var_names),
-                    "abstract_state": render(abs_env, abstract.sym.var_names),
+                    "concrete_pre": graph.state_json(edge.src),
+                    "concrete_post": graph.state_json(edge.tgt),
+                    "abstract_state": abstract_json(a),
                 })
 
     # WFD_REF is local to the concrete machine's variant
@@ -515,11 +514,8 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             variant_at.append(value)
             results["WFD_REF"].checked += 1
             if not isinstance(value, int) or value < 0:
-                fail("WFD_REF", {
-                    "kind": "variant-not-natural",
-                    "state": render(graph.state_env(i), concrete.sym.var_names),
-                    "variant": value,
-                })
+                fail("WFD_REF", {"kind": "variant-not-natural",
+                                 "state": graph.state_json(i), "variant": value})
         for edge in graph.edges:
             status = statuses[edge.event]
             if status == ORDINARY:
@@ -529,12 +525,9 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             bad = (status == CONVERGENT and not after < before) or \
                   (status == ANTICIPATED and after > before)
             if bad:
-                fail("WFD_REF", {
-                    "kind": f"variant-violation-{status}",
-                    "event": edge.event,
-                    "before": before, "after": after,
-                    "state": render(graph.state_env(edge.src), concrete.sym.var_names),
-                })
+                fail("WFD_REF", {"kind": f"variant-violation-{status}",
+                                 "event": edge.event, "before": before, "after": after,
+                                 "state": graph.state_json(edge.src)})
 
     return POReport(abstract=abstract.name, concrete=concrete.name,
                     results=results,

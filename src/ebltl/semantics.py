@@ -13,10 +13,12 @@ are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
 identical graphs.
 
-A firing whose guard holds but whose bounded choice admits no value adds
-no transition and is recorded, so one exploration serves both the commands
-that reject it (`require_feasible`) and the refinement obligations, which
-report it as FIS_REF over the caller's graphs.
+Every enabled firing is recorded once, in `StateGraph.firings`, whether
+or not it has an after-state.  A firing whose bounded choice admits no value
+adds no transition, so one exploration serves both the commands that reject
+it (`require_feasible`) and the refinement obligations, which read the
+concrete machine only through the caller's graphs and report such a firing
+as FIS_REF.
 """
 from __future__ import annotations
 
@@ -262,9 +264,9 @@ class StateGraph:
     deadlocks: tuple[int, ...]
     alphabet: tuple[str, ...]
     bounds: dict = field(default_factory=dict)
-    # enabled firings without an after-state, as (state, event, params), in
+    # every enabled firing as (state, event, params, feasible), in
     # exploration order; not part of the JSON report
-    infeasible: list[tuple] = field(default_factory=list)
+    firings: list[tuple] = field(default_factory=list)
     _out: list[list[int]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -339,9 +341,9 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
 
     Raises InvariantViolation (with a witness event path) when a reachable
     state breaks the invariant or leaves a declared domain, and
-    ExplorationLimitError past `limits.max_states`.  A firing whose guard
-    holds but whose bounded choice admits no value is recorded in
-    `infeasible` and adds no transition; see `require_feasible`.
+    ExplorationLimitError past `limits.max_states`.  Every enabled firing is
+    recorded in `firings`; one whose bounded choice admits no value is marked
+    infeasible and adds no transition; see `require_feasible`.
     """
     compiled = compile_machine(machine)
     limits = limits or ExploreLimits()
@@ -352,7 +354,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     states: list[tuple] = []
     parents: dict[int, tuple[int, str]] = {}
     edges: list[Edge] = []
-    infeasible: list[tuple] = []
+    firings: list[tuple] = []
     queue: deque[int] = deque()  # each new state, once, in discovery order
 
     def add_state(env: dict, parent: tuple[int, str] | None) -> int:
@@ -393,8 +395,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         env = {**base, **state}
         for name, event in compiled.events.items():
             for valuation, outcomes in event.firings(env):
-                if not outcomes:
-                    infeasible.append((src, name, valuation))
+                firings.append((src, name, valuation, bool(outcomes)))
                 for upd in outcomes:
                     tgt = add_state({**state, **upd}, (src, name))
                     edges.append(Edge(src, name, valuation, tgt))
@@ -406,7 +407,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         initial=tuple(initial), edges=edges, deadlocks=deadlocks,
         alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
-        infeasible=infeasible,
+        firings=firings,
     )
 
 
@@ -417,12 +418,12 @@ def require_feasible(graph: StateGraph) -> StateGraph:
     exploration order, with a shortest event path to its state.  Commands
     that reject such machines call this right after `explore`.
     """
-    if graph.infeasible:
-        src, event, _params = graph.infeasible[0]
-        raise InvariantViolation(
-            f"event {event} of {graph.machine.name} is enabled but has no "
-            f"after-state at state {src} (empty bounded choice)",
-            state=graph.state_env(src), path=find_path(graph, src))
+    for src, event, _params, feasible in graph.firings:
+        if not feasible:
+            raise InvariantViolation(
+                f"event {event} of {graph.machine.name} is enabled but has no "
+                f"after-state at state {src} (empty bounded choice)",
+                state=graph.state_env(src), path=find_path(graph, src))
     return graph
 
 

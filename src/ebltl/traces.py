@@ -8,7 +8,6 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 FINITE = "finite"
 LASSO = "lasso"
@@ -60,16 +59,6 @@ class Trace:
         k = (i - len(self.prefix)) % len(self.cycle)
         return Trace(LASSO, (), self.cycle[k:] + self.cycle[:k])
 
-    def unroll(self, n: int) -> tuple[str, ...]:
-        """First n letters of the word (fewer if the trace is shorter)."""
-        out = []
-        for i in range(n):
-            e = self.event_at(i)
-            if e is None:
-                break
-            out.append(e)
-        return tuple(out)
-
     def render(self) -> str:
         if self.is_lasso:
             head = ", ".join(self.prefix)
@@ -104,13 +93,3 @@ def project_trace(u: Trace, beta) -> Trace:
     if not cycle:
         return Trace(FINITE, prefix)
     return Trace(LASSO, prefix, cycle)
-
-
-def same_word(a: Trace, b: Trace) -> bool:
-    """Do two traces denote the same (finite or ultimately periodic) word?"""
-    if a.is_lasso != b.is_lasso:
-        return False
-    if not a.is_lasso:
-        return a.prefix == b.prefix
-    n = max(len(a.prefix), len(b.prefix)) + lcm(len(a.cycle), len(b.cycle))
-    return a.unroll(n) == b.unroll(n)

@@ -29,7 +29,7 @@ from ebltl.refine import (
     check_strategy, check_theorem1, derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import explore
-from ebltl.traces import lasso, project_trace, same_word
+from ebltl.traces import lasso, project_trace
 from tests.conftest import MUTANT_DIR, VM_DIR
 
 
@@ -154,8 +154,9 @@ def test_criterion_7_projection_insensitivity(vm_graphs):
     assert refuted.status == "refuted"
     w = refuted.witness
     assert holds_on_trace(w, neg) != holds_on_trace(project_trace(w, {"pay"}), neg)
-    reference = lasso(("pay", "refill"), ("pay",))
-    assert same_word(project_trace(w, {"pay"}), project_trace(reference, {"pay"}))
+    # the projected witness is the all-pay word pay^ω
+    projected = project_trace(w, {"pay"})
+    assert projected.is_lasso and set(projected.prefix + projected.cycle) == {"pay"}
 
     originals = parse_formula("G([selectBiscuit] | [selectChoc] | "
                               "[dispenseBiscuit] | [dispenseChoc])")
@@ -244,6 +245,12 @@ def test_criterion_10_deterministic_reports(tmp_path):
     divergent.write_text(json.dumps({"name": "vm-divergent", "machines": [
         str(VM_DIR / "vm1.eb"), str(VM_DIR / "vm2.eb"), str(VM_DIR / "vm3.eb"),
         str(MUTANT_DIR / "vm4_divergent.eb")]}))
+    mutant = {}
+    for name in ("grd_weak", "inv_wrong_item", "wfd_refund_keeps_flag",
+                 "wfd_pay_raises_variant"):
+        mutant[name] = tmp_path / f"{name}.json"
+        mutant[name].write_text(json.dumps({"name": name, "machines": [
+            str(VM_DIR / "vm1.eb"), str(MUTANT_DIR / f"vm2_{name}.eb")]}))
     # (argv, exit code, sha256 of the --json stdout), pinned so that the
     # reports stay byte-identical across changes to the checker, not only
     # across two runs of one build
@@ -285,6 +292,15 @@ def test_criterion_10_deterministic_reports(tmp_path):
         (("preserve", "--chain", str(divergent), "--at", "1",
           "--prop", "G F [pay]"), 2,
          "a2a87f0c4ef163e1cf003bb2c1543fd41d86bb0088d67d004174aecd807da3e1"),
+        # one pair mutant per failing obligation, with its witnesses
+        (("po", "--chain", str(mutant["grd_weak"])), 1,
+         "3b2cb5ed5af94d4d33fdbb5245a7bb106a8dc90e2ee4a7af383cbca87eaf9b5b"),
+        (("po", "--chain", str(mutant["inv_wrong_item"])), 1,
+         "7574b60724c6374ba777cc5e7e7d7bfeead3461740044847d0abe37e1604d43d"),
+        (("po", "--chain", str(mutant["wfd_refund_keeps_flag"])), 1,
+         "e09ac0fd06e03bdeecf4691f5d039ffd1cc62a9cc0368fbd06bf9b2c827d82d3"),
+        (("po", "--chain", str(mutant["wfd_pay_raises_variant"])), 1,
+         "2266294469d5218cd8b541a1a534dfdb1cefb1f714afe82c33943a7daf819b9e"),
     ]
     for argv, code, digest in commands:
         runs = [

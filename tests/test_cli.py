@@ -225,17 +225,25 @@ BAD_FILES = {
     (("gf", "--chain", str(VM_DIR / "chain.json"), "--lasso-prefix", "2"), 3),
     (("oracle", "--set", "capacity=1"), 3),
     (("mc", str(VM_DIR / "vm1.eb"), "--prop", "phi1", "--verbose"), 3),
+    (("explore", str(VM_DIR / "vm4.eb"), "--bound-states", "-1"), 3),
+    (("po", "--chain", str(VM_DIR / "chain.json"), "--bound-states", "0"), 3),
+    (("beta", "--prop", "[a]", "--lasso-prefix", "-1"), 3),
+    (("beta", "--prop", "[a]", "--lasso-cycle", "0"), 3),
+    (("oracle", "--random", "-3"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
 ], ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
         "chain-no-machines", "prop-file-directory", "missing-chain",
         "unknown-flag", "bound-not-int", "parse-bound-states",
-        "gf-lasso-prefix", "oracle-set", "mc-verbose", "help",
+        "gf-lasso-prefix", "oracle-set", "mc-verbose", "bound-states-negative",
+        "bound-states-zero", "lasso-prefix-negative", "lasso-cycle-zero",
+        "random-negative", "help",
         "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never
-    with a traceback; so does a flag the subcommand does not read."""
+    with a traceback; so do a flag the subcommand does not read and a
+    numeric flag below its range."""
     for name, data in BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
     got, out, err = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +15,9 @@ from ebltl.refine import (
     check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
     derive_renaming, explore_chain, load_chain,
 )
-from ebltl.semantics import compile_expr, explore, make_graph, static_env
+from ebltl.semantics import (
+    compile_expr, compile_machine, explore, make_graph, static_env,
+)
 from ebltl.oracle import trace_realizable
 from tests.conftest import MUTANT_DIR, VM_DIR
 
@@ -111,6 +115,129 @@ def test_wfd_edges_on_corpus(vm_chain, vm_chain_graphs):
                 assert values[e.tgt] < values[e.src]
             elif statuses[e.event] == "anticipated":
                 assert values[e.tgt] <= values[e.src]
+
+
+class _Untouchable:
+    """Stands in for a concrete compiled event: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the obligations used a concrete event's {name}")
+
+
+class _CountingEvent:
+    """Delegates to an abstract compiled event and counts each call per
+    (method, event, state and parameter values)."""
+
+    def __init__(self, event, name, var_names, calls: Counter):
+        self.event, self.name, self.calls = event, name, calls
+        self.keys = set(var_names) | set(event.params)
+
+    def _count(self, method: str, env: dict):
+        at = tuple(sorted((k, v) for k, v in env.items() if k in self.keys))
+        self.calls[method, self.name, at] += 1
+
+    def enabled(self, env):
+        self._count("enabled", env)
+        return self.event.enabled(env)
+
+    def bindings(self, env):
+        self._count("bindings", env)
+        return self.event.bindings(env)
+
+    def actions(self, env):
+        self._count("actions", env)
+        return self.event.actions(env)
+
+
+def _fresh_pairs():
+    """(abstract, concrete, link) for the VM3 -> VM4 step of the chain and
+    for every pair mutant, parsed afresh so that their compiled forms can
+    be replaced."""
+    chain = load_chain(VM_DIR / "chain.json")
+    yield chain.machines[3], chain.machines[4], chain.links[3]
+    for entry in load_mutant_spec()["pair_mutants"]:
+        abstract = parse_machine_file(MUTANT_DIR / entry["abstract"])
+        concrete = parse_machine_file(MUTANT_DIR / entry["file"])
+        yield abstract, concrete, ChainLink(derive_renaming(abstract, concrete, None),
+                                            concrete.linking)
+
+
+def test_obligations_read_the_concrete_machine_only_through_its_graph():
+    """Once the concrete graph is explored, the obligations need nothing of
+    the concrete events, and they evaluate each abstract guard and action
+    relation at most once per (abstract state, event)."""
+    for abstract, concrete, link in _fresh_pairs():
+        graph = explore(concrete)
+        expected = check_refinement_pair(abstract, concrete, link, graph).to_json_dict()
+        concrete.compiled = replace(concrete.compiled, events={
+            name: _Untouchable() for name in concrete.compiled.events})
+        calls = Counter()
+        abs_compiled = compile_machine(abstract)
+        abstract.compiled = replace(abs_compiled, events={
+            name: _CountingEvent(event, name, abstract.sym.var_names, calls)
+            for name, event in abs_compiled.events.items()})
+        got = check_refinement_pair(abstract, concrete, link, graph).to_json_dict()
+        assert got == expected, concrete.name
+        assert calls and max(calls.values()) == 1, concrete.name
+
+
+STEP = """machine Step
+variables
+  n : 0..2
+invariant
+  n >= 0
+events
+  event init then n := 0 end
+  event inc
+    status ordinary
+    when n < 1 then n := n + 1 end
+end
+"""
+
+# inc keeps a guard weaker than the abstract one, and at n = 1 its bounded
+# choice admits no value: that firing fails FIS_REF and GRD_REF both
+STEP_PRIME = """machine StepPrime refines Step
+variables
+  n : 0..2
+  flag : bool
+invariant
+  n >= 0
+variant
+  if flag = false then 1 else 0 end
+events
+  event init then n := 0 || flag := false end
+  event inc refines inc
+    status ordinary
+    any p : 0..1 where n < 2 & p = n
+    then any x : 1..2 where n + x <= 1 then n := n + x end end
+  event flip
+    status anticipated
+    when flag = false then flag := true end
+end
+"""
+
+
+def test_infeasible_firing_that_also_fails_grd(tmp_path):
+    (tmp_path / "step.eb").write_text(STEP)
+    (tmp_path / "step_prime.eb").write_text(STEP_PRIME)
+    (tmp_path / "step.json").write_text(json.dumps(
+        {"name": "step", "machines": ["step.eb", "step_prime.eb"]}))
+    chain = load_chain(tmp_path / "step.json")
+    abstract, concrete = chain.machines
+    report = check_refinement_pair(abstract, concrete, chain.links[0], explore(concrete))
+    assert report.failed() == ["FIS_REF", "GRD_REF"]
+    fis, grd = report.results["FIS_REF"], report.results["GRD_REF"]
+    # six enabled firings over four states; four of them refine inc, each
+    # meeting the one abstract state with the same n
+    assert (fis.checked, grd.checked) == (6, 4)
+    at_one = [{"flag": False, "n": 1}, {"flag": True, "n": 1}]
+    assert fis.witnesses == [
+        {"kind": "no-after-state", "event": "inc", "params": [["p", 1]],
+         "concrete_state": state} for state in at_one]
+    assert grd.witnesses == [
+        {"kind": "guard-not-strengthened", "event": "inc", "abstract_event": "inc",
+         "params": [["p", 1]], "concrete_state": state, "abstract_state": {"n": 1}}
+        for state in at_one]
 
 
 # -- strategy -------------------------------------------------------------------

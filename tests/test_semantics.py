@@ -95,8 +95,8 @@ def test_infeasible_choice_is_an_error_by_default():
         "    then any x : set of IT where card(x) > 1 then s := x end end\nend")
     g = explore(m)
     assert g.deadlocks == (0,)
-    assert g.infeasible == [(0, "go", ())]
-    assert "infeasible" not in g.to_json_dict()
+    assert g.firings == [(0, "go", (), False)]
+    assert "firings" not in g.to_json_dict()
     with pytest.raises(InvariantViolation, match="no after-state") as err:
         require_feasible(g)
     assert str(err.value) == ("event go of Stuck is enabled but has no "

@@ -15,7 +15,7 @@ from ebltl.formulas import (
 from ebltl.ltl import holds_on_trace
 from ebltl.oracle import oracle_holds_on, random_formula
 from ebltl.traces import (
-    Trace, finite_trace, lasso, project_trace, same_word,
+    Trace, finite_trace, lasso, project_trace,
 )
 
 
@@ -98,13 +98,6 @@ def test_finite_suffix_bounds():
     assert u.suffix(2) == finite_trace()
     with pytest.raises(IndexError):
         u.suffix(3)
-
-
-def test_same_word_under_rotation_and_unrolling():
-    assert same_word(lasso((), ("a", "b")), lasso(("a",), ("b", "a")))
-    assert same_word(lasso((), ("a", "a")), lasso((), ("a",)))
-    assert not same_word(lasso((), ("a", "b")), lasso((), ("b", "a")))
-    assert not same_word(finite_trace("a"), lasso((), ("a",)))
 
 
 # -- derived operator laws (randomized, both evaluators) ----------------------
