@@ -444,10 +444,12 @@ def main(argv: list[str] | None = None) -> int:
         rep.say(f"internal cross-check failed: {exc}")
         rep.result = {"error": str(exc), "kind": "internal"}
         return rep.emit(INTERNAL)
-    except (EbltlError, OSError, UnicodeDecodeError) as exc:
-        # parse, typecheck, chain and renaming errors; unreadable inputs
-        rep.say(f"error: {exc}")
-        rep.result = {"error": str(exc)}
+    except (EbltlError, OSError, UnicodeDecodeError, RecursionError) as exc:
+        # parse, typecheck, chain and renaming errors; unreadable inputs;
+        # input nested deeper than the recursive parsers and checkers reach
+        message = "input nests too deeply" if isinstance(exc, RecursionError) else str(exc)
+        rep.say(f"error: {message}")
+        rep.result = {"error": message}
         return rep.emit(USAGE)
     return rep.emit(code)
 

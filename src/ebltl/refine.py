@@ -8,10 +8,12 @@ linking invariant, and the obligations are evaluated over those pairs.
 The concrete machine is read only through the caller's graph: the enabled
 firings its exploration recorded, its edges and its states.  Nothing here
 explores a machine except `explore_chain`, so each machine of a run is
-explored once, under the caller's bounds.  The abstract machine's guards
-and action relations are evaluated through its compiled events
-(`semantics.compile_machine`) once per (universe state, event) per pair,
-and the linking invariant is compiled once per pair.
+explored once, under the caller's bounds.  States on both sides are
+tuples: the abstract guards and action relations are evaluated through
+the compiled events (`semantics.compile_machine`) once per (universe
+state, event) per pair, and the gluing relation, shared variables equal
+plus the linking invariant, is one generated function over (abstract
+state, concrete state) per pair (`semantics.compile_gluing`).
 The four obligations are kept independent, mirroring how proof assistants
 split them:
 
@@ -45,7 +47,7 @@ from .machine_ast import (
 from .machine_parser import parse_expression, parse_machine_file
 from .search import bfs, path_to, tarjan
 from .semantics import (
-    ExploreLimits, StateGraph, compile_expr, compile_machine, explore,
+    ExploreLimits, StateGraph, compile_gluing, compile_machine, explore,
     find_path, require_feasible, value_to_json,
 )
 from .traces import LASSO, Trace
@@ -393,12 +395,11 @@ class POReport:
                 "obligations": {n: r.to_json_dict() for n, r in self.results.items()}}
 
 
-def _enumerate_universe(machine: Machine) -> list[dict]:
-    """All valuations over the declared domains satisfying the invariant."""
-    sym, compiled = machine.sym, compile_machine(machine)
+def _enumerate_universe(machine: Machine) -> list[tuple]:
+    """All states over the declared domains satisfying the invariant."""
+    sym, invariant = machine.sym, compile_machine(machine).invariant
     domains = [sym.domain(sym.var_types[v]) for v in sym.var_names]
-    valuations = (dict(zip(sym.var_names, values)) for values in product(*domains))
-    return [env for env in valuations if compiled.invariant({**compiled.static, **env})]
+    return [state for state in product(*domains) if invariant(state)]
 
 
 def check_refinement_pair(abstract: Machine, concrete: Machine,
@@ -409,20 +410,11 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     link_typecheck(abstract, concrete, link.linking)
     abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
     abs_universe = _enumerate_universe(abstract)
-    abs_base, conc_base = abs_compiled.static, conc_compiled.static
-    shared = sorted(set(abstract.sym.var_types) & set(concrete.sym.var_types))
     renaming = link.renaming.mapping
-    linking = None if link.linking is None else compile_expr(link.linking)
-
-    def linked(abs_env: dict, conc_env: dict) -> bool:
-        if any(abs_env[v] != conc_env[v] for v in shared):
-            return False
-        if linking is None:
-            return True
-        return bool(linking({**abs_base, **conc_base, **abs_env, **conc_env}))
+    glued = compile_gluing(abstract, concrete, link.linking)
 
     def abstract_json(a: int) -> dict:
-        return {k: value_to_json(v) for k, v in abs_universe[a].items()}
+        return dict(zip(abstract.sym.var_names, map(value_to_json, abs_universe[a])))
 
     results = {name: POResult(name, True) for name in PO_NAMES}
 
@@ -436,29 +428,23 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     # whether some parameter choice satisfies the guard, and every outcome
     # of the action relation over all parameter valuations, the guard
     # ignored (the proof-obligation reading of simulation)
-    abs_enabled: dict[tuple[int, str], bool] = {}
-    abs_posts: dict[tuple[int, str], list[dict]] = {}
-    targets = sorted(set(renaming.values()))
-    for a, abs_env in enumerate(abs_universe):
-        env = {**abs_base, **abs_env}
-        for target in targets:
+    abs_enabled, abs_posts = {}, {}
+    for a, abs_state in enumerate(abs_universe):
+        for target in sorted(set(renaming.values())):
             event = abs_compiled.events[target]
-            abs_enabled[a, target] = next(event.enabled(env), None) is not None
-            abs_posts[a, target] = [{**abs_env, **upd}
-                                    for _, inner in event.bindings(env)
-                                    for upd in event.actions(inner)]
+            abs_enabled[a, target] = bool(event(abs_state))
+            abs_posts[a, target] = [p for _, posts in event(abs_state, False) for p in posts]
 
     # pair every reachable concrete state with each compatible abstract state
-    pairs_per_state = [[a for a, abs_env in enumerate(abs_universe)
-                        if linked(abs_env, conc_env)]
-                       for conc_env in map(graph.state_env, range(len(graph.states)))]
+    pairs_per_state = [[a for a, abs_state in enumerate(abs_universe)
+                        if glued(abs_state, conc_state)]
+                       for conc_state in graph.states]
 
     # initial linkability: each concrete initial state needs an abstract
     # initial partner (initialisation is part of the simulation obligation)
-    abs_init_outcomes = abs_compiled.init(abs_base)
+    abs_initial = abs_compiled.init()
     for i in graph.initial:
-        conc_env = graph.state_env(i)
-        if not any(linked(a, conc_env) for a in abs_init_outcomes):
+        if not any(glued(a, graph.states[i]) for a in abs_initial):
             fail("INV_REF", {
                 "kind": "init",
                 "concrete_state": graph.state_json(i),
@@ -490,12 +476,12 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     # post-state must be linked to the concrete post-state; a new event
     # must leave the abstract state unchanged
     for edge in graph.edges:
-        conc_post = graph.state_env(edge.tgt)
+        conc_post = graph.states[edge.tgt]
         target = renaming.get(edge.event)
         for a in pairs_per_state[edge.src]:
             results["INV_REF"].checked += 1
             posts = [abs_universe[a]] if target is None else abs_posts[a, target]
-            if not any(linked(post, conc_post) for post in posts):
+            if not any(glued(post, conc_post) for post in posts):
                 fail("INV_REF", {
                     "kind": "unmatched-transition" if target else "new-event-disturbs-link",
                     "event": edge.event,
@@ -508,10 +494,8 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     # WFD_REF is local to the concrete machine's variant
     if conc_compiled.variant is not None:
         statuses = {e.name: e.effective_status for e in concrete.events}
-        variant_at: list[int] = []
-        for i in range(len(graph.states)):
-            value = conc_compiled.variant({**conc_base, **graph.state_env(i)})
-            variant_at.append(value)
+        variant_at = [conc_compiled.variant(state) for state in graph.states]
+        for i, value in enumerate(variant_at):
             results["WFD_REF"].checked += 1
             if not isinstance(value, int) or value < 0:
                 fail("WFD_REF", {"kind": "variant-not-natural",

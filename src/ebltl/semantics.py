@@ -1,11 +1,16 @@
 """Transition-system semantics for machines.
 
 A typechecked machine is compiled once and kept on the machine
-(`compile_machine`): each event holds its parameter domains, resolved once,
-and closures (`compile_expr`) for its guard and actions.  Exploration, the
-invariant check and the refinement obligations all fire events that way.
+(`compile_machine`): one small translator (`_py`) writes Python source for
+its initialisation, its events, its invariant and its variant, and `exec`
+turns that into functions over state tuples, with each parameter domain
+resolved once.  Exploration, the invariant check and the refinement
+obligations all evaluate through those functions; the gluing relation of a
+refinement pair is compiled the same way (`compile_gluing`).
 
-States are valuations of the declared variables; `explore` computes the
+States are tuples of the declared variables' values in sorted name order,
+and evaluation on a machine builds no name-to-value environment (only
+`compile_expr` takes one).  `explore` computes the
 breadth-first closure of the initial states under every enabled
 (event, parameter) pair, checking the invariant and the declared domains
 on every state it discovers.  The resulting graph is canonical: variables
@@ -22,7 +27,6 @@ as FIS_REF.
 """
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -30,8 +34,8 @@ from typing import Callable, Iterable, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
 from .machine_ast import (
-    AnyChoice, Assign, Binary, BoolLit, BoolType, Call, ElemType, Event, Expr,
-    IfExpr, IntLit, IntRangeType, Machine, Name, SetLit, SetType, Unary,
+    Assign, Binary, BoolLit, BoolType, Call, ElemType, Expr, IfExpr, IntLit,
+    IntRangeType, Machine, Name, SetLit, SetType, Unary, VarType,
 )
 from .search import bfs, path_to
 from .typecheck import resolve_type
@@ -40,7 +44,7 @@ Value = object  # int | bool | str (carrier element) | frozenset[str]
 
 
 # ---------------------------------------------------------------------------
-# compiled expressions and events
+# compiled machines: generated Python functions over state tuples
 
 def static_env(machine: Machine) -> dict:
     """Bindings that do not change between states: constants, elements,
@@ -54,164 +58,187 @@ def static_env(machine: Machine) -> dict:
     return env
 
 
-# operators that evaluate both operands, left first
-_VALUE_OPS = {
-    "=": operator.eq, "/=": operator.ne,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "in": lambda l, r: l in r, "notin": lambda l, r: l not in r,
-    "<:": operator.le,  # frozenset subset
-    "union": operator.or_, "inter": operator.and_, "diff": operator.sub,
-}
+# operator -> (Python template, level); the operators of one nonzero level
+# group left to right in Python as in the language, so a left-nested chain
+# of them needs no inner parentheses (Python allows 200 nested ones)
+_OPS = {op: (f"({{}} {py} {{}})", level) for op, py, level in (
+    ("or", "or", 1), ("&", "and", 2), ("union", "|", 3), ("inter", "&", 4),
+    ("+", "+", 5), ("-", "-", 5), ("diff", "-", 5), ("*", "*", 6),
+    ("=", "==", 0), ("/=", "!=", 0), ("<", "<", 0), ("<=", "<=", 0), (">", ">", 0),
+    (">=", ">=", 0), ("in", "in", 0), ("notin", "not in", 0), ("<:", "<=", 0))}
+_OPS.update({"=>": ("((not {}) or {})", 0), "<=>": ("(bool({}) == bool({}))", 0)})
+_CALLS = {"card": "len", "min": "min", "max": "max"}
+_BUILTINS = {f.__name__: f for f in (frozenset, len, min, max, bool)}
 
-Compiled = Callable[[dict], Value]
 
-
-def compile_expr(e: Expr) -> Compiled:
-    """A closure evaluating `e` in an environment of name bindings.
-
-    Each node is dispatched once, here; the closure raises EvalError for
-    an unbound name.  `&`, `or` and `=>` evaluate their right operand only
-    when the left one leaves the result open.
-    """
-    if isinstance(e, (IntLit, BoolLit)):
-        value = e.value
-        return lambda env: value
+def _py(e: Expr, name: Callable[[str], str]) -> str:
+    """Parenthesized Python source for `e`.  `name` maps an identifier to
+    its prefixed Python name; beyond those names the text holds only int
+    and bool literals, the operators above and the builtins."""
+    if isinstance(e, (IntLit, BoolLit)) and type(e.value) in (int, bool):
+        return repr(e.value)
     if isinstance(e, Name):
-        name = e.name
-
-        def lookup(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError(f"unbound name {name!r}") from None
-        return lookup
+        try:
+            return name(e.name)
+        except KeyError:
+            raise EvalError(f"unbound name {e.name!r}") from None
     if isinstance(e, SetLit):
-        items = tuple(map(compile_expr, e.items))
-        return lambda env: frozenset(item(env) for item in items)
-    if isinstance(e, Unary):
-        operand = compile_expr(e.operand)
-        if e.op == "neg":
-            return lambda env: -operand(env)
-        return lambda env: not operand(env)
-    if isinstance(e, Binary):
-        left, right = compile_expr(e.left), compile_expr(e.right)
-        if e.op == "&":
-            return lambda env: left(env) and right(env)
-        if e.op == "or":
-            return lambda env: left(env) or right(env)
-        if e.op == "=>":
-            return lambda env: (not left(env)) or right(env)
-        if e.op == "<=>":
-            return lambda env: bool(left(env)) == bool(right(env))
-        fn = _VALUE_OPS.get(e.op)
-        if fn is None:
-            raise EvalError(f"unknown operator {e.op!r}")
-        return lambda env: fn(left(env), right(env))
-    if isinstance(e, Call):
-        first = compile_expr(e.args[0])
-        if e.fn == "card":
-            return lambda env: len(first(env))
-        second = compile_expr(e.args[1])
-        fn = min if e.fn == "min" else max
-        return lambda env: fn(first(env), second(env))
+        return f"frozenset(({''.join(_py(i, name) + ', ' for i in e.items)}))"
+    if isinstance(e, Unary) and e.op in ("neg", "not"):
+        return f"({'-' if e.op == 'neg' else 'not '}{_py(e.operand, name)})"
+    if isinstance(e, Binary) and e.op in _OPS:
+        template, level = _OPS[e.op]
+        left = _py(e.left, name)
+        if level and isinstance(e.left, Binary) and _OPS.get(e.left.op, ("", 0))[1] == level:
+            left = left[1:-1]
+        return template.format(left, _py(e.right, name))
+    if isinstance(e, Call) and e.fn in _CALLS:
+        return f"{_CALLS[e.fn]}({', '.join(_py(a, name) for a in e.args)})"
     if isinstance(e, IfExpr):
-        cond, then, orelse = map(compile_expr, (e.cond, e.then, e.orelse))
-        return lambda env: then(env) if cond(env) else orelse(env)
+        return f"({_py(e.then, name)} if {_py(e.cond, name)} else {_py(e.orelse, name)})"
     raise EvalError(f"cannot evaluate {e!r}")
 
 
-_TRUE = BoolLit(True)  # an absent guard or invariant
+def _compile(source: str, mode: str):
+    try:
+        return compile(source, "<ebltl>", mode)
+    except (SyntaxError, RecursionError, MemoryError):  # Python's parser limits
+        raise EvalError("expression nests too deeply to compile") from None
 
 
-@dataclass(frozen=True)
-class CompiledEvent:
-    """An event, or a bounded choice block inside one, with its parameter
-    domains resolved and its guard and actions compiled.  Environments
-    passed in hold the static bindings, a state's variables and the
-    parameters of enclosing blocks."""
-
-    params: tuple[str, ...]
-    domains: tuple[tuple, ...]
-    guard: Compiled
-    actions: Callable[[dict], list[dict]]
-
-    def bindings(self, env: dict):
-        """(valuation, env extended by it) for every parameter valuation in
-        canonical order, the guard ignored."""
-        for values in product(*self.domains):
-            valuation = tuple(zip(self.params, values))
-            inner = dict(env)
-            inner.update(valuation)
-            yield valuation, inner
-
-    def enabled(self, env: dict):
-        """(valuation, env extended by it) for every valuation whose guard
-        holds."""
-        guard = self.guard
-        return ((v, inner) for v, inner in self.bindings(env) if guard(inner))
-
-    def firings(self, env: dict):
-        """(valuation, update dicts) for every enabled valuation; an empty
-        list means the guard held but no after-state exists."""
-        return ((v, self.actions(inner)) for v, inner in self.enabled(env))
+def _build(source: str, namespace: dict) -> dict:
+    """`namespace`, holding the statics and domains `source` reads, after
+    executing `source` in it."""
+    namespace["__builtins__"] = _BUILTINS
+    exec(_compile(source, "exec"), namespace)
+    return namespace
 
 
-def _compile_event(params, guard: Expr | None, actions, sym) -> CompiledEvent:
-    return CompiledEvent(tuple(p.name for p in params),
-                         tuple(sym.domain(resolve_type(p.ptype, sym)) for p in params),
-                         compile_expr(guard or _TRUE), _compile_actions(actions, sym))
+def _unpack(prefix: str, names, arg: str) -> str:
+    """A line binding every name of `names`, prefixed, from tuple `arg`."""
+    return f"    {''.join(prefix + n + ', ' for n in names)}= {arg}\n" if names else ""
 
 
-def _compile_actions(actions, sym) -> Callable[[dict], list[dict]]:
-    """A closure giving every parallel-update dictionary the action list
-    can produce in an environment.
+def compile_expr(e: Expr) -> Callable[[dict], Value]:
+    """A function evaluating `e` in an environment of name bindings, through
+    the translator the machines use: `&`, `or` and `=>` evaluate their right
+    operand only when the left one leaves the result open, and an unbound
+    name raises EvalError."""
+    code = _compile(_py(e, "k_".__add__), "eval")
 
-    Bounded choice blocks multiply outcomes; a block with no admissible
-    valuation yields no outcome at all (the event cannot fire).
-    """
-    assigns = tuple((a.target, compile_expr(a.expr))
-                    for a in actions if isinstance(a, Assign))
-    choices = tuple(_compile_event(a.params, a.where, a.actions, sym)
-                    for a in actions if isinstance(a, AnyChoice))
-
-    def outcomes(env: dict) -> list[dict]:
-        result = [{target: expr(env) for target, expr in assigns}]
-        for choice in choices:
-            found = [upd for _, updates in choice.firings(env) for upd in updates]
-            result = [{**o, **i} for o in result for i in found]
-        return result
-    return outcomes
+    def evaluate(env: dict) -> Value:
+        try:
+            return eval(code, {"__builtins__": _BUILTINS, **{"k_" + n: v for n, v in env.items()}})
+        except NameError as exc:
+            raise EvalError(f"unbound name {exc.name[2:]!r}") from None
+    return evaluate
 
 
 @dataclass(frozen=True)
 class CompiledMachine:
-    """Everything evaluation needs from a typechecked machine: the static
-    bindings, init's actions, the events keyed and ordered by name, and
-    the invariant and variant."""
+    """A typechecked machine as functions over state tuples, which hold the
+    variables' values in sorted name order.  `init()` lists the initial
+    states.  `events[name](state, guarded=True)`, keyed and ordered by name,
+    lists (valuation, [after-state]) for every parameter valuation whose
+    guard holds, in canonical order, or for every valuation when `guarded`
+    is false; an empty list of after-states means that a bounded choice
+    admits no value.  `invariant` and `variant` evaluate at a state;
+    `declared` gives each variable's position and type in declaration order."""
 
-    static: dict
-    init: Callable[[dict], list[dict]]
-    events: dict[str, CompiledEvent]
-    invariant: Compiled
-    variant: Optional[Compiled]
+    init: Callable[[], list[tuple]]
+    events: dict[str, Callable]
+    invariant: Callable[[tuple], Value]
+    variant: Optional[Callable[[tuple], Value]]
+    declared: tuple[tuple[int, str, VarType], ...]
 
 
 def compile_machine(machine: Machine) -> CompiledMachine:
     """The machine's compiled form, built on first use and kept on the
-    machine next to its symbol table."""
-    if machine.compiled is None:
-        sym = machine.sym
-        if sym is None:
-            raise EvalError(f"machine {machine.name} was not typechecked")
-        machine.compiled = CompiledMachine(
-            static=static_env(machine),
-            init=_compile_actions(machine.init.actions, sym),
-            events={e.name: _compile_event(e.params, e.guard, e.actions, sym)
-                    for e in sorted(machine.events, key=lambda e: e.name)},
-            invariant=compile_expr(machine.invariant or _TRUE),
-            variant=None if machine.variant is None else compile_expr(machine.variant))
+    machine next to its symbol table.
+
+    Variables read `s_<name>`, statics `k_<name>` and the parameters of
+    block k `p<k>_<name>`; each parameter block (an event's parameters or a
+    bounded choice) is one comprehension clause over its domain, resolved
+    once into a list of (valuation, values)."""
+    if machine.compiled is not None:
+        return machine.compiled
+    sym = machine.sym
+    if sym is None:
+        raise EvalError(f"machine {machine.name} was not typechecked")
+    static = static_env(machine)
+    namespace = {"k_" + n: v for n, v in static.items()}
+    scope = {n: "k_" + n for n in static}
+    scope.update((v, "s_" + v) for v in sym.var_names)
+
+    domains: list[list] = []  # d<k>: (valuation, values) of block k
+
+    def block(params, test, scope, guarded=False):
+        """Block k's comprehension clause and its scope."""
+        k, names = len(domains), [p.name for p in params]
+        domains.append([(tuple(zip(names, values)), values) for values in product(
+            *(sym.domain(resolve_type(p.ptype, sym)) for p in params))])
+        inner = {**scope, **{n: f"p{k}_{n}" for n in names}}
+        clause = f" for v{k}, ({''.join(f'p{k}_{n}, ' for n in names)}) in d{k}"
+        if test is not None:
+            clause += f" if {'not guarded or ' if guarded else ''}{_py(test, inner.__getitem__)}"
+        return k, clause, inner
+
+    def after_states(actions, scope) -> str:
+        """A list comprehension of the after-state tuples of `actions`."""
+        values: dict[str, str] = {}
+        clauses: list[str] = []
+
+        def walk(actions, scope):
+            for a in actions:
+                if isinstance(a, Assign):
+                    values[a.target] = _py(a.expr, scope.__getitem__)
+                else:
+                    _, clause, inner = block(a.params, a.where, scope)
+                    clauses.append(clause)
+                    walk(a.actions, inner)
+        walk(actions, scope)
+        state = "".join(values.get(v, "s_" + v) + ", " for v in sym.var_names)
+        return f"[({state}){''.join(clauses)}]"
+
+    unpack = _unpack("s_", sym.var_names, "s")
+    events = sorted(machine.events, key=lambda e: e.name)
+    source = [f"def init():\n    return {after_states(machine.init.actions, scope)}\n"]
+    for i, event in enumerate(events):
+        k, clause, inner = block(event.params, event.guard, scope, guarded=True)
+        source.append(f"def e{i}(s, guarded=True):\n{unpack}    return "
+                      f"[(v{k}, {after_states(event.actions, inner)}){clause}]\n")
+    for fn, expr in (("invariant", machine.invariant or BoolLit(True)),
+                     ("variant", machine.variant)):
+        if expr is not None:
+            source.append(f"def {fn}(s):\n{unpack}    return {_py(expr, scope.__getitem__)}\n")
+    namespace.update((f"d{k}", d) for k, d in enumerate(domains))
+    built = _build("".join(source), namespace)
+    machine.compiled = CompiledMachine(
+        init=built["init"],
+        events={e.name: built[f"e{i}"] for i, e in enumerate(events)},
+        invariant=built["invariant"], variant=built.get("variant"),
+        declared=tuple((sym.var_names.index(n), n, t) for n, t in sym.var_types.items()))
     return machine.compiled
+
+
+def compile_gluing(abstract: Machine, concrete: Machine,
+                   linking: Expr | None) -> Callable[[tuple, tuple], Value]:
+    """The gluing relation of a refinement pair, over (abstract state,
+    concrete state): the shared variables are equal and the linking
+    invariant holds.  A name in the linking invariant is the concrete
+    variable, else the abstract variable, else a static of the concrete
+    machine, else one of the abstract machine."""
+    a_vars, c_vars = abstract.sym.var_names, concrete.sym.var_names
+    static = {**static_env(abstract), **static_env(concrete)}
+    scope = {n: "k_" + n for n in static}
+    scope.update((v, "a_" + v) for v in a_vars)
+    scope.update((v, "c_" + v) for v in c_vars)
+    tests = [f"(a_{v} == c_{v})" for v in sorted(set(a_vars) & set(c_vars))]
+    if linking is not None:
+        tests.append(_py(linking, scope.__getitem__))
+    source = (f"def glue(a, c):\n{_unpack('a_', a_vars, 'a')}{_unpack('c_', c_vars, 'c')}"
+              f"    return {' and '.join(tests) or 'True'}\n")
+    return _build(source, {"k_" + n: v for n, v in static.items()})["glue"]
 
 
 def value_in_domain(value: Value, vtype, sym) -> bool:
@@ -230,12 +257,6 @@ def value_to_json(value: Value):
     if isinstance(value, frozenset):
         return sorted(value)
     return value
-
-
-def event_firings(machine: Machine, state_env: dict, event: Event):
-    """`CompiledEvent.firings` of `event` in `state_env`, which holds the
-    static bindings and a state's variables."""
-    return compile_machine(machine).events[event.name].firings(state_env)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +303,6 @@ class StateGraph:
     def successors(self, state: int) -> list[tuple[int, str]]:
         return [(e.tgt, e.event) for e in self.out_edges(state)]
 
-    def state_env(self, i: int) -> dict:
-        return dict(zip(self.var_names, self.states[i]))
-
     def state_json(self, i: int) -> dict:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}
 
@@ -325,13 +343,14 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     )
 
 
-def _check_state(machine: Machine, env: dict) -> str | None:
-    """Domain membership plus invariant truth in `env` (the static bindings
-    and a state's variables); returns a message on failure."""
-    for name, vtype in machine.sym.var_types.items():
-        if not value_in_domain(env[name], vtype, machine.sym):
-            return f"{name} = {value_to_json(env[name])!r} leaves its declared domain"
-    if not compile_machine(machine).invariant(env):
+def _check_state(machine: Machine, state: tuple) -> str | None:
+    """Domain membership plus invariant truth at `state`; returns a message
+    on failure."""
+    compiled = compile_machine(machine)
+    for i, name, vtype in compiled.declared:
+        if not value_in_domain(state[i], vtype, machine.sym):
+            return f"{name} = {value_to_json(state[i])!r} leaves its declared domain"
+    if not compiled.invariant(state):
         return "invariant is false"
     return None
 
@@ -347,7 +366,6 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     """
     compiled = compile_machine(machine)
     limits = limits or ExploreLimits()
-    base = compiled.static
     var_names = machine.sym.var_names
 
     index: dict[tuple, int] = {}
@@ -357,48 +375,44 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     firings: list[tuple] = []
     queue: deque[int] = deque()  # each new state, once, in discovery order
 
-    def add_state(env: dict, parent: tuple[int, str] | None) -> int:
-        key = tuple(env[v] for v in var_names)
-        if key in index:
-            return index[key]
+    def add_state(state: tuple, parent: tuple[int, str] | None) -> int:
+        if state in index:
+            return index[state]
         if len(states) >= limits.max_states:
             raise ExplorationLimitError(
                 f"state count exceeded the limit of {limits.max_states}")
         idx = len(states)
-        index[key] = idx
-        states.append(key)
+        index[state] = idx
+        states.append(state)
         if parent is not None:
             parents[idx] = parent
-        message = _check_state(machine, {**base, **env})
+        message = _check_state(machine, state)
         if message:
             path = path_to(parents, idx)
             raise InvariantViolation(
                 f"state {idx} of {machine.name}: {message}"
                 + (f" (reached by {', '.join(path)})" if path else " (initial state)"),
-                state={n: env[n] for n in var_names}, path=path)
+                state=dict(zip(var_names, state)), path=path)
         queue.append(idx)
         return idx
 
-    # initial states: fire init from an empty valuation
-    init_outcomes = compiled.init(base)
-    if not init_outcomes:
+    init_states = compiled.init()
+    if not init_states:
         raise InvariantViolation(f"init of {machine.name} admits no state")
     initial = []
-    for upd in init_outcomes:
-        idx = add_state(upd, None)
+    for state in init_states:
+        idx = add_state(state, None)
         if idx not in initial:
             initial.append(idx)
 
     while queue:
         src = queue.popleft()
-        state = dict(zip(var_names, states[src]))
-        env = {**base, **state}
+        state = states[src]
         for name, event in compiled.events.items():
-            for valuation, outcomes in event.firings(env):
-                firings.append((src, name, valuation, bool(outcomes)))
-                for upd in outcomes:
-                    tgt = add_state({**state, **upd}, (src, name))
-                    edges.append(Edge(src, name, valuation, tgt))
+            for valuation, posts in event(state):
+                firings.append((src, name, valuation, bool(posts)))
+                for post in posts:
+                    edges.append(Edge(src, name, valuation, add_state(post, (src, name))))
 
     outgoing = {e.src for e in edges}
     deadlocks = tuple(i for i in range(len(states)) if i not in outgoing)
@@ -423,7 +437,8 @@ def require_feasible(graph: StateGraph) -> StateGraph:
             raise InvariantViolation(
                 f"event {event} of {graph.machine.name} is enabled but has no "
                 f"after-state at state {src} (empty bounded choice)",
-                state=graph.state_env(src), path=find_path(graph, src))
+                state=dict(zip(graph.var_names, graph.states[src])),
+                path=find_path(graph, src))
     return graph
 
 
@@ -447,9 +462,8 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
     machine = graph.machine
     if machine is None:
         return GraphVerdict(True, detail="bare graph, nothing to check")
-    base = compile_machine(machine).static
-    for i in range(len(graph.states)):
-        message = _check_state(machine, {**base, **graph.state_env(i)})
+    for i, state in enumerate(graph.states):
+        message = _check_state(machine, state)
         if message:
             try:
                 path = find_path(graph, i)

@@ -301,6 +301,13 @@ def test_criterion_10_deterministic_reports(tmp_path):
          "e09ac0fd06e03bdeecf4691f5d039ffd1cc62a9cc0368fbd06bf9b2c827d82d3"),
         (("po", "--chain", str(mutant["wfd_pay_raises_variant"])), 1,
          "2266294469d5218cd8b541a1a534dfdb1cefb1f714afe82c33943a7daf819b9e"),
+        # a scaled instance: VM4 and the chain at capacity 3
+        (("po", "--chain", str(VM_DIR / "chain.json"), "--set", "capacity=3"), 0,
+         "9f2c117301e876fa71517db487e08bb5d2d3e4adf3caf4501eac978776195455"),
+        (("gf", "--chain", str(VM_DIR / "chain.json"), "--set", "capacity=3"), 0,
+         "6c5e36af384bf50cdadcd54dcce7cf8e4ae5a1bf9121fbef7f3b4cbfa1f46bf4"),
+        (("explore", str(VM_DIR / "vm4.eb"), "--format", "graph", "--set", "capacity=3"), 0,
+         "17da19179df62954aeeca08fd970ad4ddbba7466751542d66824c65fff833e88"),
     ]
     for argv, code, digest in commands:
         runs = [

@@ -209,6 +209,11 @@ BAD_FILES = {
     "latin1.eb": b"machine M\n# caf\xe9\n",
     "broken.json": b'{"machines": [',
     "no-machines.json": b'{"name": "x"}',
+    "deep.eb": (b"machine Deep\nvariables\n  x : 0..2\ninvariant\n  " + b"(" * 120
+                + b"x >= 0" + b")" * 120 + b"\nevents\n  event init then x := 0 end\nend\n"),
+    # parses and typechecks, but nests past what Python compiles
+    "implies.eb": (b"machine Implies\nvariables\n  f : bool\ninvariant\n  "
+                   + b" => ".join([b"f"] * 200) + b"\nevents\n  event init then f := false end\nend\n"),
 }
 
 
@@ -230,6 +235,10 @@ BAD_FILES = {
     (("beta", "--prop", "[a]", "--lasso-prefix", "-1"), 3),
     (("beta", "--prop", "[a]", "--lasso-cycle", "0"), 3),
     (("oracle", "--random", "-3"), 3),
+    (("parse", "{tmp}/deep.eb"), 3),
+    (("mc", str(VM_DIR / "vm4.eb"), "--prop", "(" * 400 + "[pay]" + ")" * 400), 3),
+    (("beta", "--prop", "F " * 2000 + "[a]"), 3),
+    (("explore", "{tmp}/implies.eb"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -238,12 +247,12 @@ BAD_FILES = {
         "unknown-flag", "bound-not-int", "parse-bound-states",
         "gf-lasso-prefix", "oracle-set", "mc-verbose", "bound-states-negative",
         "bound-states-zero", "lasso-prefix-negative", "lasso-cycle-zero",
-        "random-negative", "help",
-        "subcommand-help", "version"])
+        "random-negative", "deep-invariant", "deep-prop", "deep-beta",
+        "deep-compile", "help", "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never
-    with a traceback; so do a flag the subcommand does not read and a
-    numeric flag below its range."""
+    with a traceback; so do a flag the subcommand does not read, a
+    numeric flag below its range and input that nests too deeply."""
     for name, data in BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
     got, out, err = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))

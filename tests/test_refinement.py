@@ -84,7 +84,6 @@ def test_wfd_witness_replays(vm_machines):
 def test_fis_witness_replays(vm_machines):
     """At the feasibility witness state the guard holds yet no firing of the
     event yields an after-state."""
-    from ebltl.semantics import event_firings
     concrete = parse_machine_file(MUTANT_DIR / "vm3_fis_empty_choice.eb")
     renaming = derive_renaming(vm_machines["VM2"], concrete, None)
     report = check_refinement_pair(vm_machines["VM2"], concrete,
@@ -92,12 +91,10 @@ def test_fis_witness_replays(vm_machines):
                                    explore(concrete))
     witness = report.results["FIS_REF"].witnesses[0]
     assert witness["event"] == "dispenseBiscuit"
-    env = {**static_env(concrete)}
-    for name, value in witness["concrete_state"].items():
-        env[name] = frozenset(value) if isinstance(value, list) else value
-    firings = [(v, o) for v, o in
-               event_firings(concrete, env, concrete.event("dispenseBiscuit"))]
-    assert firings and all(not outcomes for _, outcomes in firings)
+    values = (witness["concrete_state"][name] for name in concrete.sym.var_names)
+    state = tuple(frozenset(v) if isinstance(v, list) else v for v in values)
+    firings = compile_machine(concrete).events["dispenseBiscuit"](state)
+    assert firings and all(not posts for _, posts in firings)
 
 
 def test_wfd_edges_on_corpus(vm_chain, vm_chain_graphs):
@@ -107,8 +104,8 @@ def test_wfd_edges_on_corpus(vm_chain, vm_chain_graphs):
         graph = vm_chain_graphs[level]
         statuses = {e.name: e.effective_status for e in machine.events}
         base = static_env(machine)
-        values = [compile_expr(machine.variant)({**base, **graph.state_env(i)})
-                  for i in range(len(graph.states))]
+        values = [compile_expr(machine.variant)({**base, **dict(zip(graph.var_names, s))})
+                  for s in graph.states]
         assert all(isinstance(v, int) and v >= 0 for v in values)
         for e in graph.edges:
             if statuses[e.event] == "convergent":
@@ -117,36 +114,18 @@ def test_wfd_edges_on_corpus(vm_chain, vm_chain_graphs):
                 assert values[e.tgt] <= values[e.src]
 
 
-class _Untouchable:
-    """Stands in for a concrete compiled event: any use of it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the obligations used a concrete event's {name}")
+def _untouchable(state, guarded=True):
+    """Stands in for a concrete compiled event: any call of it fails."""
+    raise AssertionError("the obligations fired a concrete event")
 
 
-class _CountingEvent:
-    """Delegates to an abstract compiled event and counts each call per
-    (method, event, state and parameter values)."""
-
-    def __init__(self, event, name, var_names, calls: Counter):
-        self.event, self.name, self.calls = event, name, calls
-        self.keys = set(var_names) | set(event.params)
-
-    def _count(self, method: str, env: dict):
-        at = tuple(sorted((k, v) for k, v in env.items() if k in self.keys))
-        self.calls[method, self.name, at] += 1
-
-    def enabled(self, env):
-        self._count("enabled", env)
-        return self.event.enabled(env)
-
-    def bindings(self, env):
-        self._count("bindings", env)
-        return self.event.bindings(env)
-
-    def actions(self, env):
-        self._count("actions", env)
-        return self.event.actions(env)
+def _counting(event, name: str, calls: Counter):
+    """An abstract compiled event that counts its calls per (event, state,
+    guarded)."""
+    def counted(state, guarded=True):
+        calls[name, state, guarded] += 1
+        return event(state, guarded)
+    return counted
 
 
 def _fresh_pairs():
@@ -164,17 +143,17 @@ def _fresh_pairs():
 
 def test_obligations_read_the_concrete_machine_only_through_its_graph():
     """Once the concrete graph is explored, the obligations need nothing of
-    the concrete events, and they evaluate each abstract guard and action
-    relation at most once per (abstract state, event)."""
+    the concrete events, and they fire each abstract event at most once per
+    (abstract state, guarded or not)."""
     for abstract, concrete, link in _fresh_pairs():
         graph = explore(concrete)
         expected = check_refinement_pair(abstract, concrete, link, graph).to_json_dict()
         concrete.compiled = replace(concrete.compiled, events={
-            name: _Untouchable() for name in concrete.compiled.events})
+            name: _untouchable for name in concrete.compiled.events})
         calls = Counter()
         abs_compiled = compile_machine(abstract)
         abstract.compiled = replace(abs_compiled, events={
-            name: _CountingEvent(event, name, abstract.sym.var_names, calls)
+            name: _counting(event, name, calls)
             for name, event in abs_compiled.events.items()})
         got = check_refinement_pair(abstract, concrete, link, graph).to_json_dict()
         assert got == expected, concrete.name

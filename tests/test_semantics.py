@@ -5,16 +5,24 @@ enumerations of the guards, not copied from the explorer's own output.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import re
+import subprocess
+import sys
+import tokenize
 
 import pytest
 
 from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
-from ebltl.machine_parser import parse_expression, parse_machine
+from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
+from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
-    ExploreLimits, check_deadlock_free, check_invariant, compile_expr, explore,
-    find_path, require_feasible, static_env,
+    ExploreLimits, check_deadlock_free, check_invariant, compile_expr,
+    compile_machine, explore, find_path, require_feasible, static_env,
 )
+from tests.conftest import LIFT_DIR, VM_DIR
 
 
 def enumerate_vm1_by_hand():
@@ -125,36 +133,28 @@ def test_infeasible_firing_then_later_error():
 def test_edges_are_sound(vm_machines, vm_graphs):
     """Replay every edge: the guard holds at the source under the recorded
     parameters and the target is one of the event's computed outcomes."""
-    from ebltl.semantics import event_firings
     m = vm_machines["VM2"]
     g = vm_graphs["VM2"]
-    base = static_env(m)
+    events = compile_machine(m).events
     for edge in g.edges:
-        env = {**base, **g.state_env(edge.src)}
-        event = m.event(edge.event)
-        hits = [
-            dict(zip(g.var_names, g.states[edge.src]), **upd)
-            for valuation, outcomes in event_firings(m, env, event)
-            if valuation == edge.params
-            for upd in outcomes
-        ]
-        assert any(tuple(h[v] for v in g.var_names) == g.states[edge.tgt]
-                   for h in hits)
+        hits = [post
+                for valuation, posts in events[edge.event](g.states[edge.src])
+                if valuation == edge.params
+                for post in posts]
+        assert g.states[edge.tgt] in hits
 
 
 def test_enabled_events_all_have_edges(vm_machines, vm_graphs):
     """Completeness: every enabled (event, parameter) pair appears."""
-    from ebltl.semantics import event_firings
     m = vm_machines["VM3"]
     g = vm_graphs["VM3"]
-    base = static_env(m)
-    for i in range(len(g.states)):
-        env = {**base, **g.state_env(i)}
+    events = compile_machine(m).events
+    for i, state in enumerate(g.states):
         present = {(e.event, e.params) for e in g.out_edges(i)}
-        for event in m.events:
-            for valuation, outcomes in event_firings(m, env, event):
-                if outcomes:
-                    assert (event.name, valuation) in present
+        for name, event in events.items():
+            for valuation, posts in event(state):
+                if posts:
+                    assert (name, valuation) in present
 
 
 def test_check_invariant_holds_on_corpus(vm_graphs):
@@ -281,3 +281,154 @@ def test_compile_expr_operators(text, expected):
         return
     value = evaluate(EVAL_ENV)
     assert value == expected and type(value) is type(expected)
+
+
+# names that are Python keywords or builtins, or that look like the names
+# the compiled functions use themselves: `s` (the state), `guarded`, the
+# prefixes k_ and p0_, the domain list d0 and the valuation v0
+HYGIENE = """machine lambda
+carriers
+  class = { def, return, None }
+constants
+  len = 1
+variables
+  s : 0..len
+  frozenset : set of class
+  guarded : bool
+  k_s : class
+  d0 : 0..1
+invariant
+  card(frozenset) <= 3 & s <= len
+events
+  event init
+    then s := 0 || frozenset := {} || guarded := false || k_s := def || d0 := 0 end
+  event env
+    status ordinary
+    any v0 : class, p0_v0 : 0..1 where v0 /= k_s & p0_v0 <= s
+    then frozenset := frozenset \\/ { v0 }
+      || any x : 0..len where x >= p0_v0 then s := x end
+      || any x : bool where x = not guarded then guarded := x end
+    end
+  event k_x
+    status ordinary
+    when d0 < 1
+    then d0 := d0 + 1 || k_s := if guarded then return else None end
+    end
+end
+"""
+
+# the abstract-only variable `c` is also a concrete constant, and the
+# concrete variable `a` an abstract constant: the linking invariant reads
+# the variables
+PRECEDENCE_ABSTRACT = """machine A
+constants
+  a = 1
+variables
+  c : 0..2
+  n : 0..2
+invariant
+  c <= n
+events
+  event init then c := 0 || n := 0 end
+  event step
+    status ordinary
+    any x : 0..1 where n < 2
+    then n := n + 1 || c := min(c + x, n + a) end
+end
+"""
+
+PRECEDENCE_CONCRETE = """machine C refines A
+constants
+  c = 2
+variables
+  n : 0..2
+  a : 0..2
+invariant
+  a <= c
+variant
+  c - a
+linking
+  c = a
+events
+  event init then n := 0 || a := 0 end
+  event step refines step
+    status ordinary
+    when n < 2
+    then n := n + 1 || a := if n = 0 then 2 else a end end
+  event tick
+    status convergent
+    when a < 1
+    then a := a + 1 end
+end
+"""
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_machine_names_cannot_capture_generated_names(tmp_path):
+    """Graph and obligation reports are unchanged for machines whose names
+    collide with Python or with the compiled functions' own names (digests
+    taken with the earlier closure evaluator)."""
+    path = tmp_path / "lambda.eb"
+    path.write_text(HYGIENE)
+    g = explore(parse_machine_file(path))
+    assert (len(g.states), len(g.edges)) == (62, 321)
+    assert _digest(g) == "89d79c683c445fcff4c59265487234b9539933fe2de9704f10f2bd0cb24fb19a"
+
+    (tmp_path / "a.eb").write_text(PRECEDENCE_ABSTRACT)
+    (tmp_path / "c.eb").write_text(PRECEDENCE_CONCRETE)
+    (tmp_path / "pair.json").write_text('{"machines": ["a.eb", "c.eb"]}')
+    chain = load_chain(tmp_path / "pair.json")
+    [report] = check_chain_pairs(chain, explore_chain(chain))
+    assert report.failed() == ["INV_REF"]
+    assert _digest(report) == "0f9cd1f5d9aeb3a9423097829109e828845a79d8f0defcbd131b1cdca2dc0a1c"
+
+
+def test_long_chains_compile(tmp_path):
+    """A 320-conjunct invariant and a 320-term sum stay within Python's
+    limit on nested parentheses.  The CLI runs in a fresh process, whose
+    shallow stack the typechecker needs for chains this long."""
+    invariant = " & ".join(["x >= 0"] * 320)
+    total = " + ".join(["0"] * 319 + ["x"])
+    path = tmp_path / "long.eb"
+    path.write_text(
+        f"machine Long\nvariables\n  x : 0..2\ninvariant\n  {invariant}\n"
+        f"events\n  event init then x := 0 end\n  event up\n    status ordinary\n"
+        f"    when {total} < 2\n    then x := x + 1 end\nend\n")
+    proc = subprocess.run([sys.executable, "-m", "ebltl.cli", "explore", str(path), "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    graph = json.loads(proc.stdout)["result"]["graph"]
+    assert (len(graph["states"]), len(graph["edges"])) == (3, 2)
+
+
+_SCAFFOLD = re.compile(r"(?:[sack]|p\d+)_[A-Za-z_][A-Za-z0-9_]*|[sac]|guarded|init|"
+                       r"invariant|variant|glue|[edv]\d+")
+_PYTHON_WORDS = {"def", "return", "for", "in", "if", "else", "not", "or", "and",
+                 "True", "False", "frozenset", "len", "min", "max", "bool"}
+
+
+def test_generated_source_holds_only_prefixed_names(monkeypatch, tmp_path):
+    """The compiled functions' text holds prefixed machine names, the
+    functions' own names, int and bool literals, operators and five
+    builtins: no string literal and no bare machine name."""
+    from ebltl import semantics
+    sources = []
+    original = semantics._compile
+    monkeypatch.setattr(semantics, "_compile",
+                        lambda source, mode: sources.append(source) or original(source, mode))
+    (tmp_path / "lambda.eb").write_text(HYGIENE)
+    explore(parse_machine_file(tmp_path / "lambda.eb"))
+    for manifest in (VM_DIR / "chain.json", LIFT_DIR / "chain.json"):
+        chain = load_chain(manifest)
+        check_chain_pairs(chain, explore_chain(chain))
+    assert len(sources) == 1 + 5 + 4 + 2 + 1
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, source
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), source
+            if tok.type == tokenize.NAME:
+                assert tok.string in _PYTHON_WORDS or _SCAFFOLD.fullmatch(tok.string), tok
