@@ -23,10 +23,15 @@ right-hand side.
 
 The internal negation normal form adds a Release operator and a false
 literal; these never appear in the public Formula AST.
+
+The product of a graph with the automaton of the negated formula is built
+once, breadth-first over node ids, reading the graph's successor table
+(`StateGraph.moves`) and recording each node's first edge and depth; both
+counterexample searches read that tree, and the cycles of a lasso come
+from the shared within-component path helper (`search.path_inside`).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +39,7 @@ from .errors import ExplorationLimitError
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
-from .search import bfs, path_to, tarjan
+from .search import path_inside, path_to, tarjan
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
 
@@ -273,144 +278,94 @@ class TableauAutomaton:
 class CounterexampleSearch:
     """Search the (graph x automaton-of-negation) product for refutations.
 
-    The product is built once, on construction, and both searches read it.
+    The product is built once, on construction, by walking node ids, which
+    are the discovery order; each new node's first edge (`parent`) and
+    `depth` are recorded as it is found, so every node is reachable.
     """
 
     def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
         self.graph = graph
-        self.limit = product_limit
-        self.aut = TableauAutomaton(to_nnf(phi, negate=True))
-        # per graph state, outgoing (event, target) pairs in edge order
-        self._moves: list[list[tuple[str, int]]] = []
-        for i in range(len(graph.states)):
-            moves = []
-            seen = set()
-            for e in graph.out_edges(i):
-                key = (e.event, e.tgt)
-                if key not in seen:  # parameter choices with equal labels collapse
-                    seen.add(key)
-                    moves.append(key)
-            self._moves.append(moves)
-        self.nodes, self.adj, self.start = self._explore_product()
-
-    def _explore_product(self):
+        self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True))
         ids: dict[tuple[int, int], int] = {}
-        nodes: list[tuple[int, int]] = []
-        adj: list[list[tuple[int, str]]] = []
+        self.nodes = nodes = []
+        self.adj = adj = []
+        self.parent = parent = {}
+        self.depth = depth = []
 
-        def intern(node) -> int:
+        def intern(node, via=None) -> int:
             nid = ids.get(node)
             if nid is None:
-                if len(nodes) >= self.limit:
+                if len(nodes) >= product_limit:
                     raise ExplorationLimitError(
-                        f"product size exceeded the limit of {self.limit}")
-                nid = len(nodes)
-                ids[node] = nid
+                        f"product size exceeded the limit of {product_limit}")
+                nid = ids[node] = len(nodes)
                 nodes.append(node)
                 adj.append([])
+                depth.append(0 if via is None else depth[via[0]] + 1)
+                if via is not None:
+                    parent[nid] = via
             return nid
 
-        start = [intern((s, self.aut.initial)) for s in self.graph.initial]
-        queue = deque(start)
-        expanded = set(start)
-        while queue:
-            nid = queue.popleft()
+        for s in graph.initial:
+            intern((s, aut.initial))
+        nid = 0
+        while nid < len(nodes):
             s, q = nodes[nid]
-            for event, tgt in self._moves[s]:
-                for q2 in self.aut.successors(q, event):
-                    succ = intern((tgt, q2))
-                    adj[nid].append((succ, event))
-                    if succ not in expanded:
-                        expanded.add(succ)
-                        queue.append(succ)
-        return nodes, adj, start
+            for tgt, event in graph.moves[s]:
+                for q2 in aut.successors(q, event):
+                    adj[nid].append((intern((tgt, q2), (nid, event)), event))
+            nid += 1
 
     # -- finite maximal traces -------------------------------------------------
 
     def finite_counterexample(self) -> Optional[Trace]:
+        """The first accepting deadlocked node in id order, which is the
+        closest one; an accepting start node gives the empty trace."""
         if not self.graph.deadlocks:
             return None
         deadlocks = set(self.graph.deadlocks)
-        accepting = {nid for nid, (s, q) in enumerate(self.nodes)
-                     if s in deadlocks and self.aut.accepts_empty(q)}
-        if any(nid in accepting for nid in self.start):
-            return Trace(FINITE, ())
-        parent, hit = bfs(self.start, self.adj.__getitem__, accepting.__contains__)
-        if hit is None:
-            return None
-        node, event, _ = hit
-        return Trace(FINITE, tuple(path_to(parent, node) + [event]))
+        for nid, (s, q) in enumerate(self.nodes):
+            if s in deadlocks and self.aut.accepts_empty(q):
+                return Trace(FINITE, tuple(path_to(self.parent, nid)))
+        return None
 
     # -- infinite traces (accepting lassos) -------------------------------------
 
     def lasso_counterexample(self) -> Optional[Trace]:
-        nodes, adj = self.nodes, self.adj
-        sccs = tarjan(len(nodes), adj)
-
-        def is_accepting_scc(scc: list[int]) -> bool:
-            """Generalized Buchi: every Until must be non-delayed somewhere."""
-            for f in self.aut.untils:
-                if not any(f not in self.aut.obligations(nodes[n][1]) for n in scc):
-                    return False
-            return True
-
-        nontrivial = []
-        for scc in sccs:
-            members = set(scc)
-            has_edge = any(succ in members for n in scc for succ, _ in adj[n])
-            if has_edge and is_accepting_scc(scc):
-                nontrivial.append(scc)
-        if not nontrivial:
-            return None
-
-        parent, _ = bfs(self.start, adj.__getitem__)
-        dist = dict.fromkeys(self.start, 0)
-        for node, (pred, _event) in parent.items():  # in discovery order
-            dist[node] = dist[pred] + 1
+        """Anchored at the shallowest node of an accepting component; on a
+        tie in depth, the first component in Tarjan's order wins."""
+        nodes, adj, depth = self.nodes, self.adj, self.depth
         best = None
-        for scc in nontrivial:
-            anchors = [n for n in scc if dist.get(n) is not None]
-            if not anchors:
-                continue
-            anchor = min(anchors, key=lambda n: (dist[n], n))
-            if best is None or dist[anchor] < dist[best[0]]:
-                best = (anchor, scc)
+        for scc in tarjan(len(nodes), adj):
+            members = set(scc)
+            # generalized Buchi: every Until is non-delayed somewhere
+            if any(succ in members for n in scc for succ, _ in adj[n]) and all(
+                    any(f not in self.aut.obligations(nodes[n][1]) for n in scc)
+                    for f in self.aut.untils):
+                anchor = min(scc, key=lambda n: (depth[n], n))
+                if best is None or depth[anchor] < depth[best[0]]:
+                    best = (anchor, members)
         if best is None:
             return None
-        anchor, scc = best
-        cycle = self._stitch_cycle(anchor, set(scc), adj, nodes)
-        return Trace(LASSO, tuple(path_to(parent, anchor)), tuple(cycle))
+        anchor, members = best
+        cycle = self._stitch_cycle(anchor, members)
+        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
-    def _stitch_cycle(self, anchor: int, members: set[int], adj, nodes) -> list[str]:
+    def _stitch_cycle(self, anchor: int, members: set[int]) -> list[str]:
         """Closed walk at `anchor` inside one SCC that hits, for every Until,
         a node no longer delaying it."""
+        nodes, obligations = self.nodes, self.aut.obligations
         events: list[str] = []
         visited = {anchor}
         cur = anchor
         for f in self.aut.untils:
-            if any(f not in self.aut.obligations(nodes[n][1]) for n in visited):
+            if any(f not in obligations(nodes[n][1]) for n in visited):
                 continue
-            goal = {n for n in members if f not in self.aut.obligations(nodes[n][1])}
-            segment, cur = _bfs_inside(adj, members, cur, goal, need_step=False)
+            goal = {n for n in members if f not in obligations(nodes[n][1])}
+            segment, cur = path_inside(self.adj, members, cur, goal, need_step=False)
             events.extend(segment)
             visited.add(cur)
-        segment, _ = _bfs_inside(adj, members, cur, {anchor},
-                                 need_step=not events)
+        segment, _ = path_inside(self.adj, members, cur, {anchor}, need_step=not events)
         events.extend(segment)
         return events
 
-
-def _bfs_inside(adj, members: set[int], source: int, goals: set[int],
-                need_step: bool):
-    """Shortest event path within `members` from source to any goal.
-
-    Goals are detected on edge relaxation so a cycle back to the source
-    counts; with need_step the empty path is rejected even when the source
-    is itself a goal.
-    """
-    if source in goals and not need_step:
-        return [], source
-    parent, (node, event, goal) = bfs(
-        [source], lambda n: [(t, ev) for t, ev in adj[n] if t in members],
-        goals.__contains__)
-    return path_to(parent, node) + [event], goal

@@ -121,6 +121,18 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     graph = require_feasible(explore(machine, _limits(args)))
     inv = check_invariant(graph)
     dead = check_deadlock_free(graph)
+    graph_json = graph.to_json_dict()
+    rep.result = {
+        "graph": graph_json,
+        "invariant": inv.to_json_dict(),
+        "deadlock_free": dead.to_json_dict(),
+    }
+    if rep.as_json:  # --json shows no text report, so none is built
+        return OK
+    if args.format != "summary":
+        rep.say(graph.edge_list_text().rstrip("\n") if args.format == "edgelist"
+                else json.dumps(graph_json, indent=2, sort_keys=True))
+        return OK
     rep.say(f"{machine.name}: {len(graph.states)} state(s), {len(graph.edges)} "
             f"edge(s), {len(graph.deadlocks)} deadlock(s)")
     rep.say(f"invariant: {'holds' if inv.holds else 'violated'}")
@@ -130,15 +142,6 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     if not dead.holds:
         rep.say(f"deadlocked state {dead.witness_state} reached by "
                 f"{', '.join(dead.witness_path) or '(initial)'}")
-    if args.format == "edgelist":
-        rep.lines = [graph.edge_list_text().rstrip("\n")]
-    elif args.format == "graph":
-        rep.lines = [json.dumps(graph.to_json_dict(), indent=2, sort_keys=True)]
-    rep.result = {
-        "graph": graph.to_json_dict(),
-        "invariant": inv.to_json_dict(),
-        "deadlock_free": dead.to_json_dict(),
-    }
     return OK
 
 

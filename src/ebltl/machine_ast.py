@@ -192,7 +192,6 @@ class Machine:
     init: Event
     events: tuple[Event, ...]  # non-init events, in declaration order
     pos: Pos = field(default=(0, 0), compare=False)
-    source_path: Optional[str] = field(default=None, compare=False)
     # populated by the typechecker
     sym: Optional["SymbolTable"] = field(default=None, compare=False, repr=False)
     # built from `sym` on first use by semantics.compile_machine

@@ -426,14 +426,7 @@ def parse_expression(text: str):
     return expr
 
 
-def parse_machine_source(text: str, source_path: str | None = None) -> Machine:
-    """Parse only; no typecheck.  Prefer parse_machine."""
-    machine = _Parser(tokenize(text)).machine()
-    machine.source_path = source_path
-    return machine
-
-
-def parse_machine(text: str, source_path: str | None = None,
+def parse_machine(text: str,
                   constant_overrides: dict[str, int] | None = None) -> Machine:
     """Parse and typecheck a machine source.
 
@@ -444,7 +437,7 @@ def parse_machine(text: str, source_path: str | None = None,
     the machine does not declare are ignored, so one override set can be
     applied across a whole chain).
     """
-    machine = parse_machine_source(text, source_path)
+    machine = _Parser(tokenize(text)).machine()
     if constant_overrides:
         machine.constants = tuple(
             (name, constant_overrides.get(name, value))
@@ -455,5 +448,4 @@ def parse_machine(text: str, source_path: str | None = None,
 
 def parse_machine_file(path, constant_overrides: dict[str, int] | None = None) -> Machine:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_machine(fh.read(), source_path=str(path),
-                             constant_overrides=constant_overrides)
+        return parse_machine(fh.read(), constant_overrides)

@@ -45,7 +45,7 @@ from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
 from .machine_parser import parse_expression, parse_machine_file
-from .search import bfs, path_to, tarjan
+from .search import path_inside, tarjan
 from .semantics import (
     ExploreLimits, StateGraph, compile_gluing, compile_machine, explore,
     find_path, require_feasible, value_to_json,
@@ -134,7 +134,6 @@ class RenamingMap:
 class ChainLink:
     renaming: RenamingMap
     linking: Optional[Expr]
-    linking_text: str = ""
 
 
 @dataclass
@@ -142,7 +141,6 @@ class RefinementChain:
     name: str
     machines: list[Machine]
     links: list[ChainLink]  # links[k] connects machines[k] and machines[k+1]
-    paths: list[str] = field(default_factory=list)
 
     @property
     def final(self) -> Machine:
@@ -182,8 +180,7 @@ def derive_renaming(abstract: Machine, concrete: Machine,
 
 
 def build_chain(name: str, machines: list[Machine],
-                manifest_links: list[dict] | None = None,
-                paths: list[str] | None = None) -> RefinementChain:
+                manifest_links: list[dict] | None = None) -> RefinementChain:
     if not machines:
         raise ChainError("a chain needs at least one machine")
     links: list[ChainLink] = []
@@ -196,18 +193,12 @@ def build_chain(name: str, machines: list[Machine],
         manifest = (manifest_links or [None] * (len(machines) - 1))[k] or {}
         renaming = derive_renaming(abstract, concrete, manifest.get("renaming"))
         if manifest.get("linking") is not None:
-            linking_text = manifest["linking"]
-            linking = parse_expression(linking_text)
-        elif concrete.linking is not None:
-            linking = concrete.linking
-            linking_text = "(from machine source)"
+            linking = parse_expression(manifest["linking"])
         else:
-            linking = None
-            linking_text = "(shared-variable equality)"
+            linking = concrete.linking
         link_typecheck(abstract, concrete, linking)
-        links.append(ChainLink(renaming, linking, linking_text))
-    return RefinementChain(name=name, machines=list(machines), links=links,
-                           paths=paths or [])
+        links.append(ChainLink(renaming, linking))
+    return RefinementChain(name=name, machines=list(machines), links=links)
 
 
 def _link_well_formed(link) -> bool:
@@ -235,13 +226,11 @@ def load_chain(path, constant_overrides: dict[str, int] | None = None) -> Refine
                                   and all(map(_link_well_formed, links))):
         raise ChainError(f'chain {path}: "links" must list null or objects with '
                          f'a "renaming" map of event names and a "linking" string')
-    machine_paths = [path.parent / p for p in names]
-    machines = [parse_machine_file(p, constant_overrides) for p in machine_paths]
+    machines = [parse_machine_file(path.parent / p, constant_overrides) for p in names]
     if links is not None and len(links) != len(machines) - 1:
         raise ChainError(
             f"chain {path} lists {len(machines)} machines but {len(links)} links")
-    return build_chain(data.get("name", path.stem), machines, links,
-                       paths=[str(p) for p in machine_paths])
+    return build_chain(data.get("name", path.stem), machines, links)
 
 
 def explore_chain(chain: RefinementChain,
@@ -554,7 +543,7 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     in C and O; they never occur, so they never matter."""
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
-    reachable = set(graph.initial) | bfs(graph.initial, graph.successors)[0].keys()
+    reachable = set(graph.initial) | graph.parents.keys()
     keep: list[list[tuple[int, str]]] = [[] for _ in graph.states]
     for e in graph.edges:
         if e.event not in ordinary and e.src in reachable:
@@ -577,14 +566,10 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
 
     prefix = find_path(graph, witness_edge.src)
     cycle = [witness_edge.event]
-    if witness_edge.tgt != witness_edge.src:
-        # back from the target to the source without leaving their SCC
-        scc = comp[witness_edge.src]
-        parent, (node, event, _) = bfs(
-            [witness_edge.tgt],
-            lambda n: [(t, ev) for t, ev in keep[n] if comp[t] == scc],
-            lambda n: n == witness_edge.src)
-        cycle += path_to(parent, node) + [event]
+    # back from the target to the source without leaving their SCC
+    members = {n for n, c in enumerate(comp) if c == comp[witness_edge.src]}
+    cycle += path_inside(keep, members, witness_edge.tgt, {witness_edge.src},
+                         need_step=False)[0]
     return CAVerdict(False, c_sorted, o_sorted,
                      witness=Trace(LASSO, tuple(prefix), tuple(cycle)))
 

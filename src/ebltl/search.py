@@ -1,7 +1,9 @@
-"""Graph search shared by the package: breadth-first search with parent
-links, behind every witness path, and Tarjan's strongly connected
-components, behind lasso and divergence search.  The oracle keeps its own
-search on purpose, to stay independent of these."""
+"""Graph search shared by the package.  Graphs and products number nodes in
+discovery order and record the edge that first reached each node, so the
+loop that builds a graph is its breadth-first search, and every witness
+path reads that tree (`path_to`).  `bfs` builds it for a graph made by
+hand, `path_inside` finds paths within one strongly connected component
+(`tarjan`).  The oracle keeps its own search on purpose."""
 from __future__ import annotations
 
 from collections import deque
@@ -40,6 +42,18 @@ def path_to(parent: dict, node) -> list:
         labels.append(label)
     labels.reverse()
     return labels
+
+
+def path_inside(adj, members, source, goals, need_step: bool):
+    """`(labels, goal)`: a shortest path over `adj` within `members` from
+    source to any goal.  Goals are tested on edges, so a cycle back to the
+    source counts; need_step rejects the empty path at a source goal."""
+    if source in goals and not need_step:
+        return [], source
+    parent, (node, label, goal) = bfs(
+        [source], lambda n: [(t, lb) for t, lb in adj[n] if t in members],
+        goals.__contains__)
+    return path_to(parent, node) + [label], goal
 
 
 def tarjan(n: int, adj) -> list[list[int]]:

@@ -16,7 +16,10 @@ breadth-first closure of the initial states under every enabled
 on every state it discovers.  The resulting graph is canonical: variables
 are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
-identical graphs.
+identical graphs.  Walking the ids in order is the breadth-first search:
+`explore` records the edge that first reached each state, and the graph
+keeps that tree (`StateGraph.parents`) and a successor table
+(`StateGraph.moves`), which every witness path and product reads.
 
 Every enabled firing is recorded once, in `StateGraph.firings`, whether
 or not it has an after-state.  A firing whose bounded choice admits no value
@@ -27,8 +30,8 @@ as FIS_REF.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional
 
@@ -300,8 +303,22 @@ class StateGraph:
     def out_edges(self, state: int) -> list[Edge]:
         return [self.edges[i] for i in self._out[state]]
 
+    @cached_property
+    def moves(self) -> list[list[tuple[int, str]]]:
+        """Per state, its distinct (target, event) pairs in edge order:
+        parameter choices with equal labels collapse."""
+        return [list(dict.fromkeys((self.edges[i].tgt, self.edges[i].event) for i in out))
+                for out in self._out]
+
     def successors(self, state: int) -> list[tuple[int, str]]:
-        return [(e.tgt, e.event) for e in self.out_edges(state)]
+        return self.moves[state]
+
+    @cached_property
+    def parents(self) -> dict[int, tuple[int, str]]:
+        """The breadth-first tree from the initial states: each state first
+        reached by an edge maps to that edge's (source, event).  `explore`
+        sets the tree it built; a bare graph searches once, on first use."""
+        return bfs(self.initial, self.successors)[0]
 
     def state_json(self, i: int) -> dict:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}
@@ -373,7 +390,6 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     parents: dict[int, tuple[int, str]] = {}
     edges: list[Edge] = []
     firings: list[tuple] = []
-    queue: deque[int] = deque()  # each new state, once, in discovery order
 
     def add_state(state: tuple, parent: tuple[int, str] | None) -> int:
         if state in index:
@@ -393,7 +409,6 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
                 f"state {idx} of {machine.name}: {message}"
                 + (f" (reached by {', '.join(path)})" if path else " (initial state)"),
                 state=dict(zip(var_names, state)), path=path)
-        queue.append(idx)
         return idx
 
     init_states = compiled.init()
@@ -405,24 +420,26 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         if idx not in initial:
             initial.append(idx)
 
-    while queue:
-        src = queue.popleft()
-        state = states[src]
+    src = 0  # ids are the discovery order, so walking them is breadth-first
+    while src < len(states):
         for name, event in compiled.events.items():
-            for valuation, posts in event(state):
+            for valuation, posts in event(states[src]):
                 firings.append((src, name, valuation, bool(posts)))
                 for post in posts:
                     edges.append(Edge(src, name, valuation, add_state(post, (src, name))))
+        src += 1
 
     outgoing = {e.src for e in edges}
     deadlocks = tuple(i for i in range(len(states)) if i not in outgoing)
-    return StateGraph(
+    graph = StateGraph(
         machine=machine, var_names=var_names, states=states,
         initial=tuple(initial), edges=edges, deadlocks=deadlocks,
         alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
         firings=firings,
     )
+    graph.parents = parents
+    return graph
 
 
 def require_feasible(graph: StateGraph) -> StateGraph:
@@ -475,20 +492,19 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
 
 
 def check_deadlock_free(graph: StateGraph) -> GraphVerdict:
-    if not graph.deadlocks:
+    """Judges the reachable deadlocks only; an explored graph has no other,
+    but a bare graph may hold unreachable states without out-edges."""
+    reachable = [s for s in graph.deadlocks if s in graph.initial or s in graph.parents]
+    if not reachable:
         return GraphVerdict(True, detail="no deadlocked states")
-    first = graph.deadlocks[0]
-    return GraphVerdict(False, witness_state=first,
-                        witness_path=find_path(graph, first),
-                        detail=f"{len(graph.deadlocks)} deadlocked state(s)")
+    return GraphVerdict(False, witness_state=reachable[0],
+                        witness_path=find_path(graph, reachable[0]),
+                        detail=f"{len(reachable)} deadlocked state(s)")
 
 
 def find_path(graph: StateGraph, target: int) -> list[str]:
-    """Shortest event path from an initial state to `target` (BFS)."""
-    if target in graph.initial:
-        return []
-    parent, hit = bfs(graph.initial, graph.successors, lambda s: s == target)
-    if hit is None:
+    """Shortest event path from an initial state to `target`, read from the
+    graph's breadth-first tree."""
+    if target not in graph.initial and target not in graph.parents:
         raise EvalError(f"state {target} is not reachable")
-    node, event, _ = hit
-    return path_to(parent, node) + [event]
+    return path_to(graph.parents, target)

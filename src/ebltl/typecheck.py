@@ -52,6 +52,12 @@ def _sem_type(vtype: VarType):
     raise TypeError(vtype)
 
 
+# operators whose left-nested chains are checked in a loop, with the type
+# every operand must have (None: the set operators, which join set types)
+_CHAINS = {"&": BOOL, "or": BOOL, "+": INT, "-": INT, "*": INT,
+           "union": None, "inter": None, "diff": None}
+
+
 def _unify(a, b):
     """Join two inferred types; None carrier in a set type is polymorphic."""
     if a == b:
@@ -187,14 +193,31 @@ class _Checker:
 
     def infer_binary(self, e: Binary, env: _Env):
         op = e.op
-        if op in ("&", "or", "=>", "<=>"):
+        if op in _CHAINS:
+            # a left-nested chain of one operator, as the parser builds it, is
+            # checked in a loop, leftmost operand first, so that its length
+            # costs no stack
+            chain = [e]
+            while isinstance(chain[-1].left, Binary) and chain[-1].left.op == op:
+                chain.append(chain[-1].left)
+            chain.reverse()
+            expected = _CHAINS[op]
+            if expected is not None:
+                self.check(chain[0].left, expected, env)
+                for node in chain:
+                    self.check(node.right, expected, env)
+                return expected
+            t = self.infer(chain[0].left, env)
+            for node in chain:
+                t1, t2 = t, self.infer(node.right, env)
+                t = _unify(t1, t2)
+                if t is None or not (isinstance(t, tuple) and t[0] == "set"):
+                    self.error(f"set operator over {_fmt(t1)} and {_fmt(t2)}", node)
+            return t
+        if op in ("=>", "<=>"):
             self.check(e.left, BOOL, env)
             self.check(e.right, BOOL, env)
             return BOOL
-        if op in ("+", "-", "*"):
-            self.check(e.left, INT, env)
-            self.check(e.right, INT, env)
-            return INT
         if op in ("<", "<=", ">", ">="):
             self.check(e.left, INT, env)
             self.check(e.right, INT, env)
@@ -220,13 +243,6 @@ class _Checker:
                 self.error(f"subset needs two sets over one carrier, got "
                            f"{_fmt(t1)} and {_fmt(t2)}", e)
             return BOOL
-        if op in ("union", "inter", "diff"):
-            t1 = self.infer(e.left, env)
-            t2 = self.infer(e.right, env)
-            t = _unify(t1, t2)
-            if t is None or not (isinstance(t, tuple) and t[0] == "set"):
-                self.error(f"set operator over {_fmt(t1)} and {_fmt(t2)}", e)
-            return t
         raise TypeError(op)
 
     def check(self, e: Expr, expected, env: _Env) -> None:

@@ -1,15 +1,20 @@
 """Model checking machines against properties."""
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from ebltl.formulas import Atom, Finally, Globally, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine
-from ebltl.oracle import trace_realizable
-from ebltl.semantics import explore
+from ebltl.oracle import random_formula, random_graph, trace_realizable
+from ebltl.refine import check_ca
+from ebltl.semantics import explore, find_path
 from ebltl.traces import finite_trace
-from ebltl.errors import ExplorationLimitError
+from ebltl.errors import EvalError, ExplorationLimitError
 
 VERDICT_TABLE = [
     ("VM1", "phi1", True), ("VM1", "phi2", True), ("VM1", "phi3", True),
@@ -110,3 +115,34 @@ def test_product_limit():
     g = explore(m)
     with pytest.raises(ExplorationLimitError):
         model_check(g, parse_formula("G F [reset]"), product_limit=10)
+
+
+def test_witnesses_are_pinned():
+    """Counterexamples, divergence witnesses and shortest paths on seeded
+    random graphs, which hold deadlocks and unreachable states, hashed
+    against a pinned digest: any change in the order in which the searches
+    visit nodes or edges changes some witness and shows here."""
+    rng = random.Random(11)
+    alphabet = ["a", "b", "c", "d"]
+    digest = hashlib.sha256()
+    kinds = {"finite": 0, "lasso": 0, "ca": 0}
+    for _ in range(300):
+        graph = random_graph(rng, rng.randint(6, 60), alphabet)
+        phi = random_formula(rng, alphabet, rng.randint(1, 4))
+        convergent = rng.sample(alphabet, 2)
+        ordinary = [e for e in alphabet if e not in convergent and rng.random() < 0.5]
+        verdict = model_check(graph, phi)
+        ca = check_ca(graph, convergent, ordinary)
+        paths = []
+        for s in range(len(graph.states)):
+            try:
+                paths.append(find_path(graph, s))
+            except EvalError:
+                paths.append(None)
+        if verdict.counterexample is not None:
+            kinds["lasso" if verdict.counterexample.is_lasso else "finite"] += 1
+        kinds["ca"] += ca.witness is not None
+        digest.update(json.dumps([verdict.to_json_dict(), ca.to_json_dict(), paths],
+                                 sort_keys=True).encode())
+    assert kinds == {"finite": 117, "lasso": 91, "ca": 164}
+    assert digest.hexdigest() == "9f650fe6f6f25cdd25a8d29bb6b4a9b819e6f30d7f8375cfcba48828451ef0ba"

@@ -20,7 +20,7 @@ from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
     ExploreLimits, check_deadlock_free, check_invariant, compile_expr,
-    compile_machine, explore, find_path, require_feasible, static_env,
+    compile_machine, explore, find_path, make_graph, require_feasible, static_env,
 )
 from tests.conftest import LIFT_DIR, VM_DIR
 
@@ -219,6 +219,16 @@ def test_find_path_shortest(vm_graphs):
     assert find_path(g, target) == ["selectItem"] * 3
 
 
+def test_unreachable_deadlocks_do_not_count():
+    # state 2 has no out-edge but no path reaches it
+    verdict = check_deadlock_free(make_graph(3, [0], [(0, "a", 1), (1, "a", 0)], ["a"]))
+    assert verdict.holds
+    # the first deadlock, state 1, is unreachable; state 2 is reached by a
+    verdict = check_deadlock_free(make_graph(3, [0], [(0, "a", 2)], ["a"]))
+    assert (verdict.holds, verdict.witness_state, verdict.witness_path) == (False, 2, ["a"])
+    assert verdict.detail == "1 deadlocked state(s)"
+
+
 def test_edge_list_format(vm_graphs):
     text = vm_graphs["VM0"].edge_list_text()
     lines = text.strip().split("\n")
@@ -386,22 +396,29 @@ def test_machine_names_cannot_capture_generated_names(tmp_path):
     assert _digest(report) == "0f9cd1f5d9aeb3a9423097829109e828845a79d8f0defcbd131b1cdca2dc0a1c"
 
 
+def _long_chains(n: int) -> str:
+    invariant = " & ".join(["x >= 0"] * n)
+    total = " + ".join(["0"] * (n - 1) + ["x"])
+    return (f"machine Long\nvariables\n  x : 0..2\ninvariant\n  {invariant}\n"
+            f"events\n  event init then x := 0 end\n  event up\n    status ordinary\n"
+            f"    when {total} < 2\n    then x := x + 1 end\nend\n")
+
+
 def test_long_chains_compile(tmp_path):
     """A 320-conjunct invariant and a 320-term sum stay within Python's
-    limit on nested parentheses.  The CLI runs in a fresh process, whose
-    shallow stack the typechecker needs for chains this long."""
-    invariant = " & ".join(["x >= 0"] * 320)
-    total = " + ".join(["0"] * 319 + ["x"])
+    limit on nested parentheses, through the CLI; 400 of each parse,
+    typecheck and explore in-process too, because the parser, the
+    typechecker and the translator all take such a chain in a loop or at
+    one stack frame per operand."""
     path = tmp_path / "long.eb"
-    path.write_text(
-        f"machine Long\nvariables\n  x : 0..2\ninvariant\n  {invariant}\n"
-        f"events\n  event init then x := 0 end\n  event up\n    status ordinary\n"
-        f"    when {total} < 2\n    then x := x + 1 end\nend\n")
+    path.write_text(_long_chains(320))
     proc = subprocess.run([sys.executable, "-m", "ebltl.cli", "explore", str(path), "--json"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     graph = json.loads(proc.stdout)["result"]["graph"]
     assert (len(graph["states"]), len(graph["edges"])) == (3, 2)
+    g = explore(parse_machine(_long_chains(400)))
+    assert (len(g.states), len(g.edges)) == (3, 2)
 
 
 _SCAFFOLD = re.compile(r"(?:[sack]|p\d+)_[A-Za-z_][A-Za-z0-9_]*|[sac]|guarded|init|"
