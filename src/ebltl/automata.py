@@ -28,7 +28,12 @@ The product of a graph with the automaton of the negated formula is built
 once, breadth-first over node ids, reading the graph's successor table
 (`StateGraph.moves`) and recording each node's first edge and depth; both
 counterexample searches read that tree, and the cycles of a lasso come
-from the shared within-component path helper (`search.path_inside`).
+from the shared component helpers (`search.shallowest_component`,
+`search.stitch_cycle`).
+
+`ProjectionProduct` pairs two automata the same way, one reading a word
+and the other its projection onto a set of letters; the beta-dependence
+decision searches it for a word whose truth projection changes.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from .errors import ExplorationLimitError
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
-from .search import path_inside, path_to, tarjan
+from .search import path_inside, path_to, shallowest_component, stitch_cycle
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
 
@@ -334,38 +339,121 @@ class CounterexampleSearch:
     def lasso_counterexample(self) -> Optional[Trace]:
         """Anchored at the shallowest node of an accepting component; on a
         tie in depth, the first component in Tarjan's order wins."""
-        nodes, adj, depth = self.nodes, self.adj, self.depth
-        best = None
-        for scc in tarjan(len(nodes), adj):
-            members = set(scc)
-            # generalized Buchi: every Until is non-delayed somewhere
-            if any(succ in members for n in scc for succ, _ in adj[n]) and all(
-                    any(f not in self.aut.obligations(nodes[n][1]) for n in scc)
-                    for f in self.aut.untils):
-                anchor = min(scc, key=lambda n: (depth[n], n))
-                if best is None or depth[anchor] < depth[best[0]]:
-                    best = (anchor, members)
-        if best is None:
+        nodes, aut = self.nodes, self.aut
+        found = shallowest_component(
+            self.adj, self.depth,
+            lambda scc, members: _fulfils(aut, scc, nodes, 1))
+        if found is None:
             return None
-        anchor, members = best
-        cycle = self._stitch_cycle(anchor, members)
+        anchor, members = found
+        cycle = stitch_cycle(self.adj, members, anchor, _goals(aut, nodes, 1))
         return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
-    def _stitch_cycle(self, anchor: int, members: set[int]) -> list[str]:
-        """Closed walk at `anchor` inside one SCC that hits, for every Until,
-        a node no longer delaying it."""
-        nodes, obligations = self.nodes, self.aut.obligations
-        events: list[str] = []
-        visited = {anchor}
-        cur = anchor
-        for f in self.aut.untils:
-            if any(f not in obligations(nodes[n][1]) for n in visited):
-                continue
-            goal = {n for n in members if f not in obligations(nodes[n][1])}
-            segment, cur = path_inside(self.adj, members, cur, goal, need_step=False)
-            events.extend(segment)
-            visited.add(cur)
-        segment, _ = path_inside(self.adj, members, cur, {anchor}, need_step=not events)
-        events.extend(segment)
-        return events
 
+def _fulfils(aut: TableauAutomaton, scc, nodes, k: int) -> bool:
+    """Generalized Buchi: the automaton states at position k of the
+    component's nodes leave every Until undelayed somewhere."""
+    return all(any(f not in aut.obligations(nodes[n][k]) for n in scc)
+               for f in aut.untils)
+
+
+def _goals(aut: TableauAutomaton, nodes, k: int) -> list:
+    """Per Until, whether a node's automaton state at position k no longer
+    delays it."""
+    return [lambda n, f=f: f not in aut.obligations(nodes[n][k]) for f in aut.untils]
+
+
+# ---------------------------------------------------------------------------
+# projection product
+
+class ProjectionProduct:
+    """Automaton `a` reads a word w while automaton `b` reads the projection
+    of w onto `beta`: a letter outside beta moves `a` alone and leaves `b`'s
+    state as it is.
+
+    Like `CounterexampleSearch`, the product is built once, breadth-first
+    over node ids, over the given letters.  Each witness method returns a
+    word over those letters that `a` accepts and whose projection `b`
+    accepts, or None; the three of them cover the three shapes of w.
+    """
+
+    def __init__(self, a: TableauAutomaton, b: TableauAutomaton, letters,
+                 beta: frozenset):
+        self.a, self.b, self.beta = a, b, beta
+        start = (a.initial, b.initial)
+        ids = {start: 0}
+        self.nodes = nodes = [start]
+        self.adj = adj = [[]]
+        self.parent = parent = {}
+        self.depth = depth = [0]
+        nid = 0
+        while nid < len(nodes):
+            qa, qb = nodes[nid]
+            for letter in letters:
+                moved = b.successors(qb, letter) if letter in beta else (qb,)
+                for qa2 in a.successors(qa, letter):
+                    for qb2 in moved:
+                        tgt = ids.get((qa2, qb2))
+                        if tgt is None:
+                            tgt = ids[(qa2, qb2)] = len(nodes)
+                            nodes.append((qa2, qb2))
+                            adj.append([])
+                            depth.append(depth[nid] + 1)
+                            parent[tgt] = (nid, letter)
+                        adj[nid].append((tgt, letter))
+            nid += 1
+
+    def finite_witness(self) -> Optional[Trace]:
+        """w finite: the closest node where both automata accept the empty
+        rest of their words."""
+        a, b = self.a, self.b
+        for nid, (qa, qb) in enumerate(self.nodes):
+            if a.accepts_empty(qa) and b.accepts_empty(qb):
+                return Trace(FINITE, tuple(path_to(self.parent, nid)))
+        return None
+
+    def lasso_witness(self) -> Optional[Trace]:
+        """w infinite with infinitely many beta letters: a cycle that reads a
+        beta letter and meets the acceptance sets of both automata."""
+        nodes, adj, beta, a, b = self.nodes, self.adj, self.beta, self.a, self.b
+
+        def beta_sources(scc, members):
+            return [n for n in scc
+                    if any(x in beta and t in members for t, x in adj[n])]
+
+        found = shallowest_component(
+            adj, self.depth,
+            lambda scc, members: bool(beta_sources(scc, members))
+            and _fulfils(a, scc, nodes, 0) and _fulfils(b, scc, nodes, 1))
+        if found is None:
+            return None
+        anchor, members = found
+        cycle = stitch_cycle(adj, members, anchor,
+                             _goals(a, nodes, 0) + _goals(b, nodes, 1))
+        if beta.isdisjoint(cycle):
+            # append a second loop at the anchor through a beta edge
+            lead, src = path_inside(adj, members, anchor,
+                                    set(beta_sources(members, members)),
+                                    need_step=False)
+            tgt, letter = next((t, x) for t, x in adj[src]
+                               if x in beta and t in members)
+            back, _ = path_inside(adj, members, tgt, {anchor}, need_step=False)
+            cycle += lead + [letter] + back
+        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
+
+    def stutter_witness(self) -> Optional[Trace]:
+        """w infinite with finitely many beta letters: a cycle of letters
+        outside beta that meets `a`'s acceptance sets while `b`, frozen,
+        accepts the empty rest -- the projection of such a lasso is the
+        finite trace of its projected prefix, as in `project_trace`."""
+        nodes, beta, a, b = self.nodes, self.beta, self.a, self.b
+        stutter = [[(t, x) for t, x in out if x not in beta] for out in self.adj]
+        found = shallowest_component(
+            stutter, self.depth,
+            lambda scc, members: b.accepts_empty(nodes[scc[0]][1])
+            and _fulfils(a, scc, nodes, 0))
+        if found is None:
+            return None
+        anchor, members = found
+        cycle = stitch_cycle(stutter, members, anchor, _goals(a, nodes, 0))
+        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))

@@ -215,17 +215,13 @@ def _cmd_beta(args, rep: _Reporter) -> int:
     from .ltl import alphabet as formula_alphabet
     beta = set(args.beta.split(",")) if args.beta else set(formula_alphabet(phi))
     sigma = set(args.sigma.split(",")) if args.sigma else set(beta)
-    verdict = check_beta_dependent(phi, beta, sigma,
-                                   prefix_bound=args.lasso_prefix,
-                                   cycle_bound=args.lasso_cycle)
+    verdict = check_beta_dependent(phi, beta, sigma)
     rep.say(f"{name}: {verdict.status} ({verdict.method})")
     if verdict.witness is not None:
         rep.say(f"  witness: {verdict.witness.render()}")
     rep.result = {"property": formula_to_text(phi), "beta": sorted(beta),
                   **verdict.to_json_dict()}
-    if verdict.status == "certified":
-        return OK
-    return FAILURE if verdict.status == "refuted" else EXHAUSTED
+    return OK if verdict.certified else FAILURE
 
 
 def _cmd_translate(args, rep: _Reporter) -> int:
@@ -255,10 +251,7 @@ def _cmd_preserve(args, rep: _Reporter) -> int:
     props = _resolve_props(args.prop, Path(args.chain))
     ((name, phi),) = props.items()
     beta = set(args.beta.split(",")) if args.beta else None
-    cert = apply_preservation(chain, args.at, phi, beta, graphs,
-                              prefix_bound=args.lasso_prefix,
-                              cycle_bound=args.lasso_cycle,
-                              accept_unknown_dependence=args.accept_unknown_dependence)
+    cert = apply_preservation(chain, args.at, phi, beta, graphs)
     return _report_certificate(cert, rep)
 
 
@@ -333,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, chain=False, machine=False, prop=False, overrides=False,
-               bound=False, lasso=False, verbose=False):
+               bound=False, verbose=False):
         """--json plus exactly the shared flags the subcommand reads."""
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if verbose:
@@ -342,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         if bound:
             p.add_argument("--bound-states", type=_int_at_least(1), default=100_000,
                            help="state exploration limit")
-        if lasso:
-            p.add_argument("--lasso-prefix", type=_int_at_least(0), default=4, metavar="P")
-            p.add_argument("--lasso-cycle", type=_int_at_least(1), default=4, metavar="Q")
         if overrides:
             p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
                            dest="overrides",
@@ -383,10 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("beta", help="check projection-insensitivity of a property")
-    common(p, prop=True, lasso=True)
+    common(p, prop=True)
     p.add_argument("--beta", default=None, help="comma-separated event set")
     p.add_argument("--sigma", default=None,
-                   help="ambient alphabet for the bounded search")
+                   help="ambient alphabet the traces range over (defaults to "
+                        "beta); only whether it has an event outside beta "
+                        "matters to the verdict")
     p.add_argument("--chain", default=None,
                    help="optional chain manifest used to resolve property names")
     p.set_defaults(func=_cmd_beta)
@@ -403,14 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gf)
 
     p = sub.add_parser("preserve", help="carry a property to the final machine")
-    common(p, chain=True, prop=True, overrides=True, bound=True, lasso=True)
+    common(p, chain=True, prop=True, overrides=True, bound=True)
     p.add_argument("--at", type=int, required=True,
                    help="level the property is established at (0-based)")
     p.add_argument("--beta", default=None, help="comma-separated event set "
                    "(defaults to the property's alphabet)")
-    p.add_argument("--accept-unknown-dependence", action="store_true",
-                   help="treat an unrefuted bounded dependence check as "
-                        "acceptable (recorded in the certificate)")
     p.set_defaults(func=_cmd_preserve)
 
     p = sub.add_parser("theorem1", help="divergence freedom of the final machine")
@@ -418,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_theorem1)
 
     p = sub.add_parser("oracle", help="differential run against the brute-force oracle")
-    common(p, lasso=True)
+    common(p)
+    p.add_argument("--lasso-prefix", type=_int_at_least(0), default=4, metavar="P")
+    p.add_argument("--lasso-cycle", type=_int_at_least(1), default=4, metavar="Q")
     p.add_argument("--corpus", default=None, help="corpus root override")
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="additional random (graph, formula) pairs")

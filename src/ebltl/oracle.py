@@ -19,6 +19,9 @@ is re-run with bounds that cover the counterexample, and the counterexample
 itself is replayed (realizability in the graph plus truth under the
 oracle's own evaluator), so a disagreement always means a genuine bug in
 one of the two sides.
+
+`_bounded_traces` lists every short trace over an alphabet; the tests
+hold the beta-dependence decision against that enumeration.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from pathlib import Path
 from typing import Optional
 
@@ -127,6 +131,26 @@ def oracle_holds_on(u: Trace, phi: Formula) -> bool:
         return row
 
     return tab(phi)[0]
+
+
+# ---------------------------------------------------------------------------
+# trace enumeration
+
+def _bounded_traces(sigma: tuple[str, ...], prefix_bound: int, cycle_bound: int):
+    """All traces over sigma in ascending total length: finite traces of
+    length up to prefix+cycle, and lassos with prefix up to prefix_bound
+    and cycle up to cycle_bound."""
+    total_max = prefix_bound + cycle_bound
+    for total in range(total_max + 1):
+        for events in iproduct(sigma, repeat=total):
+            yield Trace(FINITE, events)
+        for plen in range(0, min(prefix_bound, total) + 1):
+            clen = total - plen
+            if not 1 <= clen <= cycle_bound:
+                continue
+            for prefix in iproduct(sigma, repeat=plen):
+                for cycle in iproduct(sigma, repeat=clen):
+                    yield Trace(LASSO, prefix, cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,16 @@ machine-checked and recorded:
     projection-insensitive (beta-dependent) over events of level i holds,
     translated through the composed renaming, in the final machine.
 
-Beta-dependence has no general decision procedure here; certification is
-layered.  A syntactic schema pass accepts shapes that provably cannot see
-events outside their own alphabet (boolean combinations of GF/FG-of-
-disjunction patterns, recurrence implications, and plain eventualities),
-and a bounded semantic search hunts for refuting traces over an ambient
-alphabet.  A schema certificate is conclusive; an exhausted search is
-reported as `unknown` together with its bounds, never as certified.
+Beta-dependence is decided exactly.  A syntactic schema pass answers
+first for shapes that provably cannot see events outside their own
+alphabet (boolean combinations of GF/FG-of-disjunction patterns,
+recurrence implications, and plain eventualities).  Every other formula
+goes to the decision: a product of the tableau automata of the formula
+and of its negation, one reading a word over the ambient alphabet and
+the other its projection, searched for a word whose truth changes.  The
+decision also checks every schema certificate, and every refuting word
+is replayed on the trace evaluator.  The verdict depends on the ambient
+alphabet only through whether it has an event outside beta.
 
 Every asserted conclusion is cross-validated by directly model checking
 the final machine; a disagreement raises, because it means this module and
@@ -26,9 +29,9 @@ the model checker cannot both be right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Optional
 
+from .automata import ProjectionProduct, TableauAutomaton, to_nnf
 from .errors import EbltlError, RenamingError, ToolkitBug
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
@@ -101,8 +104,8 @@ def map_trace(h: RenamingMap, u: Trace) -> Trace:
 
 @dataclass
 class DependenceVerdict:
-    status: str  # "certified" | "refuted" | "unknown"
-    method: str  # "syntactic-schema" | "bounded-semantic"
+    status: str  # "certified" | "refuted": the question is decided exactly
+    method: str  # "syntactic-schema" | "tableau-product"
     witness: Optional[Trace] = None
     bounds: dict = field(default_factory=dict)
     detail: str = ""
@@ -179,32 +182,59 @@ def _schema_certified(phi: Formula) -> bool:
     return False
 
 
-def _bounded_traces(sigma: tuple[str, ...], prefix_bound: int, cycle_bound: int):
-    """All traces over sigma in ascending total length: finite traces of
-    length up to prefix+cycle, and lassos with prefix up to prefix_bound
-    and cycle up to cycle_bound."""
-    total_max = prefix_bound + cycle_bound
-    for total in range(total_max + 1):
-        for events in iproduct(sigma, repeat=total):
-            yield Trace(FINITE, events)
-        for plen in range(0, min(prefix_bound, total) + 1):
-            clen = total - plen
-            if not 1 <= clen <= cycle_bound:
-                continue
-            for prefix in iproduct(sigma, repeat=plen):
-                for cycle in iproduct(sigma, repeat=clen):
-                    yield Trace(LASSO, prefix, cycle)
+def _letter_classes(phi: Formula, beta: frozenset, sigma) -> tuple[str, ...]:
+    """One letter per class of events the decision must tell apart: each
+    event of the formula, the smallest event of beta outside it and the
+    smallest event of sigma outside beta.  The automata test letters only
+    for equality with the formula's events, so two events of one class
+    lead to the same states."""
+    own = alphabet(phi)
+    letters = set(own)
+    for rest in (beta - own, frozenset(sigma) - beta):
+        if rest:
+            letters.add(min(rest))
+    return tuple(sorted(letters))
+
+
+def _decide(phi: Formula, beta: frozenset, sigma: tuple[str, ...]) -> DependenceVerdict:
+    """Search the projection products of the formula's automaton with its
+    negation's, in both orders, for a word whose truth projection changes;
+    the shortest one found refutes, and none certifies."""
+    letters = _letter_classes(phi, beta, sigma)
+    holds = TableauAutomaton(to_nnf(phi))
+    fails = TableauAutomaton(to_nnf(phi, negate=True))
+    products = [ProjectionProduct(holds, fails, letters, beta),
+                ProjectionProduct(fails, holds, letters, beta)]
+    bounds = {"sigma": list(sigma), "letters": list(letters),
+              "product_nodes": sum(len(p.nodes) for p in products)}
+    found = [w for p in products
+             for w in (p.finite_witness(), p.lasso_witness(), p.stutter_witness())
+             if w is not None]
+    if not found:
+        return DependenceVerdict(
+            status="certified", method="tableau-product", bounds=bounds,
+            detail="no trace changes truth under projection")
+    witness = min(found, key=lambda u: (len(u.prefix) + len(u.cycle), u.is_lasso))
+    if holds_on_trace(witness, phi) == holds_on_trace(project_trace(witness, beta), phi):
+        raise ToolkitBug(
+            f"beta-dependence witness {witness.render()} does not change the "
+            f"truth of {formula_to_text(phi)} under projection")
+    return DependenceVerdict(
+        status="refuted", method="tableau-product", witness=witness,
+        bounds=bounds, detail="truth changes under projection")
 
 
 def check_beta_dependent(phi: Formula, beta, sigma,
                          prefix_bound: int = 4, cycle_bound: int = 4) -> DependenceVerdict:
-    """Is the formula's truth invariant under projecting traces onto beta?
+    """Is the formula's truth invariant under projecting traces over sigma
+    onto beta?
 
     Requires alphabet(phi) to be contained in beta (that is part of the
-    definition, not a refutable condition).  The schema pass certifies
-    conclusively; otherwise all lassos and finite traces over `sigma`
-    within the bounds are compared against their projections.  A mismatch
-    refutes; exhaustion at the bounds stays `unknown`.
+    definition, not a refutable condition).  The schema pass answers first
+    where it applies, and the tableau-product decision everywhere else; a
+    schema certificate the decision refutes raises ToolkitBug.  Both
+    answers are exact.  `prefix_bound` and `cycle_bound` are accepted for
+    callers that still pass them and do not affect the verdict.
     """
     beta = frozenset(beta)
     sigma = tuple(sorted(frozenset(sigma) | beta))
@@ -214,27 +244,18 @@ def check_beta_dependent(phi: Formula, beta, sigma,
             f"beta-dependence needs alphabet(phi) within beta; missing "
             f"{', '.join(sorted(missing))}")
 
-    if _schema_certified(phi):
-        return DependenceVerdict(
-            status="certified", method="syntactic-schema",
-            bounds={"sigma": list(sigma)},
-            detail="projection-insensitive shape (boolean combination of "
-                   "GF/FG/recurrence/eventuality patterns)")
-
-    checked = 0
-    for u in _bounded_traces(sigma, prefix_bound, cycle_bound):
-        checked += 1
-        if holds_on_trace(u, phi) != holds_on_trace(project_trace(u, beta), phi):
-            return DependenceVerdict(
-                status="refuted", method="bounded-semantic", witness=u,
-                bounds={"sigma": list(sigma), "prefix": prefix_bound,
-                        "cycle": cycle_bound, "traces_checked": checked},
-                detail="truth changes under projection")
+    decided = _decide(phi, beta, sigma)
+    if not _schema_certified(phi):
+        return decided
+    if decided.status == "refuted":
+        raise ToolkitBug(
+            f"schema-certified {formula_to_text(phi)} is refuted by "
+            f"{decided.witness.render()}")
     return DependenceVerdict(
-        status="unknown", method="bounded-semantic",
-        bounds={"sigma": list(sigma), "prefix": prefix_bound,
-                "cycle": cycle_bound, "traces_checked": checked},
-        detail="no refutation within the bounds; not a certificate")
+        status="certified", method="syntactic-schema",
+        bounds={"sigma": list(sigma)},
+        detail="projection-insensitive shape (boolean combination of "
+               "GF/FG/recurrence/eventuality patterns)")
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +363,13 @@ def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph]) -> Certific
 
 
 def apply_preservation(chain: RefinementChain, i: int, phi: Formula,
-                       beta, graphs: list[StateGraph],
-                       prefix_bound: int = 4, cycle_bound: int = 4,
-                       accept_unknown_dependence: bool = False) -> Certificate:
+                       beta, graphs: list[StateGraph]) -> Certificate:
     """Carry a property from level i to the final machine.
 
     Hypotheses: the property holds at level i; the obligations of every
     step from i on; the final machine is deadlock free and has no
-    anticipated events left; the property is beta-dependent (certified by
-    schema, or accepted at bounds only when the caller opts in); beta is
+    anticipated events left; the property is beta-dependent over the
+    events of level i and of the final machine; beta is
     within level i's alphabet.  The conclusion translates the property
     through the composed renaming; with identity renamings it is the
     property itself.
@@ -370,18 +389,12 @@ def apply_preservation(chain: RefinementChain, i: int, phi: Formula,
     hyps.extend(_chain_hypotheses(chain, graphs, from_level=i))
 
     sigma = frozenset(machine_i.alphabet()) | frozenset(chain.final.alphabet())
-    dependence = check_beta_dependent(phi, beta, sigma,
-                                      prefix_bound=prefix_bound,
-                                      cycle_bound=cycle_bound)
-    dep_ok = dependence.certified or (
-        dependence.status == "unknown" and accept_unknown_dependence)
+    dependence = check_beta_dependent(phi, beta, sigma)
     dep_detail = f"{dependence.status} by {dependence.method}"
-    if dependence.status == "unknown" and accept_unknown_dependence:
-        dep_detail += " (accepted at bounds by explicit request)"
     if dependence.witness is not None:
         dep_detail += f"; witness {dependence.witness.render()}"
     hyps.append(Hypothesis(f"{formula_to_text(phi)} is beta-dependent",
-                           dep_ok, dep_detail))
+                           dependence.certified, dep_detail))
 
     extra = beta - frozenset(machine_i.alphabet())
     hyps.append(Hypothesis(

@@ -3,7 +3,9 @@ discovery order and record the edge that first reached each node, so the
 loop that builds a graph is its breadth-first search, and every witness
 path reads that tree (`path_to`).  `bfs` builds it for a graph made by
 hand, `path_inside` finds paths within one strongly connected component
-(`tarjan`).  The oracle keeps its own search on purpose."""
+(`tarjan`), `shallowest_component` picks the component a lasso loops in
+and `stitch_cycle` the loop.  The oracle keeps its own search on
+purpose."""
 from __future__ import annotations
 
 from collections import deque
@@ -54,6 +56,42 @@ def path_inside(adj, members, source, goals, need_step: bool):
         [source], lambda n: [(t, lb) for t, lb in adj[n] if t in members],
         goals.__contains__)
     return path_to(parent, node) + [label], goal
+
+
+def stitch_cycle(adj, members, anchor, goals) -> list:
+    """Labels of a closed walk at `anchor` over `adj` within `members` that
+    meets every goal, a predicate on nodes, in order; a goal already met by
+    a node the walk has stopped at is skipped."""
+    labels: list = []
+    visited = {anchor}
+    cur = anchor
+    for goal in goals:
+        if any(goal(n) for n in visited):
+            continue
+        segment, cur = path_inside(adj, members, cur,
+                                   {n for n in members if goal(n)}, need_step=False)
+        labels.extend(segment)
+        visited.add(cur)
+    segment, _ = path_inside(adj, members, cur, {anchor}, need_step=not labels)
+    labels.extend(segment)
+    return labels
+
+
+def shallowest_component(adj, depth, accepting):
+    """`(anchor, members)` for the nontrivial strongly connected component
+    of `adj` (one with an edge inside it) that passes
+    `accepting(scc, members)` and holds the shallowest node by `depth`,
+    which becomes the anchor; on a tie in depth, the first component in
+    Tarjan's order wins.  None when no component passes."""
+    best = None
+    for scc in tarjan(len(adj), adj):
+        members = set(scc)
+        if any(succ in members for n in scc for succ, _ in adj[n]) \
+                and accepting(scc, members):
+            anchor = min(scc, key=lambda n: (depth[n], n))
+            if best is None or depth[anchor] < depth[best[0]]:
+                best = (anchor, members)
+    return best
 
 
 def tarjan(n: int, adj) -> list[list[int]]:

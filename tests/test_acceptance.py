@@ -17,12 +17,12 @@ from ebltl.formulas import parse_formula
 from ebltl.ltl import alphabet, holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine_file
 from ebltl.oracle import (
-    OracleBounds, cross_validate, load_corpus, trace_realizable,
-    random_formula,
+    OracleBounds, _bounded_traces, cross_validate, load_corpus,
+    trace_realizable, random_formula,
 )
 from ebltl.preserve import (
     apply_lemma_gf, apply_preservation, check_beta_dependent,
-    complete_renaming, map_trace, translate_formula, _bounded_traces,
+    complete_renaming, map_trace, translate_formula,
 )
 from ebltl.refine import (
     ChainLink, build_chain, check_chain_pairs, check_refinement_pair,
@@ -301,6 +301,14 @@ def test_criterion_10_deterministic_reports(tmp_path):
          "e09ac0fd06e03bdeecf4691f5d039ffd1cc62a9cc0368fbd06bf9b2c827d82d3"),
         (("po", "--chain", str(mutant["wfd_pay_raises_variant"])), 1,
          "2266294469d5218cd8b541a1a534dfdb1cefb1f714afe82c33943a7daf819b9e"),
+        # beta-dependence: a schema certificate, a refutation and a
+        # certificate from the tableau-product decision
+        (("beta", "--prop", "G F [pay]", "--beta", "pay", "--sigma", "pay,refill"), 0,
+         "58f32e36df03de3e22be0f249f994d0b8e794332d7fee84eb2ef158e6e746547"),
+        (("beta", "--prop", "!G [pay]", "--beta", "pay", "--sigma", "pay,refill"), 1,
+         "b35a39604bf997670abb6363f724ef7edbbab28d5d282aa3e934fa6fed09f1e5"),
+        (("beta", "--prop", "G (F [a] => [b])", "--beta", "a,b", "--sigma", "a,b,z"), 0,
+         "842db042d40a4278040bed52a492355779618f6bf3d4afe6d4ce19ec56e35fbe"),
         # a scaled instance: VM4 and the chain at capacity 3
         (("po", "--chain", str(VM_DIR / "chain.json"), "--set", "capacity=3"), 0,
          "9f2c117301e876fa71517db487e08bb5d2d3e4adf3caf4501eac978776195455"),

@@ -111,6 +111,10 @@ def test_mc_prop_file(tmp_path):
 
 
 def test_beta_exit_codes():
+    from ebltl.formulas import parse_formula
+    from ebltl.ltl import holds_on_trace
+    from ebltl.oracle import _bounded_traces
+    from ebltl.traces import project_trace
     code, _ = run_json("beta", "--prop", "G F [pay]", "--beta", "pay",
                        "--sigma", "pay,refill")
     assert code == 0
@@ -118,9 +122,15 @@ def test_beta_exit_codes():
                             "--sigma", "pay,refill")
     assert code == 1
     assert report["result"]["status"] == "refuted"
-    code, _ = run_json("beta", "--prop", "[pay]", "--beta", "pay",
-                       "--sigma", "pay")
-    assert code == 4  # unknown at bounds
+    # with sigma = beta projection changes no trace: decided, not bounded
+    code, report = run_json("beta", "--prop", "[pay]", "--beta", "pay",
+                            "--sigma", "pay")
+    assert code == 0
+    assert report["result"]["status"] == "certified"
+    assert report["result"]["method"] == "tableau-product"
+    pay = parse_formula("[pay]")
+    for u in _bounded_traces(("pay",), 2, 2):
+        assert holds_on_trace(u, pay) == holds_on_trace(project_trace(u, {"pay"}), pay)
 
 
 def test_translate():
@@ -232,8 +242,8 @@ BAD_FILES = {
     (("mc", str(VM_DIR / "vm1.eb"), "--prop", "phi1", "--verbose"), 3),
     (("explore", str(VM_DIR / "vm4.eb"), "--bound-states", "-1"), 3),
     (("po", "--chain", str(VM_DIR / "chain.json"), "--bound-states", "0"), 3),
-    (("beta", "--prop", "[a]", "--lasso-prefix", "-1"), 3),
-    (("beta", "--prop", "[a]", "--lasso-cycle", "0"), 3),
+    (("oracle", "--lasso-prefix", "-1"), 3),
+    (("oracle", "--lasso-cycle", "0"), 3),
     (("oracle", "--random", "-3"), 3),
     (("parse", "{tmp}/deep.eb"), 3),
     (("mc", str(VM_DIR / "vm4.eb"), "--prop", "(" * 400 + "[pay]" + ")" * 400), 3),

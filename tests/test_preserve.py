@@ -16,9 +16,9 @@ from ebltl.formulas import (
     Atom, Finally, Globally, Not, Or, TRUE, formula_to_text, parse_formula,
 )
 from ebltl.ltl import alphabet, holds_on_trace
-from ebltl.oracle import random_formula
+from ebltl.oracle import _bounded_traces, oracle_holds_on, random_formula
 from ebltl.preserve import (
-    apply_lemma_gf, apply_preservation, check_beta_dependent,
+    _schema_certified, apply_lemma_gf, apply_preservation, check_beta_dependent,
     complete_renaming, map_trace, translate_formula,
 )
 from ebltl.refine import (
@@ -187,13 +187,48 @@ def test_alphabet_outside_beta_is_an_error():
         check_beta_dependent(parse_formula("G F [pay]"), {"refill"}, {"pay"})
 
 
-def test_unknown_reported_at_bounds():
-    # a bare atom is projection-sensitive in general but has no witness over
-    # a singleton ambient alphabet: stays unknown, never upgrades
-    verdict = check_beta_dependent(Atom("a"), {"a"}, {"a"},
-                                   prefix_bound=2, cycle_bound=2)
-    assert verdict.status == "unknown"
-    assert verdict.bounds["traces_checked"] > 0
+def test_atom_decided_with_and_without_an_outside_event():
+    # a bare atom is projection-sensitive once sigma has an event outside
+    # beta; over sigma = beta projection changes no trace, and the
+    # decision says so instead of stopping at bounds
+    phi = Atom("a")
+    verdict = check_beta_dependent(phi, {"a"}, {"a"})
+    assert verdict.certified and verdict.method == "tableau-product"
+    for u in _bounded_traces(("a",), 2, 2):
+        assert holds_on_trace(u, phi) == holds_on_trace(project_trace(u, {"a"}), phi)
+    refuted = check_beta_dependent(phi, {"a"}, {"a", "b"})
+    assert refuted.status == "refuted"
+    w = refuted.witness
+    assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"a"}), phi)
+
+
+def test_decision_agrees_with_schema_and_enumeration():
+    """Differential check on 1200 seeded random formulas over a and b, with
+    beta = {a, b} and sigma with and without the outside event z: every
+    refutation separates its trace from the projection under the oracle's
+    evaluator and never meets a schema certificate, and no certified
+    formula is refuted by the bounded enumeration (2/2)."""
+    rng = random.Random(8)
+    beta = frozenset({"a", "b"})
+    decided = {"certified": 0, "refuted": 0}
+    for k in range(1200):
+        phi = random_formula(rng, rng.choice([["a"], ["a", "b"]]), rng.randint(1, 4))
+        sigma = ("a", "b", "z") if k % 2 else ("a", "b")
+        verdict = check_beta_dependent(phi, beta, sigma)
+        decided[verdict.status] += 1
+        text = formula_to_text(phi)
+        if verdict.status == "refuted":
+            w = verdict.witness
+            assert set(w.prefix + w.cycle) <= set(sigma), text
+            assert oracle_holds_on(w, phi) != \
+                oracle_holds_on(project_trace(w, beta), phi), (text, w)
+            assert not _schema_certified(phi), text
+            continue
+        for u in _bounded_traces(sigma, 2, 2):
+            assert oracle_holds_on(u, phi) == \
+                oracle_holds_on(project_trace(u, beta), phi), (text, sigma, u)
+    # both answers occur often enough for the comparison to mean something
+    assert min(decided.values()) > 300, decided
 
 
 def test_schema_shapes():
@@ -221,15 +256,16 @@ def test_schema_certificates_survive_bounded_scrutiny():
                                        prefix_bound=3, cycle_bound=3)
         assert verdict.certified
         # force the bounded path: it must find no witness either
-        from ebltl.preserve import _bounded_traces
+        from ebltl.oracle import _bounded_traces
         for u in _bounded_traces(tuple(sorted(beta | {"z", "w"})), 2, 2):
             assert holds_on_trace(u, phi) == \
                 holds_on_trace(project_trace(u, beta), phi), (text, u)
 
 
 def test_translated_schema_formula_stays_dependent():
-    """Translating a schema-certified formula yields a formula that the
-    bounded search cannot refute for the preimage event set."""
+    """Translating a schema-certified formula yields a formula that is
+    beta-dependent for the preimage event set, and the bounded enumeration
+    finds no refutation either."""
     rng = random.Random(23)
     shapes = [
         Globally(Finally(Atom("selectItem"))),
@@ -242,10 +278,11 @@ def test_translated_schema_formula_stays_dependent():
         out = translate_formula(phi, SPLIT)
         pre_beta = SPLIT.preimage_set(beta)
         verdict = check_beta_dependent(out, pre_beta,
-                                       set(SPLIT.concrete_alphabet),
-                                       prefix_bound=2, cycle_bound=2)
-        assert verdict.status in ("certified", "unknown")
-        assert verdict.witness is None
+                                       set(SPLIT.concrete_alphabet))
+        assert verdict.certified and verdict.witness is None
+        for u in _bounded_traces(tuple(sorted({*pre_beta, "pay"})), 2, 2):
+            assert holds_on_trace(u, out) == \
+                holds_on_trace(project_trace(u, pre_beta), out), (phi, u)
 
 
 # -- the certified rules ---------------------------------------------------------
@@ -316,21 +353,18 @@ def test_preservation_blocked_when_beta_escapes_level(vm_chain, vm_chain_graphs,
     assert any("beta within alphabet" in h for h in cert.failed_hypotheses())
 
 
-def test_preservation_unknown_dependence_needs_opt_in(vm_chain, vm_chain_graphs):
-    # GF([pay] U [pay]) means GF [pay] but the Until keeps it off the schema,
-    # and tiny bounds keep the search from refuting: status stays unknown
+def test_preservation_decides_dependence_off_the_schema(vm_chain, vm_chain_graphs):
+    # GF([pay] U [pay]) means GF [pay] but the Until keeps it off the
+    # schema: the decision certifies it with no opt-in
     phi = parse_formula("G F ([pay] U [pay])")
-    blocked = apply_preservation(vm_chain, 2, phi, None, vm_chain_graphs,
-                                 prefix_bound=1, cycle_bound=1)
-    assert not blocked.asserted
-    assert any("beta-dependent" in h for h in blocked.failed_hypotheses())
-    accepted = apply_preservation(vm_chain, 2, phi, None, vm_chain_graphs,
-                                  prefix_bound=1, cycle_bound=1,
-                                  accept_unknown_dependence=True)
-    assert accepted.asserted
-    dep = [h for h in accepted.hypotheses if "beta-dependent" in h.name][0]
-    assert "accepted at bounds" in dep.detail
-    assert accepted.bounds["dependence"]["status"] == "unknown"
+    cert = apply_preservation(vm_chain, 2, phi, None, vm_chain_graphs)
+    assert cert.asserted and cert.conclusion == phi
+    dependence = cert.bounds["dependence"]
+    assert dependence["status"] == "certified"
+    assert dependence["method"] == "tableau-product"
+    sigma = tuple(dependence["bounds"]["sigma"])
+    for u in _bounded_traces(sigma, 2, 1):
+        assert holds_on_trace(u, phi) == holds_on_trace(project_trace(u, {"pay"}), phi)
 
 
 def test_negative_control_vm2_pumps_pay(vm_chain, vm_chain_graphs, vm_props):
