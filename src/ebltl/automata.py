@@ -24,16 +24,15 @@ right-hand side.
 The internal negation normal form adds a Release operator and a false
 literal; these never appear in the public Formula AST.
 
-The product of a graph with the automaton of the negated formula is built
-once, breadth-first over node ids, reading the graph's successor table
-(`StateGraph.moves`) and recording each node's first edge and depth; both
-counterexample searches read that tree, and the cycles of a lasso come
-from the shared component helpers (`search.shallowest_component`,
-`search.stitch_cycle`).
-
-`ProjectionProduct` pairs two automata the same way, one reading a word
-and the other its projection onto a set of letters; the beta-dependence
-decision searches it for a word whose truth projection changes.
+One `Product` class pairs a left side with an automaton, breadth-first
+over node ids, recording each node's first edge and depth, and searches
+it for the closest accepting node (a finite trace) and for the
+shallowest accepting component (a lasso, looped by
+`search.stitch_cycle`).  The model checker's `CounterexampleSearch`
+steps a graph's successor table (`StateGraph.moves`) next to the
+automaton of the negated formula; the beta-dependence decision's
+`ProjectionProduct` steps one automaton over a word next to another
+reading its projection onto a set of letters.
 """
 from __future__ import annotations
 
@@ -278,159 +277,155 @@ class TableauAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# product searches
+# products
 
-class CounterexampleSearch:
-    """Search the (graph x automaton-of-negation) product for refutations.
+class Product:
+    """A left side that `step(left)` moves to `(successor, label)` pairs,
+    next to an automaton that answers each label with
+    `successors(right, label)`.  Built once by walking node ids from
+    `starts`: ids are the discovery order, so the walk is breadth-first,
+    and each new node's first edge (`parent`) and `depth` are recorded as
+    it is found.  More than `limit` nodes raise ExplorationLimitError."""
 
-    The product is built once, on construction, by walking node ids, which
-    are the discovery order; each new node's first edge (`parent`) and
-    `depth` are recorded as it is found, so every node is reachable.
-    """
-
-    def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
-        self.graph = graph
-        self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True))
-        ids: dict[tuple[int, int], int] = {}
+    def __init__(self, starts, step, successors, limit: Optional[int] = None):
+        ids: dict[tuple, int] = {}
         self.nodes = nodes = []
         self.adj = adj = []
         self.parent = parent = {}
         self.depth = depth = []
 
-        def intern(node, via=None) -> int:
-            nid = ids.get(node)
-            if nid is None:
-                if len(nodes) >= product_limit:
-                    raise ExplorationLimitError(
-                        f"product size exceeded the limit of {product_limit}")
-                nid = ids[node] = len(nodes)
-                nodes.append(node)
-                adj.append([])
-                depth.append(0 if via is None else depth[via[0]] + 1)
-                if via is not None:
-                    parent[nid] = via
+        def add(node, via) -> int:
+            if limit is not None and len(nodes) >= limit:
+                raise ExplorationLimitError(
+                    f"product size exceeded the limit of {limit}")
+            nid = ids[node] = len(nodes)
+            nodes.append(node)
+            adj.append([])
+            depth.append(depth[via[0]] + 1 if via else 0)
+            if via:
+                parent[nid] = via
             return nid
 
-        for s in graph.initial:
-            intern((s, aut.initial))
+        for node in starts:
+            if node not in ids:
+                add(node, None)
         nid = 0
         while nid < len(nodes):
-            s, q = nodes[nid]
-            for tgt, event in graph.moves[s]:
-                for q2 in aut.successors(q, event):
-                    adj[nid].append((intern((tgt, q2), (nid, event)), event))
+            left, right = nodes[nid]
+            out = adj[nid]
+            for left2, label in step(left):
+                for right2 in successors(right, label):
+                    tgt = ids.get((left2, right2))
+                    if tgt is None:
+                        tgt = add((left2, right2), (nid, label))
+                    out.append((tgt, label))
             nid += 1
 
-    # -- finite maximal traces -------------------------------------------------
-
-    def finite_counterexample(self) -> Optional[Trace]:
-        """The first accepting deadlocked node in id order, which is the
-        closest one; an accepting start node gives the empty trace."""
-        if not self.graph.deadlocks:
-            return None
-        deadlocks = set(self.graph.deadlocks)
-        for nid, (s, q) in enumerate(self.nodes):
-            if s in deadlocks and self.aut.accepts_empty(q):
+    def first(self, accepting) -> Optional[Trace]:
+        """The finite trace to the first node in id order, which is the
+        closest one, whose `(left, right)` pass `accepting`; an accepting
+        start node gives the empty trace."""
+        for nid, (left, right) in enumerate(self.nodes):
+            if accepting(left, right):
                 return Trace(FINITE, tuple(path_to(self.parent, nid)))
         return None
 
-    # -- infinite traces (accepting lassos) -------------------------------------
-
-    def lasso_counterexample(self) -> Optional[Trace]:
-        """Anchored at the shallowest node of an accepting component; on a
-        tie in depth, the first component in Tarjan's order wins."""
-        nodes, aut = self.nodes, self.aut
-        found = shallowest_component(
-            self.adj, self.depth,
-            lambda scc, members: _fulfils(aut, scc, nodes, 1))
+    def lasso(self, accepting, goals, adj=None, close=None) -> Optional[Trace]:
+        """A lasso over `adj` (the product's edges unless given) anchored at
+        the shallowest node of a component that passes
+        `accepting(scc, members)`, whose loop meets every goal
+        (`search.stitch_cycle`); on a tie in depth, the first component in
+        Tarjan's order wins.  `close(anchor, members, cycle)` may lengthen
+        the loop."""
+        adj = self.adj if adj is None else adj
+        found = shallowest_component(adj, self.depth, accepting)
         if found is None:
             return None
         anchor, members = found
-        cycle = stitch_cycle(self.adj, members, anchor, _goals(aut, nodes, 1))
+        cycle = stitch_cycle(adj, members, anchor, goals)
+        if close is not None:
+            cycle = close(anchor, members, cycle)
         return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
+    def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
+        """Generalized Buchi: the automaton states at position k of the
+        component's nodes leave every Until undelayed somewhere."""
+        return all(any(f not in aut.obligations(self.nodes[n][k]) for n in scc)
+                   for f in aut.untils)
 
-def _fulfils(aut: TableauAutomaton, scc, nodes, k: int) -> bool:
-    """Generalized Buchi: the automaton states at position k of the
-    component's nodes leave every Until undelayed somewhere."""
-    return all(any(f not in aut.obligations(nodes[n][k]) for n in scc)
-               for f in aut.untils)
+    def goals(self, aut: TableauAutomaton, k: int) -> list:
+        """Per Until, whether a node's automaton state at position k no
+        longer delays it."""
+        return [lambda n, f=f: f not in aut.obligations(self.nodes[n][k])
+                for f in aut.untils]
 
 
-def _goals(aut: TableauAutomaton, nodes, k: int) -> list:
-    """Per Until, whether a node's automaton state at position k no longer
-    delays it."""
-    return [lambda n, f=f: f not in aut.obligations(nodes[n][k]) for f in aut.untils]
+def shortest(witnesses) -> Optional[Trace]:
+    """The shortest of the witnesses found (None entries are skipped) by
+    total length, a finite one first on a tie; None if none was found."""
+    return min((w for w in witnesses if w is not None),
+               key=lambda w: (len(w.prefix) + len(w.cycle), w.is_lasso),
+               default=None)
 
 
-# ---------------------------------------------------------------------------
-# projection product
+class CounterexampleSearch(Product):
+    """The product of a graph, stepped by its successor table
+    (`StateGraph.moves`), with the automaton of the negated formula: an
+    accepting run is a trace of the graph that refutes the formula."""
 
-class ProjectionProduct:
-    """Automaton `a` reads a word w while automaton `b` reads the projection
-    of w onto `beta`: a letter outside beta moves `a` alone and leaves `b`'s
-    state as it is.
+    def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
+        self.graph = graph
+        self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True))
+        super().__init__([(s, aut.initial) for s in graph.initial],
+                         graph.moves.__getitem__, aut.successors, product_limit)
 
-    Like `CounterexampleSearch`, the product is built once, breadth-first
-    over node ids, over the given letters.  Each witness method returns a
-    word over those letters that `a` accepts and whose projection `b`
-    accepts, or None; the three of them cover the three shapes of w.
-    """
+    def finite_counterexample(self) -> Optional[Trace]:
+        """A finite maximal trace: the closest accepting deadlocked node."""
+        deadlocks, aut = set(self.graph.deadlocks), self.aut
+        if not deadlocks:
+            return None
+        return self.first(lambda s, q: s in deadlocks and aut.accepts_empty(q))
+
+    def lasso_counterexample(self) -> Optional[Trace]:
+        """An infinite trace: an accepting lasso."""
+        aut = self.aut
+        return self.lasso(lambda scc, members: self.fulfils(aut, 1, scc),
+                          self.goals(aut, 1))
+
+
+class ProjectionProduct(Product):
+    """Automaton `a` reads a word w over the given letters while automaton
+    `b` reads the projection of w onto `beta`: a letter outside beta moves
+    `a` alone.  Each witness method returns a word that `a` accepts and
+    whose projection `b` accepts, or None; the three cover the three
+    shapes of w."""
 
     def __init__(self, a: TableauAutomaton, b: TableauAutomaton, letters,
                  beta: frozenset):
         self.a, self.b, self.beta = a, b, beta
-        start = (a.initial, b.initial)
-        ids = {start: 0}
-        self.nodes = nodes = [start]
-        self.adj = adj = [[]]
-        self.parent = parent = {}
-        self.depth = depth = [0]
-        nid = 0
-        while nid < len(nodes):
-            qa, qb = nodes[nid]
-            for letter in letters:
-                moved = b.successors(qb, letter) if letter in beta else (qb,)
-                for qa2 in a.successors(qa, letter):
-                    for qb2 in moved:
-                        tgt = ids.get((qa2, qb2))
-                        if tgt is None:
-                            tgt = ids[(qa2, qb2)] = len(nodes)
-                            nodes.append((qa2, qb2))
-                            adj.append([])
-                            depth.append(depth[nid] + 1)
-                            parent[tgt] = (nid, letter)
-                        adj[nid].append((tgt, letter))
-            nid += 1
+        super().__init__(
+            [(a.initial, b.initial)],
+            lambda qa: [(qa2, x) for x in letters for qa2 in a.successors(qa, x)],
+            lambda qb, x: b.successors(qb, x) if x in beta else (qb,))
 
     def finite_witness(self) -> Optional[Trace]:
         """w finite: the closest node where both automata accept the empty
         rest of their words."""
         a, b = self.a, self.b
-        for nid, (qa, qb) in enumerate(self.nodes):
-            if a.accepts_empty(qa) and b.accepts_empty(qb):
-                return Trace(FINITE, tuple(path_to(self.parent, nid)))
-        return None
+        return self.first(lambda qa, qb: a.accepts_empty(qa) and b.accepts_empty(qb))
 
     def lasso_witness(self) -> Optional[Trace]:
         """w infinite with infinitely many beta letters: a cycle that reads a
         beta letter and meets the acceptance sets of both automata."""
-        nodes, adj, beta, a, b = self.nodes, self.adj, self.beta, self.a, self.b
+        adj, beta, a, b = self.adj, self.beta, self.a, self.b
 
         def beta_sources(scc, members):
             return [n for n in scc
                     if any(x in beta and t in members for t, x in adj[n])]
 
-        found = shallowest_component(
-            adj, self.depth,
-            lambda scc, members: bool(beta_sources(scc, members))
-            and _fulfils(a, scc, nodes, 0) and _fulfils(b, scc, nodes, 1))
-        if found is None:
-            return None
-        anchor, members = found
-        cycle = stitch_cycle(adj, members, anchor,
-                             _goals(a, nodes, 0) + _goals(b, nodes, 1))
-        if beta.isdisjoint(cycle):
+        def close(anchor, members, cycle):
+            if not beta.isdisjoint(cycle):
+                return cycle
             # append a second loop at the anchor through a beta edge
             lead, src = path_inside(adj, members, anchor,
                                     set(beta_sources(members, members)),
@@ -438,8 +433,12 @@ class ProjectionProduct:
             tgt, letter = next((t, x) for t, x in adj[src]
                                if x in beta and t in members)
             back, _ = path_inside(adj, members, tgt, {anchor}, need_step=False)
-            cycle += lead + [letter] + back
-        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
+            return cycle + lead + [letter] + back
+
+        return self.lasso(
+            lambda scc, members: bool(beta_sources(scc, members))
+            and self.fulfils(a, 0, scc) and self.fulfils(b, 1, scc),
+            self.goals(a, 0) + self.goals(b, 1), close=close)
 
     def stutter_witness(self) -> Optional[Trace]:
         """w infinite with finitely many beta letters: a cycle of letters
@@ -448,12 +447,7 @@ class ProjectionProduct:
         finite trace of its projected prefix, as in `project_trace`."""
         nodes, beta, a, b = self.nodes, self.beta, self.a, self.b
         stutter = [[(t, x) for t, x in out if x not in beta] for out in self.adj]
-        found = shallowest_component(
-            stutter, self.depth,
+        return self.lasso(
             lambda scc, members: b.accepts_empty(nodes[scc[0]][1])
-            and _fulfils(a, scc, nodes, 0))
-        if found is None:
-            return None
-        anchor, members = found
-        cycle = stitch_cycle(stutter, members, anchor, _goals(a, nodes, 0))
-        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
+            and self.fulfils(a, 0, scc),
+            self.goals(a, 0), adj=stutter)

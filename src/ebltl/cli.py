@@ -209,12 +209,24 @@ def _cmd_mc(args, rep: _Reporter) -> int:
     return OK if ok else FAILURE
 
 
+def _event_set(text: str | None) -> set[str] | None:
+    """The names of a comma-separated event list (`--beta`, `--sigma`), or
+    None when the flag is absent; an empty or malformed name is a usage
+    error."""
+    if text is None:
+        return None
+    names = text.split(",")
+    if not all(n.isascii() and n.isidentifier() for n in names):
+        raise EbltlError(f"bad event list {text!r}, expected comma-separated event names")
+    return set(names)
+
+
 def _cmd_beta(args, rep: _Reporter) -> int:
     props = _resolve_props(args.prop, Path(args.chain) if args.chain else None)
     ((name, phi),) = props.items()
     from .ltl import alphabet as formula_alphabet
-    beta = set(args.beta.split(",")) if args.beta else set(formula_alphabet(phi))
-    sigma = set(args.sigma.split(",")) if args.sigma else set(beta)
+    beta = _event_set(args.beta) or set(formula_alphabet(phi))
+    sigma = _event_set(args.sigma) or set(beta)
     verdict = check_beta_dependent(phi, beta, sigma)
     rep.say(f"{name}: {verdict.status} ({verdict.method})")
     if verdict.witness is not None:
@@ -246,11 +258,11 @@ def _cmd_gf(args, rep: _Reporter) -> int:
 
 
 def _cmd_preserve(args, rep: _Reporter) -> int:
+    beta = _event_set(args.beta)
     chain = load_chain(args.chain, _overrides(args))
     graphs = explore_chain(chain, _limits(args))
     props = _resolve_props(args.prop, Path(args.chain))
     ((name, phi),) = props.items()
-    beta = set(args.beta.split(",")) if args.beta else None
     cert = apply_preservation(chain, args.at, phi, beta, graphs)
     return _report_certificate(cert, rep)
 

@@ -138,7 +138,8 @@ def model_check(graph: StateGraph, phi: Formula,
     simply never hold; a warning is emitted because they usually indicate a
     typo.  A returned counterexample is a genuine maximal trace of the
     graph and refutes the formula under holds_on_trace; between the finite
-    and the lasso candidate the shorter one is preferred.
+    and the lasso candidate the shorter one is preferred
+    (`automata.shortest`).
     """
     foreign = alphabet(phi) - frozenset(graph.alphabet)
     if foreign:
@@ -147,16 +148,10 @@ def model_check(graph: StateGraph, phi: Formula,
             f"{', '.join(sorted(foreign))}", stacklevel=2)
 
     searcher = automata.CounterexampleSearch(graph, phi, product_limit)
-    finite_cex = searcher.finite_counterexample()
-    lasso_cex = searcher.lasso_counterexample()
-
-    def total_len(t: Trace) -> int:
-        return len(t.prefix) + len(t.cycle)
-
-    candidates = [c for c in (finite_cex, lasso_cex) if c is not None]
-    if not candidates:
+    cex = automata.shortest([searcher.finite_counterexample(),
+                             searcher.lasso_counterexample()])
+    if cex is None:
         return Verdict(holds=True)
-    cex = min(candidates, key=lambda t: (total_len(t), t.is_lasso))
     if holds_on_trace(cex, phi):
         raise ToolkitBug(
             f"model_check produced a counterexample that satisfies the "

@@ -237,6 +237,14 @@ class SymbolTable:
             return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
         raise TypeError(f"unknown type {vtype!r}")
 
+    def domain_size(self, vtype: VarType) -> int:
+        """`len(self.domain(vtype))`, without building a range or subsets."""
+        if isinstance(vtype, IntRangeType):
+            return max(0, int(vtype.hi) - int(vtype.lo) + 1)
+        if isinstance(vtype, SetType):
+            return 1 << len(self.carrier_elems[vtype.carrier])
+        return len(self.domain(vtype))
+
 
 # ---------------------------------------------------------------------------
 # pretty printing back to concrete syntax

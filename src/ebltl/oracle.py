@@ -33,7 +33,7 @@ from itertools import product as iproduct
 from pathlib import Path
 from typing import Optional
 
-from .errors import EnumerationBudgetError, ToolkitBug
+from .errors import EbltlError, EnumerationBudgetError, ToolkitBug
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
     parse_property_file,
@@ -371,13 +371,36 @@ class CorpusEntry:
         return self.graphs[machine_name]
 
 
+def _verdict_well_formed(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("machine"), str)
+            and isinstance(v.get("property"), str) and isinstance(v.get("holds"), bool))
+
+
 def load_entry(directory: Path) -> CorpusEntry:
+    """Read one corpus entry: its `expected.json` names the machine files,
+    the property file and the expected verdicts."""
     spec_path = directory / "expected.json"
-    data = json.loads(spec_path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(spec_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise EbltlError(f"{spec_path} is not valid JSON: {exc}") from None
+    if not (isinstance(data, dict) and isinstance(data.get("machines"), dict)
+            and all(isinstance(p, str) for p in data["machines"].values())
+            and isinstance(data.get("properties"), str)
+            and isinstance(data.get("verdicts"), list)
+            and all(map(_verdict_well_formed, data["verdicts"]))):
+        raise EbltlError(
+            f'{spec_path} needs a "machines" map of file names, a "properties" '
+            f'file name and a "verdicts" list of objects with a "machine", a '
+            f'"property" and a boolean "holds"')
     machines = {}
     for name, rel in sorted(data["machines"].items()):
         machines[name] = parse_machine_file(directory / rel)
     props = parse_property_file((directory / data["properties"]).read_text(encoding="utf-8"))
+    for v in data["verdicts"]:
+        for key, known in (("machine", machines), ("property", props)):
+            if v[key] not in known:
+                raise EbltlError(f"{spec_path}: a verdict names the unknown {key} {v[key]!r}")
     verdicts = [
         ExpectedVerdict(v["machine"], v["property"], v["holds"], v.get("source", "derived"))
         for v in data["verdicts"]

@@ -17,8 +17,10 @@ alphabet (boolean combinations of GF/FG-of-disjunction patterns,
 recurrence implications, and plain eventualities).  Every other formula
 goes to the decision: a product of the tableau automata of the formula
 and of its negation, one reading a word over the ambient alphabet and
-the other its projection, searched for a word whose truth changes.  The
-decision also checks every schema certificate, and every refuting word
+the other its projection, searched for a word whose truth changes.  It
+is the model checker's product (`automata.Product`) with another left
+side, searched the same way, and the shortest word wins by the same rule
+(`automata.shortest`).  The decision also checks every schema certificate, and every refuting word
 is replayed on the trace evaluator.  The verdict depends on the ambient
 alphabet only through whether it has an event outside beta.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .automata import ProjectionProduct, TableauAutomaton, to_nnf
+from .automata import ProjectionProduct, TableauAutomaton, shortest, to_nnf
 from .errors import EbltlError, RenamingError, ToolkitBug
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
@@ -207,14 +209,12 @@ def _decide(phi: Formula, beta: frozenset, sigma: tuple[str, ...]) -> Dependence
                 ProjectionProduct(fails, holds, letters, beta)]
     bounds = {"sigma": list(sigma), "letters": list(letters),
               "product_nodes": sum(len(p.nodes) for p in products)}
-    found = [w for p in products
-             for w in (p.finite_witness(), p.lasso_witness(), p.stutter_witness())
-             if w is not None]
-    if not found:
+    witness = shortest(w for p in products for w in
+                       (p.finite_witness(), p.lasso_witness(), p.stutter_witness()))
+    if witness is None:
         return DependenceVerdict(
             status="certified", method="tableau-product", bounds=bounds,
             detail="no trace changes truth under projection")
-    witness = min(found, key=lambda u: (len(u.prefix) + len(u.cycle), u.is_lasso))
     if holds_on_trace(witness, phi) == holds_on_trace(project_trace(witness, beta), phi):
         raise ToolkitBug(
             f"beta-dependence witness {witness.render()} does not change the "

@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from pathlib import Path
 from typing import Optional
 
-from .errors import ChainError, RenamingError, ToolkitBug
+from .errors import ChainError, ExplorationLimitError, RenamingError, ToolkitBug
 from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
@@ -398,6 +399,14 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     and states are the only view of the concrete events taken here."""
     link_typecheck(abstract, concrete, link.linking)
     abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
+    # the graph's state bound also bounds the abstract universe, checked
+    # before it is enumerated; a bare graph has no bound
+    limit = graph.bounds.get("max_states")
+    candidates = prod(map(abstract.sym.domain_size, abstract.sym.var_types.values()))
+    if limit is not None and candidates > limit:
+        raise ExplorationLimitError(
+            f"abstract universe of {abstract.name} has {candidates} candidate "
+            f"states, over the limit of {limit}")
     abs_universe = _enumerate_universe(abstract)
     renaming = link.renaming.mapping
     glued = compile_gluing(abstract, concrete, link.linking)

@@ -1,7 +1,8 @@
 """Graph search shared by the package.  Graphs and products number nodes in
 discovery order and record the edge that first reached each node, so the
 loop that builds a graph is its breadth-first search, and every witness
-path reads that tree (`path_to`).  `bfs` builds it for a graph made by
+path reads that tree (`path_to`); `automata.Product` is the one such loop
+for products, used by the model checker and the beta-dependence decision.  `bfs` builds it for a graph made by
 hand, `path_inside` finds paths within one strongly connected component
 (`tarjan`), `shallowest_component` picks the component a lasso loops in
 and `stitch_cycle` the loop.  The oracle keeps its own search on

@@ -291,14 +291,14 @@ class StateGraph:
     # every enabled firing as (state, event, params, feasible), in
     # exploration order; not part of the JSON report
     firings: list[tuple] = field(default_factory=list)
-    _out: list[list[int]] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._out is None:
-            out: list[list[int]] = [[] for _ in self.states]
-            for i, e in enumerate(self.edges):
-                out[e.src].append(i)
-            self._out = out
+    @cached_property
+    def _out(self) -> list[list[int]]:
+        """Per state, the indices of its outgoing edges in edge order."""
+        out: list[list[int]] = [[] for _ in self.states]
+        for i, e in enumerate(self.edges):
+            out[e.src].append(i)
+        return out
 
     def out_edges(self, state: int) -> list[Edge]:
         return [self.edges[i] for i in self._out[state]]
@@ -310,15 +310,12 @@ class StateGraph:
         return [list(dict.fromkeys((self.edges[i].tgt, self.edges[i].event) for i in out))
                 for out in self._out]
 
-    def successors(self, state: int) -> list[tuple[int, str]]:
-        return self.moves[state]
-
     @cached_property
     def parents(self) -> dict[int, tuple[int, str]]:
         """The breadth-first tree from the initial states: each state first
         reached by an edge maps to that edge's (source, event).  `explore`
         sets the tree it built; a bare graph searches once, on first use."""
-        return bfs(self.initial, self.successors)[0]
+        return bfs(self.initial, self.moves.__getitem__)[0]
 
     def state_json(self, i: int) -> dict:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}

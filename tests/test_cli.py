@@ -249,6 +249,11 @@ BAD_FILES = {
     (("mc", str(VM_DIR / "vm4.eb"), "--prop", "(" * 400 + "[pay]" + ")" * 400), 3),
     (("beta", "--prop", "F " * 2000 + "[a]"), 3),
     (("explore", "{tmp}/implies.eb"), 3),
+    (("beta", "--prop", "[a]", "--sigma", ","), 3),
+    (("beta", "--prop", "[a]", "--beta", "a,,b"), 3),
+    (("beta", "--prop", "[a]", "--beta", "a,b-c"), 3),
+    (("preserve", "--chain", str(VM_DIR / "chain.json"), "--at", "1",
+      "--prop", "phi2", "--beta", "selectBiscuit,selectChoc,dispenseChoc,"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -258,7 +263,9 @@ BAD_FILES = {
         "gf-lasso-prefix", "oracle-set", "mc-verbose", "bound-states-negative",
         "bound-states-zero", "lasso-prefix-negative", "lasso-cycle-zero",
         "random-negative", "deep-invariant", "deep-prop", "deep-beta",
-        "deep-compile", "help", "subcommand-help", "version"])
+        "deep-compile", "beta-sigma-empty-names", "beta-empty-name",
+        "beta-malformed-name", "preserve-beta-empty-name", "help",
+        "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never
     with a traceback; so do a flag the subcommand does not read, a
@@ -268,3 +275,49 @@ def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     got, out, err = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert got == code
     assert "Traceback" not in out + err
+
+
+LIFT_EXPECTED = json.loads((LIFT_DIR / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("expected", [
+    '{"machines": ',
+    json.dumps({k: v for k, v in LIFT_EXPECTED.items() if k != "properties"}),
+    "[]",
+    json.dumps({**LIFT_EXPECTED, "verdicts": [
+        {"machine": "Elevator", "property": "top_then_ground", "holds": True}]}),
+    json.dumps({**LIFT_EXPECTED, "verdicts": [
+        {"machine": "Lift", "property": "no_such_property", "holds": True}]}),
+], ids=["bad-json", "no-properties", "top-level-list", "unknown-machine",
+        "unknown-property"])
+def test_oracle_rejects_malformed_corpus_entry(tmp_path, expected):
+    """A malformed expected.json in an `oracle --corpus` directory is a
+    usage error, not a traceback."""
+    entry = tmp_path / "lift"
+    entry.mkdir()
+    for name in ("lift.eb", "lift_prime.eb", "props.ltl"):
+        (entry / name).write_text((LIFT_DIR / name).read_text())
+    (entry / "expected.json").write_text(expected)
+    code, out, err = run_cli("oracle", "--corpus", str(tmp_path))
+    assert code == 3, out + err
+    assert "Traceback" not in out + err
+
+
+def test_po_bound_states_covers_the_abstract_universe(tmp_path):
+    """`--bound-states` also bounds the abstract universe the obligations
+    enumerate: 201 x 201 candidate abstract states exceed a bound of 10
+    although the concrete graph has only three states."""
+    machine = ("machine {name}{refines}\nvariables\n  x : 0..200\n  y : 0..200\n"
+               "events\n  event init then x := 0 || y := 0 end\n"
+               "  event step{step} status ordinary when x < 2 then x := x + 1 end\nend\n")
+    (tmp_path / "wide.eb").write_text(machine.format(name="Wide", refines="", step=""))
+    (tmp_path / "narrow.eb").write_text(machine.format(
+        name="Narrow", refines=" refines Wide", step=" refines step"))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"name": "wide", "machines": ["wide.eb", "narrow.eb"]}))
+    code, report = run_json("po", "--chain", str(chain), "--bound-states", "10")
+    assert code == 4
+    assert report["result"]["kind"] == "bound"
+    assert "40401 candidate states" in report["result"]["error"]
+    code, _ = run_json("po", "--chain", str(chain))
+    assert code == 0

@@ -168,7 +168,7 @@ def test_check_invariant_catches_forged_state(vm_graphs):
         machine=g.machine, var_names=g.var_names,
         states=list(g.states) + [(-1, frozenset(), False)],
         initial=g.initial, edges=list(g.edges), deadlocks=g.deadlocks,
-        alphabet=g.alphabet, _out=None)
+        alphabet=g.alphabet)
     verdict = check_invariant(forged)
     assert not verdict.holds
     assert verdict.witness_state == len(g.states)
