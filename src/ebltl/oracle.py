@@ -6,11 +6,17 @@ with deliberately different algorithms:
 
   * `oracle_holds_on` fills truth tables bottom-up over subformulas, with a
     fixpoint for Until on the cycle positions.  It shares no code with
-    `ltl.holds_on_trace`, which recurses over suffix traces.
+    `ltl.holds_on_trace`, which recurses over suffix traces.  The formula
+    is first compiled (`_truth_program`) into its distinct subformulas in
+    post-order, each naming its operands by index, and the tables are
+    then filled by index (`_fill_truth_rows`).
   * `oracle_model_check` enumerates candidate executions of the graph
     directly -- deadlock-terminated walks and prefix+cycle lassos within
     length bounds -- and refutes on the first failing one.  No automaton is
-    built anywhere in this module.
+    built anywhere in this module.  Each check compiles its formula once,
+    and lists each state's closed walks once (`_closed_walks`), replaying
+    that list, step charges included, for every prefix that reaches the
+    state.
 
 `cross_validate` runs both checkers over the corpus expectation table and
 over seeded random (graph, formula) pairs.  When the main checker refutes
@@ -49,40 +55,72 @@ from .traces import FINITE, LASSO, Trace
 
 def oracle_holds_on(u: Trace, phi: Formula) -> bool:
     """Positionwise evaluation over the distinct suffixes of the trace."""
+    return _fill_truth_rows(_truth_program(phi), u)
+
+
+def _truth_program(phi: Formula) -> list[tuple]:
+    """phi's distinct subformulas in post-order, each as (kind, left, right).
+
+    `kind` is the formula class; `left` and `right` index the operands'
+    entries (`left` holds an Atom's event, and an absent operand is None).
+    Equal subformulas have equal entries, which are listed once; phi's own
+    entry comes last.
+    """
+    program: list[tuple] = []
+    index: dict[tuple, int] = {}
+
+    def visit(f: Formula) -> int:
+        kind = type(f)
+        if kind is TrueFormula:
+            entry = (kind, None, None)
+        elif kind is Atom:
+            entry = (kind, f.event, None)
+        elif kind in (Not, Finally, Globally):
+            entry = (kind, visit(f.operand), None)
+        elif kind in (Or, And, Until):
+            entry = (kind, visit(f.left), visit(f.right))
+        else:
+            raise TypeError(f)
+        got = index.get(entry)
+        if got is None:
+            got = index[entry] = len(program)
+            program.append(entry)
+        return got
+
+    visit(phi)
+    return program
+
+
+def _fill_truth_rows(program: list[tuple], u: Trace) -> bool:
+    """Fill one truth row per program entry, bottom-up over the positions
+    of u, with a fixpoint for the temporal operators on a lasso's cycle;
+    the answer is phi's row at position 0."""
     if u.is_lasso:
-        p, q = len(u.prefix), len(u.cycle)
-        n = p + q
-        events = list(u.prefix + u.cycle)
-        succ = [i + 1 for i in range(n)]
+        p = len(u.prefix)
+        n = p + len(u.cycle)
+        events = [*u.prefix, *u.cycle]
+        succ = list(range(1, n + 1))
         succ[n - 1] = p
         finite = False
     else:
         n = len(u.prefix) + 1  # last position is the empty suffix
-        events = list(u.prefix) + [None]
-        succ = [i + 1 for i in range(n)]  # succ of the last position unused
+        events = [*u.prefix, None]
         finite = True
 
-    memo: dict[Formula, list[bool]] = {}
-
-    def tab(f: Formula) -> list[bool]:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, TrueFormula):
+    rows: list[list[bool]] = []
+    for kind, left, right in program:
+        if kind is TrueFormula:
             row = [True] * n
-        elif isinstance(f, Atom):
-            row = [events[i] == f.event for i in range(n)]
-        elif isinstance(f, Not):
-            row = [not v for v in tab(f.operand)]
-        elif isinstance(f, Or):
-            l, r = tab(f.left), tab(f.right)
-            row = [l[i] or r[i] for i in range(n)]
-        elif isinstance(f, And):
-            l, r = tab(f.left), tab(f.right)
-            row = [l[i] and r[i] for i in range(n)]
-        elif isinstance(f, Finally):
-            a = tab(f.operand)
-            row = list(a)
+        elif kind is Atom:
+            row = [e == left for e in events]
+        elif kind is Not:
+            row = [not v for v in rows[left]]
+        elif kind is Or:
+            row = [x or y for x, y in zip(rows[left], rows[right])]
+        elif kind is And:
+            row = [x and y for x, y in zip(rows[left], rows[right])]
+        elif kind is Finally:
+            row = list(rows[left])
             if finite:
                 for i in range(n - 2, -1, -1):
                     row[i] = row[i] or row[i + 1]
@@ -95,9 +133,8 @@ def oracle_holds_on(u: Trace, phi: Formula) -> bool:
                         if v != row[i]:
                             row[i] = v
                             changed = True
-        elif isinstance(f, Globally):
-            a = tab(f.operand)
-            row = list(a)
+        elif kind is Globally:
+            row = list(rows[left])
             if finite:
                 for i in range(n - 2, -1, -1):
                     row[i] = row[i] and row[i + 1]
@@ -110,9 +147,9 @@ def oracle_holds_on(u: Trace, phi: Formula) -> bool:
                         if v != row[i]:
                             row[i] = v
                             changed = True
-        elif isinstance(f, Until):
-            a, b = tab(f.left), tab(f.right)
-            row = list(b)
+        else:  # Until
+            a = rows[left]
+            row = list(rows[right])
             if finite:
                 for i in range(n - 2, -1, -1):
                     row[i] = row[i] or (a[i] and row[i + 1])
@@ -125,12 +162,8 @@ def oracle_holds_on(u: Trace, phi: Formula) -> bool:
                         if v != row[i]:
                             row[i] = v
                             changed = True
-        else:
-            raise TypeError(f)
-        memo[f] = row
-        return row
-
-    return tab(phi)[0]
+        rows.append(row)
+    return rows[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +195,11 @@ class OracleBounds:
     cycle: int = 3
     finite: int = 6
     budget: int = 2_000_000  # enumeration step allowance
+
+    def __post_init__(self):
+        if min(self.prefix, self.finite) < 0 or min(self.cycle, self.budget) < 1:
+            raise ValueError(f"{self} needs prefix and finite of at least 0 "
+                             f"and cycle and budget of at least 1")
 
 
 @dataclass
@@ -200,8 +238,10 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
     the step allowance runs out, in which case no verdict is claimed.
     """
     bounds = bounds or OracleBounds()
+    program = _truth_program(phi)
     moves = _sorted_moves(graph)
     deadlocks = set(graph.deadlocks)
+    walks: dict[int, list[tuple[int, Optional[tuple[str, ...]]]]] = {}
     steps = 0
     checked = 0
     seen_traces: set[tuple] = set()
@@ -213,15 +253,17 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
             raise EnumerationBudgetError(
                 f"oracle enumeration exceeded {bounds.budget} steps")
 
-    def consider(trace: Trace) -> Optional[OracleVerdict]:
+    def consider(kind: str, prefix: tuple[str, ...],
+                 cycle: tuple[str, ...]) -> Optional[OracleVerdict]:
         nonlocal checked
-        key = (trace.kind, trace.prefix, trace.cycle)
+        key = (kind, prefix, cycle)
         if key in seen_traces:
             return None
         seen_traces.add(key)
         checked += 1
         spend(4)
-        if not oracle_holds_on(trace, phi):
+        trace = Trace(kind, prefix, cycle)
+        if not _fill_truth_rows(program, trace):
             return OracleVerdict(False, trace, bounds=bounds, traces_checked=checked)
         return None
 
@@ -233,13 +275,20 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
         for state, events in frontier:
             spend()
             if state in deadlocks and depth <= bounds.finite:
-                verdict = consider(Trace(FINITE, events))
+                verdict = consider(FINITE, events, ())
                 if verdict:
                     return verdict
             if depth <= bounds.prefix:
-                verdict = _cycles_from(state, events, moves, bounds, consider, spend)
-                if verdict:
-                    return verdict
+                if state not in walks:
+                    walks[state] = _closed_walks(state, moves, bounds.cycle,
+                                                 bounds.budget - steps)
+                for pops, cycle in walks[state]:
+                    spend(pops)
+                    if cycle is None:
+                        break
+                    verdict = consider(LASSO, events, cycle)
+                    if verdict:
+                        return verdict
             if depth < horizon:
                 for event, tgt in moves[state]:
                     next_frontier.setdefault((tgt, events + (event,)))
@@ -248,22 +297,33 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
     return OracleVerdict(True, bounds=bounds, traces_checked=checked)
 
 
-def _cycles_from(origin: int, prefix: tuple[str, ...], moves, bounds: OracleBounds,
-                 consider, spend) -> Optional[OracleVerdict]:
-    """DFS over closed walks at `origin` up to the cycle bound."""
+def _closed_walks(origin: int, moves, cycle_bound: int,
+                  limit: int) -> list[tuple[int, Optional[tuple[str, ...]]]]:
+    """The closed walks at `origin` up to the cycle bound, in DFS order.
+
+    Each walk comes paired with the number of DFS stack pops since the
+    previous one, and a final `(pops, None)` counts the pops after the
+    last walk, so charging `spend(pops)` before each walk charges the
+    budget exactly as walking the DFS itself would.  The DFS stops after
+    `limit + 1` pops, which a replay with at most `limit` steps left cannot
+    get past.
+    """
+    found: list[tuple[int, Optional[tuple[str, ...]]]] = []
+    pops = total = 0
     stack: list[tuple[int, tuple[str, ...]]] = [(origin, ())]
-    while stack:
+    while stack and total <= limit:
         state, events = stack.pop()
-        spend()
+        pops += 1
+        total += 1
         for event, tgt in reversed(moves[state]):
             cycle = events + (event,)
             if tgt == origin:
-                verdict = consider(Trace(LASSO, prefix, cycle))
-                if verdict:
-                    return verdict
-            if len(cycle) < bounds.cycle:
+                found.append((pops, cycle))
+                pops = 0
+            if len(cycle) < cycle_bound:
                 stack.append((tgt, cycle))
-    return None
+    found.append((pops, None))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +352,7 @@ def trace_realizable(graph: StateGraph, trace: Trace) -> bool:
         if not cur:
             return False
     if not trace.is_lasso:
-        return any(s in set(graph.deadlocks) for s in cur)
+        return not cur.isdisjoint(graph.deadlocks)
 
     def cycle_step(s: int) -> set[int]:
         states = {s}

@@ -1,7 +1,9 @@
-"""Smoke run of the benchmark: one chain-vm pass with no timed budget.
+"""Smoke runs of the benchmark: one chain-vm pass and one enumerate pass,
+each with no timed budget.
 
-It checks that `bench/run.py` still runs end to end on this checkout and
-that every op's output passes the benchmark's own checks; it asserts no
+They check that `bench/run.py` still runs end to end on this checkout and
+that every op's output passes the benchmark's own checks (for enumerate,
+the `oracle` ops against the corpus expectation tables); they assert no
 timing.  The run record goes to a temporary file, so nothing is written
 under `bench/`.
 """
@@ -16,10 +18,10 @@ from pathlib import Path
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def test_chain_vm_smoke_run(tmp_path):
+def _smoke_run(tmp_path, workload: str):
     out = tmp_path / "runs.jsonl"
     run = subprocess.run(
-        [sys.executable, str(BENCH_RUN), "--workload", "chain-vm", "--seed", "1",
+        [sys.executable, str(BENCH_RUN), "--workload", workload, "--seed", "1",
          "--seconds", "0", "--out", str(out)],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
@@ -28,3 +30,11 @@ def test_chain_vm_smoke_run(tmp_path):
     assert result["correct"] and result["failed"] == 0, run.stdout[-2000:]
     assert result["attempted"] > 0
     assert out.is_file()
+
+
+def test_chain_vm_smoke_run(tmp_path):
+    _smoke_run(tmp_path, "chain-vm")
+
+
+def test_enumerate_smoke_run(tmp_path):
+    _smoke_run(tmp_path, "enumerate")

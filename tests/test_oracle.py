@@ -1,18 +1,20 @@
 """The brute-force oracle and the differential harness."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import shutil
 
 import pytest
 
 from ebltl.errors import EnumerationBudgetError
-from ebltl.formulas import Atom, Globally, TRUE, parse_formula
-from ebltl.ltl import model_check
+from ebltl.formulas import And, Atom, Formula, Globally, TRUE, parse_formula
+from ebltl.ltl import holds_on_trace, model_check
 from ebltl.oracle import (
-    OracleBounds, corpus_root, cross_validate, load_corpus, load_entry,
-    oracle_holds_on, oracle_model_check, random_formula, random_graph,
-    trace_realizable,
+    OracleBounds, _bounded_traces, _truth_program, corpus_root, cross_validate,
+    load_corpus, load_entry, oracle_holds_on, oracle_model_check,
+    random_formula, random_graph, trace_realizable,
 )
 from ebltl.semantics import explore, make_graph
 from ebltl.traces import finite_trace, lasso
@@ -53,6 +55,89 @@ def test_oracle_budget_withholds_verdict(vm_graphs, vm_props):
     with pytest.raises(EnumerationBudgetError):
         oracle_model_check(vm_graphs["VM4"], vm_props["phi1"],
                            OracleBounds(prefix=6, cycle=6, budget=500))
+
+
+def test_oracle_budget_bounds_the_closed_walk_search():
+    """Three self-loops and a cycle bound of 30 make 3^30 closed walks:
+    the step budget, not the bound, ends the enumeration."""
+    g = make_graph(1, [0], [(0, e, 0) for e in "abc"], ["a", "b", "c"])
+    with pytest.raises(EnumerationBudgetError):
+        oracle_model_check(g, TRUE,
+                           OracleBounds(prefix=2, cycle=30, budget=50_000))
+
+
+def test_oracle_verdicts_are_pinned():
+    """400 seeded (graph, formula, bounds) draws, budgets from 50 steps to
+    the default: the sha256 of every verdict report, or of the budget
+    error's message, pins the traces enumerated, their order, the
+    counterexamples, `traces_checked` and the exact step at which the
+    budget runs out."""
+    rng = random.Random(20261018)
+    alphabet = ["a", "b", "c"]
+    reports = hashlib.sha256()
+    outcomes = {"holds": 0, "refuted": 0, "budget": 0}
+    for _ in range(400):
+        graph = random_graph(rng, rng.randint(2, 12), alphabet)
+        phi = random_formula(rng, alphabet, rng.randint(1, 5))
+        bounds = OracleBounds(prefix=rng.randint(0, 5), cycle=rng.randint(1, 5),
+                              finite=rng.randint(0, 7),
+                              budget=rng.choice([50, 300, 2_000, 20_000, 2_000_000]))
+        try:
+            verdict = oracle_model_check(graph, phi, bounds)
+        except EnumerationBudgetError as exc:
+            outcomes["budget"] += 1
+            reports.update(f"budget {exc}\n".encode())
+            continue
+        outcomes["holds" if verdict.holds else "refuted"] += 1
+        reports.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert outcomes == {"holds": 152, "refuted": 229, "budget": 19}
+    assert reports.hexdigest() == \
+        "a319e01e32468449e02db7890fb9f304d6daa94dad9146df7441f5580ba98c6a"
+
+
+def test_oracle_evaluator_shares_repeated_subformulas():
+    """A repeated subterm is compiled once, and formulas that repeat one
+    evaluate as the recursive evaluator does on every short trace over a
+    and b."""
+    texts = ["F [a] & G F [a]", "([a] U [b]) | !([a] U [b])",
+             "G([a] U [b]) & F([a] U [b])", "!F [a] U F [a]"]
+    phis = [parse_formula(t) for t in texts]
+    # [a], F [a], G F [a], the conjunction
+    assert len(_truth_program(phis[0])) == 4
+    rng = random.Random(3)
+    for _ in range(20):
+        f = random_formula(rng, ["a", "b"], rng.randint(1, 3))
+        program = _truth_program(f)
+        root = len(program) - 1
+        assert _truth_program(And(f, f)) == program + [(And, root, root)]
+        phis.append(And(f, f))
+    for phi in phis:
+        for u in _bounded_traces(("a", "b"), 2, 2):
+            assert oracle_holds_on(u, phi) == holds_on_trace(u, phi), (phi, u)
+
+
+def test_oracle_evaluator_rejects_unknown_formula_kinds():
+    class Mystery(Formula):
+        pass
+
+    with pytest.raises(TypeError):
+        oracle_holds_on(lasso((), ("a",)), Mystery())
+    with pytest.raises(TypeError):
+        oracle_holds_on(finite_trace("a"), And(Atom("a"), Mystery()))
+
+
+def test_oracle_bounds_reject_out_of_range_values():
+    for kwargs in ({"prefix": -1}, {"finite": -2}, {"cycle": 0}, {"cycle": -3},
+                   {"prefix": 0, "cycle": 0, "finite": 0},
+                   {"budget": 0}, {"budget": -5},
+                   {"prefix": -1, "cycle": -3, "finite": -2, "budget": -5}):
+        with pytest.raises(ValueError):
+            OracleBounds(**kwargs)
+    # the smallest bounds still enumerate the one-letter cycles
+    g = make_graph(1, [0], [(0, "a", 0)], ["a"])
+    verdict = oracle_model_check(g, parse_formula("!G [a]"),
+                                 OracleBounds(prefix=0, cycle=1, finite=0, budget=1_000))
+    assert not verdict.holds and verdict.counterexample == lasso((), ("a",))
 
 
 def test_trace_realizable_positive_and_negative(vm_graphs):
