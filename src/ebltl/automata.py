@@ -349,8 +349,13 @@ class Product:
 
     def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
         """Generalized Buchi: the automaton states at position k of the
-        component's nodes leave every Until undelayed somewhere."""
-        return all(any(f not in aut.obligations(self.nodes[n][k]) for n in scc)
+        component's nodes leave every Until undelayed somewhere.  Each
+        distinct automaton state is judged once, not each node."""
+        if not aut.untils:
+            return True
+        nodes = self.nodes
+        states = {nodes[n][k] for n in scc}
+        return all(any(f not in aut.obligations(q) for q in states)
                    for f in aut.untils)
 
     def goals(self, aut: TableauAutomaton, k: int) -> list:

@@ -4,19 +4,25 @@ Everything here exists to catch drift in the main checker, not to serve
 users.  The two entry points reimplement satisfaction and model checking
 with deliberately different algorithms:
 
-  * `oracle_holds_on` fills truth tables bottom-up over subformulas, with a
-    fixpoint for Until on the cycle positions.  It shares no code with
+  * `oracle_holds_on` labels every position of a trace with a column: the
+    truth value of each subformula there.  It shares no code with
     `ltl.holds_on_trace`, which recurses over suffix traces.  The formula
     is first compiled (`_truth_program`) into its distinct subformulas in
-    post-order, each naming its operands by index, and the tables are
-    then filled by index (`_fill_truth_rows`).
+    post-order, each naming its operands by index.  `_fill_truth_rows`
+    then settles a lasso's cycle on its own, with a fixpoint for Until,
+    and sweeps the prefix backwards in one pass, so a lasso with prefix u
+    and cycle v takes time linear in |u| + |v| per subformula (Markey &
+    Schnoebelen, "Model checking a path", CONCUR 2003).  A finite trace
+    is one backward sweep from its empty suffix.
   * `oracle_model_check` enumerates candidate executions of the graph
     directly -- deadlock-terminated walks and prefix+cycle lassos within
     length bounds -- and refutes on the first failing one.  No automaton is
-    built anywhere in this module.  Each check compiles its formula once,
-    and lists each state's closed walks once (`_closed_walks`), replaying
-    that list, step charges included, for every prefix that reaches the
-    state.
+    built anywhere in this module.  Each check compiles its formula once
+    and memoises each cycle word's column and each (event, column) step,
+    so a trace whose cycle and prefix steps were met before costs one
+    lookup per prefix event; a `Trace` is built only for a counterexample.
+    The closed walks at each state are listed once (`_closed_walks`) and
+    replayed, step charges included, for every prefix that reaches it.
 
 `cross_validate` runs both checkers over the corpus expectation table and
 over seeded random (graph, formula) pairs.  When the main checker refutes
@@ -24,7 +30,9 @@ with a counterexample longer than the oracle's default horizon, the oracle
 is re-run with bounds that cover the counterexample, and the counterexample
 itself is replayed (realizability in the graph plus truth under the
 oracle's own evaluator), so a disagreement always means a genuine bug in
-one of the two sides.
+one of the two sides.  Each graph's sorted move table and walk lists
+(`_GraphTables`) are built once per `cross_validate` call and shared by
+every comparison on that graph; nothing is kept between calls.
 
 `_bounded_traces` lists every short trace over an alphabet; the tests
 hold the beta-dependence decision against that enumeration.
@@ -36,6 +44,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from operator import and_, not_, or_
 from pathlib import Path
 from typing import Optional
 
@@ -50,12 +59,15 @@ from .semantics import StateGraph, explore, make_graph, require_feasible
 from .traces import FINITE, LASSO, Trace
 
 # ---------------------------------------------------------------------------
-# satisfaction, table-filling style
+# satisfaction, column by column
 
 
 def oracle_holds_on(u: Trace, phi: Formula) -> bool:
     """Positionwise evaluation over the distinct suffixes of the trace."""
-    return _fill_truth_rows(_truth_program(phi), u)
+    program = _truth_program(phi)
+    if u.is_lasso:
+        return _fill_truth_rows(program, u.prefix, u.cycle)[-1][0]
+    return _fill_truth_rows(program, (*u.prefix, None))[-1][0]
 
 
 def _truth_program(phi: Formula) -> list[tuple]:
@@ -91,22 +103,25 @@ def _truth_program(phi: Formula) -> list[tuple]:
     return program
 
 
-def _fill_truth_rows(program: list[tuple], u: Trace) -> bool:
-    """Fill one truth row per program entry, bottom-up over the positions
-    of u, with a fixpoint for the temporal operators on a lasso's cycle;
-    the answer is phi's row at position 0."""
-    if u.is_lasso:
-        p = len(u.prefix)
-        n = p + len(u.cycle)
-        events = [*u.prefix, *u.cycle]
-        succ = list(range(1, n + 1))
-        succ[n - 1] = p
-        finite = False
-    else:
-        n = len(u.prefix) + 1  # last position is the empty suffix
-        events = [*u.prefix, None]
-        finite = True
+def _fill_truth_rows(program: list[tuple], prefix: tuple, cycle: tuple = (),
+                     after: Optional[tuple] = None) -> list[list[bool]]:
+    """One truth row per program entry over the positions of `prefix` and
+    then `cycle`, filled bottom-up; their first entries are the column
+    (each entry's truth value) at the first position.
 
+    A nonempty cycle repeats forever and is settled first, on its own:
+    every cycle position reaches every other, so F and G take their
+    operand's any and all there, and Until is a fixpoint over the cycle.
+    Then each temporal row is swept backwards over the prefix in one pass,
+    from the cycle's first position, or else from `after`, the column
+    after the prefix; with one prefix event that is a single step.  With
+    neither, the prefix is a finite trace ending in its empty suffix, which
+    reads the event None and is followed by nothing: past it, every G holds
+    and every F and U fails.
+    """
+    p = len(prefix)
+    n = p + len(cycle)
+    events = prefix + cycle
     rows: list[list[bool]] = []
     for kind, left, right in program:
         if kind is TrueFormula:
@@ -114,56 +129,43 @@ def _fill_truth_rows(program: list[tuple], u: Trace) -> bool:
         elif kind is Atom:
             row = [e == left for e in events]
         elif kind is Not:
-            row = [not v for v in rows[left]]
+            row = list(map(not_, rows[left]))
         elif kind is Or:
-            row = [x or y for x, y in zip(rows[left], rows[right])]
+            row = list(map(or_, rows[left], rows[right]))
         elif kind is And:
-            row = [x and y for x, y in zip(rows[left], rows[right])]
-        elif kind is Finally:
-            row = list(rows[left])
-            if finite:
-                for i in range(n - 2, -1, -1):
-                    row[i] = row[i] or row[i + 1]
-            else:
-                changed = True
-                while changed:
-                    changed = False
-                    for i in range(n - 1, -1, -1):
-                        v = row[i] or row[succ[i]]
-                        if v != row[i]:
-                            row[i] = v
-                            changed = True
-        elif kind is Globally:
-            row = list(rows[left])
-            if finite:
-                for i in range(n - 2, -1, -1):
-                    row[i] = row[i] and row[i + 1]
-            else:
-                changed = True
-                while changed:
-                    changed = False
-                    for i in range(n - 1, -1, -1):
-                        v = row[i] and row[succ[i]]
-                        if v != row[i]:
-                            row[i] = v
-                            changed = True
-        else:  # Until
+            row = list(map(and_, rows[left], rows[right]))
+        else:
             a = rows[left]
-            row = list(rows[right])
-            if finite:
-                for i in range(n - 2, -1, -1):
-                    row[i] = row[i] or (a[i] and row[i + 1])
-            else:
-                changed = True
-                while changed:
-                    changed = False
-                    for i in range(n - 1, -1, -1):
-                        v = row[i] or (a[i] and row[succ[i]])
-                        if v != row[i]:
-                            row[i] = v
-                            changed = True
+            row = list(rows[right] if kind is Until else a)
+            if p < n:  # settle the cycle
+                if kind is Finally:
+                    row[p:] = [any(a[p:])] * (n - p)
+                elif kind is Globally:
+                    row[p:] = [all(a[p:])] * (n - p)
+                else:
+                    changed = True
+                    while changed:
+                        changed = False
+                        for i in range(n - 1, p - 1, -1):
+                            if not row[i] and a[i] and row[i + 1 if i + 1 < n else p]:
+                                row[i] = changed = True
+                later = row[p]
+            elif after is not None:
+                later = after[len(rows)]
+            else:  # past a finite trace's end
+                later = kind is Globally
+            if kind is Finally:
+                for i in range(p - 1, -1, -1):
+                    later = row[i] = a[i] or later
+            elif kind is Globally:
+                for i in range(p - 1, -1, -1):
+                    later = row[i] = a[i] and later
+            else:  # Until
+                b = rows[right]
+                for i in range(p - 1, -1, -1):
+                    later = row[i] = b[i] or (a[i] and later)
         rows.append(row)
-    return rows[-1][0]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +229,28 @@ def _sorted_moves(graph: StateGraph) -> list[list[tuple[str, int]]]:
     return moves
 
 
+class _GraphTables:
+    """One graph's sorted move table, and its closed-walk lists built on
+    first use, shared by every check on the graph that holds them.
+
+    A walk list is kept with the step limit its DFS stopped at, or None when
+    the DFS finished; it serves a later check only if that limit is None or
+    at least the steps that check has left, and is rebuilt otherwise."""
+
+    def __init__(self, graph: StateGraph):
+        self.moves = _sorted_moves(graph)
+        self._walks: dict[tuple[int, int], tuple[Optional[int], list]] = {}
+
+    def walks(self, origin: int, cycle_bound: int,
+              left: int) -> list[tuple[int, Optional[tuple[str, ...]]]]:
+        key = (origin, cycle_bound)
+        got = self._walks.get(key)
+        if got is None or (got[0] is not None and got[0] < left):
+            found, finished = _closed_walks(origin, self.moves, cycle_bound, left)
+            got = self._walks[key] = (None if finished else left, found)
+        return got[1]
+
+
 def oracle_model_check(graph: StateGraph, phi: Formula,
                        bounds: OracleBounds | None = None) -> OracleVerdict:
     """Enumerate executions up to the bounds and refute on the first failure.
@@ -237,14 +261,27 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
     verdict is `holds` at these bounds.  Raises EnumerationBudgetError when
     the step allowance runs out, in which case no verdict is claimed.
     """
-    bounds = bounds or OracleBounds()
     program = _truth_program(phi)
-    moves = _sorted_moves(graph)
+    return _enumerate(graph, _GraphTables(graph), program, bounds or OracleBounds())
+
+
+def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
+               bounds: OracleBounds) -> OracleVerdict:
+    """`oracle_model_check` over the graph's tables.  Within the check each
+    cycle word's column and each `(event, column)` step are computed once."""
+    moves = tables.moves
     deadlocks = set(graph.deadlocks)
-    walks: dict[int, list[tuple[int, Optional[tuple[str, ...]]]]] = {}
+    cycle_columns: dict[tuple[str, ...], tuple] = {}
+    stepped: dict[tuple, tuple] = {}
     steps = 0
     checked = 0
     seen_traces: set[tuple] = set()
+
+    def column_at(prefix: tuple, cycle: tuple = (),
+                  after: Optional[tuple] = None) -> tuple:
+        return tuple([row[0] for row in _fill_truth_rows(program, prefix, cycle, after)])
+
+    empty = column_at((None,))
 
     def spend(k: int = 1):
         nonlocal steps
@@ -253,19 +290,31 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
             raise EnumerationBudgetError(
                 f"oracle enumeration exceeded {bounds.budget} steps")
 
-    def consider(kind: str, prefix: tuple[str, ...],
+    def consider(prefix: tuple[str, ...],
                  cycle: tuple[str, ...]) -> Optional[OracleVerdict]:
+        """An empty cycle stands for the finite trace `prefix`."""
         nonlocal checked
-        key = (kind, prefix, cycle)
+        key = (prefix, cycle)
         if key in seen_traces:
             return None
         seen_traces.add(key)
         checked += 1
         spend(4)
-        trace = Trace(kind, prefix, cycle)
-        if not _fill_truth_rows(program, trace):
-            return OracleVerdict(False, trace, bounds=bounds, traces_checked=checked)
-        return None
+        if not cycle:
+            column = empty
+        else:
+            column = cycle_columns.get(cycle)
+            if column is None:
+                column = cycle_columns[cycle] = column_at((), cycle)
+        for event in reversed(prefix):
+            before = stepped.get((event, column))
+            if before is None:
+                before = stepped[event, column] = column_at((event,), after=column)
+            column = before
+        if column[-1]:
+            return None
+        trace = Trace(LASSO, prefix, cycle) if cycle else Trace(FINITE, prefix)
+        return OracleVerdict(False, trace, bounds=bounds, traces_checked=checked)
 
     # breadth-first walk enumeration from the initial states
     frontier = dict.fromkeys((s, ()) for s in graph.initial)
@@ -275,18 +324,16 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
         for state, events in frontier:
             spend()
             if state in deadlocks and depth <= bounds.finite:
-                verdict = consider(FINITE, events, ())
+                verdict = consider(events, ())
                 if verdict:
                     return verdict
             if depth <= bounds.prefix:
-                if state not in walks:
-                    walks[state] = _closed_walks(state, moves, bounds.cycle,
-                                                 bounds.budget - steps)
-                for pops, cycle in walks[state]:
+                for pops, cycle in tables.walks(state, bounds.cycle,
+                                                bounds.budget - steps):
                     spend(pops)
                     if cycle is None:
                         break
-                    verdict = consider(LASSO, events, cycle)
+                    verdict = consider(events, cycle)
                     if verdict:
                         return verdict
             if depth < horizon:
@@ -297,16 +344,18 @@ def oracle_model_check(graph: StateGraph, phi: Formula,
     return OracleVerdict(True, bounds=bounds, traces_checked=checked)
 
 
-def _closed_walks(origin: int, moves, cycle_bound: int,
-                  limit: int) -> list[tuple[int, Optional[tuple[str, ...]]]]:
-    """The closed walks at `origin` up to the cycle bound, in DFS order.
+def _closed_walks(origin: int, moves, cycle_bound: int, limit: int
+                  ) -> tuple[list[tuple[int, Optional[tuple[str, ...]]]], bool]:
+    """The closed walks at `origin` up to the cycle bound, in DFS order,
+    and whether the DFS finished.
 
     Each walk comes paired with the number of DFS stack pops since the
     previous one, and a final `(pops, None)` counts the pops after the
     last walk, so charging `spend(pops)` before each walk charges the
     budget exactly as walking the DFS itself would.  The DFS stops after
     `limit + 1` pops, which a replay with at most `limit` steps left cannot
-    get past.
+    get past; `_GraphTables` replays a list in every check on its graph
+    that this rule allows.
     """
     found: list[tuple[int, Optional[tuple[str, ...]]]] = []
     pops = total = 0
@@ -323,7 +372,7 @@ def _closed_walks(origin: int, moves, cycle_bound: int,
             if len(cycle) < cycle_bound:
                 stack.append((tgt, cycle))
     found.append((pops, None))
-    return found
+    return found, not stack
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +385,11 @@ def trace_realizable(graph: StateGraph, trace: Trace) -> bool:
     repeatable forever, i.e. the cycle-word relation reached from the
     prefix must contain a cycle of graph states.
     """
-    moves = _sorted_moves(graph)
+    return _realizable(graph, _sorted_moves(graph), trace)
 
+
+def _realizable(graph: StateGraph, moves, trace: Trace) -> bool:
+    """`trace_realizable` over the graph's sorted move table."""
     def step(states: set[int], event: str) -> set[int]:
         out = set()
         for s in states:
@@ -515,7 +567,8 @@ class DifferentialReport:
 
 
 def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
-                expected: Optional[bool], base_bounds: OracleBounds) -> DifferentialRow:
+                expected: Optional[bool], base_bounds: OracleBounds,
+                tables: _GraphTables) -> DifferentialRow:
     # local import: the oracle must not depend on the machinery it checks,
     # except in this comparison driver
     from .ltl import holds_on_trace, model_check
@@ -536,14 +589,14 @@ def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
             raise ToolkitBug(
                 f"{subject}/{prop_name}: main counterexample satisfies the "
                 f"formula under the oracle evaluator: {cex.render()}")
-        if not trace_realizable(graph, cex):
+        if not _realizable(graph, tables.moves, cex):
             raise ToolkitBug(
                 f"{subject}/{prop_name}: main counterexample is not a trace "
                 f"of the graph: {cex.render()}")
 
     oracle_holds: Optional[bool]
     try:
-        overdict = oracle_model_check(graph, phi, bounds)
+        overdict = _enumerate(graph, tables, _truth_program(phi), bounds)
         oracle_holds = overdict.holds
         if not overdict.holds:
             cex = overdict.counterexample
@@ -551,7 +604,7 @@ def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
                 raise ToolkitBug(
                     f"{subject}/{prop_name}: oracle counterexample satisfies "
                     f"the formula under the main evaluator: {cex.render()}")
-            if not trace_realizable(graph, cex):
+            if not _realizable(graph, tables.moves, cex):
                 raise ToolkitBug(
                     f"{subject}/{prop_name}: oracle counterexample is not a "
                     f"trace of the graph: {cex.render()}")
@@ -607,21 +660,28 @@ def cross_validate(entries: list[CorpusEntry] | None = None,
                    random_pairs: int = 0, seed: int = 20240,
                    max_states: int = 12,
                    bounds: OracleBounds | None = None) -> DifferentialReport:
-    """Run main and oracle checkers side by side; report every comparison."""
+    """Run main and oracle checkers side by side; report every comparison.
+
+    Each corpus graph's `_GraphTables` are built once and shared by all of
+    its comparisons; they last for this call only."""
     bounds = bounds or OracleBounds()
     rows: list[DifferentialRow] = []
     if entries is None:
         entries = load_corpus()
     for entry in entries:
+        tables: dict[str, _GraphTables] = {}
         for v in entry.verdicts:
             graph = entry.graph(v.machine)
+            if v.machine not in tables:
+                tables[v.machine] = _GraphTables(graph)
             phi = entry.properties[v.prop]
             rows.append(_compare_on(f"{entry.name}/{v.machine}", v.prop, graph,
-                                    phi, v.holds, bounds))
+                                    phi, v.holds, bounds, tables[v.machine]))
     rng = random.Random(seed)
     alphabet = ["a", "b", "c", "d"]
     for k in range(random_pairs):
         graph = random_graph(rng, max_states, alphabet)
         phi = random_formula(rng, alphabet, rng.randint(1, 5))
-        rows.append(_compare_on(f"random-{k}", "phi", graph, phi, None, bounds))
+        rows.append(_compare_on(f"random-{k}", "phi", graph, phi, None, bounds,
+                                _GraphTables(graph)))
     return DifferentialReport(rows)

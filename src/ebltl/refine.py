@@ -495,7 +495,7 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         variant_at = [conc_compiled.variant(state) for state in graph.states]
         for i, value in enumerate(variant_at):
             results["WFD_REF"].checked += 1
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:  # a bool is no natural
                 fail("WFD_REF", {"kind": "variant-not-natural",
                                  "state": graph.state_json(i), "variant": value})
         for edge in graph.edges:

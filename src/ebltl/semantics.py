@@ -472,7 +472,9 @@ class GraphVerdict:
 
 
 def check_invariant(graph: StateGraph) -> GraphVerdict:
-    """Re-evaluate invariant and domains on every stored state."""
+    """Re-evaluate invariant and domains on every stored state.  `explore`
+    already judges each state as it finds it, so this is for graphs built
+    or altered by hand."""
     machine = graph.machine
     if machine is None:
         return GraphVerdict(True, detail="bare graph, nothing to check")

@@ -57,6 +57,19 @@ def test_explore_summary_and_edgelist():
     assert code == 0 and len(out.strip().split("\n")) == 6
 
 
+def test_explore_reports_the_invariant_from_the_exploration(capsys):
+    """`explore` judges every state as it finds it, so its report's
+    invariant entry is `check_invariant`'s verdict without a second pass."""
+    from ebltl.cli import main
+    from ebltl.machine_parser import parse_machine_file
+    from ebltl.semantics import check_invariant, explore
+
+    for path in [*sorted(VM_DIR.glob("vm*.eb")), *sorted(LIFT_DIR.glob("*.eb"))]:
+        assert main(["explore", str(path), "--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)["result"]["invariant"]
+        assert entry == check_invariant(explore(parse_machine_file(path))).to_json_dict()
+
+
 def test_explore_invariant_violation_exit_1(tmp_path):
     bad = tmp_path / "bad.eb"
     bad.write_text(

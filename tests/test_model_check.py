@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from ebltl.automata import Product
 from ebltl.formulas import Atom, Finally, Globally, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine
@@ -146,3 +147,16 @@ def test_witnesses_are_pinned():
                                  sort_keys=True).encode())
     assert kinds == {"finite": 117, "lasso": 91, "ca": 164}
     assert digest.hexdigest() == "9f650fe6f6f25cdd25a8d29bb6b4a9b819e6f30d7f8375cfcba48828451ef0ba"
+
+
+def test_product_limit_is_exact():
+    """A five-node chain builds under a limit of five and raises under four."""
+    def step(left):
+        return [(left + 1, "a")] if left < 4 else []
+
+    def successors(right, label):
+        return [right]
+
+    assert len(Product([(0, 0)], step, successors, limit=5).nodes) == 5
+    with pytest.raises(ExplorationLimitError, match="limit of 4"):
+        Product([(0, 0)], step, successors, limit=4)

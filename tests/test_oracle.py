@@ -11,10 +11,12 @@ import pytest
 from ebltl.errors import EnumerationBudgetError
 from ebltl.formulas import And, Atom, Formula, Globally, TRUE, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
+import ebltl.oracle as oracle
 from ebltl.oracle import (
-    OracleBounds, _bounded_traces, _truth_program, corpus_root, cross_validate,
-    load_corpus, load_entry, oracle_holds_on, oracle_model_check,
-    random_formula, random_graph, trace_realizable,
+    OracleBounds, _bounded_traces, _compare_on, _enumerate, _GraphTables,
+    _truth_program, corpus_root, cross_validate, load_corpus, load_entry,
+    oracle_holds_on, oracle_model_check, random_formula, random_graph,
+    trace_realizable,
 )
 from ebltl.semantics import explore, make_graph
 from ebltl.traces import finite_trace, lasso
@@ -93,6 +95,129 @@ def test_oracle_verdicts_are_pinned():
     assert outcomes == {"holds": 152, "refuted": 229, "budget": 19}
     assert reports.hexdigest() == \
         "a319e01e32468449e02db7890fb9f304d6daa94dad9146df7441f5580ba98c6a"
+
+
+def _outcome(check):
+    """A verdict report, or the budget error's message."""
+    try:
+        return check().to_json_dict()
+    except EnumerationBudgetError as exc:
+        return f"budget {exc}"
+
+
+def test_shared_graph_tables_match_fresh_checks(monkeypatch):
+    """Several formulas and bounds run on one graph through one set of
+    `_GraphTables`, as `cross_validate` shares them, give exactly the
+    verdicts, the counterexamples, `traces_checked` and the budget outcomes
+    of fresh `oracle_model_check` calls, and the same comparison rows.
+    Budgets rise and fall, so a walk list cut short by a small budget is
+    rebuilt for a check with more steps left, and one cut short by a large
+    budget serves a check with fewer; the cycle bounds reach past the
+    default, as counterexample-widened bounds do."""
+    built = []
+    closed_walks = oracle._closed_walks
+
+    def recording(origin, moves, cycle_bound, limit):
+        found, finished = closed_walks(origin, moves, cycle_bound, limit)
+        built.append(finished)
+        return found, finished
+
+    rng = random.Random(7)
+    alphabet = ["a", "b", "c"]
+    outcomes = set()
+    reused_cut = 0
+    for g in range(25):
+        graph = random_graph(rng, rng.randint(2, 10), alphabet)
+        # TRUE never refutes, so its checks walk every list to the end
+        phis = [random_formula(rng, alphabet, rng.randint(1, 4)) for _ in range(3)] + [TRUE]
+        runs = [OracleBounds(prefix=rng.randint(0, 4), cycle=cycle,
+                             finite=rng.randint(0, 6), budget=budget)
+                for cycle in (3, 12)
+                for budget in (300, 60, 400, 2_000, 20_000, 300, 60)]
+        fresh = [[_outcome(lambda: oracle_model_check(graph, phi, bounds))
+                  for bounds in runs] for phi in phis]
+        fresh_rows = [_compare_on(f"g{g}", "phi", graph, phi, None, bounds,
+                                  _GraphTables(graph))
+                      for phi in phis for bounds in runs]
+        monkeypatch.setattr(oracle, "_closed_walks", recording)
+        tables = _GraphTables(graph)
+        fetch = tables.walks
+
+        def watched(origin, cycle_bound, left):
+            nonlocal reused_cut
+            before = len(built)
+            found = fetch(origin, cycle_bound, left)
+            cut = tables._walks[origin, cycle_bound][0]
+            reused_cut += len(built) == before and cut is not None
+            return found
+
+        tables.walks = watched
+        shared = [[_outcome(lambda: _enumerate(graph, tables, _truth_program(phi), bounds))
+                   for bounds in runs] for phi in phis]
+        shared_rows = [_compare_on(f"g{g}", "phi", graph, phi, None, bounds, tables)
+                       for phi in phis for bounds in runs]
+        monkeypatch.setattr(oracle, "_closed_walks", closed_walks)
+        assert shared == fresh
+        assert shared_rows == fresh_rows
+        outcomes.update(o if isinstance(o, str) else o["holds"]
+                        for row in fresh for o in row)
+    assert {True, False} <= outcomes and any(isinstance(o, str) for o in outcomes)
+    assert built.count(False) > 0, "no walk list was cut short by a budget"
+    assert reused_cut > 0, "no cut-short walk list served a later check"
+
+
+def test_walk_list_reuse_rule(monkeypatch):
+    """A walk list cut short at a step limit serves checks with at most that
+    many steps left and is rebuilt for one more; a finished list serves
+    every check."""
+    limits = []
+    closed_walks = oracle._closed_walks
+
+    def recording(origin, moves, cycle_bound, limit):
+        limits.append(limit)
+        return closed_walks(origin, moves, cycle_bound, limit)
+
+    monkeypatch.setattr(oracle, "_closed_walks", recording)
+    # two self-loops and a cycle bound of 4: the DFS pops 1 + 2 + 4 + 8 states
+    tables = _GraphTables(make_graph(1, [0], [(0, "a", 0), (0, "b", 0)], ["a", "b"]))
+    cut = tables.walks(0, 4, 5)
+    assert sum(pops for pops, _ in cut) == 6  # one past what 5 steps can replay
+    assert tables.walks(0, 4, 5) is cut and tables.walks(0, 4, 0) is cut
+    longer = tables.walks(0, 4, 6)
+    assert longer is not cut and limits == [5, 6]
+    full = tables.walks(0, 4, 15)
+    assert sum(pops for pops, _ in full) == 15
+    assert tables.walks(0, 4, 10**9) is full and tables.walks(0, 4, 1) is full
+    assert limits == [5, 6, 15]
+
+
+def test_cross_validate_builds_each_walk_list_once(monkeypatch):
+    """Over the bundled corpus, each graph's move table is built once and
+    each (graph, state, cycle bound) walk list at most once per call; a
+    second call starts cold and builds the same lists again."""
+    counts = {"moves": 0}
+    walks: list = []
+    sorted_moves, closed_walks = oracle._sorted_moves, oracle._closed_walks
+
+    def counting_moves(graph):
+        counts["moves"] += 1
+        return sorted_moves(graph)
+
+    def counting_walks(origin, moves, cycle_bound, limit):
+        walks.append((id(moves), origin, cycle_bound))
+        return closed_walks(origin, moves, cycle_bound, limit)
+
+    monkeypatch.setattr(oracle, "_sorted_moves", counting_moves)
+    monkeypatch.setattr(oracle, "_closed_walks", counting_walks)
+    entries = load_corpus()
+    graphs = {(e.name, v.machine) for e in entries for v in e.verdicts}
+    assert cross_validate(entries).ok
+    first = len(walks)
+    assert counts["moves"] == len(graphs)
+    assert first and len(set(walks)) == first
+    walks.clear()
+    assert cross_validate(entries).ok
+    assert len(walks) == first and counts["moves"] == 2 * len(graphs)
 
 
 def test_oracle_evaluator_shares_repeated_subformulas():

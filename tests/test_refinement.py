@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from ebltl.errors import ChainError
+from ebltl.errors import ChainError, ExplorationLimitError
+from ebltl.machine_parser import parse_machine
 from ebltl.machine_parser import parse_machine_file
 from ebltl.refine import (
     ChainLink, RenamingMap, build_chain, check_ca, check_chain_pairs,
@@ -16,7 +17,7 @@ from ebltl.refine import (
     derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import (
-    compile_expr, compile_machine, explore, make_graph, static_env,
+    ExploreLimits, compile_expr, compile_machine, explore, make_graph, static_env,
 )
 from ebltl.oracle import trace_realizable
 from tests.conftest import MUTANT_DIR, VM_DIR
@@ -219,6 +220,46 @@ def test_infeasible_firing_that_also_fails_grd(tmp_path):
         for state in at_one]
 
 
+def _step_prime_pair(variant: str):
+    """Step and StepPrime with StepPrime's variant replaced."""
+    concrete = parse_machine(STEP_PRIME.replace("if flag = false then 1 else 0 end", variant))
+    chain = build_chain("step", [parse_machine(STEP), concrete])
+    return chain.machines[0], concrete, chain.links[0]
+
+
+def _not_natural(report) -> list:
+    return [w["variant"] for w in report.results["WFD_REF"].witnesses
+            if w["kind"] == "variant-not-natural"]
+
+
+def test_negative_and_boolean_variants_are_not_natural():
+    abstract, concrete, link = _step_prime_pair("n - 1")
+    report = check_refinement_pair(abstract, concrete, link, explore(concrete))
+    assert _not_natural(report) == [-1, -1]
+    # the typechecker admits integer variants only, so a boolean one is
+    # forged into the compiled machine
+    abstract, concrete, link = _step_prime_pair("n")
+    graph = explore(concrete)
+    assert _not_natural(check_refinement_pair(abstract, concrete, link, graph)) == []
+    concrete.compiled = replace(compile_machine(concrete), variant=lambda state: True)
+    report = check_refinement_pair(abstract, concrete, link, graph)
+    assert _not_natural(report) == [True] * len(graph.states)
+
+
+def test_abstract_universe_bound_is_exact():
+    """Step's n : 0..2 gives a three-state abstract universe; Step reaches
+    two states, so the bound alone decides."""
+    step = parse_machine(STEP)
+    link = ChainLink(RenamingMap.identity(step.alphabet()), None)
+    graph = explore(step, ExploreLimits(max_states=3))
+    assert check_refinement_pair(step, step, link, graph).ok
+    graph = explore(step, ExploreLimits(max_states=2))
+    with pytest.raises(ExplorationLimitError,
+                       match="abstract universe of Step has 3 candidate states, "
+                             "over the limit of 2"):
+        check_refinement_pair(step, step, link, graph)
+
+
 # -- strategy -------------------------------------------------------------------
 
 def test_strategy_vm1_chain(vm1_chain):
@@ -279,6 +320,31 @@ def test_unlabelled_new_event_rejected(vm_machines):
             "variant\n  if refundEnabled = false then 0 else 1 end\n", ""))
         build_chain("bad", [vm_machines["VM1"], m2])
     assert "carries no status label" in str(err.value) or "variant" in str(err.value)
+
+
+STEP_TWO = """machine StepTwo refines Step
+variables
+  n : 0..2
+events
+  event init then n := 0 end
+  event inc refines inc
+    when n < 1 then n := n + 1 end
+  event reset
+    when n = 1 then n := 0 end
+end
+"""
+
+
+def test_only_a_new_event_needs_a_status_label():
+    """An unlabelled refining event is accepted; an unlabelled new event
+    raises the status-label error itself, not some later one."""
+    step = parse_machine(STEP)
+    with pytest.raises(ChainError) as err:
+        build_chain("step", [step, parse_machine(STEP_TWO)])
+    assert str(err.value) == "StepTwo.reset refines nothing and carries no status label"
+    labelled = STEP_TWO.replace("  event reset\n", "  event reset\n    status ordinary\n")
+    chain = build_chain("step", [step, parse_machine(labelled)])
+    assert chain.links[0].renaming.mapping == {"inc": "inc"}
 
 
 # -- renaming composition --------------------------------------------------------
