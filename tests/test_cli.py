@@ -237,6 +237,7 @@ BAD_FILES = {
     # parses and typechecks, but nests past what Python compiles
     "implies.eb": (b"machine Implies\nvariables\n  f : bool\ninvariant\n  "
                    + b" => ".join([b"f"] * 200) + b"\nevents\n  event init then f := false end\nend\n"),
+    "badtype.eb": b"machine Bad\nvariables\n  f : bool\nevents\n  event init then f := 3 end\nend\n",
 }
 
 
@@ -267,6 +268,8 @@ BAD_FILES = {
     (("beta", "--prop", "[a]", "--beta", "a,b-c"), 3),
     (("preserve", "--chain", str(VM_DIR / "chain.json"), "--at", "1",
       "--prop", "phi2", "--beta", "selectBiscuit,selectChoc,dispenseChoc,"), 3),
+    (("parse", "{tmp}/badtype.eb"), 3),
+    (("beta", "--prop", "[a] $"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -277,7 +280,8 @@ BAD_FILES = {
         "bound-states-zero", "lasso-prefix-negative", "lasso-cycle-zero",
         "random-negative", "deep-invariant", "deep-prop", "deep-beta",
         "deep-compile", "beta-sigma-empty-names", "beta-empty-name",
-        "beta-malformed-name", "preserve-beta-empty-name", "help",
+        "beta-malformed-name", "preserve-beta-empty-name", "typecheck-error",
+        "formula-bad-character", "help",
         "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never

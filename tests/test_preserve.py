@@ -204,6 +204,17 @@ def test_atom_decided_with_and_without_an_outside_event():
     assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"a"}), phi)
 
 
+def test_lasso_witness_adds_a_loop_through_beta():
+    # the accepting cycle the search closes first reads no beta letter, so
+    # the witness loops once more through a beta edge of its component
+    phi = parse_formula("G (F G [c] | [c]) & G [c]")
+    verdict = check_beta_dependent(phi, {"c"}, {"c", "z"})
+    assert verdict.status == "refuted" and verdict.method == "tableau-product"
+    w = verdict.witness
+    assert (w.prefix, w.cycle) == (("c", "z"), ("z", "c", "z"))
+    assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"c"}), phi)
+
+
 def test_decision_agrees_with_schema_and_enumeration():
     """Differential check on 1200 seeded random formulas over a and b, with
     beta = {a, b} and sigma with and without the outside event z: every
