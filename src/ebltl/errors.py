@@ -6,10 +6,11 @@ class EbltlError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(EbltlError):
-    """Raised on malformed machine or formula sources.
+class SourceError(EbltlError):
+    """An error in a machine or formula source.
 
-    Carries a 1-based line and column when the lexer/parser knows them.
+    Carries a 1-based line and column when the lexer, parser or checker
+    knows them.
     """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -20,15 +21,12 @@ class ParseError(EbltlError):
         super().__init__(message)
 
 
-class TypecheckError(EbltlError):
-    """Raised when a parsed machine violates a static well-formedness rule."""
+class ParseError(SourceError):
+    """Raised on malformed machine or formula sources."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
+
+class TypecheckError(SourceError):
+    """Raised when a parsed machine violates a static well-formedness rule."""
 
 
 class EvalError(EbltlError):

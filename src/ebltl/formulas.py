@@ -10,6 +10,10 @@ Precedence, loosest first: `=>` (right associative), `|`, `&`, `U`
 (right associative), then the prefix operators `!`, `G`, `F`.
 Implication is sugar: `a => b` parses to `!a | b`.  There is no next
 operator and there are no state propositions.
+
+Tokens come from the machine language's lexer, `machine_parser.tokenize`,
+run under this module's pattern (names, the operators above, whitespace
+between them); the parser reads them through `machine_parser.TokenCursor`.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .machine_parser import TokenCursor, tokenize
 
 
 @dataclass(frozen=True)
@@ -132,125 +137,67 @@ _FORMULA_TOKEN = re.compile(r"""
     | (?P<op>=>|[!|&()\[\]])
 """, re.VERBOSE)
 
-
-def _tokenize(text: str):
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _FORMULA_TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r} in formula", line, col)
-        if m.lastgroup != "ws":
-            tokens.append((m.group(), line, col))
-        value = m.group()
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
-    tokens.append(("", line, col))
-    return tokens
+_PREFIX = {"!": Not, "G": Globally, "F": Finally}
 
 
-class _FormulaParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def pos(self):
-        _, line, col = self.tokens[self.i]
-        return line, col
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "":
-            self.i += 1
-        return tok[0]
-
-    def expect(self, want: str):
-        got, line, col = self.tokens[self.i]
-        if got != want:
-            shown = got or "end of input"
-            raise ParseError(f"unexpected {shown!r}, expected {want!r}", line, col)
-        self.advance()
-
+class _FormulaParser(TokenCursor):
     def parse(self) -> Formula:
         f = self.implies()
-        got, line, col = self.tokens[self.i]
-        if got != "":
-            raise ParseError(f"unexpected {got!r} after formula", line, col)
+        if not self.at("eof"):
+            raise self.unexpected(" after formula")
         return f
 
     def implies(self) -> Formula:
         left = self.disj()
-        if self.peek() == "=>":
-            self.advance()
+        if self.accept("=>"):
             return Or(Not(left), self.implies())
         return left
 
     def disj(self) -> Formula:
         left = self.conj()
-        while self.peek() == "|":
-            self.advance()
+        while self.accept("|"):
             left = Or(left, self.conj())
         return left
 
     def conj(self) -> Formula:
         left = self.until()
-        while self.peek() == "&":
-            self.advance()
+        while self.accept("&"):
             left = And(left, self.until())
         return left
 
     def until(self) -> Formula:
         left = self.unary()
-        if self.peek() == "U":
-            self.advance()
+        if self.accept("name", "U"):
             return Until(left, self.until())
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
+        op = self.peek().value
+        if op in _PREFIX:
             self.advance()
-            return Not(self.unary())
-        if tok == "G":
-            self.advance()
-            return Globally(self.unary())
-        if tok == "F":
-            self.advance()
-            return Finally(self.unary())
-        if tok == "true":
-            self.advance()
+            return _PREFIX[op](self.unary())
+        if self.accept("name", "true"):
             return TRUE
-        if tok == "(":
-            self.advance()
+        if self.accept("("):
             inner = self.implies()
             self.expect(")")
             return inner
-        if tok == "[":
-            self.advance()
-            name, line, col = self.tokens[self.i]
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name or ""):
-                raise ParseError("expected an event name inside [ ]", line, col)
+        if self.accept("["):
+            t = self.peek()
+            if t.kind != "name":
+                raise ParseError("expected an event name inside [ ]", t.line, t.col)
             self.advance()
             self.expect("]")
-            return Atom(name)
-        line, col = self.pos()
-        shown = tok or "end of input"
-        raise ParseError(f"unexpected {shown!r} in formula", line, col)
+            return Atom(t.value)
+        raise self.unexpected(" in formula")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a property string.  Raises ParseError on malformed or empty input."""
     if not text or not text.strip():
         raise ParseError("empty formula")
-    return _FormulaParser(_tokenize(text)).parse()
+    tokens = tokenize(text, _FORMULA_TOKEN, keywords=(), where=" in formula")
+    return _FormulaParser(tokens).parse()
 
 
 def parse_property_file(text: str) -> dict[str, Formula]:

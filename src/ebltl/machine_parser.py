@@ -25,6 +25,10 @@ choice blocks `any x : TYPE where EXPR then ACTIONS end`.  Boolean
 connectives are `&`, `or`, `not`, `=>`, `<=>`; set operators are `\\/`,
 `/\\`, `\\`, `<:`, `in`, `notin`.  Comments run from `//` to end of line.
 
+`tokenize` and `TokenCursor` are the lexer and the token cursor of both
+input languages: this module runs `tokenize` under the machine pattern and
+`KEYWORDS`, `formulas` under its own pattern and no keywords.
+
 `parse_machine` also runs the typechecker, so a returned Machine is
 well-formed except for its `linking` clause, which can only be checked
 once the abstract machine is known.
@@ -71,22 +75,26 @@ class Token:
         return f"Token({self.kind!r}, {self.value!r}, {self.line}:{self.col})"
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, pattern: re.Pattern = _TOKEN_RE,
+             keywords=KEYWORDS, where: str = "") -> list[Token]:
+    """Split `text` into tokens under `pattern`, whose named groups are the
+    token kinds: `ws` and `comment` matches are dropped, an `op` match is
+    its own kind and a `name` in `keywords` is a `kw`.  The list ends with
+    an `eof` token.  `where` ends the message for an unmatched character."""
     tokens: list[Token] = []
     line, col, i = 1, 1, 0
     while i < len(text):
-        m = _TOKEN_RE.match(text, i)
+        m = pattern.match(text, i)
         if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+            raise ParseError(f"unexpected character {text[i]!r}{where}", line, col)
         kind = m.lastgroup
         value = m.group()
+        if kind == "name" and value in keywords:
+            kind = "kw"
+        elif kind == "op":
+            kind = value
         if kind not in ("ws", "comment"):
-            if kind == "name" and value in KEYWORDS:
-                tokens.append(Token("kw", value, line, col))
-            elif kind == "op":
-                tokens.append(Token(value, value, line, col))
-            else:
-                tokens.append(Token(kind, value, line, col))
+            tokens.append(Token(kind, value, line, col))
         newlines = value.count("\n")
         if newlines:
             line += newlines
@@ -98,12 +106,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
+class TokenCursor:
+    """Reads a token list front to back; the machine and formula parsers
+    both read through it.  `advance` never moves past the `eof` token."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-
-    # -- token plumbing ----------------------------------------------------
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -118,24 +127,28 @@ class _Parser:
             self.i += 1
         return t
 
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, value):
-            want = value or kind
-            raise ParseError(f"unexpected {t.value!r}, expected {want!r}", t.line, t.col)
-        return self.advance()
-
     def accept(self, kind: str, value: str | None = None) -> Token | None:
         if self.at(kind, value):
             return self.advance()
         return None
 
-    def expect_name(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "name":
-            raise ParseError(f"unexpected {t.value!r}, expected {what}", t.line, t.col)
+    def expect(self, kind: str, value: str | None = None) -> Token:
+        if not self.at(kind, value):
+            raise self.unexpected(f", expected {value or kind!r}")
         return self.advance()
 
+    def expect_name(self, what: str) -> Token:
+        if not self.at("name"):
+            raise self.unexpected(f", expected {what}")
+        return self.advance()
+
+    def unexpected(self, rest: str) -> ParseError:
+        """The error naming the next token, then `rest`, at its position."""
+        t = self.peek()
+        return ParseError(f"unexpected {t.value!r}{rest}", t.line, t.col)
+
+
+class _Parser(TokenCursor):
     # -- machine structure -------------------------------------------------
 
     def machine(self) -> Machine:
@@ -216,7 +229,7 @@ class _Parser:
             if self.accept(".."):
                 return IntRangeType(name, self.range_bound())
             return ElemType(name)
-        raise ParseError(f"unexpected {t.value!r}, expected a type", t.line, t.col)
+        raise self.unexpected(", expected a type")
 
     def range_bound(self) -> int | str:
         t = self.peek()
@@ -224,28 +237,20 @@ class _Parser:
             return int(self.advance().value)
         if t.kind == "name":
             return self.advance().value
-        raise ParseError(f"unexpected {t.value!r}, expected a range bound", t.line, t.col)
+        raise self.unexpected(", expected a range bound")
 
     def event(self) -> Event:
         head = self.expect("kw", "event")
-        name_tok = self.peek()
-        if name_tok.kind == "name":
-            name = self.advance().value
-        else:
-            raise ParseError(f"unexpected {name_tok.value!r}, expected event name",
-                             name_tok.line, name_tok.col)
+        name = self.expect_name("event name").value
         refines = None
         if self.accept("kw", "refines"):
             refines = self.expect_name("abstract event name").value
         status = None
         if self.accept("kw", "status"):
             t = self.peek()
-            if t.kind == "kw" and t.value in STATUSES:
-                status = self.advance().value
-            else:
-                raise ParseError(
-                    f"unexpected {t.value!r}, expected one of {', '.join(STATUSES)}",
-                    t.line, t.col)
+            if t.kind != "kw" or t.value not in STATUSES:
+                raise self.unexpected(f", expected one of {', '.join(STATUSES)}")
+            status = self.advance().value
 
         params: tuple[Param, ...] = ()
         guard: Expr | None = None
@@ -414,7 +419,7 @@ class _Parser:
         if t.kind == "name":
             self.advance()
             return Name(t.value, pos)
-        raise ParseError(f"unexpected {t.value!r} in expression", t.line, t.col)
+        raise self.unexpected(" in expression")
 
 
 def parse_expression(text: str):

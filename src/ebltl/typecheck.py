@@ -28,18 +28,6 @@ def _fmt(t) -> str:
     return str(t)
 
 
-class _Env:
-    """Name -> semantic type; types are INT, BOOL, ('elem', c), ('set', c)."""
-
-    def __init__(self, table: dict):
-        self.table = table
-
-    def child(self, extra: dict) -> "_Env":
-        merged = dict(self.table)
-        merged.update(extra)
-        return _Env(merged)
-
-
 def _sem_type(vtype: VarType):
     if isinstance(vtype, IntRangeType):
         return INT
@@ -89,6 +77,21 @@ def resolve_type(vtype: VarType, sym: SymbolTable) -> VarType:
     if isinstance(vtype, (SetType, ElemType)) and vtype.carrier not in sym.carrier_elems:
         raise TypecheckError(f"unknown carrier {vtype.carrier!r}")
     return vtype
+
+
+def base_env(sym: SymbolTable) -> dict:
+    """Name -> semantic type for every carrier, element, constant and
+    variable; types are INT, BOOL, ('elem', c) and ('set', c)."""
+    env: dict = {}
+    for carrier, elems in sym.carrier_elems.items():
+        env[carrier] = ("set", carrier)
+        for el in elems:
+            env[el] = ("elem", carrier)
+    for name in sym.constants:
+        env[name] = INT
+    for name, vtype in sym.var_types.items():
+        env[name] = _sem_type(vtype)
+    return env
 
 
 class _Checker:
@@ -143,13 +146,13 @@ class _Checker:
 
     # -- expression typing ----------------------------------------------------
 
-    def infer(self, e: Expr, env: _Env):
+    def infer(self, e: Expr, env: dict):
         if isinstance(e, IntLit):
             return INT
         if isinstance(e, BoolLit):
             return BOOL
         if isinstance(e, Name):
-            t = env.table.get(e.name)
+            t = env.get(e.name)
             if t is None:
                 self.error(f"unknown identifier {e.name!r}", e)
             return t
@@ -191,7 +194,7 @@ class _Checker:
             return t
         raise TypeError(e)
 
-    def infer_binary(self, e: Binary, env: _Env):
+    def infer_binary(self, e: Binary, env: dict):
         op = e.op
         if op in _CHAINS:
             # a left-nested chain of one operator, as the parser builds it, is
@@ -245,35 +248,23 @@ class _Checker:
             return BOOL
         raise TypeError(op)
 
-    def check(self, e: Expr, expected, env: _Env) -> None:
+    def check(self, e: Expr, expected, env: dict) -> None:
         got = self.infer(e, env)
         if _unify(got, expected) is None:
             self.error(f"expected {_fmt(expected)}, got {_fmt(got)}", e)
 
     # -- events ---------------------------------------------------------------
 
-    def base_env(self) -> _Env:
-        table: dict = {}
-        for carrier, elems in self.sym.carrier_elems.items():
-            table[carrier] = ("set", carrier)
-            for el in elems:
-                table[el] = ("elem", carrier)
-        for name in self.sym.constants:
-            table[name] = INT
-        for name, vtype in self.sym.var_types.items():
-            table[name] = _sem_type(vtype)
-        return _Env(table)
-
-    def param_env(self, params: tuple[Param, ...], env: _Env, seen: set[str]) -> _Env:
+    def param_env(self, params: tuple[Param, ...], env: dict, seen: set[str]) -> dict:
         extra: dict = {}
         for p in params:
-            if p.name in env.table or p.name in seen or p.name in extra:
+            if p.name in env or p.name in seen or p.name in extra:
                 self.error(f"parameter {p.name!r} shadows another name", p)
             resolved = resolve_type(p.ptype, self.sym)
             extra[p.name] = _sem_type(resolved)
-        return env.child(extra)
+        return {**env, **extra}
 
-    def check_actions(self, actions, env: _Env, targets: list, event: Event,
+    def check_actions(self, actions, env: dict, targets: list, event: Event,
                       init_mode: bool) -> None:
         for a in actions:
             if isinstance(a, Assign):
@@ -297,8 +288,7 @@ class _Checker:
                 self.check_actions(a.actions, inner_env, targets, event, init_mode)
 
     def check_event(self, ev: Event, init_mode: bool = False) -> None:
-        env = self.base_env()
-        env = self.param_env(ev.params, env, set())
+        env = self.param_env(ev.params, base_env(self.sym), set())
         if ev.guard is not None:
             self.check(ev.guard, BOOL, env)
         targets: list[str] = []
@@ -313,7 +303,7 @@ class _Checker:
     def run(self) -> None:
         m = self.m
         self.sym = self.build_symbols()
-        env = self.base_env()
+        env = base_env(self.sym)
 
         if m.invariant is not None:
             self.check(m.invariant, BOOL, env)
@@ -397,14 +387,9 @@ def link_typecheck(abstract: Machine, concrete: Machine, linking: Expr | None) -
                 f"{abstract.name} and {concrete.name}")
     if linking is None:
         return
-    checker = _Checker(concrete)
-    checker.sym = concrete.sym
-    table = checker.base_env().table
-    abs_checker = _Checker(abstract)
-    abs_checker.sym = abstract.sym
-    for name, t in abs_checker.base_env().table.items():
-        if name in table and table[name] != t:
+    env = base_env(concrete.sym)
+    for name, t in base_env(abstract.sym).items():
+        if env.setdefault(name, t) != t:
             raise TypecheckError(
                 f"name {name!r} types differently in {abstract.name} and {concrete.name}")
-        table.setdefault(name, t)
-    checker.check(linking, BOOL, _Env(table))
+    _Checker(concrete).check(linking, BOOL, env)
