@@ -10,10 +10,11 @@ class SourceError(EbltlError):
     """An error in a machine or formula source.
 
     Carries a 1-based line and column when the lexer, parser or checker
-    knows them.
+    knows them; `detail` is the message without that position.
     """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.detail = message
         self.line = line
         self.col = col
         if line is not None:

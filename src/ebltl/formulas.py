@@ -209,19 +209,21 @@ def parse_property_file(text: str) -> dict[str, Formula]:
     out: dict[str, Formula] = {}
     counter = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?![=>])(.*)$", line)
+        m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?![=>])(.*)$", line)
         if m and m.group(2).strip():
-            name, body = m.group(1), m.group(2)
+            name, start = m.group(1), m.start(2)
         else:
             counter += 1
-            name, body = f"p{counter}", line
+            name, start = f"p{counter}", 0
         if name in out:
             raise ParseError(f"duplicate property name {name!r}", lineno, 1)
         try:
-            out[name] = parse_formula(body)
+            out[name] = parse_formula(line[start:])
         except ParseError as exc:
-            raise ParseError(f"in property {name!r}: {exc}", lineno, 1) from exc
+            # the body is one line, so its columns shift by where it starts
+            raise ParseError(f"in property {name!r}: {exc.detail}",
+                             lineno, start + exc.col) from exc
     return out

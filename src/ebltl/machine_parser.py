@@ -134,7 +134,8 @@ class TokenCursor:
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         if not self.at(kind, value):
-            raise self.unexpected(f", expected {value or kind!r}")
+            want = "end of input" if kind == "eof" else repr(value or kind)
+            raise self.unexpected(f", expected {want}")
         return self.advance()
 
     def expect_name(self, what: str) -> Token:

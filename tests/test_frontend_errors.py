@@ -78,7 +78,7 @@ ROWS = [
     ("machine-expect-keyword", machine("events\n", ""), ParseError,
      "unexpected 'event', expected 'events'", 11, 3),
     ("machine-text-after-end", lambda: parse_machine(BASE + "extra\n"), ParseError,
-     "unexpected 'extra', expected 'eof'", 15, 1),
+     "unexpected 'extra', expected end of input", 15, 1),
     ("machine-truncated", lambda: parse_machine(BASE[:BASE.rindex("end")]), ParseError,
      "unexpected 'end of input', expected 'end'", 14, 1),
     ("machine-name", machine("machine M", "machine 3"), ParseError,
@@ -104,7 +104,7 @@ ROWS = [
     ("not-an-expression", machine("n := n + 1", "n := n + )"), ParseError,
      "unexpected ')' in expression", 13, 37),
     ("expression-trailing-text", lambda: parse_expression("x )"), ParseError,
-     "unexpected ')', expected 'eof'", 1, 3),
+     "unexpected ')', expected end of input", 1, 3),
     ("expression-truncated", lambda: parse_expression("x +"), ParseError,
      "unexpected 'end of input' in expression", 1, 4),
     # -- formulas
@@ -130,10 +130,9 @@ ROWS = [
      ParseError, "duplicate property name 'a'", 2, 1),
     ("property-labelled", lambda: parse_property_file("x = [a]\ny = [b\n"),
      ParseError,
-     "in property 'y': unexpected 'end of input', expected ']' (line 1, column 3)",
-     2, 1),
+     "in property 'y': unexpected 'end of input', expected ']'", 2, 7),
     ("property-unlabelled", lambda: parse_property_file("true\n  G )\n"), ParseError,
-     "in property 'p2': unexpected ')' in formula (line 1, column 3)", 2, 1),
+     "in property 'p2': unexpected ')' in formula", 2, 5),
     # -- typecheck: declarations and resolve_type
     ("range-low-not-constant", machine("n : 0..K", "n : L..K"), TypecheckError,
      "range bound 'L' is not a declared constant", None, None),
