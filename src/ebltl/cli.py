@@ -8,12 +8,14 @@ Exit codes: 0 everything passed / property holds; 1 a property, obligation
 or strategy rule failed (witnesses are reported); 2 a certificate was
 blocked by a failed hypothesis; 3 usage, parse or typecheck error;
 4 a configured bound was exhausted; 70 an internal cross-check failed.
+Warnings go to stderr, one `warning: ...` line each.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -433,12 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     rep = _Reporter(args.command, args.json)
     try:
-        code = args.func(args, rep)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = args.func(args, rep)
     except InvariantViolation as exc:
         rep.say(f"invariant violation: {exc}")
         rep.result = {"error": str(exc), "kind": "invariant",

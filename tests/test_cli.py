@@ -114,6 +114,17 @@ def test_mc_holding_and_failing():
     assert result["counterexample"]["kind"] == "lasso"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_foreign_atoms_warn_in_one_plain_line(as_json):
+    argv = ["mc", str(VM_DIR / "vm4.eb"), "--prop", "select_leads_to_dispense"]
+    code, out, err = run_cli(*argv, *(["--json"] if as_json else []))
+    assert code == 0
+    assert err == ("warning: formula mentions events outside the machine "
+                   "alphabet: dispenseItem, selectItem\n")
+    if as_json:
+        assert json.loads(out)["result"]["properties"]["select_leads_to_dispense"]["holds"]
+
+
 def test_mc_prop_file(tmp_path):
     props = tmp_path / "some.ltl"
     props.write_text("a = G F [pay]\nb = true\n")
