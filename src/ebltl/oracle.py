@@ -472,7 +472,6 @@ class CorpusEntry:
     machines: dict[str, Machine]
     properties: dict[str, Formula]
     verdicts: list[ExpectedVerdict]
-    raw: dict = field(default_factory=dict)
     # explored graphs of this entry's machines, by machine name
     graphs: dict[str, StateGraph] = field(default_factory=dict, repr=False, compare=False)
 
@@ -518,7 +517,7 @@ def load_entry(directory: Path) -> CorpusEntry:
         for v in data["verdicts"]
     ]
     return CorpusEntry(name=data.get("name", directory.name), directory=directory,
-                       machines=machines, properties=props, verdicts=verdicts, raw=data)
+                       machines=machines, properties=props, verdicts=verdicts)
 
 
 def load_corpus(root: Path | None = None) -> list[CorpusEntry]:
