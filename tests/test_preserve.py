@@ -204,14 +204,18 @@ def test_atom_decided_with_and_without_an_outside_event():
     assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"a"}), phi)
 
 
-def test_lasso_witness_adds_a_loop_through_beta():
+@pytest.mark.parametrize("outside,prefix,cycle", [
+    ("z", ("c", "z"), ("z", "c", "z")),
+    ("a", ("a", "c"), ("a", "a", "c")),  # the outside letter's edges come first
+])
+def test_lasso_witness_adds_a_loop_through_beta(outside, prefix, cycle):
     # the accepting cycle the search closes first reads no beta letter, so
     # the witness loops once more through a beta edge of its component
     phi = parse_formula("G (F G [c] | [c]) & G [c]")
-    verdict = check_beta_dependent(phi, {"c"}, {"c", "z"})
+    verdict = check_beta_dependent(phi, {"c"}, {"c", outside})
     assert verdict.status == "refuted" and verdict.method == "tableau-product"
     w = verdict.witness
-    assert (w.prefix, w.cycle) == (("c", "z"), ("z", "c", "z"))
+    assert (w.prefix, w.cycle) == (prefix, cycle)
     assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"c"}), phi)
 
 
