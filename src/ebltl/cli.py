@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -70,13 +71,19 @@ def _limits(args) -> ExploreLimits:
     return ExploreLimits(max_states=args.bound_states)
 
 
+def _ascii_int(text: str) -> int | None:
+    """`text` as an integer if it is an optional `-` and ASCII digits."""
+    return int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+
+
 def _overrides(args) -> dict[str, int]:
     out: dict[str, int] = {}
     for item in getattr(args, "overrides", []):
-        name, eq, value = item.partition("=")
-        if not eq or not value.lstrip("-").isdigit():
+        name, eq, text = item.partition("=")
+        value = _ascii_int(text) if eq else None
+        if value is None:
             raise EbltlError(f"bad --set argument {item!r}, expected NAME=INT")
-        out[name] = int(value)
+        out[name] = value
     return out
 
 
@@ -319,9 +326,10 @@ def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`, so an out-of-range
     flag is a usage error and not a bound or a silently empty run."""
     def parse(text: str) -> int:
-        if not text.lstrip("-").isdigit() or int(text) < low:
+        value = _ascii_int(text)
+        if value is None or value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return int(text)
+        return value
     return parse
 
 

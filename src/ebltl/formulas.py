@@ -7,7 +7,8 @@ The property language speaks about event occurrences only.  Grammar:
           | "(" phi ")"
 
 Precedence, loosest first: `=>` (right associative), `|`, `&`, `U`
-(right associative), then the prefix operators `!`, `G`, `F`.
+(right associative), then the prefix operators `!`, `G`, `F`; the parser
+and the printer read the binary levels from one table, `_BINARY`.
 Implication is sugar: `a => b` parses to `!a | b`.  There is no next
 operator and there are no state propositions.
 
@@ -86,45 +87,59 @@ def or_all(parts: list[Formula]) -> Formula:
     return out
 
 
+def _implies(left: Formula, right: Formula) -> Formula:
+    return Or(Not(left), right)
+
+
+# ---------------------------------------------------------------------------
+# binary operators, read by the parser and by the printer
+
+# One entry per precedence level, loosest first: its associativity and each
+# operator's source text mapped to the builder of its tree.
+_BINARY = (
+    ("right", {"=>": _implies}),
+    ("left", {"|": Or}),
+    ("left", {"&": And}),
+    ("right", {"U": Until}),
+)
+
+# builder -> (level counted from 1, associativity, source text)
+_BINARY_OPS = {build: (level, assoc, text)
+               for level, (assoc, ops) in enumerate(_BINARY, 1)
+               for text, build in ops.items()}
+
+
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
-def formula_to_text(f: Formula, parent: int = 0) -> str:
+def formula_to_text(f: Formula, need: int = 0) -> str:
     """Render with minimal parentheses; reparses to an equal AST.
 
-    A disjunction with a negated left operand prints as the implication it
-    desugared from; parsing that implication rebuilds the same tree.
+    A binary operator prints bare when its level is at least `need`, and an
+    operand at its operator's own level prints bare on the side its
+    operator associates to.  A disjunction with a negated left operand
+    prints as the implication it desugared from; parsing that implication
+    rebuilds the same tree.
     """
     if isinstance(f, TrueFormula):
         return "true"
     if isinstance(f, Atom):
         return f"[{f.event}]"
     if isinstance(f, Not):
-        return "!" + formula_to_text(f.operand, _PREC_UNARY)
+        return "!" + formula_to_text(f.operand, len(_BINARY) + 1)
     if isinstance(f, Finally):
-        return "F " + formula_to_text(f.operand, _PREC_UNARY)
+        return "F " + formula_to_text(f.operand, len(_BINARY) + 1)
     if isinstance(f, Globally):
-        return "G " + formula_to_text(f.operand, _PREC_UNARY)
-    if isinstance(f, Until):
-        # right associative: parenthesize a left child at the same level
-        text = (formula_to_text(f.left, _PREC_UNTIL + 1) + " U "
-                + formula_to_text(f.right, _PREC_UNTIL))
-        return f"({text})" if parent > _PREC_UNTIL else text
-    if isinstance(f, And):
-        text = (formula_to_text(f.left, _PREC_AND) + " & "
-                + formula_to_text(f.right, _PREC_AND + 1))
-        return f"({text})" if parent > _PREC_AND else text
-    if isinstance(f, Or):
-        if isinstance(f.left, Not):
-            text = (formula_to_text(f.left.operand, _PREC_IMPL + 1) + " => "
-                    + formula_to_text(f.right, _PREC_IMPL))
-            return f"({text})" if parent > _PREC_IMPL else text
-        text = (formula_to_text(f.left, _PREC_OR) + " | "
-                + formula_to_text(f.right, _PREC_OR + 1))
-        return f"({text})" if parent > _PREC_OR else text
+        return "G " + formula_to_text(f.operand, len(_BINARY) + 1)
+    if isinstance(f, (Or, And, Until)):
+        build, left = type(f), f.left
+        if build is Or and isinstance(left, Not):
+            build, left = _implies, left.operand
+        level, assoc, op = _BINARY_OPS[build]
+        left = formula_to_text(left, level if assoc == "left" else level + 1)
+        right = formula_to_text(f.right, level if assoc == "right" else level + 1)
+        text = f"{left} {op} {right}"
+        return f"({text})" if level < need else text
     raise TypeError(f)
 
 
@@ -142,34 +157,13 @@ _PREFIX = {"!": Not, "G": Globally, "F": Finally}
 
 class _FormulaParser(TokenCursor):
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.binary(_BINARY, self.unary, 0)
         if not self.at("eof"):
             raise self.unexpected(" after formula")
         return f
 
-    def implies(self) -> Formula:
-        left = self.disj()
-        if self.accept("=>"):
-            return Or(Not(left), self.implies())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.accept("|"):
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.until()
-        while self.accept("&"):
-            left = And(left, self.until())
-        return left
-
-    def until(self) -> Formula:
-        left = self.unary()
-        if self.accept("name", "U"):
-            return Until(left, self.until())
-        return left
+    def node(self, build, left: Formula, right: Formula, t) -> Formula:
+        return build(left, right)
 
     def unary(self) -> Formula:
         op = self.peek().value
@@ -179,7 +173,7 @@ class _FormulaParser(TokenCursor):
         if self.accept("name", "true"):
             return TRUE
         if self.accept("("):
-            inner = self.implies()
+            inner = self.binary(_BINARY, self.unary, 0)
             self.expect(")")
             return inner
         if self.accept("["):

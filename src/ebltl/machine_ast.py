@@ -35,6 +35,7 @@ INIT_EVENT = "init"
 class IntRangeType:
     lo: Union[int, str]  # literal or constant name, resolved by typecheck
     hi: Union[int, str]
+    pos: Optional[Pos] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.lo}..{self.hi}"
@@ -42,6 +43,8 @@ class IntRangeType:
 
 @dataclass(frozen=True)
 class BoolType:
+    pos: Optional[Pos] = field(default=None, compare=False)
+
     def __str__(self) -> str:
         return "bool"
 
@@ -49,6 +52,7 @@ class BoolType:
 @dataclass(frozen=True)
 class SetType:
     carrier: str
+    pos: Optional[Pos] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"set of {self.carrier}"
@@ -57,6 +61,7 @@ class SetType:
 @dataclass(frozen=True)
 class ElemType:
     carrier: str
+    pos: Optional[Pos] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return self.carrier
@@ -247,24 +252,39 @@ class SymbolTable:
 
 
 # ---------------------------------------------------------------------------
+# binary operators, read by the parser and by the printer
+
+# One entry per precedence level, loosest first: its associativity ("left",
+# "right", or None for an operator that does not chain) and each operator's
+# source text mapped to its AST op.
+BINARY_LEVELS = (
+    ("left", {"<=>": "<=>"}),
+    ("right", {"=>": "=>"}),
+    ("left", {"or": "or"}),
+    ("left", {"&": "&"}),
+    (None, {"=": "=", "/=": "/=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+            "<:": "<:", "in": "in", "notin": "notin"}),
+    ("left", {"\\/": "union", "/\\": "inter", "\\": "diff"}),
+    ("left", {"+": "+", "-": "-"}),
+    ("left", {"*": "*"}),
+)
+
+# AST op -> (level counted from 1, associativity, source text)
+_BINARY_OPS = {op: (level, assoc, text)
+               for level, (assoc, ops) in enumerate(BINARY_LEVELS, 1)
+               for text, op in ops.items()}
+
+
+# ---------------------------------------------------------------------------
 # pretty printing back to concrete syntax
 
-_PREC = {
-    "<=>": 1,
-    "=>": 2,
-    "or": 3,
-    "&": 4,
-    "=": 6, "/=": 6, "<": 6, "<=": 6, ">": 6, ">=": 6,
-    "in": 6, "notin": 6, "<:": 6,
-    "union": 7, "inter": 7, "diff": 7,
-    "+": 8, "-": 8,
-    "*": 9,
-}
+def expr_to_text(e: Expr, need: int = 0) -> str:
+    """Render with minimal parentheses; reparses to an equal AST.
 
-_OP_TEXT = {"union": "\\/", "inter": "/\\", "diff": "\\"}
-
-
-def expr_to_text(e: Expr, parent_prec: int = 0) -> str:
+    A binary operator prints bare when its level is at least `need`.  An
+    operand at its operator's own level is parenthesised unless it is the
+    left operand of a left-associative operator.
+    """
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, BoolLit):
@@ -274,19 +294,19 @@ def expr_to_text(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, SetLit):
         return "{ " + ", ".join(expr_to_text(i) for i in e.items) + " }" if e.items else "{}"
     if isinstance(e, Unary):
-        inner = expr_to_text(e.operand, 10)
+        inner = expr_to_text(e.operand, len(BINARY_LEVELS) + 1)
         return ("-" + inner) if e.op == "neg" else ("not " + inner)
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
-        op = _OP_TEXT.get(e.op, e.op)
-        text = f"{expr_to_text(e.left, prec)} {op} {expr_to_text(e.right, prec + 1)}"
-        return f"({text})" if prec < parent_prec else text
+        level, assoc, op = _BINARY_OPS[e.op]
+        left = expr_to_text(e.left, level if assoc == "left" else level + 1)
+        text = f"{left} {op} {expr_to_text(e.right, level + 1)}"
+        return f"({text})" if level < need else text
     if isinstance(e, Call):
         return f"{e.fn}({', '.join(expr_to_text(a) for a in e.args)})"
     if isinstance(e, IfExpr):
         text = (f"if {expr_to_text(e.cond)} then {expr_to_text(e.then)}"
                 f" else {expr_to_text(e.orelse)} end")
-        return f"({text})" if parent_prec > 0 else text
+        return f"({text})" if need > 0 else text
     raise TypeError(f"unknown expression {e!r}")
 
 

@@ -23,11 +23,13 @@ integer range `LO..HI` whose bounds are literals or declared constants.
 ACTIONS are `target := expr` assignments joined with `||`, or bounded
 choice blocks `any x : TYPE where EXPR then ACTIONS end`.  Boolean
 connectives are `&`, `or`, `not`, `=>`, `<=>`; set operators are `\\/`,
-`/\\`, `\\`, `<:`, `in`, `notin`.  Comments run from `//` to end of line.
+`/\\`, `\\`, `<:`, `in`, `notin`.  Their precedence and associativity
+are `machine_ast.BINARY_LEVELS`.  Comments run from `//` to end of line.
 
 `tokenize` and `TokenCursor` are the lexer and the token cursor of both
 input languages: this module runs `tokenize` under the machine pattern and
-`KEYWORDS`, `formulas` under its own pattern and no keywords.
+`KEYWORDS`, `formulas` under its own pattern and no keywords.  Both parse
+binary operators with `TokenCursor.binary` over their own level table.
 
 `parse_machine` also runs the typechecker, so a returned Machine is
 well-formed except for its `linking` clause, which can only be checked
@@ -39,9 +41,9 @@ import re
 
 from .errors import ParseError
 from .machine_ast import (
-    STATUSES, Assign, AnyChoice, Binary, BoolLit, BoolType, Call, ElemType,
-    Event, Expr, IfExpr, IntLit, IntRangeType, Machine, Name, Param, SetLit,
-    SetType, Unary, VarType,
+    BINARY_LEVELS, STATUSES, Assign, AnyChoice, Binary, BoolLit, BoolType,
+    Call, ElemType, Event, Expr, IfExpr, IntLit, IntRangeType, Machine, Name,
+    Param, SetLit, SetType, Unary, VarType,
 )
 from .typecheck import typecheck
 
@@ -148,6 +150,29 @@ class TokenCursor:
         t = self.peek()
         return ParseError(f"unexpected {t.value!r}{rest}", t.line, t.col)
 
+    def binary(self, levels, operand, level: int):
+        """Parse `levels[level:]` of a binary operator table such as
+        `machine_ast.BINARY_LEVELS`, whose leaves `operand()` parses.
+
+        An operator is a token whose value is a key of its level's map; the
+        subclass's `node(op, left, right, token)` builds the tree from the
+        mapped value.  The last level calls `operand` directly, so each
+        nesting level costs one frame per table level and no more.
+        """
+        assoc, ops = levels[level]
+        last = level + 1 == len(levels)
+        left = operand() if last else self.binary(levels, operand, level + 1)
+        while self.peek().value in ops:
+            t = self.advance()
+            if assoc == "right":
+                right = self.binary(levels, operand, level)
+            else:
+                right = operand() if last else self.binary(levels, operand, level + 1)
+            left = self.node(ops[t.value], left, right, t)
+            if assoc != "left":
+                break
+        return left
+
 
 class _Parser(TokenCursor):
     # -- machine structure -------------------------------------------------
@@ -216,20 +241,21 @@ class _Parser(TokenCursor):
 
     def var_type(self) -> VarType:
         t = self.peek()
+        pos = (t.line, t.col)
         if self.accept("kw", "bool"):
-            return BoolType()
+            return BoolType(pos)
         if self.accept("kw", "set"):
             self.expect("kw", "of")
-            return SetType(self.expect_name("carrier name").value)
+            return SetType(self.expect_name("carrier name").value, pos)
         if t.kind == "int":
             lo = int(self.advance().value)
             self.expect("..")
-            return IntRangeType(lo, self.range_bound())
+            return IntRangeType(lo, self.range_bound(), pos)
         if t.kind == "name":
             name = self.advance().value
             if self.accept(".."):
-                return IntRangeType(name, self.range_bound())
-            return ElemType(name)
+                return IntRangeType(name, self.range_bound(), pos)
+            return ElemType(name, pos)
         raise self.unexpected(", expected a type")
 
     def range_bound(self) -> int | str:
@@ -303,74 +329,13 @@ class _Parser(TokenCursor):
         self.expect(":=")
         return Assign(t.value, self.expr(), (t.line, t.col))
 
-    # -- expressions, precedence climbing ----------------------------------
+    # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.iff()
+        return self.binary(BINARY_LEVELS, self.atom, 0)
 
-    def iff(self) -> Expr:
-        left = self.implies()
-        while self.at("<=>"):
-            t = self.advance()
-            left = Binary("<=>", left, self.implies(), (t.line, t.col))
-        return left
-
-    def implies(self) -> Expr:
-        left = self.disj()
-        if self.at("=>"):
-            t = self.advance()
-            return Binary("=>", left, self.implies(), (t.line, t.col))
-        return left
-
-    def disj(self) -> Expr:
-        left = self.conj()
-        while self.at("kw", "or"):
-            t = self.advance()
-            left = Binary("or", left, self.conj(), (t.line, t.col))
-        return left
-
-    def conj(self) -> Expr:
-        left = self.cmp()
-        while self.at("&"):
-            t = self.advance()
-            left = Binary("&", left, self.cmp(), (t.line, t.col))
-        return left
-
-    _CMP = ("=", "/=", "<", "<=", ">", ">=", "<:")
-
-    def cmp(self) -> Expr:
-        left = self.set_ops()
-        t = self.peek()
-        if t.kind in self._CMP:
-            self.advance()
-            return Binary(t.kind, left, self.set_ops(), (t.line, t.col))
-        if t.kind == "kw" and t.value in ("in", "notin"):
-            self.advance()
-            return Binary(t.value, left, self.set_ops(), (t.line, t.col))
-        return left
-
-    _SET_OPS = {"\\/": "union", "/\\": "inter", "\\": "diff"}
-
-    def set_ops(self) -> Expr:
-        left = self.add_sub()
-        while self.peek().kind in self._SET_OPS:
-            t = self.advance()
-            left = Binary(self._SET_OPS[t.kind], left, self.add_sub(), (t.line, t.col))
-        return left
-
-    def add_sub(self) -> Expr:
-        left = self.mul()
-        while self.peek().kind in ("+", "-"):
-            t = self.advance()
-            left = Binary(t.kind, left, self.mul(), (t.line, t.col))
-        return left
-
-    def mul(self) -> Expr:
-        left = self.atom()
-        while self.at("*"):
-            t = self.advance()
-            left = Binary("*", left, self.atom(), (t.line, t.col))
-        return left
+    def node(self, op: str, left: Expr, right: Expr, t: Token) -> Expr:
+        return Binary(op, left, right, (t.line, t.col))
 
     def atom(self) -> Expr:
         t = self.peek()

@@ -60,22 +60,24 @@ def _unify(a, b):
 
 def resolve_type(vtype: VarType, sym: SymbolTable) -> VarType:
     """A declared type with constant range bounds replaced by their values;
-    the one place bounds are resolved, for variables and parameters alike."""
+    the one place bounds are resolved, for variables and parameters alike.
+    Errors point at the type's position when the parser set one."""
+    where = vtype.pos or ()
     if isinstance(vtype, IntRangeType):
         lo, hi = vtype.lo, vtype.hi
         if isinstance(lo, str):
             if lo not in sym.constants:
-                raise TypecheckError(f"range bound {lo!r} is not a declared constant")
+                raise TypecheckError(f"range bound {lo!r} is not a declared constant", *where)
             lo = sym.constants[lo]
         if isinstance(hi, str):
             if hi not in sym.constants:
-                raise TypecheckError(f"range bound {hi!r} is not a declared constant")
+                raise TypecheckError(f"range bound {hi!r} is not a declared constant", *where)
             hi = sym.constants[hi]
         if lo > hi:
-            raise TypecheckError(f"empty integer range {lo}..{hi}")
+            raise TypecheckError(f"empty integer range {lo}..{hi}", *where)
         return IntRangeType(lo, hi)
     if isinstance(vtype, (SetType, ElemType)) and vtype.carrier not in sym.carrier_elems:
-        raise TypecheckError(f"unknown carrier {vtype.carrier!r}")
+        raise TypecheckError(f"unknown carrier {vtype.carrier!r}", *where)
     return vtype
 
 

@@ -281,6 +281,8 @@ BAD_FILES = {
       "--prop", "phi2", "--beta", "selectBiscuit,selectChoc,dispenseChoc,"), 3),
     (("parse", "{tmp}/badtype.eb"), 3),
     (("beta", "--prop", "[a] $"), 3),
+    (("parse", str(VM_DIR / "vm1.eb"), "--set", "capacity=--5"), 3),
+    (("parse", str(VM_DIR / "vm1.eb"), "--set", "capacity=\u00b2"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -292,7 +294,7 @@ BAD_FILES = {
         "random-negative", "deep-invariant", "deep-prop", "deep-beta",
         "deep-compile", "beta-sigma-empty-names", "beta-empty-name",
         "beta-malformed-name", "preserve-beta-empty-name", "typecheck-error",
-        "formula-bad-character", "help",
+        "formula-bad-character", "set-double-minus", "set-superscript", "help",
         "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never

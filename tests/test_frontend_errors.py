@@ -135,17 +135,17 @@ ROWS = [
      "in property 'p2': unexpected ')' in formula", 2, 5),
     # -- typecheck: declarations and resolve_type
     ("range-low-not-constant", machine("n : 0..K", "n : L..K"), TypecheckError,
-     "range bound 'L' is not a declared constant", None, None),
+     "range bound 'L' is not a declared constant", 7, 7),
     ("range-high-not-constant", machine("n : 0..K", "n : 0..L"), TypecheckError,
-     "range bound 'L' is not a declared constant", None, None),
+     "range bound 'L' is not a declared constant", 7, 7),
     ("range-empty", machine("n : 0..K", "n : 3..1"), TypecheckError,
-     "empty integer range 3..1", None, None),
+     "empty integer range 3..1", 7, 7),
     ("unknown-set-carrier", machine("s : set of C", "s : set of D"), TypecheckError,
-     "unknown carrier 'D'", None, None),
+     "unknown carrier 'D'", 8, 7),
     ("unknown-element-carrier", machine("e : C", "e : D"), TypecheckError,
-     "unknown carrier 'D'", None, None),
+     "unknown carrier 'D'", 9, 7),
     ("parameter-unknown-carrier", machine("event go when", "event go any p : D where"),
-     TypecheckError, "unknown carrier 'D'", None, None),
+     TypecheckError, "unknown carrier 'D'", 13, 20),
     ("duplicate-declaration", machine("K = 2", "K = 2\n  a = 1"), TypecheckError,
      "duplicate declaration of 'a' (constant vs carrier element)", 1, 1),
     ("carrier-repeats-element", machine("{ a, b }", "{ a, a }"), TypecheckError,

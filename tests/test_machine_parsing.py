@@ -1,11 +1,18 @@
 """Machine language: parsing, typechecking, round trips."""
 from __future__ import annotations
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from ebltl.errors import ParseError, TypecheckError
-from ebltl.machine_ast import machine_to_text
-from ebltl.machine_parser import parse_machine, parse_machine_file
+from ebltl.machine_ast import (
+    BINARY_LEVELS, Binary, BoolLit, IfExpr, IntLit, Name, Unary, expr_to_text,
+    machine_to_text,
+)
+from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
 from tests.conftest import VM_DIR
 
 TOY = """
@@ -124,3 +131,51 @@ def test_round_trip_keeps_linking_and_variant(vm_machines):
     again = parse_machine(text)
     assert again.linking == vm_machines["VM4"].linking
     assert again.variant == vm_machines["VM4"].variant
+
+
+BINARY_OPS = ("<=>", "=>", "or", "&", "=", "/=", "<", "<=", ">", ">=", "<:", "in",
+              "notin", "union", "inter", "diff", "+", "-", "*")
+
+
+def random_expr(rng: random.Random, depth: int, used: set):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((Name(rng.choice("xyz")), IntLit(rng.randint(0, 9)),
+                           BoolLit(rng.random() < 0.5)))
+    roll = rng.random()
+    if roll < 0.1:
+        used.add("Unary")
+        return Unary(rng.choice(("neg", "not")), random_expr(rng, depth - 1, used))
+    if roll < 0.15:
+        used.add("IfExpr")
+        return IfExpr(*(random_expr(rng, depth - 1, used) for _ in range(3)))
+    op = rng.choice(BINARY_OPS)
+    used.add(op)
+    return Binary(op, random_expr(rng, depth - 1, used), random_expr(rng, depth - 1, used))
+
+
+def test_random_expressions_round_trip():
+    rng = random.Random(13)
+    used: set = set()
+    for _ in range(2000):
+        e = random_expr(rng, rng.randint(1, 5), used)
+        text = expr_to_text(e)
+        assert parse_expression(text) == e, text
+    assert used == set(BINARY_OPS) | {"Unary", "IfExpr"}
+
+
+@pytest.mark.parametrize("invariant", ["(f => f) => f", "(n = 1) = f"])
+def test_same_level_left_operands_round_trip(invariant):
+    source = ("machine Nested\nvariables\n  f : bool\n  n : 0..2\n"
+              f"invariant\n  {invariant}\n"
+              "events\n  event init then f := true || n := 1 end\nend\n")
+    machine = parse_machine(source)
+    assert machine.invariant == parse_expression(invariant)
+    assert parse_machine(machine_to_text(machine)) == machine
+
+
+def test_language_doc_lists_the_operator_table():
+    doc = (Path(__file__).parent.parent / "docs" / "language.md").read_text()
+    rows = re.findall(r"^\| (\d+) +\| (.*?) +\| (\w+) +\|$", doc, re.MULTILINE)
+    assert [(int(level), re.findall(r"`([^`]+)`", ops), assoc) for level, ops, assoc in rows] == [
+        (level, list(ops), assoc or "none")
+        for level, (assoc, ops) in enumerate(BINARY_LEVELS, 1)]
