@@ -175,6 +175,37 @@ def test_check_invariant_catches_forged_state(vm_graphs):
     assert "credit" in verdict.detail
 
 
+# variables declared z, flag, item, bag; states hold them in sorted order
+DOMAINS = ("machine Pin\ncarriers\n  IT = { a, b }\n"
+           "variables\n  z : 1..3\n  flag : bool\n  item : IT\n  bag : set of IT\n"
+           "invariant\n  z < 3\n"
+           "events\n  event init then z := 1 || flag := false || item := a || bag := {} end\nend")
+_GOOD = {"bag": frozenset({"a"}), "flag": True, "item": "b", "z": 2}
+
+
+@pytest.mark.parametrize("values, verdict", [
+    ({"z": 4}, (False, 1, "z = 4 leaves its declared domain")),
+    ({"z": 0}, (False, 1, "z = 0 leaves its declared domain")),
+    ({"z": True}, (True, None, "2 states re-checked")),  # a bool is an int
+    ({"flag": 1}, (False, 1, "flag = 1 leaves its declared domain")),
+    ({"item": "c"}, (False, 1, "item = 'c' leaves its declared domain")),
+    ({"bag": frozenset({"a", "c"})}, (False, 1, "bag = ['a', 'c'] leaves its declared domain")),
+    ({"bag": {"a"}}, (False, 1, "bag = {'a'} leaves its declared domain")),
+    ({"z": 9, "bag": frozenset({"c"})}, (False, 1, "z = 9 leaves its declared domain")),
+    ({"flag": 0, "item": "z"}, (False, 1, "flag = 0 leaves its declared domain")),
+    ({"z": 3}, (False, 1, "invariant is false")),
+], ids=["int-above", "int-below", "true-in-int-range", "int-in-bool", "foreign-element",
+        "foreign-member", "set-not-frozen", "first-declared-wins", "flag-before-item",
+        "invariant-false"])
+def test_check_invariant_judges_domains(values, verdict):
+    g = explore(parse_machine(DOMAINS))
+    assert g.var_names == ("bag", "flag", "item", "z") and len(g.states) == 1
+    g.states.append(tuple({**_GOOD, **values}[n] for n in g.var_names))
+    got = check_invariant(g)
+    assert (got.holds, got.witness_state, got.detail) == verdict
+    assert got.witness_path is None
+
+
 def test_deadlock_free_on_corpus(vm_graphs):
     for name in ["VM1", "VM2", "VM3", "VM4"]:
         assert check_deadlock_free(vm_graphs[name]).holds
