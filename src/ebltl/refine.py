@@ -385,11 +385,10 @@ class POReport:
                 "obligations": {n: r.to_json_dict() for n, r in self.results.items()}}
 
 
-def _enumerate_universe(machine: Machine) -> list[tuple]:
+def _enumerate_universe(sym, compiled) -> list[tuple]:
     """All states over the declared domains satisfying the invariant."""
-    sym, invariant = machine.sym, compile_machine(machine).invariant
     domains = [sym.domain(sym.var_types[v]) for v in sym.var_names]
-    return [state for state in product(*domains) if invariant(state)]
+    return [state for state in product(*domains) if compiled.invariant(state)]
 
 
 def check_refinement_pair(abstract: Machine, concrete: Machine,
@@ -407,7 +406,7 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         raise ExplorationLimitError(
             f"abstract universe of {abstract.name} has {candidates} candidate "
             f"states, over the limit of {limit}")
-    abs_universe = _enumerate_universe(abstract)
+    abs_universe = _enumerate_universe(abstract.sym, abs_compiled)
     renaming = link.renaming.mapping
     glued = compile_gluing(abstract, concrete, link.linking)
 

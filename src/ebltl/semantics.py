@@ -2,11 +2,12 @@
 
 A typechecked machine is compiled once and kept on the machine
 (`compile_machine`): one small translator (`_py`) writes Python source for
-its initialisation, its events, its invariant and its variant, and `exec`
-turns that into functions over state tuples, with each parameter domain
-resolved once.  Exploration, the invariant check and the refinement
-obligations all evaluate through those functions; the gluing relation of a
-refinement pair is compiled the same way (`compile_gluing`).
+its initialisation, its events, its invariant and its variant, `_MEMBER`
+writes the test of its declared domains, and `exec` turns that into
+functions over state tuples, with each parameter domain resolved once.
+Exploration, the invariant check and the refinement obligations all
+evaluate through those functions; the gluing relation of a refinement
+pair is compiled the same way (`compile_gluing`).
 
 States are tuples of the declared variables' values in sorted name order,
 and evaluation on a machine builds no name-to-value environment (only
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Optional
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
 from .machine_ast import (
     Assign, Binary, BoolLit, BoolType, Call, ElemType, Expr, IfExpr, IntLit,
-    IntRangeType, Machine, Name, SetLit, SetType, Unary, VarType,
+    IntRangeType, Machine, Name, SetLit, SetType, Unary,
 )
 from .search import bfs, path_to
 from .typecheck import resolve_type
@@ -71,7 +72,12 @@ _OPS = {op: (f"({{}} {py} {{}})", level) for op, py, level in (
     (">=", ">=", 0), ("in", "in", 0), ("notin", "not in", 0), ("<:", "<=", 0))}
 _OPS.update({"=>": ("((not {}) or {})", 0), "<=>": ("(bool({}) == bool({}))", 0)})
 _CALLS = {"card": "len", "min": "min", "max": "max"}
-_BUILTINS = {f.__name__: f for f in (frozenset, len, min, max, bool)}
+_BUILTINS = {f.__name__: f for f in (frozenset, len, min, max, bool, isinstance, int)}
+# resolved declared type -> a test that variable {v} holds one of its values;
+# a bool passes an int range, as `isinstance(True, int)` holds
+_MEMBER = {IntRangeType: "isinstance({v}, int) and {t.lo} <= {v} <= {t.hi}",
+           BoolType: "isinstance({v}, bool)", ElemType: "{v} in k_{t.carrier}",
+           SetType: "isinstance({v}, frozenset) and {v} <= k_{t.carrier}"}
 
 
 def _py(e: Expr, name: Callable[[str], str]) -> str:
@@ -145,14 +151,15 @@ class CompiledMachine:
     lists (valuation, [after-state]) for every parameter valuation whose
     guard holds, in canonical order, or for every valuation when `guarded`
     is false; an empty list of after-states means that a bounded choice
-    admits no value.  `invariant` and `variant` evaluate at a state;
-    `declared` gives each variable's position and type in declaration order."""
+    admits no value.  `invariant` and `variant` evaluate at a state, and
+    `out_of_domain` gives the state position of the first variable, in
+    declaration order, outside its declared type, or -1."""
 
     init: Callable[[], list[tuple]]
     events: dict[str, Callable]
     invariant: Callable[[tuple], Value]
     variant: Optional[Callable[[tuple], Value]]
-    declared: tuple[tuple[int, str, VarType], ...]
+    out_of_domain: Callable[[tuple], int]
 
 
 def compile_machine(machine: Machine) -> CompiledMachine:
@@ -214,13 +221,16 @@ def compile_machine(machine: Machine) -> CompiledMachine:
                      ("variant", machine.variant)):
         if expr is not None:
             source.append(f"def {fn}(s):\n{unpack}    return {_py(expr, scope.__getitem__)}\n")
+    tests = "".join(f"    if not ({_MEMBER[type(t)].format(v='s_' + v, t=t)}):\n"
+                    f"        return {sym.var_names.index(v)}\n" for v, t in sym.var_types.items())
+    source.append(f"def out_of_domain(s):\n{unpack}{tests}    return -1\n")
     namespace.update((f"d{k}", d) for k, d in enumerate(domains))
     built = _build("".join(source), namespace)
     machine.compiled = CompiledMachine(
         init=built["init"],
         events={e.name: built[f"e{i}"] for i, e in enumerate(events)},
         invariant=built["invariant"], variant=built.get("variant"),
-        declared=tuple((sym.var_names.index(n), n, t) for n, t in sym.var_types.items()))
+        out_of_domain=built["out_of_domain"])
     return machine.compiled
 
 
@@ -242,18 +252,6 @@ def compile_gluing(abstract: Machine, concrete: Machine,
     source = (f"def glue(a, c):\n{_unpack('a_', a_vars, 'a')}{_unpack('c_', c_vars, 'c')}"
               f"    return {' and '.join(tests) or 'True'}\n")
     return _build(source, {"k_" + n: v for n, v in static.items()})["glue"]
-
-
-def value_in_domain(value: Value, vtype, sym) -> bool:
-    if isinstance(vtype, IntRangeType):
-        return isinstance(value, int) and int(vtype.lo) <= value <= int(vtype.hi)
-    if isinstance(vtype, BoolType):
-        return isinstance(value, bool)
-    if isinstance(vtype, ElemType):
-        return value in sym.carrier_elems[vtype.carrier]
-    if isinstance(vtype, SetType):
-        return isinstance(value, frozenset) and value <= frozenset(sym.carrier_elems[vtype.carrier])
-    return False
 
 
 def value_to_json(value: Value):
@@ -357,13 +355,12 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     )
 
 
-def _check_state(machine: Machine, state: tuple) -> str | None:
+def _check_state(compiled: CompiledMachine, var_names, state: tuple) -> str | None:
     """Domain membership plus invariant truth at `state`; returns a message
     on failure."""
-    compiled = compile_machine(machine)
-    for i, name, vtype in compiled.declared:
-        if not value_in_domain(state[i], vtype, machine.sym):
-            return f"{name} = {value_to_json(state[i])!r} leaves its declared domain"
+    i = compiled.out_of_domain(state)
+    if i >= 0:
+        return f"{var_names[i]} = {value_to_json(state[i])!r} leaves its declared domain"
     if not compiled.invariant(state):
         return "invariant is false"
     return None
@@ -399,7 +396,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         states.append(state)
         if parent is not None:
             parents[idx] = parent
-        message = _check_state(machine, state)
+        message = _check_state(compiled, var_names, state)
         if message:
             path = path_to(parents, idx)
             raise InvariantViolation(
@@ -478,8 +475,9 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
     machine = graph.machine
     if machine is None:
         return GraphVerdict(True, detail="bare graph, nothing to check")
+    compiled = compile_machine(machine)
     for i, state in enumerate(graph.states):
-        message = _check_state(machine, state)
+        message = _check_state(compiled, machine.sym.var_names, state)
         if message:
             try:
                 path = find_path(graph, i)

@@ -283,6 +283,31 @@ def test_enumeration_typed_state_and_params():
     assert all(e.params[0][0] == "x" for e in g.edges)
 
 
+MIRROR = """machine Mirror
+constants
+  C = 1
+variables
+  x : C..5
+events
+  event init then x := 2 end
+  event flip
+    status ordinary
+    when x < 5 then x := -x + 6 end
+end
+"""
+
+
+def test_negation_and_a_constant_lower_bound():
+    g = explore(parse_machine(MIRROR))
+    assert g.states == [(2,), (4,)]
+    assert [(e.src, e.event, e.tgt) for e in g.edges] == [(0, "flip", 1), (1, "flip", 0)]
+    # -2 + 2 is below the constant bound C
+    with pytest.raises(InvariantViolation) as err:
+        explore(parse_machine(MIRROR.replace("-x + 6", "-x + 2")))
+    assert str(err.value) == "state 1 of Mirror: x = 0 leaves its declared domain (reached by flip)"
+    assert (err.value.state, err.value.path) == ({"x": 0}, ["flip"])
+
+
 def test_eval_expr_min_max_card(vm_machines):
     m = vm_machines["VM4"]
     env = {**static_env(m), "credit": 1, "chosen": frozenset({"choc"}),
@@ -453,14 +478,15 @@ def test_long_chains_compile(tmp_path):
 
 
 _SCAFFOLD = re.compile(r"(?:[sack]|p\d+)_[A-Za-z_][A-Za-z0-9_]*|[sac]|guarded|init|"
-                       r"invariant|variant|glue|[edv]\d+")
+                       r"invariant|variant|out_of_domain|glue|[edv]\d+")
 _PYTHON_WORDS = {"def", "return", "for", "in", "if", "else", "not", "or", "and",
-                 "True", "False", "frozenset", "len", "min", "max", "bool"}
+                 "True", "False", "frozenset", "len", "min", "max", "bool",
+                 "isinstance", "int"}
 
 
 def test_generated_source_holds_only_prefixed_names(monkeypatch, tmp_path):
     """The compiled functions' text holds prefixed machine names, the
-    functions' own names, int and bool literals, operators and five
+    functions' own names, int and bool literals, operators and seven
     builtins: no string literal and no bare machine name."""
     from ebltl import semantics
     sources = []
