@@ -156,7 +156,8 @@ class TokenCursor:
 
         An operator is a token whose value is a key of its level's map; the
         subclass's `node(op, left, right, token)` builds the tree from the
-        mapped value.  The last level calls `operand` directly, so each
+        mapped value; a level that does not chain (the comparisons) rejects
+        a second operator.  The last level calls `operand` directly, so each
         nesting level costs one frame per table level and no more.
         """
         assoc, ops = levels[level]
@@ -169,8 +170,8 @@ class TokenCursor:
             else:
                 right = operand() if last else self.binary(levels, operand, level + 1)
             left = self.node(ops[t.value], left, right, t)
-            if assoc != "left":
-                break
+            if assoc is None and self.peek().value in ops:
+                raise self.unexpected(": comparisons do not chain; parenthesise one side")
         return left
 
 

@@ -107,6 +107,14 @@ ROWS = [
      "unexpected ')', expected end of input", 1, 3),
     ("expression-truncated", lambda: parse_expression("x +"), ParseError,
      "unexpected 'end of input' in expression", 1, 4),
+    ("guard-chained-comparison", machine("when n < K", "when n = 1 = f"), ParseError,
+     "unexpected '=': comparisons do not chain; parenthesise one side", 13, 23),
+    ("invariant-chained-comparison", machine("events\n", "invariant\n  n = 1 = f\nevents\n"),
+     ParseError, "unexpected '=': comparisons do not chain; parenthesise one side", 12, 9),
+    ("expression-chained-comparison", lambda: parse_expression("n = 1 = f"), ParseError,
+     "unexpected '=': comparisons do not chain; parenthesise one side", 1, 7),
+    ("chained-set-comparisons", machine("when n < K", "when e in s <: s"), ParseError,
+     "unexpected '<:': comparisons do not chain; parenthesise one side", 13, 24),
     # -- formulas
     ("formula-bad-character", lambda: parse_formula("[a] $"), ParseError,
      "unexpected character '$' in formula", 1, 5),
@@ -184,6 +192,13 @@ ROWS = [
      "parallel assignments both write 'n'", 13, 42),
     ("init-reads-variable", machine("n := 0 ||", "n := K - n ||"), TypecheckError,
      "init expressions cannot read variables", 12, 19),
+    ("init-reads-variable-through-minus", machine("n := 0 ||", "n := -n ||"), TypecheckError,
+     "init expressions cannot read variables", 12, 19),
+    ("init-reads-variable-through-card", machine("n := 0 ||", "n := card(s) ||"),
+     TypecheckError, "init expressions cannot read variables", 12, 19),
+    ("init-reads-variable-through-if",
+     machine("n := 0 ||", "n := if f then 1 else 0 end ||"),
+     TypecheckError, "init expressions cannot read variables", 12, 19),
     ("init-choice-reads-variable",
      machine("n := 0 ||", "any p : 0..K where p < n then n := p end ||"),
      TypecheckError, "init expressions cannot read variables", 12, 19),
