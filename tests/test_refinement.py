@@ -260,7 +260,63 @@ def test_abstract_universe_bound_is_exact():
         check_refinement_pair(step, step, link, graph)
 
 
+def test_init_links_to_no_abstract_initial_state():
+    """StepLate starts where Step never does; every transition still
+    simulates inc, so only INV_REF's init check fails."""
+    step = parse_machine(STEP)
+    late = parse_machine(STEP.replace("machine Step", "machine StepLate refines Step")
+                         .replace("n := 0", "n := 1").replace("event inc", "event inc refines inc"))
+    chain = build_chain("late", [step, late])
+    report = check_refinement_pair(step, late, chain.links[0], explore(late))
+    assert report.failed() == ["INV_REF"]
+    assert report.results["INV_REF"].witnesses == [
+        {"kind": "init", "concrete_state": {"n": 1},
+         "message": "no abstract initial state is linked to this concrete initial state"}]
+
+
 # -- strategy -------------------------------------------------------------------
+
+def _counter(head: str, *events: str):
+    """A machine over n : 0..2 with header `head` and one `when n < 2 then
+    n := n + 1` event per entry `name[>abstract][:status]`; it gets a
+    variant when some event is anticipated or convergent."""
+    lines = [f"machine {head}", "variables", "  n : 0..2", "events",
+             "  event init then n := 0 end"]
+    for entry in events:
+        entry, _, status = entry.partition(":")
+        name, _, target = entry.partition(">")
+        lines.append(f"  event {name}" + (f" refines {target}" if target else ""))
+        lines += [f"    status {status}"] if status else []
+        lines.append("    when n < 2 then n := n + 1 end")
+        if status in ("anticipated", "convergent") and "variant" not in lines:
+            lines[3:3] = ["variant", "  2 - n"]
+    return parse_machine("\n".join(lines + ["end"]))
+
+
+@pytest.mark.parametrize("machines, violations", [
+    ([("A", "go:convergent")],
+     [(1, "A", "go", "go is convergent in the first machine")]),
+    ([("A", "inc", "dec"), ("B refines A", "inc>inc")],
+     [(2, "A", "dec", "dec of A has no refining event in B")]),
+    ([("A", "inc"), ("B refines A", "inc>inc", "tick:ordinary")],
+     [(3, "B", "tick", "new event tick is ordinary")]),
+    ([("A", "inc"), ("B refines A", "inc>inc", "pay:anticipated"),
+      ("C refines B", "inc>inc", "pay>pay:ordinary")],
+     [(4, "C", "pay", "pay refines anticipated pay but is ordinary")]),
+    ([("A", "inc"), ("B refines A", "inc>inc:convergent")],
+     [(5, "B", "inc", "inc refines ordinary inc but is convergent")]),
+    ([("A", "inc"), ("B refines A", "inc>inc", "tick:convergent"),
+      ("C refines B", "inc>inc", "tick>tick:anticipated")],
+     [(5, "C", "tick", "tick refines convergent tick but is anticipated"),
+      (6, "C", "tick", "tick is still anticipated in the final machine")]),
+    ([("A", "inc"), ("B refines A", "inc>inc", "pay:anticipated")],
+     [(6, "B", "pay", "pay is still anticipated in the final machine")]),
+], ids=["rule-1", "rule-2", "rule-3", "rule-4", "rule-5-ordinary", "rule-5-convergent",
+        "rule-6"])
+def test_each_strategy_rule_reports_its_violation(machines, violations):
+    chain = build_chain("rules", [_counter(*m) for m in machines])
+    assert [(v.rule, v.machine, v.event, v.message)
+            for v in check_strategy(chain).violations] == violations
 
 def test_strategy_vm1_chain(vm1_chain):
     report = check_strategy(vm1_chain)
