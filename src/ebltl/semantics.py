@@ -3,7 +3,7 @@
 A typechecked machine is compiled once and kept on the machine
 (`compile_machine`): one small translator (`_py`) writes Python source for
 its initialisation, its events, its invariant and its variant, `_MEMBER`
-writes the test of its declared domains, and `exec` turns that into
+gives the test of each declared domain, and `exec` turns that into
 functions over state tuples, with each parameter domain resolved once.
 Exploration, the invariant check and the refinement obligations all
 evaluate through those functions; the gluing relation of a refinement
