@@ -28,11 +28,15 @@ One `Product` class pairs a left side with an automaton, breadth-first
 over node ids, recording each node's first edge and depth, and searches
 it for the closest accepting node (a finite trace) and for the
 shallowest accepting component (a lasso, looped by
-`search.stitch_cycle`).  The model checker's `CounterexampleSearch`
+`search.stitch_cycle`); between components whose anchors are equally
+deep, the least node id wins.  The model checker's `CounterexampleSearch`
 steps a graph's successor table (`StateGraph.moves`) next to the
-automaton of the negated formula; the beta-dependence decision's
-`ProjectionProduct` steps one automaton over a word next to another
-reading its projection onto a set of letters.
+automaton of the negated formula.  It marks the automaton's components
+that can accept (`TableauAutomaton.live_components`) before building, so
+its product stores and searches only the edges that can close an
+accepting lasso.  The beta-dependence decision's `ProjectionProduct`
+steps one automaton over a word next to another reading its projection
+onto a set of letters, and keeps every edge.
 """
 from __future__ import annotations
 
@@ -43,7 +47,9 @@ from .errors import ExplorationLimitError
 from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
-from .search import path_inside, path_to, shallowest_component, stitch_cycle
+from .search import (
+    nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
+)
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
 
@@ -275,6 +281,34 @@ class TableauAutomaton:
         self._succ[key] = result
         return result
 
+    def fulfils(self, states) -> bool:
+        """Generalized Buchi: a cycle through exactly these states leaves
+        every Until undelayed somewhere."""
+        return all(any(f not in self._sets[q] for q in states) for f in self.untils)
+
+    def live_components(self, letters) -> list[int]:
+        """Per state reachable from the initial one over `letters`, the id
+        of its strongly connected component, or -1 when that component
+        cannot hold an accepting cycle: it is trivial (no transition inside
+        it), or some Until is delayed in every one of its states (`fulfils`
+        fails on the whole component).  Explores
+        the automaton eagerly; states are few.  Every cycle of a product
+        with this automaton reads letters of its left side and stays inside
+        one component, so its nodes can close an accepting lasso only
+        through edges that join two states with one live id (`Product`)."""
+        letters = sorted(letters)
+        adj = []
+        qid = 0
+        while qid < len(self._sets):  # successors() interns new states
+            adj.append([(q2, x) for x in letters for q2 in self.successors(qid, x)])
+            qid += 1
+        live = [-1] * len(adj)
+        for cid, scc in enumerate(tarjan(len(adj), adj)):
+            if nontrivial(scc, adj) and self.fulfils(scc):
+                for q in scc:
+                    live[q] = cid
+        return live
+
 
 # ---------------------------------------------------------------------------
 # products
@@ -285,40 +319,57 @@ class Product:
     `successors(right, label)`.  Built once by walking node ids from
     `starts`: ids are the discovery order, so the walk is breadth-first,
     and each new node's first edge (`parent`) and `depth` are recorded as
-    it is found.  More than `limit` nodes raise ExplorationLimitError."""
+    it is found.  More than `limit` nodes raise ExplorationLimitError.
 
-    def __init__(self, starts, step, successors, limit: Optional[int] = None):
+    `live`, when given, is `TableauAutomaton.live_components` of the right
+    automaton: `adj` then keeps only the edges between two nodes whose
+    right states share a live component, and `lasso` searches only from
+    nodes with a live right state.  Every node is still numbered and
+    reached, so `first`, `parent` and `depth` do not depend on it."""
+
+    def __init__(self, starts, step, successors, limit: Optional[int] = None,
+                 live: Optional[list[int]] = None):
         ids: dict[tuple, int] = {}
         self.nodes = nodes = []
         self.adj = adj = []
         self.parent = parent = {}
         self.depth = depth = []
+        self.live = live
+        cap = float("inf") if limit is None else limit
 
-        def add(node, via) -> int:
-            if limit is not None and len(nodes) >= limit:
-                raise ExplorationLimitError(
-                    f"product size exceeded the limit of {limit}")
-            nid = ids[node] = len(nodes)
-            nodes.append(node)
-            adj.append([])
-            depth.append(depth[via[0]] + 1 if via else 0)
-            if via:
-                parent[nid] = via
-            return nid
+        def overflow():
+            return ExplorationLimitError(f"product size exceeded the limit of {limit}")
 
         for node in starts:
             if node not in ids:
-                add(node, None)
+                if len(nodes) >= cap:
+                    raise overflow()
+                ids[node] = len(nodes)
+                nodes.append(node)
+                adj.append([])
+                depth.append(0)
         nid = 0
         while nid < len(nodes):
             left, right = nodes[nid]
             out = adj[nid]
+            below = depth[nid] + 1
+            # an edge is stored when its target's live id is `keep`; -2 is
+            # no state's id, so a node with a dead right state stores none
+            keep = None if live is None else live[right] if live[right] >= 0 else -2
             for left2, label in step(left):
                 for right2 in successors(right, label):
-                    tgt = ids.get((left2, right2))
+                    node = (left2, right2)
+                    tgt = ids.get(node)
                     if tgt is None:
-                        tgt = add((left2, right2), (nid, label))
-                    out.append((tgt, label))
+                        if len(nodes) >= cap:
+                            raise overflow()
+                        tgt = ids[node] = len(nodes)
+                        nodes.append(node)
+                        adj.append([])
+                        depth.append(below)
+                        parent[tgt] = (nid, label)
+                    if keep is None or live[right2] == keep:
+                        out.append((tgt, label))
             nid += 1
 
     def first(self, accepting) -> Optional[Trace]:
@@ -334,11 +385,17 @@ class Product:
         """A lasso over `adj` (the product's edges unless given) anchored at
         the shallowest node of a component that passes
         `accepting(scc, members)`, whose loop meets every goal
-        (`search.stitch_cycle`); on a tie in depth, the first component in
-        Tarjan's order wins.  `close(anchor, members, cycle)` may lengthen
-        the loop."""
+        (`search.stitch_cycle`); on a tie in depth, the least node id wins,
+        whatever order the components are found in
+        (`search.shallowest_component`).  With a live marking only
+        components of nodes with a live right state are searched.
+        `close(anchor, members, cycle)` may lengthen the loop."""
         adj = self.adj if adj is None else adj
-        found = shallowest_component(adj, self.depth, accepting)
+        roots = None
+        if self.live is not None:
+            live = self.live
+            roots = [n for n, (_, right) in enumerate(self.nodes) if live[right] >= 0]
+        found = shallowest_component(adj, self.depth, accepting, roots)
         if found is None:
             return None
         anchor, members = found
@@ -348,15 +405,13 @@ class Product:
         return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
     def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
-        """Generalized Buchi: the automaton states at position k of the
-        component's nodes leave every Until undelayed somewhere.  Each
-        distinct automaton state is judged once, not each node."""
+        """Whether the automaton states at position k of the component's
+        nodes fulfil `aut` (`TableauAutomaton.fulfils`).  Each distinct
+        automaton state is judged once, not each node."""
         if not aut.untils:
             return True
         nodes = self.nodes
-        states = {nodes[n][k] for n in scc}
-        return all(any(f not in aut.obligations(q) for q in states)
-                   for f in aut.untils)
+        return aut.fulfils({nodes[n][k] for n in scc})
 
     def goals(self, aut: TableauAutomaton, k: int) -> list:
         """Per Until, whether a node's automaton state at position k no
@@ -381,8 +436,12 @@ class CounterexampleSearch(Product):
     def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
         self.graph = graph
         self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True))
+        # the letters the product reads: edge labels, which a hand-built
+        # graph (`make_graph`) need not keep inside its alphabet
+        letters = {label for out in graph.moves for _, label in out}
         super().__init__([(s, aut.initial) for s in graph.initial],
-                         graph.moves.__getitem__, aut.successors, product_limit)
+                         graph.moves.__getitem__, aut.successors, product_limit,
+                         aut.live_components(letters))
 
     def finite_counterexample(self) -> Optional[Trace]:
         """A finite maximal trace: the closest accepting deadlocked node."""
@@ -403,7 +462,13 @@ class ProjectionProduct(Product):
     `b` reads the projection of w onto `beta`: a letter outside beta moves
     `a` alone.  Each witness method returns a word that `a` accepts and
     whose projection `b` accepts, or None; the three cover the three
-    shapes of w."""
+    shapes of w.
+
+    The product keeps every edge, with no live marking: `b` stays put on
+    a letter outside beta, which is no transition of its own, and
+    `stutter_witness` accepts cycles on which `b` reads nothing, so
+    `stutter_witness` and `lasso_witness` read edges that a marking of
+    `b` would drop."""
 
     def __init__(self, a: TableauAutomaton, b: TableauAutomaton, letters,
                  beta: frozenset):

@@ -78,68 +78,81 @@ def stitch_cycle(adj, members, anchor, goals) -> list:
     return labels
 
 
-def shallowest_component(adj, depth, accepting):
+def shallowest_component(adj, depth, accepting, roots=None):
     """`(anchor, members)` for the nontrivial strongly connected component
     of `adj` (one with an edge inside it) that passes
     `accepting(scc, members)` and holds the shallowest node by `depth`,
-    which becomes the anchor; on a tie in depth, the first component in
-    Tarjan's order wins.  None when no component passes."""
+    which becomes the anchor.  The rule reads `(depth, node)` keys only,
+    not the order components are found in: the anchor is the least key
+    inside its component, and the component with the least anchor key
+    wins.  `roots` limits the search to the components Tarjan reaches
+    from them (`tarjan`).  None when no component passes."""
     best = None
-    for scc in tarjan(len(adj), adj):
+    for scc in tarjan(len(adj), adj, roots):
+        if not nontrivial(scc, adj):
+            continue
+        anchor = min(scc, key=lambda n: (depth[n], n))
+        if best is not None and (depth[anchor], anchor) >= (depth[best[0]], best[0]):
+            continue
         members = set(scc)
-        if any(succ in members for n in scc for succ, _ in adj[n]) \
-                and accepting(scc, members):
-            anchor = min(scc, key=lambda n: (depth[n], n))
-            if best is None or depth[anchor] < depth[best[0]]:
-                best = (anchor, members)
+        if accepting(scc, members):
+            best = (anchor, members)
     return best
 
 
-def tarjan(n: int, adj) -> list[list[int]]:
+def nontrivial(scc, adj) -> bool:
+    """Whether a strongly connected component of `adj` has an edge inside
+    it: more than one node, or a self-loop."""
+    return len(scc) > 1 or any(t == scc[0] for t, _ in adj[scc[0]])
+
+
+def tarjan(n: int, adj, roots=None) -> list[list[int]]:
     """Strongly connected components of nodes 0..n-1, where `adj[node]`
-    lists `(successor, label)` pairs (iterative Tarjan); components come out
-    in reverse topological order."""
+    lists `(successor, label)` pairs (iterative Tarjan, one edge iterator
+    per node on the work stack).  The search starts from each of `roots`
+    in turn (every node when None) and returns the components reachable
+    from them, in reverse topological order; each lists its nodes in the
+    order they leave the stack."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(adj[node]):
-                succ = adj[node][pi][0]
-                pi += 1
+            node, edges = work[-1]
+            for succ, _ in edges:
                 if index[succ] == -1:
-                    work[-1] = (node, pi)
-                    work.append((succ, 0))
-                    advanced = True
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, iter(adj[succ])))
                     break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                pnode, _ = work[-1]
-                low[pnode] = min(low[pnode], low[node])
+                if on_stack[succ] and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    at = len(stack) - 1
+                    while stack[at] != node:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    comp.reverse()
+                    for w in comp:
+                        on_stack[w] = False
+                    sccs.append(comp)
+                if work:
+                    pnode = work[-1][0]
+                    if low[node] < low[pnode]:
+                        low[pnode] = low[node]
     return sccs

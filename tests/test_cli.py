@@ -215,6 +215,24 @@ def test_constant_override_and_verbose():
     assert code == 3
 
 
+def test_set_makes_a_range_bound_negative(tmp_path):
+    """Source text cannot write a negative constant, but `--set` can; the
+    domain check then honours the negative bound (docs/language.md)."""
+    src = tmp_path / "down.eb"
+    src.write_text("machine Down\nconstants\n  L = 2\nvariables\n  x : L..4\n"
+                   "events\n  event init then x := 4 end\n"
+                   "  event dec\n    status ordinary\n    then x := x - 1 end\nend\n")
+    code, report = run_json("explore", str(src), "--set", "L=-2")
+    assert code == 1
+    assert report["result"]["error"] == (
+        "state 7 of Down: x = -3 leaves its declared domain "
+        "(reached by dec, dec, dec, dec, dec, dec, dec)")
+    src.write_text(src.read_text().replace("L = 2", "L = -2"))
+    code, report = run_json("parse", str(src))
+    assert code == 3
+    assert report["result"]["error"] == "unexpected '-', expected 'int' (line 3, column 7)"
+
+
 def test_lift_corpus_runs():
     code, _ = run_json("mc", str(LIFT_DIR / "lift.eb"), "--prop",
                        "top_then_ground")

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from ebltl.automata import Product
+from ebltl.automata import NRelease, NFalse, NNotEv, Product, TableauAutomaton, to_nnf
 from ebltl.formulas import Atom, Finally, Globally, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine
 from ebltl.oracle import random_formula, random_graph, trace_realizable
 from ebltl.refine import check_ca
-from ebltl.semantics import explore, find_path
+from ebltl.search import tarjan
+from ebltl.semantics import explore, find_path, make_graph
 from ebltl.traces import finite_trace
 from ebltl.errors import EvalError, ExplorationLimitError
 
@@ -146,7 +147,7 @@ def test_witnesses_are_pinned():
         digest.update(json.dumps([verdict.to_json_dict(), ca.to_json_dict(), paths],
                                  sort_keys=True).encode())
     assert kinds == {"finite": 117, "lasso": 91, "ca": 164}
-    assert digest.hexdigest() == "9f650fe6f6f25cdd25a8d29bb6b4a9b819e6f30d7f8375cfcba48828451ef0ba"
+    assert digest.hexdigest() == "c28c25f8fe9342c7ca1e836c769913a742664081990bdd7d86d4778070323599"
 
 
 def test_product_limit_is_exact():
@@ -160,3 +161,113 @@ def test_product_limit_is_exact():
     assert len(Product([(0, 0)], step, successors, limit=5).nodes) == 5
     with pytest.raises(ExplorationLimitError, match="limit of 4"):
         Product([(0, 0)], step, successors, limit=4)
+
+
+def test_equally_deep_components_go_to_the_least_node_id():
+    """Two accepting loops anchored at depth 1: Tarjan's search from node
+    0 follows x to node 1, whose first edge enters node 2's self-loop, so
+    node 2's component is found first.  The least anchor id, node 1, still
+    wins."""
+    moves = {0: [(1, "x"), (2, "y")], 1: [(2, "z"), (1, "a")], 2: [(2, "b")]}
+    product = Product([(0, 0)], moves.__getitem__, lambda right, label: [right])
+    assert tarjan(3, product.adj) == [[2], [1], [0]]
+    cex = product.lasso(lambda scc, members: True, [])
+    assert cex.render() == "x | (a)^\u03c9"
+
+
+def test_live_components_of_negated_recurrence():
+    """!(G F [a]) is F G ![a].  Its initial state delays the Until forever
+    on its own self-loop, so it is -1; the G ![a] state loops on b and
+    delays nothing, so it is live.  Without a letter other than a, the
+    G ![a] state has no transition and is -1 too."""
+    aut = TableauAutomaton(to_nnf(parse_formula("!(G F [a])")))
+    live = aut.live_components({"a", "b"})
+    always_not_a = frozenset({NRelease(NFalse(), NNotEv("a"))})
+    g_state = next(q for q in range(len(live)) if aut.obligations(q) == always_not_a)
+    assert live[aut.initial] == -1
+    assert live[g_state] >= 0
+    assert aut.live_components({"a"})[g_state] == -1
+
+
+def test_live_marking_keeps_every_lasso():
+    """On seeded random draws the product built with the live marking and
+    the one built without it number the same nodes and return the same
+    lasso: the marking drops only edges no accepting cycle uses, and the
+    tie rule does not read Tarjan's order."""
+    rng = random.Random(29)
+    alphabet = ["a", "b", "c", "d"]
+    lassos = 0
+    for _ in range(200):
+        graph = random_graph(rng, rng.randint(6, 60), alphabet)
+        phi = random_formula(rng, alphabet, rng.randint(1, 4))
+        aut = TableauAutomaton(to_nnf(phi, negate=True))
+        letters = {label for out in graph.moves for _, label in out}
+        starts = [(s, aut.initial) for s in graph.initial]
+        live = aut.live_components(letters)
+        full = Product(starts, graph.moves.__getitem__, aut.successors)
+        pruned = Product(starts, graph.moves.__getitem__, aut.successors, live=live)
+        assert pruned.nodes == full.nodes and pruned.depth == full.depth
+        assert pruned.parent == full.parent
+        side = [live[q] for _, q in full.nodes]
+        assert pruned.adj == [[(t, x) for t, x in out if side[n] >= 0 and side[t] == side[n]]
+                              for n, out in enumerate(full.adj)]
+        found = [p.lasso(lambda scc, members, p=p: p.fulfils(aut, 1, scc),
+                         p.goals(aut, 1)) for p in (full, pruned)]
+        assert found[0] == found[1]
+        lassos += found[0] is not None
+    assert lassos > 50
+
+
+def _reference_tarjan(n, adj, roots):
+    """Recursive textbook Tarjan: the order `search.tarjan` must keep."""
+    index, low, on_stack, stack, sccs = {}, {}, set(), [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w, _ in adj[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            sccs.append(comp)
+
+    for v in range(n) if roots is None else roots:
+        if v not in index:
+            visit(v)
+    return sccs
+
+
+def test_tarjan_matches_the_recursive_reference():
+    """Same components, in the same order with the same member order, as
+    the recursive reference on seeded random graphs, from every node and
+    from a random subset of roots."""
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        adj = [[(rng.randrange(n), "e") for _ in range(rng.choice([0, 1, 2, 3]))]
+               for _ in range(n)]
+        roots = rng.sample(range(n), rng.randint(0, n))
+        assert tarjan(n, adj) == _reference_tarjan(n, adj, None)
+        assert tarjan(n, adj, roots) == _reference_tarjan(n, adj, roots)
+
+
+def test_edge_label_outside_the_alphabet():
+    """make_graph does not check edge labels against its alphabet; the
+    live marking reads the labels, so an outside label z still model
+    checks, to the verdicts an unmarked product gives."""
+    graph = make_graph(3, [0], [(0, "a", 1), (1, "z", 1), (1, "a", 2), (2, "z", 2)], ["a"])
+    verdict = model_check(graph, parse_formula("G F [a]"))
+    assert not verdict.holds
+    assert verdict.counterexample.render() == "a, z | (z)^\u03c9"
+    assert model_check(graph, parse_formula("F G ![a]")).holds
