@@ -16,10 +16,13 @@ the equations with exactly those defined suffixes:
 A weak reading of G (stopping before the empty suffix) would also be
 coherent; this package uses only the strong reading above, everywhere.
 
-On lassos there are finitely many distinct suffixes -- prefix positions
-plus cycle rotations -- and evaluation is memoized over them.  A scan over
-all distinct suffixes decides Until: if its right-hand side fails at all of
-them, it fails on the whole word.
+A trace has finitely many distinct suffixes, one per position of the word
+prefix + cycle: a lasso has one per event, a finite trace one more, the
+empty suffix.  Evaluation names each suffix by its position and is
+memoized per (position, subformula).  The suffixes after position i are
+the positions from i to the end and then, on a lasso, the cycle positions
+before i.  A scan over them decides Until: if its right-hand side fails at
+all of them, it fails on the whole word.
 
 Model checking (`model_check`) is automaton-based: the negated property is
 translated to a transition-labelled automaton over event letters and
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from . import automata
@@ -68,51 +72,55 @@ def holds_on_trace(u: Trace, phi: Formula) -> bool:
     """Does the trace satisfy the formula?
 
     Works for finite traces and lassos; see the module docstring for the
-    finite-trace reading.
+    finite-trace reading.  Position i stands for the suffix u^i; each
+    (position, subformula) pair is evaluated once.
     """
-    memo: dict[tuple[Trace, Formula], bool] = {}
+    events = u.prefix + u.cycle
+    if u.is_lasso:
+        positions, loop = len(events), len(u.prefix)
+    else:  # one more position, the empty suffix; scans do not wrap
+        positions = loop = len(events) + 1
+    # phi keeps every subformula alive, so no two share an id
+    memo: dict[tuple[int, int], bool] = {}
 
-    def sat(t: Trace, f: Formula) -> bool:
-        key = (t, f)
+    def sat(i: int, f: Formula) -> bool:
+        key = (i, id(f))
         cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = compute(t, f)
-        memo[key] = result
-        return result
+        if cached is None:
+            cached = memo[key] = compute(i, f)
+        return cached
 
-    def defined_suffix_count(t: Trace) -> int:
-        return t.positions()
+    def ahead(i: int):
+        """The distinct suffixes of u^i, in order, as positions."""
+        return chain(range(i, positions), range(loop, i))
 
-    def compute(t: Trace, f: Formula) -> bool:
+    def compute(i: int, f: Formula) -> bool:
         if isinstance(f, TrueFormula):
             return True
         if isinstance(f, Atom):
-            return t.event_at(0) == f.event
+            return i < len(events) and events[i] == f.event
         if isinstance(f, Not):
-            return not sat(t, f.operand)
+            return not sat(i, f.operand)
         if isinstance(f, Or):
-            return sat(t, f.left) or sat(t, f.right)
+            return sat(i, f.left) or sat(i, f.right)
         if isinstance(f, And):
-            return sat(t, f.left) and sat(t, f.right)
+            return sat(i, f.left) and sat(i, f.right)
         if isinstance(f, Finally):
-            return any(sat(t.suffix(i), f.operand)
-                       for i in range(defined_suffix_count(t)))
+            return any(sat(k, f.operand) for k in ahead(i))
         if isinstance(f, Globally):
-            return all(sat(t.suffix(i), f.operand)
-                       for i in range(defined_suffix_count(t)))
+            return all(sat(k, f.operand) for k in ahead(i))
         if isinstance(f, Until):
-            # scan suffixes in order; past all distinct suffixes the word
-            # only repeats, so no new witness can appear
-            for k in range(defined_suffix_count(t)):
-                if sat(t.suffix(k), f.right):
+            # past all distinct suffixes the word only repeats, so no new
+            # witness can appear
+            for k in ahead(i):
+                if sat(k, f.right):
                     return True
-                if not sat(t.suffix(k), f.left):
+                if not sat(k, f.left):
                     return False
             return False
         raise TypeError(f)
 
-    return sat(u, phi)
+    return sat(0, phi)
 
 
 @dataclass

@@ -5,9 +5,10 @@ users.  The two entry points reimplement satisfaction and model checking
 with deliberately different algorithms:
 
   * `oracle_holds_on` labels every position of a trace with a column: the
-    truth value of each subformula there.  It shares no code with
-    `ltl.holds_on_trace`, which recurses over suffix traces.  The formula
-    is first compiled (`_truth_program`) into its distinct subformulas in
+    truth value of each subformula there, filled bottom-up.  It shares no
+    code with `ltl.holds_on_trace`, which recurses top-down and evaluates
+    a (position, subformula) pair only on demand.  The formula is first
+    compiled (`_truth_program`) into its distinct subformulas in
     post-order, each naming its operands by index.  `_fill_truth_rows`
     then settles a lasso's cycle on its own, with a fixpoint for Until,
     and sweeps the prefix backwards in one pass, so a lasso with prefix u

@@ -29,36 +29,6 @@ class Trace:
     def is_lasso(self) -> bool:
         return self.kind == LASSO
 
-    def positions(self) -> int:
-        """Number of distinct suffix positions (for finite traces this counts
-        the empty suffix as well)."""
-        if self.is_lasso:
-            return len(self.prefix) + len(self.cycle)
-        return len(self.prefix) + 1
-
-    def event_at(self, i: int) -> str | None:
-        """Event at position i of the unrolled word; None past a finite end."""
-        if i < len(self.prefix):
-            return self.prefix[i]
-        if self.is_lasso:
-            return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-        return None
-
-    def suffix(self, i: int) -> "Trace":
-        """The trace with the first i events removed.
-
-        For finite traces i may be at most the length (yielding the empty
-        trace); for lassos any i is legal and the result is again a lasso.
-        """
-        if not self.is_lasso:
-            if i > len(self.prefix):
-                raise IndexError(f"suffix {i} of a length-{len(self.prefix)} trace")
-            return Trace(FINITE, self.prefix[i:])
-        if i <= len(self.prefix):
-            return Trace(LASSO, self.prefix[i:], self.cycle)
-        k = (i - len(self.prefix)) % len(self.cycle)
-        return Trace(LASSO, (), self.cycle[k:] + self.cycle[:k])
-
     def render(self) -> str:
         if self.is_lasso:
             head = ", ".join(self.prefix)

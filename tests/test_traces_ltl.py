@@ -5,12 +5,11 @@ independent evaluators wherever both apply.
 """
 from __future__ import annotations
 
+import copy
 import random
 
-import pytest
-
 from ebltl.formulas import (
-    Atom, Finally, Globally, Not, TRUE, Until, parse_formula,
+    And, Atom, Finally, Globally, Not, Or, TRUE, Until, parse_formula,
 )
 from ebltl.ltl import holds_on_trace
 from ebltl.oracle import oracle_holds_on, random_formula
@@ -84,22 +83,6 @@ def test_projection_of_finite_stays_finite():
     assert project_trace(finite_trace("a", "b", "a"), {"a"}) == finite_trace("a", "a")
 
 
-# -- suffix machinery ---------------------------------------------------------
-
-def test_lasso_suffix_rotates_cycle():
-    u = lasso(("p",), ("a", "b", "c"))
-    assert u.suffix(1) == lasso((), ("a", "b", "c"))
-    assert u.suffix(2) == lasso((), ("b", "c", "a"))
-    assert u.suffix(4) == lasso((), ("a", "b", "c"))
-
-
-def test_finite_suffix_bounds():
-    u = finite_trace("a", "b")
-    assert u.suffix(2) == finite_trace()
-    with pytest.raises(IndexError):
-        u.suffix(3)
-
-
 # -- derived operator laws (randomized, both evaluators) ----------------------
 
 def test_finally_equals_true_until():
@@ -122,17 +105,24 @@ def test_globally_equals_not_finally_not():
             holds_on_trace(u, Not(Finally(Not(inner))))
 
 
-def test_globally_suffix_law_on_lassos():
+def distinct_suffixes(u: Trace) -> list[Trace]:
+    """Every distinct suffix of u, built directly: a lasso's prefix tails
+    and cycle rotations, or a finite trace's tails down to the empty one."""
+    if u.is_lasso:
+        return ([lasso(u.prefix[i:], u.cycle) for i in range(len(u.prefix))]
+                + [lasso((), u.cycle[k:] + u.cycle[:k])
+                   for k in range(len(u.cycle))])
+    return [finite_trace(*u.prefix[i:]) for i in range(len(u.prefix) + 1)]
+
+
+def test_globally_suffix_law():
     rng = random.Random(13)
     alphabet = ["a", "b"]
     for _ in range(200):
         u = random_trace(rng, alphabet)
-        if not u.is_lasso:
-            continue
         inner = random_formula(rng, alphabet, rng.randint(0, 3))
-        expected = all(holds_on_trace(u.suffix(i), inner)
-                       for i in range(u.positions()))
-        assert holds_on_trace(u, Globally(inner)) == expected
+        expected = all(holds_on_trace(v, inner) for v in distinct_suffixes(u))
+        assert holds_on_trace(u, Globally(inner)) == expected, (u, inner)
 
 
 def test_two_evaluators_agree_on_random_pairs():
@@ -142,3 +132,35 @@ def test_two_evaluators_agree_on_random_pairs():
         u = random_trace(rng, alphabet)
         phi = random_formula(rng, alphabet, rng.randint(0, 5))
         assert holds_on_trace(u, phi) == oracle_holds_on(u, phi), (u, phi)
+
+    # prefixes that repeat the cycle (two positions name one suffix), a
+    # one-event cycle, the empty trace and long lassos
+    traces = [lasso(("a", "b", "a"), ("b", "a")), lasso(("a", "a"), ("a",)),
+              lasso((), ("b",)), finite_trace()]
+    for _ in range(3):
+        traces.append(lasso(
+            tuple(rng.choice(alphabet) for _ in range(rng.randint(38, 42))),
+            tuple(rng.choice(alphabet) for _ in range(rng.randint(23, 27)))))
+    for u in traces:
+        for _ in range(40):
+            f = random_formula(rng, alphabet, rng.randint(0, 4))
+            g = copy.deepcopy(f)
+            # one subformula object used twice, next to an equal copy
+            for phi in (f, And(f, f), Until(f, f), And(f, g), Until(f, g),
+                        Globally(Until(Not(f), f)), Or(Until(f, g), Not(f))):
+                assert holds_on_trace(u, phi) == oracle_holds_on(u, phi), (u, phi)
+
+
+def test_deep_nesting_evaluates():
+    # the evaluator costs a fixed number of frames per nesting level; a
+    # 200-deep F chain sits close to the reach of that recursion
+    deep_f = parse_formula("F " * 200 + "[a]")
+    deep_u = Atom("a")
+    for _ in range(197):
+        deep_u = Until(deep_u, Atom("b"))
+    assert holds_on_trace(lasso(("b",), ("b", "a")), deep_f)
+    assert not holds_on_trace(finite_trace("b", "b"), deep_f)
+    # [b] never holds on these, so every left operand is evaluated
+    assert not holds_on_trace(lasso(("a",), ("a", "c")), deep_u)
+    assert holds_on_trace(finite_trace("a", "a"), Globally(Not(deep_u)))
+    assert holds_on_trace(finite_trace("a", "b"), deep_u)
