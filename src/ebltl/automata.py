@@ -48,7 +48,7 @@ from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
 from .search import (
-    nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
+    Inside, nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
 )
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
@@ -389,7 +389,8 @@ class Product:
         whatever order the components are found in
         (`search.shallowest_component`).  With a live marking only
         components of nodes with a live right state are searched.
-        `close(anchor, members, cycle)` may lengthen the loop."""
+        `close(anchor, inside, cycle)`, given the component's successor
+        lists (`search.Inside`), may lengthen the loop."""
         adj = self.adj if adj is None else adj
         roots = None
         if self.live is not None:
@@ -399,9 +400,10 @@ class Product:
         if found is None:
             return None
         anchor, members = found
-        cycle = stitch_cycle(adj, members, anchor, goals)
+        inside = Inside(adj, members)
+        cycle = stitch_cycle(inside, anchor, goals)
         if close is not None:
-            cycle = close(anchor, members, cycle)
+            cycle = close(anchor, inside, cycle)
         return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
     def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
@@ -493,16 +495,15 @@ class ProjectionProduct(Product):
             return [n for n in scc
                     if any(x in beta and t in members for t, x in adj[n])]
 
-        def close(anchor, members, cycle):
+        def close(anchor, inside, cycle):
             if not beta.isdisjoint(cycle):
                 return cycle
             # append a second loop at the anchor through a beta edge
-            lead, src = path_inside(adj, members, anchor,
-                                    set(beta_sources(members, members)),
+            members = inside.members
+            lead, src = path_inside(inside, anchor, set(beta_sources(members, members)),
                                     need_step=False)
-            tgt, letter = next((t, x) for t, x in adj[src]
-                               if x in beta and t in members)
-            back, _ = path_inside(adj, members, tgt, {anchor}, need_step=False)
+            tgt, letter = next((t, x) for t, x in inside[src] if x in beta)
+            back, _ = path_inside(inside, tgt, {anchor}, need_step=False)
             return cycle + lead + [letter] + back
 
         return self.lasso(

@@ -144,8 +144,9 @@ def _cmd_explore(args, rep: _Reporter) -> int:
         rep.say(graph.edge_list_text().rstrip("\n") if args.format == "edgelist"
                 else json.dumps(graph_json, indent=2, sort_keys=True))
         return OK
-    rep.say(f"{machine.name}: {len(graph.states)} state(s), {len(graph.edges)} "
-            f"edge(s), {len(graph.deadlocks)} deadlock(s)")
+    rep.say(f"{machine.name}: {len(graph.states)} state(s), "
+            f"{sum(len(targets) for *_, targets in graph.firings)} edge(s), "
+            f"{len(graph.deadlocks)} deadlock(s)")
     rep.say(f"invariant: {'holds' if inv.holds else 'violated'}")
     if args.verbose:
         for i in range(len(graph.states)):

@@ -223,11 +223,10 @@ class OracleVerdict:
 
 
 def _sorted_moves(graph: StateGraph) -> list[list[tuple[str, int]]]:
-    moves: list[list[tuple[str, int]]] = []
-    for i in range(len(graph.states)):
-        pairs = sorted({(e.event, e.tgt) for e in graph.out_edges(i)})
-        moves.append(pairs)
-    return moves
+    moves: list[set] = [set() for _ in graph.states]
+    for src, event, _params, targets in graph.firings:
+        moves[src].update((event, t) for t in targets)
+    return [sorted(pairs) for pairs in moves]
 
 
 class _GraphTables:
@@ -522,11 +521,12 @@ def load_entry(directory: Path) -> CorpusEntry:
 
 
 def load_corpus(root: Path | None = None) -> list[CorpusEntry]:
+    """The entries of `root`, its subdirectories with an `expected.json`."""
     root = root or corpus_root()
-    entries = []
-    for sub in sorted(root.iterdir()):
-        if (sub / "expected.json").exists():
-            entries.append(load_entry(sub))
+    entries = [load_entry(sub) for sub in sorted(root.iterdir())
+               if (sub / "expected.json").exists()]
+    if not entries:
+        raise EbltlError(f"no corpus entry under {root}: no subdirectory holds an expected.json")
     return entries
 
 

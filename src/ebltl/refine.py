@@ -5,10 +5,12 @@ Obligations are checked semantically over bounded synchronized state
 spaces rather than discharged as proofs: every reachable concrete state is
 related to every invariant-satisfying abstract state compatible with the
 linking invariant, and the obligations are evaluated over those pairs.
-The concrete machine is read only through the caller's graph: the enabled
-firings its exploration recorded, its edges and its states.  Nothing here
-explores a machine except `explore_chain`, so each machine of a run is
-explored once, under the caller's bounds.  States on both sides are
+The concrete machine is read only through the caller's graph: its states
+and its record of enabled firings with their after-states
+(`StateGraph.firings`), which every obligation and `check_ca` read in
+exploration order.  Nothing here explores a machine except
+`explore_chain`, so each machine of a run is explored once, under the
+caller's bounds.  States on both sides are
 tuples: the abstract guards and action relations are evaluated through
 the compiled events (`semantics.compile_machine`) once per (universe
 state, event) per pair, and the gluing relation, shared variables equal
@@ -46,7 +48,7 @@ from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
 from .machine_parser import parse_expression, parse_machine_file
-from .search import path_inside, tarjan
+from .search import Inside, path_inside, tarjan
 from .semantics import (
     ExploreLimits, StateGraph, compile_gluing, compile_machine, explore,
     find_path, require_feasible, value_to_json,
@@ -394,8 +396,9 @@ def _enumerate_universe(sym, compiled) -> list[tuple]:
 def check_refinement_pair(abstract: Machine, concrete: Machine,
                           link: ChainLink, graph: StateGraph) -> POReport:
     """Evaluate the four refinement obligations for one adjacent pair over
-    `graph`, the concrete machine's explored state graph: its firings, edges
-    and states are the only view of the concrete events taken here."""
+    `graph`, the concrete machine's explored state graph: its record of
+    firings and its states are the only view of the concrete events taken
+    here."""
     link_typecheck(abstract, concrete, link.linking)
     abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
     # the graph's state bound also bounds the abstract universe, checked
@@ -449,44 +452,36 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                            "concrete initial state",
             })
 
-    # FIS_REF and GRD_REF scan the enabled firings the exploration recorded
+    # one pass over the recorded firings: FIS_REF and GRD_REF judge each
+    # firing, INV_REF each transition (some abstract post-state must be linked
+    # to the concrete one; a new event must leave the abstract state unchanged)
     def firing_json(src: int, name: str, valuation) -> dict:
         return {"event": name, "params": [[n, value_to_json(v)] for n, v in valuation],
                 "concrete_state": graph.state_json(src)}
 
-    for src, name, valuation, feasible in graph.firings:
+    for src, name, valuation, targets in graph.firings:
         results["FIS_REF"].checked += 1
-        if not feasible:
+        if not targets:
             fail("FIS_REF", {"kind": "no-after-state", **firing_json(src, name, valuation)})
         target = renaming.get(name)
-        if target is None:
-            continue
-        for a in pairs_per_state[src]:
-            results["GRD_REF"].checked += 1
-            if not abs_enabled[a, target]:
-                fail("GRD_REF", {"kind": "guard-not-strengthened",
-                                 **firing_json(src, name, valuation),
-                                 "abstract_event": target,
-                                 "abstract_state": abstract_json(a)})
-
-    # INV_REF walks the concrete transitions: some candidate abstract
-    # post-state must be linked to the concrete post-state; a new event
-    # must leave the abstract state unchanged
-    for edge in graph.edges:
-        conc_post = graph.states[edge.tgt]
-        target = renaming.get(edge.event)
-        for a in pairs_per_state[edge.src]:
-            results["INV_REF"].checked += 1
-            posts = [abs_universe[a]] if target is None else abs_posts[a, target]
-            if not any(glued(post, conc_post) for post in posts):
-                fail("INV_REF", {
-                    "kind": "unmatched-transition" if target else "new-event-disturbs-link",
-                    "event": edge.event,
-                    "abstract_event": target,
-                    "concrete_pre": graph.state_json(edge.src),
-                    "concrete_post": graph.state_json(edge.tgt),
-                    "abstract_state": abstract_json(a),
-                })
+        if target is not None:
+            for a in pairs_per_state[src]:
+                results["GRD_REF"].checked += 1
+                if not abs_enabled[a, target]:
+                    fail("GRD_REF", {"kind": "guard-not-strengthened",
+                                     **firing_json(src, name, valuation),
+                                     "abstract_event": target,
+                                     "abstract_state": abstract_json(a)})
+        for tgt in targets:
+            for a in pairs_per_state[src]:
+                results["INV_REF"].checked += 1
+                posts = [abs_universe[a]] if target is None else abs_posts[a, target]
+                if not any(glued(post, graph.states[tgt]) for post in posts):
+                    fail("INV_REF", {
+                        "kind": "unmatched-transition" if target else "new-event-disturbs-link",
+                        "event": name, "abstract_event": target,
+                        "concrete_pre": graph.state_json(src),
+                        "concrete_post": graph.state_json(tgt), "abstract_state": abstract_json(a)})
 
     # WFD_REF is local to the concrete machine's variant
     if conc_compiled.variant is not None:
@@ -497,18 +492,16 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
             if type(value) is not int or value < 0:  # a bool is no natural
                 fail("WFD_REF", {"kind": "variant-not-natural",
                                  "state": graph.state_json(i), "variant": value})
-        for edge in graph.edges:
-            status = statuses[edge.event]
-            if status == ORDINARY:
-                continue
-            before, after = variant_at[edge.src], variant_at[edge.tgt]
-            results["WFD_REF"].checked += 1
-            bad = (status == CONVERGENT and not after < before) or \
-                  (status == ANTICIPATED and after > before)
-            if bad:
-                fail("WFD_REF", {"kind": f"variant-violation-{status}",
-                                 "event": edge.event, "before": before, "after": after,
-                                 "state": graph.state_json(edge.src)})
+        for src, name, _valuation, targets in graph.firings:
+            status = statuses[name]
+            for tgt in () if status == ORDINARY else targets:
+                before, after = variant_at[src], variant_at[tgt]
+                results["WFD_REF"].checked += 1
+                if (status == CONVERGENT and not after < before) or \
+                        (status == ANTICIPATED and after > before):
+                    fail("WFD_REF", {"kind": f"variant-violation-{status}",
+                                     "event": name, "before": before, "after": after,
+                                     "state": graph.state_json(src)})
 
     return POReport(abstract=abstract.name, concrete=concrete.name,
                     results=results,
@@ -552,42 +545,33 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
     reachable = set(graph.initial) | graph.parents.keys()
+    steps = [(src, event, targets) for src, event, _params, targets in graph.firings
+             if event not in ordinary and src in reachable]
     keep: list[list[tuple[int, str]]] = [[] for _ in graph.states]
-    for e in graph.edges:
-        if e.event not in ordinary and e.src in reachable:
-            keep[e.src].append((e.tgt, e.event))
-    comp = _scc_membership(len(graph.states), keep)
+    for src, event, targets in steps:
+        keep[src].extend((t, event) for t in targets)
+    comp = [0] * len(graph.states)  # each state's subgraph SCC
+    for idx, scc in enumerate(tarjan(len(graph.states), keep)):
+        for node in scc:
+            comp[node] = idx
 
     # an edge whose endpoints share a subgraph SCC always lies on a cycle of
     # that subgraph: the target reaches the source again without O events
-    witness_edge = None
-    for e in graph.edges:
-        if e.event in convergent and e.event not in ordinary \
-                and e.src in reachable and comp[e.src] == comp[e.tgt]:
-            witness_edge = e
-            break
+    witness_edge = next(((src, event, t) for src, event, targets in steps
+                         if event in convergent for t in targets if comp[src] == comp[t]),
+                        None)
 
     c_sorted = tuple(sorted(convergent))
     o_sorted = tuple(sorted(ordinary))
     if witness_edge is None:
         return CAVerdict(True, c_sorted, o_sorted)
 
-    prefix = find_path(graph, witness_edge.src)
-    cycle = [witness_edge.event]
+    src, event, tgt = witness_edge
     # back from the target to the source without leaving their SCC
-    members = {n for n, c in enumerate(comp) if c == comp[witness_edge.src]}
-    cycle += path_inside(keep, members, witness_edge.tgt, {witness_edge.src},
-                         need_step=False)[0]
+    members = {n for n, c in enumerate(comp) if c == comp[src]}
+    cycle = [event, *path_inside(Inside(keep, members), tgt, {src}, need_step=False)[0]]
     return CAVerdict(False, c_sorted, o_sorted,
-                     witness=Trace(LASSO, tuple(prefix), tuple(cycle)))
-
-
-def _scc_membership(n: int, adj: list[list[tuple[int, str]]]) -> list[int]:
-    comp = [0] * n
-    for idx, scc in enumerate(tarjan(n, adj)):
-        for node in scc:
-            comp[node] = idx
-    return comp
+                     witness=Trace(LASSO, tuple(find_path(graph, src)), tuple(cycle)))
 
 
 @dataclass

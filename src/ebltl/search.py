@@ -2,11 +2,11 @@
 discovery order and record the edge that first reached each node, so the
 loop that builds a graph is its breadth-first search, and every witness
 path reads that tree (`path_to`); `automata.Product` is the one such loop
-for products, used by the model checker and the beta-dependence decision.  `bfs` builds it for a graph made by
-hand, `path_inside` finds paths within one strongly connected component
-(`tarjan`), `shallowest_component` picks the component a lasso loops in
-and `stitch_cycle` the loop.  The oracle keeps its own search on
-purpose."""
+for products, used by the model checker and the beta-dependence decision.
+`bfs` builds it for a graph made by hand, `path_inside` finds paths within
+one strongly connected component (`tarjan`, `Inside`), `shallowest_component`
+picks the component a lasso loops in and `stitch_cycle` the loop.  The
+oracle keeps its own search on purpose."""
 from __future__ import annotations
 
 from collections import deque
@@ -47,33 +47,46 @@ def path_to(parent: dict, node) -> list:
     return labels
 
 
-def path_inside(adj, members, source, goals, need_step: bool):
-    """`(labels, goal)`: a shortest path over `adj` within `members` from
-    source to any goal.  Goals are tested on edges, so a cycle back to the
-    source counts; need_step rejects the empty path at a source goal."""
+class Inside(dict):
+    """`adj` within `members`, each node's list filtered once, on first
+    lookup; a node with no edge leaving `members` keeps its `adj` list."""
+
+    def __init__(self, adj, members):
+        self.adj, self.members = adj, members
+
+    def __missing__(self, node):
+        out = self.adj[node]
+        if any(t not in self.members for t, _ in out):
+            out = [(t, lb) for t, lb in out if t in self.members]
+        self[node] = out
+        return out
+
+
+def path_inside(inside: Inside, source, goals, need_step: bool):
+    """`(labels, goal)`: a shortest path within `inside` from source to any
+    goal.  Goals are tested on edges, so a cycle back to the source counts;
+    need_step rejects the empty path at a source goal."""
     if source in goals and not need_step:
         return [], source
-    parent, (node, label, goal) = bfs(
-        [source], lambda n: [(t, lb) for t, lb in adj[n] if t in members],
-        goals.__contains__)
+    parent, (node, label, goal) = bfs([source], inside.__getitem__, goals.__contains__)
     return path_to(parent, node) + [label], goal
 
 
-def stitch_cycle(adj, members, anchor, goals) -> list:
-    """Labels of a closed walk at `anchor` over `adj` within `members` that
-    meets every goal, a predicate on nodes, in order; a goal already met by
-    a node the walk has stopped at is skipped."""
+def stitch_cycle(inside: Inside, anchor, goals) -> list:
+    """Labels of a closed walk at `anchor` within `inside` that meets every
+    goal, a predicate on nodes, in order; a goal already met by a node the
+    walk has stopped at is skipped."""
     labels: list = []
     visited = {anchor}
     cur = anchor
     for goal in goals:
         if any(goal(n) for n in visited):
             continue
-        segment, cur = path_inside(adj, members, cur,
-                                   {n for n in members if goal(n)}, need_step=False)
+        segment, cur = path_inside(inside, cur, {n for n in inside.members if goal(n)},
+                                   need_step=False)
         labels.extend(segment)
         visited.add(cur)
-    segment, _ = path_inside(adj, members, cur, {anchor}, need_step=not labels)
+    segment, _ = path_inside(inside, cur, {anchor}, need_step=not labels)
     labels.extend(segment)
     return labels
 

@@ -19,13 +19,15 @@ are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
 identical graphs.  Walking the ids in order is the breadth-first search:
 `explore` records the edge that first reached each state, and the graph
-keeps that tree (`StateGraph.parents`) and a successor table
-(`StateGraph.moves`), which every witness path and product reads.
+keeps that tree (`StateGraph.parents`).
 
-Every enabled firing is recorded once, in `StateGraph.firings`, whether
-or not it has an after-state.  A firing whose bounded choice admits no value
-adds no transition, so one exploration serves both the commands that reject
-it (`require_feasible`) and the refinement obligations, which read the
+The graph stores one record, `StateGraph.firings`: every enabled firing,
+once, as (state, event, params, after-state ids) in exploration order.
+The successor table that every product reads (`moves`), the deadlocks,
+the edge views and the reports are all derived from it.  A firing whose
+bounded choice admits no value has no after-state ids and adds no
+transition, so one exploration serves both the commands that reject it
+(`require_feasible`) and the refinement obligations, which read the
 concrete machine only through the caller's graphs and report such a firing
 as FIS_REF.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
 from .machine_ast import (
@@ -263,8 +265,7 @@ def value_to_json(value: Value):
 # ---------------------------------------------------------------------------
 # graphs
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     event: str
     params: tuple[tuple[str, Value], ...]
@@ -278,35 +279,49 @@ class ExploreLimits:
 
 @dataclass
 class StateGraph:
+    """One record, `firings`: every enabled firing as (state, event, params,
+    targets) in exploration order, `targets` being its after-state ids, none
+    for an empty bounded choice.  The other graph data are views built from
+    it on first read."""
     machine: Optional[Machine]
     var_names: tuple[str, ...]
     states: list[tuple]
     initial: tuple[int, ...]
-    edges: list[Edge]
-    deadlocks: tuple[int, ...]
+    firings: list[tuple]
     alphabet: tuple[str, ...]
     bounds: dict = field(default_factory=dict)
-    # every enabled firing as (state, event, params, feasible), in
-    # exploration order; not part of the JSON report
-    firings: list[tuple] = field(default_factory=list)
 
     @cached_property
-    def _out(self) -> list[list[int]]:
-        """Per state, the indices of its outgoing edges in edge order."""
-        out: list[list[int]] = [[] for _ in self.states]
-        for i, e in enumerate(self.edges):
-            out[e.src].append(i)
+    def edges(self) -> list[Edge]:
+        """One edge per (firing, after-state), in record order."""
+        return [Edge(src, event, params, t)
+                for src, event, params, targets in self.firings for t in targets]
+
+    @cached_property
+    def _edges_from(self) -> list[list[Edge]]:
+        out: list[list[Edge]] = [[] for _ in self.states]
+        for e in self.edges:
+            out[e.src].append(e)
         return out
 
     def out_edges(self, state: int) -> list[Edge]:
-        return [self.edges[i] for i in self._out[state]]
+        return self._edges_from[state]
 
     @cached_property
     def moves(self) -> list[list[tuple[int, str]]]:
-        """Per state, its distinct (target, event) pairs in edge order:
+        """Per state, its distinct (target, event) pairs in record order:
         parameter choices with equal labels collapse."""
-        return [list(dict.fromkeys((self.edges[i].tgt, self.edges[i].event) for i in out))
-                for out in self._out]
+        out: list[dict] = [{} for _ in self.states]
+        for src, event, _params, targets in self.firings:
+            for t in targets:
+                out[src][t, event] = None
+        return [list(pairs) for pairs in out]
+
+    @cached_property
+    def deadlocks(self) -> tuple[int, ...]:
+        """The states without a firing that has an after-state."""
+        live = {src for src, _event, _params, targets in self.firings if targets}
+        return tuple(i for i in range(len(self.states)) if i not in live)
 
     @cached_property
     def parents(self) -> dict[int, tuple[int, str]]:
@@ -325,10 +340,9 @@ class StateGraph:
             "states": [self.state_json(i) for i in range(len(self.states))],
             "initial": list(self.initial),
             "edges": [
-                {"src": e.src, "event": e.event,
-                 "params": [[n, value_to_json(v)] for n, v in e.params],
-                 "tgt": e.tgt}
-                for e in self.edges
+                {"src": src, "event": event,
+                 "params": [[n, value_to_json(v)] for n, v in params], "tgt": t}
+                for src, event, params, targets in self.firings for t in targets
             ],
             "deadlocks": list(self.deadlocks),
             "alphabet": list(self.alphabet),
@@ -337,20 +351,16 @@ class StateGraph:
 
     def edge_list_text(self) -> str:
         """One `src event tgt` line per edge, for external graph tools."""
-        lines = [f"{e.src} {e.event} {e.tgt}" for e in self.edges]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{src} {event} {t}\n"
+                       for src, event, _params, targets in self.firings for t in targets)
 
 
 def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
                alphabet: Iterable[str]) -> StateGraph:
-    """Build a bare graph (used by the random differential tests)."""
-    edge_objs = [Edge(s, ev, (), t) for s, ev, t in edges]
-    outgoing = {e.src for e in edge_objs}
-    deadlocks = tuple(i for i in range(n_states) if i not in outgoing)
+    """A bare graph whose `(src, event, tgt)` edges are parameterless firings."""
     return StateGraph(
-        machine=None, var_names=(),
-        states=[(i,) for i in range(n_states)],
-        initial=tuple(initial), edges=edge_objs, deadlocks=deadlocks,
+        machine=None, var_names=(), states=[(i,) for i in range(n_states)],
+        initial=tuple(initial), firings=[(s, ev, (), (t,)) for s, ev, t in edges],
         alphabet=tuple(sorted(alphabet)),
     )
 
@@ -371,9 +381,9 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
 
     Raises InvariantViolation (with a witness event path) when a reachable
     state breaks the invariant or leaves a declared domain, and
-    ExplorationLimitError past `limits.max_states`.  Every enabled firing is
-    recorded in `firings`; one whose bounded choice admits no value is marked
-    infeasible and adds no transition; see `require_feasible`.
+    ExplorationLimitError past `limits.max_states`.  Each enabled firing
+    appends one entry to `firings` with the ids of its after-states; one
+    whose bounded choice admits no value gets none; see `require_feasible`.
     """
     compiled = compile_machine(machine)
     limits = limits or ExploreLimits()
@@ -382,7 +392,6 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     index: dict[tuple, int] = {}
     states: list[tuple] = []
     parents: dict[int, tuple[int, str]] = {}
-    edges: list[Edge] = []
     firings: list[tuple] = []
 
     def add_state(state: tuple, parent: tuple[int, str] | None) -> int:
@@ -408,29 +417,21 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     init_states = compiled.init()
     if not init_states:
         raise InvariantViolation(f"init of {machine.name} admits no state")
-    initial = []
-    for state in init_states:
-        idx = add_state(state, None)
-        if idx not in initial:
-            initial.append(idx)
+    initial = dict.fromkeys(add_state(state, None) for state in init_states)
 
     src = 0  # ids are the discovery order, so walking them is breadth-first
     while src < len(states):
         for name, event in compiled.events.items():
+            parent = (src, name)
             for valuation, posts in event(states[src]):
-                firings.append((src, name, valuation, bool(posts)))
-                for post in posts:
-                    edges.append(Edge(src, name, valuation, add_state(post, (src, name))))
+                firings.append((src, name, valuation,
+                                tuple([add_state(post, parent) for post in posts])))
         src += 1
 
-    outgoing = {e.src for e in edges}
-    deadlocks = tuple(i for i in range(len(states)) if i not in outgoing)
     graph = StateGraph(
         machine=machine, var_names=var_names, states=states,
-        initial=tuple(initial), edges=edges, deadlocks=deadlocks,
-        alphabet=machine.alphabet(),
+        initial=tuple(initial), firings=firings, alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
-        firings=firings,
     )
     graph.parents = parents
     return graph
@@ -443,8 +444,8 @@ def require_feasible(graph: StateGraph) -> StateGraph:
     exploration order, with a shortest event path to its state.  Commands
     that reject such machines call this right after `explore`.
     """
-    for src, event, _params, feasible in graph.firings:
-        if not feasible:
+    for src, event, _params, targets in graph.firings:
+        if not targets:
             raise InvariantViolation(
                 f"event {event} of {graph.machine.name} is enabled but has no "
                 f"after-state at state {src} (empty bounded choice)",

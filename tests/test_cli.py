@@ -242,6 +242,35 @@ def test_lift_corpus_runs():
     assert code == 1
 
 
+def test_commands_read_the_record_not_the_edge_views(monkeypatch, capsys):
+    """Every command reads a graph through its record of firings: no graph
+    built by a run materialises the `edges` view or the `out_edges` index,
+    which are kept for callers outside the package."""
+    from ebltl.cli import main
+    from ebltl.semantics import StateGraph
+
+    graphs = []
+    init = StateGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        graphs.append(self)
+
+    monkeypatch.setattr(StateGraph, "__init__", recording_init)
+    vm3, vm4, chain = str(VM_DIR / "vm3.eb"), str(VM_DIR / "vm4.eb"), str(VM_DIR / "chain.json")
+    for argv, code in [(["explore", vm3], 0), (["explore", vm3, "--json"], 0),
+                       (["explore", vm3, "--format", "edgelist"], 0),
+                       (["po", "--chain", chain], 0), (["gf", "--chain", chain], 0),
+                       (["theorem1", "--chain", str(VM_DIR / "chain-vm1.json")], 0),
+                       (["mc", vm4, "--prop", "phi2"], 0), (["mc", vm3, "--prop", "phi6"], 1),
+                       (["preserve", "--chain", chain, "--at", "2", "--prop", "phi7"], 0),
+                       (["oracle", "--random", "3"], 0)]:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert len(graphs) > 20
+    assert [g for g in graphs if {"edges", "_edges_from"} & vars(g).keys()] == []
+
+
 @pytest.mark.parametrize("argv", [
     ("mc", str(VM_DIR / "vm4.eb"), "--prop", "phi2"),
     ("explore", str(VM_DIR / "vm3.eb")),
@@ -349,6 +378,16 @@ def test_oracle_rejects_malformed_corpus_entry(tmp_path, expected):
     code, out, err = run_cli("oracle", "--corpus", str(tmp_path))
     assert code == 3, out + err
     assert "Traceback" not in out + err
+
+
+def test_oracle_rejects_a_corpus_root_without_entries():
+    """`--corpus` names the root whose subdirectories are entries; a root
+    with none, such as one entry's own directory, is a usage error, not an
+    empty run that passes."""
+    code, out, err = run_cli("oracle", "--corpus", str(VM_DIR))
+    assert code == 3, out + err
+    assert f"no corpus entry under {VM_DIR}" in out
+    assert "0 comparison(s)" not in out
 
 
 def test_po_bound_states_covers_the_abstract_universe(tmp_path):

@@ -39,15 +39,10 @@ def block_size(lines: int) -> int:
 
 
 def block_marks(lines: list[str], size: int) -> list[str]:
-    """The first 8 hex digits of the sha256 of each run of `size` lines."""
+    """The first 8 hex digits of the sha256 of each run of `size` lines;
+    a pinned stream of n lines keeps those of `block_size(n)` lines."""
     return [hashlib.sha256("".join(lines[i:i + size]).encode()).hexdigest()[:8]
             for i in range(0, len(lines), size)]
-
-
-def stream_digest(text: str) -> dict:
-    lines = text.splitlines(keepends=True)
-    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "lines": len(lines),
-            "blocks": "".join(block_marks(lines, block_size(len(lines))))}
 
 
 def first_difference(text: str, pinned: dict) -> str:
@@ -76,7 +71,7 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
         notes = [] if code == row["exit"] else [f"exit {code}, pinned {row['exit']}"]
         notes += [f"{name} {first_difference(text, row[name])}"
                   for name, text in streams.items()
-                  if stream_digest(text)["sha256"] != row[name]["sha256"]]
+                  if hashlib.sha256(text.encode()).hexdigest() != row[name]["sha256"]]
         if notes:
             failures.append(" ".join(row["argv"]) + "\n    " + "\n    ".join(notes))
     assert not failures, f"{len(failures)} of {len(rows)} rows differ:\n" + "\n".join(failures)

@@ -103,7 +103,7 @@ def test_infeasible_choice_is_an_error_by_default():
         "    then any x : set of IT where card(x) > 1 then s := x end end\nend")
     g = explore(m)
     assert g.deadlocks == (0,)
-    assert g.firings == [(0, "go", (), False)]
+    assert g.firings == [(0, "go", (), ())]
     assert "firings" not in g.to_json_dict()
     with pytest.raises(InvariantViolation, match="no after-state") as err:
         require_feasible(g)
@@ -157,6 +157,23 @@ def test_enabled_events_all_have_edges(vm_machines, vm_graphs):
                     assert (name, valuation) in present
 
 
+def test_views_expand_the_record(vm_graphs):
+    """VM3's record holds 224 firings, 26 of them with two after-states;
+    `edges` expands each firing to one edge per after-state, and
+    `out_edges(i)` lists exactly the edges leaving i in record order, also
+    where the record does not group firings by source."""
+    g = vm_graphs["VM3"]
+    assert len(g.firings) == 224
+    assert sorted(len(targets) for *_, targets in g.firings) == [1] * 198 + [2] * 26
+    assert [tuple(e) for e in g.edges] == [
+        (src, event, params, t) for src, event, params, targets in g.firings for t in targets]
+    bare = make_graph(3, [0], [(1, "a", 2), (0, "b", 1), (1, "c", 0), (0, "a", 0)], "abc")
+    for graph in [*vm_graphs.values(), bare]:
+        assert [e for i in range(len(graph.states)) for e in graph.out_edges(i)] == \
+            sorted(graph.edges, key=lambda e: e.src)
+    assert [(e.event, e.tgt) for e in bare.out_edges(0)] == [("b", 1), ("a", 0)]
+
+
 def test_check_invariant_holds_on_corpus(vm_graphs):
     for name in ["VM1", "VM2", "VM3", "VM4"]:
         assert check_invariant(vm_graphs[name]).holds
@@ -167,8 +184,7 @@ def test_check_invariant_catches_forged_state(vm_graphs):
     forged = g.__class__(
         machine=g.machine, var_names=g.var_names,
         states=list(g.states) + [(-1, frozenset(), False)],
-        initial=g.initial, edges=list(g.edges), deadlocks=g.deadlocks,
-        alphabet=g.alphabet)
+        initial=g.initial, firings=g.firings, alphabet=g.alphabet)
     verdict = check_invariant(forged)
     assert not verdict.holds
     assert verdict.witness_state == len(g.states)
