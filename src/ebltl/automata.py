@@ -24,6 +24,11 @@ right-hand side.
 The internal negation normal form adds a Release operator and a false
 literal; these never appear in the public Formula AST.
 
+An automaton is built once, over the letters it will read: the
+constructor expands every reachable state exactly once and fills a
+table of successors per letter (`delta`) and per state (`moves`), so no
+state is added while a product reads it.
+
 One `Product` class pairs a left side with an automaton, breadth-first
 over node ids, recording each node's first edge and depth, and searches
 it for the closest accepting node (a finite trace) and for the
@@ -31,12 +36,13 @@ shallowest accepting component (a lasso, looped by
 `search.stitch_cycle`); between components whose anchors are equally
 deep, the least node id wins.  The model checker's `CounterexampleSearch`
 steps a graph's successor table (`StateGraph.moves`) next to the
-automaton of the negated formula.  It marks the automaton's components
-that can accept (`TableauAutomaton.live_components`) before building, so
-its product stores and searches only the edges that can close an
-accepting lasso.  The beta-dependence decision's `ProjectionProduct`
-steps one automaton over a word next to another reading its projection
-onto a set of letters, and keeps every edge.
+automaton of the negated formula, built over the graph's edge labels.
+It marks the automaton's components that can accept
+(`TableauAutomaton.live_components`) before building, so its product
+stores and searches only the edges that can close an accepting lasso.
+The beta-dependence decision's `ProjectionProduct` steps one automaton
+through its own `moves` next to another reading the projection of the
+word onto a set of letters, and keeps every edge.
 """
 from __future__ import annotations
 
@@ -179,33 +185,94 @@ def _collect_untils(f: NNF, out: list[NNF]) -> None:
 Branch = tuple[Optional[str], frozenset, frozenset]  # (required, forbidden, next)
 
 
-class TableauAutomaton:
-    """Obligation-set automaton for one NNF formula.
+def _branches(obligations: frozenset) -> list[Branch]:
+    """The letter constraints and successor obligations of one state:
+    each obligation, taken in `nnf_key` order, split by the unfoldings
+    above into a constraint on the current letter and obligations on the
+    rest; contradictory branches are dropped and repeats kept once."""
+    results: list[Branch] = []
+    seen = set()
 
-    States are interned frozensets of NNF formulas; state 0 is the initial
-    obligation {formula}.  `branches(q)` lists the letter constraints and
-    successor obligations; `successors(q, letter)` filters them for a
-    concrete event.
+    def go(pending: list[NNF], req: Optional[str], forb: frozenset,
+           nxt: frozenset) -> None:
+        if not pending:
+            branch = (req, forb, nxt)
+            if branch not in seen:
+                seen.add(branch)
+                results.append(branch)
+            return
+        f, rest = pending[0], pending[1:]
+        if isinstance(f, NTrue):
+            go(rest, req, forb, nxt)
+        elif isinstance(f, NFalse):
+            return
+        elif isinstance(f, NEv):
+            if req is None:
+                if f.event not in forb:
+                    go(rest, f.event, forb, nxt)
+            elif req == f.event:
+                go(rest, req, forb, nxt)
+        elif isinstance(f, NNotEv):
+            if req is None:
+                go(rest, req, forb | {f.event}, nxt)
+            elif req != f.event:
+                go(rest, req, forb, nxt)
+        elif isinstance(f, NAnd):
+            go([f.left, f.right] + rest, req, forb, nxt)
+        elif isinstance(f, NOr):
+            go([f.left] + rest, req, forb, nxt)
+            go([f.right] + rest, req, forb, nxt)
+        elif isinstance(f, NUntil):
+            go([f.right] + rest, req, forb, nxt)          # fulfil now
+            go([f.left] + rest, req, forb, nxt | {f})     # delay
+        elif isinstance(f, NRelease):
+            go([f.right, f.left] + rest, req, forb, nxt)  # release now
+            go([f.right] + rest, req, forb, nxt | {f})    # stay obliged
+        else:
+            raise TypeError(f)
+
+    go(sorted(obligations, key=nnf_key), None, frozenset(), frozenset())
+    return results
+
+
+class TableauAutomaton:
+    """Obligation-set automaton for one NNF formula over a given set of
+    letters, built whole in the constructor.
+
+    State 0 is the initial obligation {root}; the others are numbered in
+    the order a breadth-first walk over the sorted letters finds them.
+    `delta[q]` maps each letter to the successor ids of state q, in
+    branch order without repeats, and `moves[q]` lists its `(successor,
+    letter)` pairs letter by letter.  Nothing is added after
+    construction: `successors(q, letter)` reads the table, and a letter
+    outside the set is a KeyError.
     """
 
-    def __init__(self, root: NNF):
-        self.root = root
+    def __init__(self, root: NNF, letters):
         untils: list[NNF] = []
         _collect_untils(root, untils)
         self.untils = sorted(untils, key=nnf_key)
-        self._ids: dict[frozenset, int] = {}
-        self._sets: list[frozenset] = []
-        self._branches: dict[int, tuple[Branch, ...]] = {}
-        self._succ: dict[tuple[int, str], tuple[int, ...]] = {}
-        self.initial = self._intern(frozenset({root}))
-
-    def _intern(self, obligations: frozenset) -> int:
-        qid = self._ids.get(obligations)
-        if qid is None:
-            qid = len(self._sets)
-            self._ids[obligations] = qid
-            self._sets.append(obligations)
-        return qid
+        letters = sorted(letters)
+        self.initial = 0
+        self._sets: list[frozenset] = [frozenset({root})]
+        self.delta: list[dict[str, tuple[int, ...]]] = []
+        self.moves: list[list[tuple[int, str]]] = []
+        sets, ids = self._sets, {self._sets[0]: 0}
+        for obligations in sets:  # the walk appends new states as it goes
+            branches = _branches(obligations)
+            row = {}
+            for x in letters:
+                out = []
+                for req, forb, nxt in branches:
+                    if (req is None or req == x) and x not in forb:
+                        succ = ids.setdefault(nxt, len(sets))
+                        if succ == len(sets):
+                            sets.append(nxt)
+                        if succ not in out:
+                            out.append(succ)
+                row[x] = tuple(out)
+            self.delta.append(row)
+            self.moves.append([(q2, x) for x in letters for q2 in row[x]])
 
     def obligations(self, qid: int) -> frozenset:
         return self._sets[qid]
@@ -213,98 +280,27 @@ class TableauAutomaton:
     def accepts_empty(self, qid: int) -> bool:
         return all(empty_true(f) for f in self._sets[qid])
 
-    def branches(self, qid: int) -> tuple[Branch, ...]:
-        cached = self._branches.get(qid)
-        if cached is not None:
-            return cached
-        results: list[Branch] = []
-        seen = set()
-
-        def go(pending: list[NNF], req: Optional[str], forb: frozenset,
-               nxt: frozenset) -> None:
-            if not pending:
-                branch = (req, forb, nxt)
-                if branch not in seen:
-                    seen.add(branch)
-                    results.append(branch)
-                return
-            f, rest = pending[0], pending[1:]
-            if isinstance(f, NTrue):
-                go(rest, req, forb, nxt)
-            elif isinstance(f, NFalse):
-                return
-            elif isinstance(f, NEv):
-                if req is None:
-                    if f.event not in forb:
-                        go(rest, f.event, forb, nxt)
-                elif req == f.event:
-                    go(rest, req, forb, nxt)
-            elif isinstance(f, NNotEv):
-                if req is None:
-                    go(rest, req, forb | {f.event}, nxt)
-                elif req != f.event:
-                    go(rest, req, forb, nxt)
-            elif isinstance(f, NAnd):
-                go([f.left, f.right] + rest, req, forb, nxt)
-            elif isinstance(f, NOr):
-                go([f.left] + rest, req, forb, nxt)
-                go([f.right] + rest, req, forb, nxt)
-            elif isinstance(f, NUntil):
-                go([f.right] + rest, req, forb, nxt)          # fulfil now
-                go([f.left] + rest, req, forb, nxt | {f})     # delay
-            elif isinstance(f, NRelease):
-                go([f.right, f.left] + rest, req, forb, nxt)  # release now
-                go([f.right] + rest, req, forb, nxt | {f})    # stay obliged
-            else:
-                raise TypeError(f)
-
-        ordered = sorted(self._sets[qid], key=nnf_key)
-        go(ordered, None, frozenset(), frozenset())
-        out = tuple(results)
-        self._branches[qid] = out
-        return out
-
     def successors(self, qid: int, letter: str) -> tuple[int, ...]:
-        key = (qid, letter)
-        cached = self._succ.get(key)
-        if cached is not None:
-            return cached
-        seen = set()
-        out = []
-        for req, forb, nxt in self.branches(qid):
-            if (req is None or req == letter) and letter not in forb:
-                succ = self._intern(nxt)
-                if succ not in seen:
-                    seen.add(succ)
-                    out.append(succ)
-        result = tuple(out)
-        self._succ[key] = result
-        return result
+        return self.delta[qid][letter]
 
     def fulfils(self, states) -> bool:
         """Generalized Buchi: a cycle through exactly these states leaves
         every Until undelayed somewhere."""
         return all(any(f not in self._sets[q] for q in states) for f in self.untils)
 
-    def live_components(self, letters) -> list[int]:
-        """Per state reachable from the initial one over `letters`, the id
-        of its strongly connected component, or -1 when that component
-        cannot hold an accepting cycle: it is trivial (no transition inside
-        it), or some Until is delayed in every one of its states (`fulfils`
-        fails on the whole component).  Explores
-        the automaton eagerly; states are few.  Every cycle of a product
-        with this automaton reads letters of its left side and stays inside
-        one component, so its nodes can close an accepting lasso only
-        through edges that join two states with one live id (`Product`)."""
-        letters = sorted(letters)
-        adj = []
-        qid = 0
-        while qid < len(self._sets):  # successors() interns new states
-            adj.append([(q2, x) for x in letters for q2 in self.successors(qid, x)])
-            qid += 1
-        live = [-1] * len(adj)
-        for cid, scc in enumerate(tarjan(len(adj), adj)):
-            if nontrivial(scc, adj) and self.fulfils(scc):
+    def live_components(self) -> list[int]:
+        """Per state, the id of its strongly connected component, or -1
+        when that component cannot hold an accepting cycle: it is trivial
+        (no transition inside it), or some Until is delayed in every one
+        of its states (`fulfils` fails on the whole component).  Every
+        cycle of a product with this automaton reads letters of its left
+        side and stays inside one component, so its nodes can close an
+        accepting lasso only through edges that join two states with one
+        live id (`Product`)."""
+        moves = self.moves
+        live = [-1] * len(moves)
+        for cid, scc in enumerate(tarjan(len(moves), moves)):
+            if nontrivial(scc, moves) and self.fulfils(scc):
                 for q in scc:
                     live[q] = cid
         return live
@@ -437,13 +433,14 @@ class CounterexampleSearch(Product):
 
     def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
         self.graph = graph
-        self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True))
-        # the letters the product reads: edge labels, which a hand-built
+        # the automaton reads the graph's edge labels, which a hand-built
         # graph (`make_graph`) need not keep inside its alphabet
-        letters = {label for out in graph.moves for _, label in out}
+        self.aut = aut = TableauAutomaton(
+            to_nnf(phi, negate=True),
+            {label for out in graph.moves for _, label in out})
         super().__init__([(s, aut.initial) for s in graph.initial],
                          graph.moves.__getitem__, aut.successors, product_limit,
-                         aut.live_components(letters))
+                         aut.live_components())
 
     def finite_counterexample(self) -> Optional[Trace]:
         """A finite maximal trace: the closest accepting deadlocked node."""
@@ -460,9 +457,9 @@ class CounterexampleSearch(Product):
 
 
 class ProjectionProduct(Product):
-    """Automaton `a` reads a word w over the given letters while automaton
-    `b` reads the projection of w onto `beta`: a letter outside beta moves
-    `a` alone.  Each witness method returns a word that `a` accepts and
+    """Automaton `a` reads a word w over its letters while automaton `b`,
+    built over the same letters, reads the projection of w onto `beta`: a
+    letter outside beta moves `a` alone.  Each witness method returns a word that `a` accepts and
     whose projection `b` accepts, or None; the three cover the three
     shapes of w.
 
@@ -472,12 +469,10 @@ class ProjectionProduct(Product):
     `stutter_witness` and `lasso_witness` read edges that a marking of
     `b` would drop."""
 
-    def __init__(self, a: TableauAutomaton, b: TableauAutomaton, letters,
-                 beta: frozenset):
+    def __init__(self, a: TableauAutomaton, b: TableauAutomaton, beta: frozenset):
         self.a, self.b, self.beta = a, b, beta
         super().__init__(
-            [(a.initial, b.initial)],
-            lambda qa: [(qa2, x) for x in letters for qa2 in a.successors(qa, x)],
+            [(a.initial, b.initial)], a.moves.__getitem__,
             lambda qb, x: b.successors(qb, x) if x in beta else (qb,))
 
     def finite_witness(self) -> Optional[Trace]:

@@ -25,11 +25,13 @@ from .errors import (
     InvariantViolation, ParseError, ToolkitBug,
 )
 from .formulas import Formula, formula_to_text, parse_formula, parse_property_file
-from .ltl import model_check
+from .ltl import alphabet as formula_alphabet, model_check
 from .machine_ast import machine_to_text
 from .machine_parser import parse_machine_file
 from .oracle import OracleBounds, corpus_root, cross_validate, load_corpus
-from .preserve import apply_lemma_gf, apply_preservation, check_beta_dependent
+from .preserve import (
+    apply_lemma_gf, apply_preservation, check_beta_dependent, translate_formula,
+)
 from .refine import (
     check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
     explore_chain, load_chain,
@@ -236,7 +238,6 @@ def _event_set(text: str | None) -> set[str] | None:
 def _cmd_beta(args, rep: _Reporter) -> int:
     props = _resolve_props(args.prop, Path(args.chain) if args.chain else None)
     ((name, phi),) = props.items()
-    from .ltl import alphabet as formula_alphabet
     beta = _event_set(args.beta) or set(formula_alphabet(phi))
     sigma = _event_set(args.sigma) or set(beta)
     verdict = check_beta_dependent(phi, beta, sigma)
@@ -252,7 +253,6 @@ def _cmd_translate(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
     props = _resolve_props(args.prop, Path(args.chain))
     ((name, phi),) = props.items()
-    from .preserve import translate_formula
     g = compose_renamings(chain, args.at + 1)
     out = translate_formula(phi, g)
     rep.say(formula_to_text(out))
@@ -323,6 +323,14 @@ def _cmd_oracle(args, rep: _Reporter) -> int:
     return OK if report.ok else FAILURE
 
 
+def _int(text: str) -> int:
+    """An argparse type: an integer written as `_ascii_int` accepts it."""
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than `low`, so an out-of-range
     flag is a usage error and not a bound or a silently empty run."""
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("po", help="check refinement obligations of a chain")
     common(p, chain=True, overrides=True, bound=True, verbose=True)
-    p.add_argument("--step", type=int, default=None,
+    p.add_argument("--step", type=_int, default=None,
                    help="check one step only (0-based)")
     p.set_defaults(func=_cmd_po)
 
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate a property through the "
                                          "chain's composed renaming")
     common(p, chain=True, prop=True, overrides=True)
-    p.add_argument("--at", type=int, required=True,
+    p.add_argument("--at", type=_int, required=True,
                    help="level the property is stated at (0-based)")
     p.set_defaults(func=_cmd_translate)
 
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preserve", help="carry a property to the final machine")
     common(p, chain=True, prop=True, overrides=True, bound=True)
-    p.add_argument("--at", type=int, required=True,
+    p.add_argument("--at", type=_int, required=True,
                    help="level the property is established at (0-based)")
     p.add_argument("--beta", default=None, help="comma-separated event set "
                    "(defaults to the property's alphabet)")
@@ -438,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="corpus root override")
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="additional random (graph, formula) pairs")
-    p.add_argument("--seed", type=int, default=20240)
+    p.add_argument("--seed", type=_int, default=20240)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -25,8 +25,6 @@ ANTICIPATED = "anticipated"
 CONVERGENT = "convergent"
 STATUSES = (ORDINARY, ANTICIPATED, CONVERGENT)
 
-INIT_EVENT = "init"
-
 
 # ---------------------------------------------------------------------------
 # declared types
@@ -221,7 +219,6 @@ class SymbolTable:
     """Resolved view of a machine's declarations (built by typecheck)."""
 
     carrier_elems: dict[str, tuple[str, ...]]
-    element_carrier: dict[str, str]
     constants: dict[str, int]
     var_types: dict[str, VarType]  # IntRangeType bounds resolved to ints
     var_names: tuple[str, ...]  # sorted

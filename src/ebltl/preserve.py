@@ -203,10 +203,9 @@ def _decide(phi: Formula, beta: frozenset, sigma: tuple[str, ...]) -> Dependence
     negation's, in both orders, for a word whose truth projection changes;
     the shortest one found refutes, and none certifies."""
     letters = _letter_classes(phi, beta, sigma)
-    holds = TableauAutomaton(to_nnf(phi))
-    fails = TableauAutomaton(to_nnf(phi, negate=True))
-    products = [ProjectionProduct(holds, fails, letters, beta),
-                ProjectionProduct(fails, holds, letters, beta)]
+    holds = TableauAutomaton(to_nnf(phi), letters)
+    fails = TableauAutomaton(to_nnf(phi, negate=True), letters)
+    products = [ProjectionProduct(holds, fails, beta), ProjectionProduct(fails, holds, beta)]
     bounds = {"sigma": list(sigma), "letters": list(letters),
               "product_nodes": sum(len(p.nodes) for p in products)}
     witness = shortest(w for p in products for w in

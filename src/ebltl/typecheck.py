@@ -111,7 +111,6 @@ class _Checker:
     def build_symbols(self) -> SymbolTable:
         m = self.m
         carrier_elems: dict[str, tuple[str, ...]] = {}
-        element_carrier: dict[str, str] = {}
         taken: dict[str, str] = {}
 
         def claim(name: str, what: str):
@@ -126,16 +125,14 @@ class _Checker:
             carrier_elems[cname] = elems
             for e in elems:
                 claim(e, "carrier element")
-                element_carrier[e] = cname
 
         constants: dict[str, int] = {}
         for name, value in m.constants:
             claim(name, "constant")
             constants[name] = value
 
-        self.sym = SymbolTable(carrier_elems=carrier_elems,
-                               element_carrier=element_carrier,
-                               constants=constants, var_types={}, var_names=())
+        self.sym = SymbolTable(carrier_elems=carrier_elems, constants=constants,
+                               var_types={}, var_names=())
 
         var_types: dict[str, VarType] = {}
         for name, vtype in m.variables:

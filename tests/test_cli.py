@@ -330,6 +330,10 @@ BAD_FILES = {
     (("beta", "--prop", "[a] $"), 3),
     (("parse", str(VM_DIR / "vm1.eb"), "--set", "capacity=--5"), 3),
     (("parse", str(VM_DIR / "vm1.eb"), "--set", "capacity=\u00b2"), 3),
+    (("po", "--chain", str(VM_DIR / "chain.json"), "--step", "\u0660"), 3),
+    (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "\u0660",
+      "--prop", "phi1"), 3),
+    (("oracle", "--seed", "\u0663"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -341,7 +345,8 @@ BAD_FILES = {
         "random-negative", "deep-invariant", "deep-prop", "deep-beta",
         "deep-compile", "beta-sigma-empty-names", "beta-empty-name",
         "beta-malformed-name", "preserve-beta-empty-name", "typecheck-error",
-        "formula-bad-character", "set-double-minus", "set-superscript", "help",
+        "formula-bad-character", "set-double-minus", "set-superscript", "step-not-ascii",
+        "at-not-ascii", "seed-not-ascii", "help",
         "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never

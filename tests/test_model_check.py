@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from ebltl import automata, preserve
 from ebltl.automata import NRelease, NFalse, NNotEv, Product, TableauAutomaton, to_nnf
 from ebltl.formulas import Atom, Finally, Globally, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
@@ -178,15 +179,16 @@ def test_equally_deep_components_go_to_the_least_node_id():
 def test_live_components_of_negated_recurrence():
     """!(G F [a]) is F G ![a].  Its initial state delays the Until forever
     on its own self-loop, so it is -1; the G ![a] state loops on b and
-    delays nothing, so it is live.  Without a letter other than a, the
-    G ![a] state has no transition and is -1 too."""
-    aut = TableauAutomaton(to_nnf(parse_formula("!(G F [a])")))
-    live = aut.live_components({"a", "b"})
+    delays nothing, so it is live.  Over the letter a alone, the G ![a]
+    state is never reached, and every state is -1."""
+    phi = to_nnf(parse_formula("!(G F [a])"))
+    aut = TableauAutomaton(phi, {"a", "b"})
+    live = aut.live_components()
     always_not_a = frozenset({NRelease(NFalse(), NNotEv("a"))})
     g_state = next(q for q in range(len(live)) if aut.obligations(q) == always_not_a)
     assert live[aut.initial] == -1
     assert live[g_state] >= 0
-    assert aut.live_components({"a"})[g_state] == -1
+    assert set(TableauAutomaton(phi, {"a"}).live_components()) == {-1}
 
 
 def test_live_marking_keeps_every_lasso():
@@ -200,10 +202,10 @@ def test_live_marking_keeps_every_lasso():
     for _ in range(200):
         graph = random_graph(rng, rng.randint(6, 60), alphabet)
         phi = random_formula(rng, alphabet, rng.randint(1, 4))
-        aut = TableauAutomaton(to_nnf(phi, negate=True))
-        letters = {label for out in graph.moves for _, label in out}
+        aut = TableauAutomaton(to_nnf(phi, negate=True),
+                               {label for out in graph.moves for _, label in out})
         starts = [(s, aut.initial) for s in graph.initial]
-        live = aut.live_components(letters)
+        live = aut.live_components()
         full = Product(starts, graph.moves.__getitem__, aut.successors)
         pruned = Product(starts, graph.moves.__getitem__, aut.successors, live=live)
         assert pruned.nodes == full.nodes and pruned.depth == full.depth
@@ -216,6 +218,35 @@ def test_live_marking_keeps_every_lasso():
         assert found[0] == found[1]
         lassos += found[0] is not None
     assert lassos > 50
+
+
+def test_automata_are_built_whole(monkeypatch):
+    """Every automaton the model checker and the beta decision build, on
+    seeded random draws, is closed under its letters when its constructor
+    returns: each successor id names a state of the table, `moves[q]` is
+    `successors` flattened letter by letter, and building and searching
+    the products adds no state."""
+    built = []
+
+    class Recorded(TableauAutomaton):
+        def __init__(self, root, letters):
+            super().__init__(root, letters)
+            built.append((self, sorted(letters), len(self.moves)))
+
+    monkeypatch.setattr(automata, "TableauAutomaton", Recorded)
+    monkeypatch.setattr(preserve, "TableauAutomaton", Recorded)
+    rng = random.Random(31)
+    for _ in range(60):
+        graph = random_graph(rng, rng.randint(6, 40), ["a", "b", "c"])
+        model_check(graph, random_formula(rng, ["a", "b", "c"], rng.randint(1, 4)))
+        phi = random_formula(rng, ["a", "b"], rng.randint(1, 4))
+        preserve.check_beta_dependent(phi, {"a", "b"}, {"a", "b", "z"})
+    assert len(built) == 180
+    for aut, letters, size in built:
+        assert len(aut.moves) == size
+        for q, moves in enumerate(aut.moves):
+            assert all(q2 < size for q2, _ in moves)
+            assert moves == [(q2, x) for x in letters for q2 in aut.successors(q, x)]
 
 
 def _reference_tarjan(n, adj, roots):
