@@ -9,6 +9,9 @@ abstract machine, a chain mutant, or the divergent chain.  Each stream
 also carries digests of at most 32 blocks of its lines, so a differing
 row names the first block of lines that differs (the exact line for a
 stream of 32 lines or fewer); the manifest is never rewritten here.
+
+Usage rows pin argparse's own exits: `SystemExit.code` is their exit
+code, and `COLUMNS=80` fixes where help and usage text wrap.
 """
 from __future__ import annotations
 
@@ -64,9 +67,13 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     rows = json.loads(MANIFEST.read_text())["rows"]
     write_mutant_chains(tmp_path)
     monkeypatch.chdir(corpus_root())
+    monkeypatch.setenv("COLUMNS", "80")
     failures = []
     for row in rows:
-        code = main([arg.replace("{mutants}", str(tmp_path)) for arg in row["argv"]])
+        try:
+            code = main([arg.replace("{mutants}", str(tmp_path)) for arg in row["argv"]])
+        except SystemExit as exc:
+            code = exc.code
         streams = dict(zip(("stdout", "stderr"), capsys.readouterr()))
         notes = [] if code == row["exit"] else [f"exit {code}, pinned {row['exit']}"]
         notes += [f"{name} {first_difference(text, row[name])}"
