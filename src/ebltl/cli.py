@@ -89,12 +89,18 @@ def _overrides(args) -> dict[str, int]:
     return out
 
 
-def _resolve_props(value: str, anchor: Path | None) -> dict[str, Formula]:
+def _resolve_props(value: str, anchor: Path | None,
+                   one: bool = False) -> dict[str, Formula]:
     """A property argument is a formula, @file, or a name defined in the
-    props.ltl next to the chain/machine it is used with."""
+    props.ltl next to the chain/machine it is used with.  An @file must
+    hold at least one property, and exactly one when `one` is set."""
     if value.startswith("@"):
         path = Path(value[1:])
-        return parse_property_file(path.read_text(encoding="utf-8"))
+        props = parse_property_file(path.read_text(encoding="utf-8"))
+        if not props or (one and len(props) > 1):
+            raise EbltlError(f"--prop {value} holds {len(props)} properties, expected "
+                             f"{'exactly one' if one else 'at least one'}")
+        return props
     try:
         return {"prop": parse_formula(value)}
     except ParseError:
@@ -165,7 +171,7 @@ def _cmd_po(args, rep: _Reporter) -> int:
     steps = range(len(chain.machines) - 1)
     if args.step is not None:
         if args.step not in steps:
-            raise EbltlError(f"step {args.step} out of range")
+            raise EbltlError(f"step {args.step} out of range 0..{len(steps) - 1}")
         steps = [args.step]
     # the obligations read each concrete graph's recorded firings and report
     # an infeasible one as FIS_REF, so the graphs are used as explored
@@ -236,7 +242,8 @@ def _event_set(text: str | None) -> set[str] | None:
 
 
 def _cmd_beta(args, rep: _Reporter) -> int:
-    props = _resolve_props(args.prop, Path(args.chain) if args.chain else None)
+    props = _resolve_props(args.prop, Path(args.chain) if args.chain else None,
+                           one=True)
     ((name, phi),) = props.items()
     beta = _event_set(args.beta) or set(formula_alphabet(phi))
     sigma = _event_set(args.sigma) or set(beta)
@@ -251,8 +258,10 @@ def _cmd_beta(args, rep: _Reporter) -> int:
 
 def _cmd_translate(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
-    props = _resolve_props(args.prop, Path(args.chain))
+    props = _resolve_props(args.prop, Path(args.chain), one=True)
     ((name, phi),) = props.items()
+    if not 0 <= args.at < len(chain.machines):
+        raise EbltlError(f"level {args.at} out of range 0..{len(chain.machines) - 1}")
     g = compose_renamings(chain, args.at + 1)
     out = translate_formula(phi, g)
     rep.say(formula_to_text(out))
@@ -273,7 +282,7 @@ def _cmd_preserve(args, rep: _Reporter) -> int:
     beta = _event_set(args.beta)
     chain = load_chain(args.chain, _overrides(args))
     graphs = explore_chain(chain, _limits(args))
-    props = _resolve_props(args.prop, Path(args.chain))
+    props = _resolve_props(args.prop, Path(args.chain), one=True)
     ((name, phi),) = props.items()
     cert = apply_preservation(chain, args.at, phi, beta, graphs)
     return _report_certificate(cert, rep)
@@ -350,63 +359,46 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="ebltl",
-        description="Bounded refinement and event-LTL checking for machine "
-                    "specifications")
-    parser.add_argument("--version", action="version", version=f"ebltl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, func, chain=False, machine=False, prop=False, overrides=False,
+            bound=False, verbose=False):
+    """--json plus exactly the shared flags the subcommand reads; `func`
+    runs the subcommand."""
+    p.set_defaults(func=func)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    if verbose:
+        p.add_argument("--verbose", action="store_true",
+                       help="include full witness listings in text reports")
+    if bound:
+        p.add_argument("--bound-states", type=_int_at_least(1), default=100_000,
+                       help="state exploration limit")
+    if overrides:
+        p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
+                       dest="overrides",
+                       help="override a declared constant (repeatable; names "
+                            "a machine does not declare are ignored)")
+    if chain:
+        p.add_argument("--chain", required=True, help="chain manifest (JSON)")
+    if machine:
+        p.add_argument("machine", help="machine source file (.eb)")
+    if prop:
+        p.add_argument("--prop", required=True,
+                       help="formula, @file, or a name from the sibling props.ltl")
 
-    def common(p, chain=False, machine=False, prop=False, overrides=False,
-               bound=False, verbose=False):
-        """--json plus exactly the shared flags the subcommand reads."""
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if verbose:
-            p.add_argument("--verbose", action="store_true",
-                           help="include full witness listings in text reports")
-        if bound:
-            p.add_argument("--bound-states", type=_int_at_least(1), default=100_000,
-                           help="state exploration limit")
-        if overrides:
-            p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
-                           dest="overrides",
-                           help="override a declared constant (repeatable; names "
-                                "a machine does not declare are ignored)")
-        if chain:
-            p.add_argument("--chain", required=True, help="chain manifest (JSON)")
-        if machine:
-            p.add_argument("machine", help="machine source file (.eb)")
-        if prop:
-            p.add_argument("--prop", required=True,
-                           help="formula, @file, or a name from the sibling props.ltl")
 
-    p = sub.add_parser("parse", help="parse and typecheck a machine")
-    common(p, machine=True, overrides=True)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("explore", help="build the reachable state graph")
-    common(p, machine=True, overrides=True, bound=True, verbose=True)
+def _explore_args(p):
+    _common(p, _cmd_explore, machine=True, overrides=True, bound=True, verbose=True)
     p.add_argument("--format", choices=["summary", "graph", "edgelist"],
                    default="summary")
-    p.set_defaults(func=_cmd_explore)
 
-    p = sub.add_parser("po", help="check refinement obligations of a chain")
-    common(p, chain=True, overrides=True, bound=True, verbose=True)
+
+def _po_args(p):
+    _common(p, _cmd_po, chain=True, overrides=True, bound=True, verbose=True)
     p.add_argument("--step", type=_int, default=None,
                    help="check one step only (0-based)")
-    p.set_defaults(func=_cmd_po)
 
-    p = sub.add_parser("strategy", help="check the development-strategy rules")
-    common(p, chain=True, overrides=True)
-    p.set_defaults(func=_cmd_strategy)
 
-    p = sub.add_parser("mc", help="model check properties on a machine")
-    common(p, machine=True, prop=True, overrides=True, bound=True)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("beta", help="check projection-insensitivity of a property")
-    common(p, prop=True)
+def _beta_args(p):
+    _common(p, _cmd_beta, prop=True)
     p.add_argument("--beta", default=None, help="comma-separated event set")
     p.add_argument("--sigma", default=None,
                    help="ambient alphabet the traces range over (defaults to "
@@ -414,42 +406,81 @@ def build_parser() -> argparse.ArgumentParser:
                         "matters to the verdict")
     p.add_argument("--chain", default=None,
                    help="optional chain manifest used to resolve property names")
-    p.set_defaults(func=_cmd_beta)
 
-    p = sub.add_parser("translate", help="translate a property through the "
-                                         "chain's composed renaming")
-    common(p, chain=True, prop=True, overrides=True)
+
+def _translate_args(p):
+    _common(p, _cmd_translate, chain=True, prop=True, overrides=True)
     p.add_argument("--at", type=_int, required=True,
                    help="level the property is stated at (0-based)")
-    p.set_defaults(func=_cmd_translate)
 
-    p = sub.add_parser("gf", help="certify recurrence of the initial machine's events")
-    common(p, chain=True, overrides=True, bound=True)
-    p.set_defaults(func=_cmd_gf)
 
-    p = sub.add_parser("preserve", help="carry a property to the final machine")
-    common(p, chain=True, prop=True, overrides=True, bound=True)
+def _preserve_args(p):
+    _common(p, _cmd_preserve, chain=True, prop=True, overrides=True, bound=True)
     p.add_argument("--at", type=_int, required=True,
                    help="level the property is established at (0-based)")
     p.add_argument("--beta", default=None, help="comma-separated event set "
                    "(defaults to the property's alphabet)")
-    p.set_defaults(func=_cmd_preserve)
 
-    p = sub.add_parser("theorem1", help="divergence freedom of the final machine")
-    common(p, chain=True, overrides=True, bound=True)
-    p.set_defaults(func=_cmd_theorem1)
 
-    p = sub.add_parser("oracle", help="differential run against the brute-force oracle")
-    common(p)
+def _oracle_args(p):
+    _common(p, _cmd_oracle)
     p.add_argument("--lasso-prefix", type=_int_at_least(0), default=4, metavar="P")
     p.add_argument("--lasso-cycle", type=_int_at_least(1), default=4, metavar="Q")
     p.add_argument("--corpus", default=None, help="corpus root override")
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="additional random (graph, formula) pairs")
     p.add_argument("--seed", type=_int, default=20240)
-    p.set_defaults(func=_cmd_oracle)
 
+
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "parse": ("parse and typecheck a machine",
+              lambda p: _common(p, _cmd_parse, machine=True, overrides=True)),
+    "explore": ("build the reachable state graph", _explore_args),
+    "po": ("check refinement obligations of a chain", _po_args),
+    "strategy": ("check the development-strategy rules",
+                 lambda p: _common(p, _cmd_strategy, chain=True, overrides=True)),
+    "mc": ("model check properties on a machine",
+           lambda p: _common(p, _cmd_mc, machine=True, prop=True, overrides=True,
+                             bound=True)),
+    "beta": ("check projection-insensitivity of a property", _beta_args),
+    "translate": ("translate a property through the chain's composed renaming",
+                  _translate_args),
+    "gf": ("certify recurrence of the initial machine's events",
+           lambda p: _common(p, _cmd_gf, chain=True, overrides=True, bound=True)),
+    "preserve": ("carry a property to the final machine", _preserve_args),
+    "theorem1": ("divergence freedom of the final machine",
+                 lambda p: _common(p, _cmd_theorem1, chain=True, overrides=True,
+                                   bound=True)),
+    "oracle": ("differential run against the brute-force oracle", _oracle_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="ebltl",
+        description="Bounded refinement and event-LTL checking for machine "
+                    "specifications")
+    parser.add_argument("--version", action="version", version=f"ebltl {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`argv` read by its subcommand's parser alone, built and run as the
+    full parser's subparser action would; anything that parser leaves over,
+    and every command line that does not start with a subcommand's name,
+    goes to the full parser, whose messages list every subcommand."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _ArgumentParser(prog=f"ebltl {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -457,8 +488,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     rep = _Reporter(args.command, args.json)
     try:
         with warnings.catch_warnings():

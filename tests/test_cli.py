@@ -296,6 +296,7 @@ BAD_FILES = {
     "implies.eb": (b"machine Implies\nvariables\n  f : bool\ninvariant\n  "
                    + b" => ".join([b"f"] * 200) + b"\nevents\n  event init then f := false end\nend\n"),
     "badtype.eb": b"machine Bad\nvariables\n  f : bool\nevents\n  event init then f := 3 end\nend\n",
+    "empty.ltl": b"# no property\n",
 }
 
 
@@ -334,6 +335,13 @@ BAD_FILES = {
     (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "\u0660",
       "--prop", "phi1"), 3),
     (("oracle", "--seed", "\u0663"), 3),
+    (("beta", "--prop", f"@{VM_DIR / 'props.ltl'}"), 3),
+    (("beta", "--prop", "@{tmp}/empty.ltl"), 3),
+    (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "0",
+      "--prop", f"@{VM_DIR / 'props.ltl'}"), 3),
+    (("preserve", "--chain", str(VM_DIR / "chain.json"), "--at", "1",
+      "--prop", f"@{VM_DIR / 'props.ltl'}"), 3),
+    (("mc", str(VM_DIR / "vm4.eb"), "--prop", "@{tmp}/empty.ltl"), 3),
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
@@ -346,17 +354,107 @@ BAD_FILES = {
         "deep-compile", "beta-sigma-empty-names", "beta-empty-name",
         "beta-malformed-name", "preserve-beta-empty-name", "typecheck-error",
         "formula-bad-character", "set-double-minus", "set-superscript", "step-not-ascii",
-        "at-not-ascii", "seed-not-ascii", "help",
+        "at-not-ascii", "seed-not-ascii", "beta-prop-file-of-many",
+        "beta-prop-file-of-none", "translate-prop-file-of-many",
+        "preserve-prop-file-of-many", "mc-prop-file-of-none", "help",
         "subcommand-help", "version"])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never
     with a traceback; so do a flag the subcommand does not read, a
-    numeric flag below its range and input that nests too deeply."""
+    numeric flag below its range, input that nests too deeply and a
+    property file with no property, or with more than one where a command
+    takes one."""
     for name, data in BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
     got, out, err = run_cli(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert got == code
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "-1", "--prop", "phi1"),
+     "level -1 out of range 0..4"),
+    (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "9", "--prop", "phi1"),
+     "level 9 out of range 0..4"),
+    (("po", "--chain", str(VM_DIR / "chain.json"), "--step", "9"),
+     "step 9 out of range 0..3"),
+    (("beta", "--prop", f"@{VM_DIR / 'props.ltl'}"),
+     f"--prop @{VM_DIR / 'props.ltl'} holds 9 properties, expected exactly one"),
+    (("mc", str(VM_DIR / "vm4.eb"), "--prop", "@{tmp}/empty.ltl"),
+     "--prop @{tmp}/empty.ltl holds 0 properties, expected at least one"),
+], ids=["translate-at-negative", "translate-at-high", "po-step-high",
+        "beta-prop-file-of-many", "mc-prop-file-of-none"])
+def test_usage_error_names_the_flag_value(tmp_path, capsys, argv, message):
+    """An out-of-range `--at` or `--step` is reported in the flag's own
+    terms with the range it takes, and a property file of the wrong size
+    with the count it holds."""
+    from ebltl.cli import main
+    (tmp_path / "empty.ltl").write_text("")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in (*argv, "--json")]) == 3
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error == message.replace("{tmp}", str(tmp_path))
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace `parse` reads from `argv`, or its exit code, with what
+    it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def test_subcommand_parser_reads_argv_as_the_full_parser(monkeypatch, capsys):
+    """Every golden command line that starts with a subcommand's name gives
+    the same namespace, `func` included, from that subcommand's parser
+    alone as from the full parser; a line either rejects prints the same
+    bytes and exits with the same code."""
+    from ebltl import cli
+    from tests.test_golden import MANIFEST
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [row["argv"] for row in json.loads(MANIFEST.read_text())["rows"]
+             if row["argv"][:1] and row["argv"][0] in cli._SUBCOMMANDS]
+    assert len({argv[0] for argv in argvs}) == len(cli._SUBCOMMANDS)
+    for argv in argvs:
+        fast = _parse_outcome(cli._parse_args, argv, capsys)
+        assert fast == _parse_outcome(cli.build_parser().parse_args, argv, capsys), argv
+
+
+def test_a_subcommand_call_builds_only_its_own_parser(monkeypatch, capsys):
+    """A well-formed call constructs one parser, its subcommand's; help and
+    an unknown command build the full parser with every subparser."""
+    import argparse
+
+    from ebltl import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["beta", "--prop", "G F [pay]", "--json"],
+                 ["mc", str(VM_DIR / "vm4.eb"), "--prop", "phi2"]):
+        assert cli.main(argv) == 0
+        assert built == [f"ebltl {argv[0]}"]
+        built.clear()
+    for argv in (["--help"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert built == ["ebltl", *(f"ebltl {name}" for name in cli._SUBCOMMANDS)]
+        built.clear()
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    from ebltl.cli import main
+    monkeypatch.setattr(sys, "argv", ["ebltl", "beta", "--prop", "G F [pay]", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "beta"
 
 
 LIFT_EXPECTED = json.loads((LIFT_DIR / "expected.json").read_text())
