@@ -9,6 +9,10 @@ or strategy rule failed (witnesses are reported); 2 a certificate was
 blocked by a failed hypothesis; 3 usage, parse or typecheck error;
 4 a configured bound was exhausted; 70 an internal cross-check failed.
 Warnings go to stderr, one `warning: ...` line each.
+
+A call builds only its own subcommand's parser, because building all
+eleven costs about as much as a short `beta` decision; help, version and
+top-level usage errors still go through the full parser.
 """
 from __future__ import annotations
 

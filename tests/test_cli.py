@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, reports, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -425,8 +426,6 @@ def test_subcommand_parser_reads_argv_as_the_full_parser(monkeypatch, capsys):
 def test_a_subcommand_call_builds_only_its_own_parser(monkeypatch, capsys):
     """A well-formed call constructs one parser, its subcommand's; help and
     an unknown command build the full parser with every subparser."""
-    import argparse
-
     from ebltl import cli
 
     built = []
