@@ -274,6 +274,61 @@ def test_init_links_to_no_abstract_initial_state():
          "message": "no abstract initial state is linked to this concrete initial state"}]
 
 
+# Cap's go leaves n = 2, which breaks Cap's invariant: that post-state lies
+# outside the abstract universe, which holds n = 0 and n = 1 only
+CAP = """machine Cap
+variables
+  n : 0..2
+invariant
+  n <= 1
+events
+  event init then n := 0 end
+  event go
+    status ordinary
+    when n < 2 then n := n + 1 end
+end
+"""
+
+CAP_PRIME = """machine CapPrime refines Cap
+variables
+  n : 0..2
+  k : 0..2
+invariant
+  n >= 0
+linking
+  k = n
+events
+  event init then n := 0 || k := 0 end
+  event go refines go
+    status ordinary
+    when n < 2 then n := n + 1 || k := KEEP end
+end
+"""
+
+
+@pytest.mark.parametrize("keep", ["k + 1", "1"])
+def test_inv_ref_matches_abstract_posts_outside_the_universe(keep):
+    """An abstract post-state need not satisfy the abstract invariant to
+    match a concrete transition: go from n = 1 is matched by Cap's n = 2
+    exactly when that state glues to the concrete post-state."""
+    cap, cap_prime = parse_machine(CAP), parse_machine(CAP_PRIME.replace("KEEP", keep))
+    chain = build_chain("cap", [cap, cap_prime])
+    report = check_refinement_pair(cap, cap_prime, chain.links[0], explore(cap_prime))
+    assert report.bounds == {"concrete_states": 3, "abstract_universe": 2}
+    inv = report.results["INV_REF"]
+    # two transitions, each from a state glued to one abstract state
+    assert inv.checked == 2
+    if keep == "k + 1":  # the post-state (k = 2, n = 2) glues to n = 2
+        assert report.ok
+        return
+    # (k = 1, n = 2) breaks k = n, so no abstract post-state glues to it
+    assert report.failed() == ["INV_REF"]
+    assert inv.witnesses == [
+        {"kind": "unmatched-transition", "event": "go", "abstract_event": "go",
+         "concrete_pre": {"k": 1, "n": 1}, "concrete_post": {"k": 1, "n": 2},
+         "abstract_state": {"n": 1}}]
+
+
 # -- strategy -------------------------------------------------------------------
 
 def _counter(head: str, *events: str):
