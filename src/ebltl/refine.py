@@ -13,9 +13,10 @@ exploration order.  Nothing here explores a machine except
 caller's bounds.  States on both sides are
 tuples: the abstract guards and action relations are evaluated through
 the compiled events (`semantics.compile_machine`) once per (universe
-state, event) per pair, and the gluing relation, shared variables equal
-plus the linking invariant, is one generated function over (abstract
-state, concrete state) per pair (`semantics.compile_gluing`).
+state, event) that a concrete firing reads, and the gluing relation,
+shared variables equal plus the linking invariant, is one generated
+function over (abstract state, concrete state) per pair
+(`semantics.compile_gluing`), tried only where the shared variables agree.
 The four obligations are kept independent, mirroring how proof assistants
 split them:
 
@@ -38,10 +39,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import prod
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ChainError, ExplorationLimitError, RenamingError, ToolkitBug
 from .machine_ast import (
@@ -387,74 +389,84 @@ class POReport:
                 "obligations": {n: r.to_json_dict() for n, r in self.results.items()}}
 
 
-def _enumerate_universe(sym, compiled) -> list[tuple]:
-    """All states over the declared domains satisfying the invariant."""
-    domains = [sym.domain(sym.var_types[v]) for v in sym.var_names]
-    return [state for state in product(*domains) if compiled.invariant(state)]
-
-
 def check_refinement_pair(abstract: Machine, concrete: Machine,
                           link: ChainLink, graph: StateGraph) -> POReport:
     """Evaluate the four refinement obligations for one adjacent pair over
     `graph`, the concrete machine's explored state graph: its record of
     firings and its states are the only view of the concrete events taken
-    here."""
+    here.  The graph drives the work: abstract states are glued only to
+    concrete states that agree on the shared variables, an abstract event
+    runs only at the universe states some concrete firing is paired with,
+    and a failed obligation builds its first five witnesses only."""
     link_typecheck(abstract, concrete, link.linking)
     abs_compiled, conc_compiled = compile_machine(abstract), compile_machine(concrete)
     # the graph's state bound also bounds the abstract universe, checked
     # before it is enumerated; a bare graph has no bound
-    limit = graph.bounds.get("max_states")
-    candidates = prod(map(abstract.sym.domain_size, abstract.sym.var_types.values()))
+    sym, limit = abstract.sym, graph.bounds.get("max_states")
+    candidates = prod(map(sym.domain_size, sym.var_types.values()))
     if limit is not None and candidates > limit:
         raise ExplorationLimitError(
             f"abstract universe of {abstract.name} has {candidates} candidate "
             f"states, over the limit of {limit}")
-    abs_universe = _enumerate_universe(abstract.sym, abs_compiled)
+    # the universe: every state over the declared domains satisfying the invariant
+    domains = (sym.domain(sym.var_types[v]) for v in sym.var_names)
+    abs_universe = [state for state in product(*domains) if abs_compiled.invariant(state)]
     renaming = link.renaming.mapping
     glued = compile_gluing(abstract, concrete, link.linking)
 
     def abstract_json(a: int) -> dict:
-        return dict(zip(abstract.sym.var_names, map(value_to_json, abs_universe[a])))
+        return dict(zip(sym.var_names, map(value_to_json, abs_universe[a])))
 
     results = {name: POResult(name, True) for name in PO_NAMES}
 
-    def fail(po: str, witness: dict):
+    def fail(po: str, witness: Callable[[], dict]):
         r = results[po]
         r.passed = False
-        if len(r.witnesses) < 5:
-            r.witnesses.append(witness)
+        if len(r.witnesses) < 5:  # later failures build no witness
+            r.witnesses.append(witness())
 
-    # the abstract side, once per (universe state, refined abstract event):
-    # whether some parameter choice satisfies the guard, and every outcome
-    # of the action relation over all parameter valuations, the guard
-    # ignored (the proof-obligation reading of simulation)
-    abs_enabled, abs_posts = {}, {}
+    # pair every reachable concrete state with each glued universe state, in
+    # universe order, trying only its bucket: the universe states with its
+    # values of the shared variables, which gluing equates
+    shared = sorted(set(sym.var_names) & set(concrete.sym.var_names))
+    a_at, c_at = ([m.sym.var_names.index(v) for v in shared] for m in (abstract, concrete))
+    buckets: dict[tuple, list[int]] = {}
     for a, abs_state in enumerate(abs_universe):
-        for target in sorted(set(renaming.values())):
-            event = abs_compiled.events[target]
-            abs_enabled[a, target] = bool(event(abs_state))
-            abs_posts[a, target] = [p for _, posts in event(abs_state, False) for p in posts]
-
-    # pair every reachable concrete state with each compatible abstract state
-    pairs_per_state = [[a for a, abs_state in enumerate(abs_universe)
-                        if glued(abs_state, conc_state)]
+        buckets.setdefault(tuple(abs_state[i] for i in a_at), []).append(a)
+    pairs_per_state = [[a for a in buckets.get(tuple(conc_state[i] for i in c_at), ())
+                        if glued(abs_universe[a], conc_state)]
                        for conc_state in graph.states]
+
+    # abstract states to link split into universe ids, linked to a concrete
+    # state exactly when the pairing listed them there, and the states that
+    # break the abstract invariant, glued directly
+    universe_id = {state: a for a, state in enumerate(abs_universe)}
+
+    def split(states) -> tuple[frozenset, list]:
+        return (frozenset(universe_id[s] for s in states if s in universe_id),
+                [s for s in states if s not in universe_id])
+
+    # the abstract side, once per (universe state, refined abstract event)
+    # that a concrete firing reads: whether some parameter choice satisfies
+    # the guard, and every outcome of the action relation over all parameter
+    # valuations, the guard ignored (the proof-obligation reading of simulation)
+    abs_enabled = cache(lambda a, target: bool(abs_compiled.events[target](abs_universe[a])))
+    abs_posts = cache(lambda a, target: split(
+        [p for _, posts in abs_compiled.events[target](abs_universe[a], False) for p in posts]))
 
     # initial linkability: each concrete initial state needs an abstract
     # initial partner (initialisation is part of the simulation obligation)
-    abs_initial = abs_compiled.init()
+    init_ids, init_outside = split(abs_compiled.init())
     for i in graph.initial:
-        if not any(glued(a, graph.states[i]) for a in abs_initial):
-            fail("INV_REF", {
-                "kind": "init",
-                "concrete_state": graph.state_json(i),
-                "message": "no abstract initial state is linked to this "
-                           "concrete initial state",
-            })
+        if init_ids.isdisjoint(pairs_per_state[i]) and \
+                not any(glued(s, graph.states[i]) for s in init_outside):
+            fail("INV_REF", lambda: {"kind": "init", "concrete_state": graph.state_json(i),
+                                     "message": "no abstract initial state is linked to "
+                                                "this concrete initial state"})
 
     # one pass over the recorded firings: FIS_REF and GRD_REF judge each
-    # firing, INV_REF each transition (some abstract post-state must be linked
-    # to the concrete one; a new event must leave the abstract state unchanged)
+    # firing, INV_REF each transition (some abstract post-state, inside the
+    # universe or not, must be linked to the concrete one)
     def firing_json(src: int, name: str, valuation) -> dict:
         return {"event": name, "params": [[n, value_to_json(v)] for n, v in valuation],
                 "concrete_state": graph.state_json(src)}
@@ -462,22 +474,25 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
     for src, name, valuation, targets in graph.firings:
         results["FIS_REF"].checked += 1
         if not targets:
-            fail("FIS_REF", {"kind": "no-after-state", **firing_json(src, name, valuation)})
+            fail("FIS_REF", lambda: {"kind": "no-after-state", **firing_json(src, name, valuation)})
         target = renaming.get(name)
+        pairs = pairs_per_state[src]
         if target is not None:
-            for a in pairs_per_state[src]:
-                results["GRD_REF"].checked += 1
-                if not abs_enabled[a, target]:
-                    fail("GRD_REF", {"kind": "guard-not-strengthened",
-                                     **firing_json(src, name, valuation),
-                                     "abstract_event": target,
-                                     "abstract_state": abstract_json(a)})
+            results["GRD_REF"].checked += len(pairs)
+            for a in pairs:
+                if not abs_enabled(a, target):
+                    fail("GRD_REF", lambda: {"kind": "guard-not-strengthened",
+                                             **firing_json(src, name, valuation),
+                                             "abstract_event": target,
+                                             "abstract_state": abstract_json(a)})
         for tgt in targets:
-            for a in pairs_per_state[src]:
-                results["INV_REF"].checked += 1
-                posts = [abs_universe[a]] if target is None else abs_posts[a, target]
-                if not any(glued(post, graph.states[tgt]) for post in posts):
-                    fail("INV_REF", {
+            results["INV_REF"].checked += len(pairs)
+            conc_post, paired = graph.states[tgt], set(pairs_per_state[tgt])
+            for a in pairs:
+                # a new event must leave the abstract state unchanged
+                ids, outside = (frozenset((a,)), ()) if target is None else abs_posts(a, target)
+                if ids.isdisjoint(paired) and not any(glued(s, conc_post) for s in outside):
+                    fail("INV_REF", lambda: {
                         "kind": "unmatched-transition" if target else "new-event-disturbs-link",
                         "event": name, "abstract_event": target,
                         "concrete_pre": graph.state_json(src),
@@ -490,8 +505,8 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         for i, value in enumerate(variant_at):
             results["WFD_REF"].checked += 1
             if type(value) is not int or value < 0:  # a bool is no natural
-                fail("WFD_REF", {"kind": "variant-not-natural",
-                                 "state": graph.state_json(i), "variant": value})
+                fail("WFD_REF", lambda: {"kind": "variant-not-natural",
+                                         "state": graph.state_json(i), "variant": value})
         for src, name, _valuation, targets in graph.firings:
             status = statuses[name]
             for tgt in () if status == ORDINARY else targets:
@@ -499,9 +514,9 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                 results["WFD_REF"].checked += 1
                 if (status == CONVERGENT and not after < before) or \
                         (status == ANTICIPATED and after > before):
-                    fail("WFD_REF", {"kind": f"variant-violation-{status}",
-                                     "event": name, "before": before, "after": after,
-                                     "state": graph.state_json(src)})
+                    fail("WFD_REF", lambda: {"kind": f"variant-violation-{status}",
+                                             "event": name, "before": before, "after": after,
+                                             "state": graph.state_json(src)})
 
     return POReport(abstract=abstract.name, concrete=concrete.name,
                     results=results,
