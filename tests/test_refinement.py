@@ -5,19 +5,22 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from ebltl.errors import ChainError, ExplorationLimitError
 from ebltl.machine_parser import parse_machine
 from ebltl.machine_parser import parse_machine_file
+from ebltl import refine
 from ebltl.refine import (
     ChainLink, RenamingMap, build_chain, check_ca, check_chain_pairs,
     check_refinement_pair, check_strategy, check_theorem1, compose_renamings,
     derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import (
-    ExploreLimits, compile_expr, compile_machine, explore, make_graph, static_env,
+    ExploreLimits, compile_expr, compile_gluing, compile_machine, explore, make_graph,
+    static_env, value_to_json,
 )
 from ebltl.oracle import trace_realizable
 from tests.conftest import MUTANT_DIR, VM_DIR
@@ -327,6 +330,93 @@ def test_inv_ref_matches_abstract_posts_outside_the_universe(keep):
         {"kind": "unmatched-transition", "event": "go", "abstract_event": "go",
          "concrete_pre": {"k": 1, "n": 1}, "concrete_post": {"k": 1, "n": 2},
          "abstract_state": {"n": 1}}]
+
+
+def _scan_pairs(abstract, concrete, link, graph):
+    """The abstract universe and, per concrete state, the universe states
+    glued to it, found by gluing every universe state to every state."""
+    compiled, sym = compile_machine(abstract), abstract.sym
+    universe = [s for s in product(*(sym.domain(sym.var_types[v]) for v in sym.var_names))
+                if compiled.invariant(s)]
+    glued = compile_gluing(abstract, concrete, link.linking)
+    return universe, [[a for a in universe if glued(a, c)] for c in graph.states]
+
+
+def _vm3_to(concrete_file, capacity: int):
+    """(abstract, concrete, link, graph) for VM3 and a refinement of it."""
+    chain = load_chain(VM_DIR / "chain.json", {"capacity": capacity})
+    abstract, link = chain.machines[3], chain.links[3]
+    concrete = parse_machine_file(concrete_file, {"capacity": capacity})
+    link = ChainLink(derive_renaming(abstract, concrete, None), link.linking)
+    return abstract, concrete, link, explore(concrete)
+
+
+def test_inv_ref_keeps_the_first_five_witnesses_in_firing_order():
+    """The divergent VM4 fails INV_REF on 430 (transition, abstract state)
+    checks at capacity 4; the report keeps the first five a full scan finds,
+    in firing order, and counts every check."""
+    abstract, concrete, link, graph = _vm3_to(MUTANT_DIR / "vm4_divergent.eb", 4)
+    universe, pairs = _scan_pairs(abstract, concrete, link, graph)
+    compiled, glued = compile_machine(abstract), compile_gluing(abstract, concrete, link.linking)
+    checked, failures = 0, []
+    for src, name, _params, targets in graph.firings:
+        target = link.renaming.apply(name)
+        for tgt in targets:
+            for a in pairs[src]:
+                checked += 1
+                posts = [a] if target is None else [
+                    p for _, ps in compiled.events[target](a, False) for p in ps]
+                if not any(glued(p, graph.states[tgt]) for p in posts):
+                    failures.append({
+                        "kind": "unmatched-transition" if target else "new-event-disturbs-link",
+                        "event": name, "abstract_event": target,
+                        "concrete_pre": graph.state_json(src),
+                        "concrete_post": graph.state_json(tgt),
+                        "abstract_state": dict(zip(abstract.sym.var_names,
+                                                   map(value_to_json, a)))})
+    assert len(failures) == 430 and len(universe) == 72
+    inv = check_refinement_pair(abstract, concrete, link, graph).results["INV_REF"]
+    assert not inv.passed
+    assert inv.checked == checked
+    assert inv.witnesses == failures[:5]
+
+
+def test_obligations_glue_and_fire_only_what_the_graph_reads(monkeypatch):
+    """VM3 -> VM4 at capacity 12: a concrete state is glued only to the
+    universe states that share its values of the shared variables, and an
+    abstract event runs only at (universe state, event) pairs that some
+    concrete firing meets: guarded for GRD_REF, unguarded for INV_REF."""
+    abstract, concrete, link, graph = _vm3_to(VM_DIR / "vm4.eb", 12)
+    _universe, pairs = _scan_pairs(abstract, concrete, link, graph)
+    reads = {True: set(), False: set()}
+    for src, name, _params, targets in graph.firings:
+        target = link.renaming.apply(name)
+        for a in pairs[src] if target is not None else ():
+            reads[True].add((target, a))
+            if targets:
+                reads[False].add((target, a))
+
+    glue_calls = Counter()
+
+    def counting_gluing(*args):
+        glue = compile_gluing(*args)
+
+        def counted(a, c):
+            glue_calls["glue"] += 1
+            return glue(a, c)
+        return counted
+    monkeypatch.setattr(refine, "compile_gluing", counting_gluing)
+    calls = Counter()
+    abs_compiled = compile_machine(abstract)
+    abstract.compiled = replace(abs_compiled, events={
+        name: _counting(event, name, calls) for name, event in abs_compiled.events.items()})
+    report = check_refinement_pair(abstract, concrete, link, graph)
+    assert report.ok and report.bounds == {"concrete_states": 3172, "abstract_universe": 72}
+    # a full scan glues 3172 x 72 = 228 384 pairs
+    assert glue_calls["glue"] <= 8272
+    for guarded in (True, False):
+        made = {(name, a) for name, a, g in calls if g is guarded}
+        assert made <= reads[guarded]
 
 
 # -- strategy -------------------------------------------------------------------
