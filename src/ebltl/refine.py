@@ -437,9 +437,10 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                         if glued(abs_universe[a], conc_state)]
                        for conc_state in graph.states]
 
-    # abstract states to link split into universe ids, linked to a concrete
-    # state exactly when the pairing listed them there, and the states that
-    # break the abstract invariant, glued directly
+    # a universe state is linked to a concrete state exactly when the
+    # pairing listed it there; only a state outside the universe (one that
+    # breaks the abstract invariant) is glued again, so `split` sorts
+    # abstract states into universe ids and those outside
     universe_id = {state: a for a, state in enumerate(abs_universe)}
 
     def split(states) -> tuple[frozenset, list]:
@@ -487,6 +488,7 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                                              "abstract_state": abstract_json(a)})
         for tgt in targets:
             results["INV_REF"].checked += len(pairs)
+            # a set, so that each disjointness test scans the smaller side
             conc_post, paired = graph.states[tgt], set(pairs_per_state[tgt])
             for a in pairs:
                 # a new event must leave the abstract state unchanged
