@@ -29,20 +29,20 @@ constructor expands every reachable state exactly once and fills a
 table of successors per letter (`delta`) and per state (`moves`), so no
 state is added while a product reads it.
 
-One `Product` class pairs a left side with an automaton, breadth-first
-over node ids, recording each node's first edge and depth, and searches
-it for the closest accepting node (a finite trace) and for the
-shallowest accepting component (a lasso, looped by
+One `Product` class pairs a left side with an automaton's transition
+rows, breadth-first over node ids, recording each node's first edge and
+depth, and searches it for the closest accepting node (a finite trace)
+and for the shallowest accepting component (a lasso, looped by
 `search.stitch_cycle`); between components whose anchors are equally
 deep, the least node id wins.  The model checker's `CounterexampleSearch`
-steps a graph's successor table (`StateGraph.moves`) next to the
-automaton of the negated formula, built over the graph's edge labels.
-It marks the automaton's components that can accept
+steps a graph's successor table (`StateGraph.moves`) next to the rows
+(`delta`) of the negated formula's automaton, built over the graph's
+edge labels.  It marks the automaton's components that can accept
 (`TableauAutomaton.live_components`) before building, so its product
 stores and searches only the edges that can close an accepting lasso.
 The beta-dependence decision's `ProjectionProduct` steps one automaton
-through its own `moves` next to another reading the projection of the
-word onto a set of letters, and keeps every edge.
+through its own `moves` next to the rows of another reading the
+projection of the word onto a set of letters, and keeps every edge.
 """
 from __future__ import annotations
 
@@ -244,8 +244,8 @@ class TableauAutomaton:
     `delta[q]` maps each letter to the successor ids of state q, in
     branch order without repeats, and `moves[q]` lists its `(successor,
     letter)` pairs letter by letter.  Nothing is added after
-    construction: `successors(q, letter)` reads the table, and a letter
-    outside the set is a KeyError.
+    construction: a product reads `delta` as its row table (`Product`),
+    and a letter outside the set is a KeyError.
     """
 
     def __init__(self, root: NNF, letters):
@@ -280,9 +280,6 @@ class TableauAutomaton:
     def accepts_empty(self, qid: int) -> bool:
         return all(empty_true(f) for f in self._sets[qid])
 
-    def successors(self, qid: int, letter: str) -> tuple[int, ...]:
-        return self.delta[qid][letter]
-
     def fulfils(self, states) -> bool:
         """Generalized Buchi: a cycle through exactly these states leaves
         every Until undelayed somewhere."""
@@ -311,11 +308,14 @@ class TableauAutomaton:
 
 class Product:
     """A left side that `step(left)` moves to `(successor, label)` pairs,
-    next to an automaton that answers each label with
-    `successors(right, label)`.  Built once by walking node ids from
-    `starts`: ids are the discovery order, so the walk is breadth-first,
-    and each new node's first edge (`parent`) and `depth` are recorded as
-    it is found.  More than `limit` nodes raise ExplorationLimitError.
+    next to an automaton whose `rows[right][label]` lists the successor
+    ids.  Built once by walking node ids from `starts`: ids are the
+    discovery order, so the walk is breadth-first, and each new node's
+    first edge (`parent`) and `depth` are recorded as it is found.  More
+    than `limit` nodes raise ExplorationLimitError.  Each row becomes
+    `(right2, right2's id dict, store flag)` entries before the walk, so
+    an edge costs one lookup in a dict keyed by left states, with no call,
+    and builds a pair only for a new node.
 
     `live`, when given, is `TableauAutomaton.live_components` of the right
     automaton: `adj` then keeps only the edges between two nodes whose
@@ -323,50 +323,46 @@ class Product:
     nodes with a live right state.  Every node is still numbered and
     reached, so `first`, `parent` and `depth` do not depend on it."""
 
-    def __init__(self, starts, step, successors, limit: Optional[int] = None,
+    def __init__(self, starts, step, rows, limit: Optional[int] = None,
                  live: Optional[list[int]] = None):
-        ids: dict[tuple, int] = {}
         self.nodes = nodes = []
         self.adj = adj = []
         self.parent = parent = {}
         self.depth = depth = []
         self.live = live
-        cap = float("inf") if limit is None else limit
-
-        def overflow():
-            return ExplorationLimitError(f"product size exceeded the limit of {limit}")
-
-        for node in starts:
-            if node not in ids:
-                if len(nodes) >= cap:
-                    raise overflow()
-                ids[node] = len(nodes)
-                nodes.append(node)
+        ids = [{} for _ in rows]  # per right state: left -> node id
+        # an edge is stored when its target's mark is its source's `keep`:
+        # the source's own mark if live, else -2, which no state has
+        marks = [0] * len(rows) if live is None else live
+        table = []
+        for right, row in enumerate(rows):
+            keep = marks[right] if marks[right] >= 0 else -2
+            table.append({label: [(r2, ids[r2], marks[r2] == keep) for r2 in row[label]]
+                          for label in row})
+        for left, right in starts:
+            if left not in ids[right]:
+                ids[right][left] = len(nodes)
+                nodes.append((left, right))
                 adj.append([])
                 depth.append(0)
-        nid = 0
-        while nid < len(nodes):
-            left, right = nodes[nid]
+        for nid, (left, right) in enumerate(nodes):  # the walk appends as it goes
+            # checked per expansion: the walk reaches every node it adds
+            if limit is not None and len(nodes) > limit:
+                raise ExplorationLimitError(f"product size exceeded the limit of {limit}")
             out = adj[nid]
             below = depth[nid] + 1
-            # an edge is stored when its target's live id is `keep`; -2 is
-            # no state's id, so a node with a dead right state stores none
-            keep = None if live is None else live[right] if live[right] >= 0 else -2
+            row = table[right]
             for left2, label in step(left):
-                for right2 in successors(right, label):
-                    node = (left2, right2)
-                    tgt = ids.get(node)
+                for right2, at, store in row[label]:
+                    tgt = at.get(left2)
                     if tgt is None:
-                        if len(nodes) >= cap:
-                            raise overflow()
-                        tgt = ids[node] = len(nodes)
-                        nodes.append(node)
+                        tgt = at[left2] = len(nodes)
+                        nodes.append((left2, right2))
                         adj.append([])
                         depth.append(below)
                         parent[tgt] = (nid, label)
-                    if keep is None or live[right2] == keep:
+                    if store:
                         out.append((tgt, label))
-            nid += 1
 
     def first(self, accepting) -> Optional[Trace]:
         """The finite trace to the first node in id order, which is the
@@ -433,13 +429,9 @@ class CounterexampleSearch(Product):
 
     def __init__(self, graph: StateGraph, phi: Formula, product_limit: int):
         self.graph = graph
-        # the automaton reads the graph's edge labels, which a hand-built
-        # graph (`make_graph`) need not keep inside its alphabet
-        self.aut = aut = TableauAutomaton(
-            to_nnf(phi, negate=True),
-            {label for out in graph.moves for _, label in out})
+        self.aut = aut = TableauAutomaton(to_nnf(phi, negate=True), graph.labels)
         super().__init__([(s, aut.initial) for s in graph.initial],
-                         graph.moves.__getitem__, aut.successors, product_limit,
+                         graph.moves.__getitem__, aut.delta, product_limit,
                          aut.live_components())
 
     def finite_counterexample(self) -> Optional[Trace]:
@@ -459,9 +451,9 @@ class CounterexampleSearch(Product):
 class ProjectionProduct(Product):
     """Automaton `a` reads a word w over its letters while automaton `b`,
     built over the same letters, reads the projection of w onto `beta`: a
-    letter outside beta moves `a` alone.  Each witness method returns a word that `a` accepts and
-    whose projection `b` accepts, or None; the three cover the three
-    shapes of w.
+    letter outside beta moves `a` alone, `b`'s row keeping its state.
+    Each witness method returns a word that `a` accepts and whose
+    projection `b` accepts, or None; the three cover the three shapes of w.
 
     The product keeps every edge, with no live marking: `b` stays put on
     a letter outside beta, which is no transition of its own, and
@@ -473,7 +465,8 @@ class ProjectionProduct(Product):
         self.a, self.b, self.beta = a, b, beta
         super().__init__(
             [(a.initial, b.initial)], a.moves.__getitem__,
-            lambda qb, x: b.successors(qb, x) if x in beta else (qb,))
+            [{x: row[x] if x in beta else (qb,) for x in row}
+             for qb, row in enumerate(b.delta)])
 
     def finite_witness(self) -> Optional[Trace]:
         """w finite: the closest node where both automata accept the empty

@@ -2,7 +2,8 @@
 discovery order and record the edge that first reached each node, so the
 loop that builds a graph is its breadth-first search, and every witness
 path reads that tree (`path_to`); `automata.Product` is the one such loop
-for products, used by the model checker and the beta-dependence decision.
+for products, used by the model checker and the beta-dependence decision,
+and it reads its automaton from the transition rows (`rows[right][label]`).
 `bfs` builds it for a graph made by hand, `path_inside` finds paths within
 one strongly connected component (`tarjan`, `Inside`), `shallowest_component`
 picks the component a lasso loops in and `stitch_cycle` the loop.  The
@@ -56,9 +57,8 @@ class Inside(dict):
 
     def __missing__(self, node):
         out = self.adj[node]
-        if any(t not in self.members for t, _ in out):
-            out = [(t, lb) for t, lb in out if t in self.members]
-        self[node] = out
+        kept = [edge for edge in out if edge[0] in self.members]
+        self[node] = out = out if len(kept) == len(out) else kept
         return out
 
 

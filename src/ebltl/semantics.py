@@ -23,13 +23,13 @@ keeps that tree (`StateGraph.parents`).
 
 The graph stores one record, `StateGraph.firings`: every enabled firing,
 once, as (state, event, params, after-state ids) in exploration order.
-The successor table that every product reads (`moves`), the deadlocks,
-the edge views and the reports are all derived from it.  A firing whose
-bounded choice admits no value has no after-state ids and adds no
-transition, so one exploration serves both the commands that reject it
-(`require_feasible`) and the refinement obligations, which read the
-concrete machine only through the caller's graphs and report such a firing
-as FIS_REF.
+The successor table that every product reads (`moves`), its labels, the
+deadlocks, the edge views and the reports are all derived from it.  A
+firing whose bounded choice admits no value has no after-state ids and
+adds no transition, so one exploration serves both the commands that
+reject it (`require_feasible`) and the refinement obligations, which
+read the concrete machine only through the caller's graphs and report
+such a firing as FIS_REF.
 """
 from __future__ import annotations
 
@@ -316,6 +316,12 @@ class StateGraph:
             for t in targets:
                 out[src][t, event] = None
         return [list(pairs) for pairs in out]
+
+    @cached_property
+    def labels(self) -> frozenset[str]:
+        """The events on the edges of `moves`, which a hand-built graph
+        (`make_graph`) need not keep inside its alphabet."""
+        return frozenset(label for out in self.moves for _, label in out)
 
     @cached_property
     def deadlocks(self) -> tuple[int, ...]:

@@ -11,8 +11,8 @@ from ebltl import automata, preserve
 from ebltl.automata import NRelease, NFalse, NNotEv, Product, TableauAutomaton, to_nnf
 from ebltl.formulas import Atom, Finally, Globally, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
-from ebltl.machine_parser import parse_machine
-from ebltl.oracle import random_formula, random_graph, trace_realizable
+from ebltl.machine_parser import parse_machine, parse_machine_file
+from ebltl.oracle import corpus_root, random_formula, random_graph, trace_realizable
 from ebltl.refine import check_ca
 from ebltl.search import tarjan
 from ebltl.semantics import explore, find_path, make_graph
@@ -156,12 +156,9 @@ def test_product_limit_is_exact():
     def step(left):
         return [(left + 1, "a")] if left < 4 else []
 
-    def successors(right, label):
-        return [right]
-
-    assert len(Product([(0, 0)], step, successors, limit=5).nodes) == 5
+    assert len(Product([(0, 0)], step, [{"a": [0]}], limit=5).nodes) == 5
     with pytest.raises(ExplorationLimitError, match="limit of 4"):
-        Product([(0, 0)], step, successors, limit=4)
+        Product([(0, 0)], step, [{"a": [0]}], limit=4)
 
 
 def test_equally_deep_components_go_to_the_least_node_id():
@@ -170,7 +167,7 @@ def test_equally_deep_components_go_to_the_least_node_id():
     node 2's component is found first.  The least anchor id, node 1, still
     wins."""
     moves = {0: [(1, "x"), (2, "y")], 1: [(2, "z"), (1, "a")], 2: [(2, "b")]}
-    product = Product([(0, 0)], moves.__getitem__, lambda right, label: [right])
+    product = Product([(0, 0)], moves.__getitem__, [{x: [0] for x in "xyzab"}])
     assert tarjan(3, product.adj) == [[2], [1], [0]]
     cex = product.lasso(lambda scc, members: True, [])
     assert cex.render() == "x | (a)^\u03c9"
@@ -206,8 +203,8 @@ def test_live_marking_keeps_every_lasso():
                                {label for out in graph.moves for _, label in out})
         starts = [(s, aut.initial) for s in graph.initial]
         live = aut.live_components()
-        full = Product(starts, graph.moves.__getitem__, aut.successors)
-        pruned = Product(starts, graph.moves.__getitem__, aut.successors, live=live)
+        full = Product(starts, graph.moves.__getitem__, aut.delta)
+        pruned = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
         assert pruned.nodes == full.nodes and pruned.depth == full.depth
         assert pruned.parent == full.parent
         side = [live[q] for _, q in full.nodes]
@@ -220,11 +217,84 @@ def test_live_marking_keeps_every_lasso():
     assert lassos > 50
 
 
+def _reference_product(starts, step, successors, live=None):
+    """The product built with one tuple-keyed id dict and one
+    `successors(right, label)` call per edge: the nodes, first edges,
+    depths and stored edges `Product` must give."""
+    ids, nodes, parent, depth, adj = {}, [], {}, [], []
+
+    def add(node, below):
+        if node not in ids:
+            ids[node] = len(nodes)
+            nodes.append(node)
+            depth.append(below)
+            adj.append([])
+        return ids[node]
+
+    for node in starts:
+        add(node, 0)
+    nid = 0
+    while nid < len(nodes):
+        left, right = nodes[nid]
+        for left2, label in step(left):
+            for right2 in successors(right, label):
+                known = (left2, right2) in ids
+                tgt = add((left2, right2), depth[nid] + 1)
+                if not known:
+                    parent[tgt] = (nid, label)
+                if live is None or live[right] >= 0 and live[right2] == live[right]:
+                    adj[nid].append((tgt, label))
+        nid += 1
+    return nodes, parent, depth, adj
+
+
+def test_product_matches_the_reference_builder(vm_graphs, vm_props):
+    """On the VM graphs with every catalogue property and on seeded random
+    draws, `Product` over the automaton's rows gives the reference
+    builder's nodes, first edges, depths and stored edges, with and
+    without the live marking; `ProjectionProduct` gives those of the
+    reference stepping `b` by the projection, for formula pairs over
+    {a, b, z} with beta {a, b}."""
+    rng = random.Random(37)
+    alphabet = ["a", "b", "c", "d"]
+    draws = [(vm_graphs[m], phi) for m in ("VM1", "VM2", "VM4") for phi in vm_props.values()]
+    for _ in range(200):
+        graph = random_graph(rng, rng.randint(6, 60), alphabet)
+        draws.append((graph, random_formula(rng, alphabet, rng.randint(1, 4))))
+    for graph, phi in draws:
+        aut = TableauAutomaton(to_nnf(phi, negate=True), graph.labels)
+        starts = [(s, aut.initial) for s in graph.initial * 2]  # a repeat is one node
+        for live in (None, aut.live_components()):
+            built = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
+            assert (built.nodes, built.parent, built.depth, built.adj) == _reference_product(
+                starts, graph.moves.__getitem__, lambda q, x: aut.delta[q][x], live)
+    beta, letters = frozenset({"a", "b"}), {"a", "b", "z"}
+    for _ in range(200):
+        a, b = (TableauAutomaton(to_nnf(random_formula(rng, sorted(letters), rng.randint(1, 4)),
+                                        negate=rng.random() < 0.5), letters)
+                for _ in range(2))
+        built = automata.ProjectionProduct(a, b, beta)
+        assert (built.nodes, built.parent, built.depth, built.adj) == _reference_product(
+            [(a.initial, b.initial)], a.moves.__getitem__,
+            lambda qb, x: b.delta[qb][x] if x in beta else (qb,))
+
+
+def test_product_work_counts_on_vm4():
+    """The mc-product workload's large formula on VM4 at capacity 12: the
+    product's node count, stored edges and nodes with a live right state."""
+    graph = explore(parse_machine_file(corpus_root() / "vm" / "vm4.eb", {"capacity": 12}))
+    phi = parse_formula("[selectChoc] U G (([pay] & [refund]) U (true & [refund]))")
+    product = automata.CounterexampleSearch(graph, phi, 10**6)
+    assert len(product.nodes) == 24536
+    assert sum(map(len, product.adj)) == 148722
+    assert sum(product.live[q] >= 0 for _, q in product.nodes) == 18360
+
+
 def test_automata_are_built_whole(monkeypatch):
     """Every automaton the model checker and the beta decision build, on
     seeded random draws, is closed under its letters when its constructor
     returns: each successor id names a state of the table, `moves[q]` is
-    `successors` flattened letter by letter, and building and searching
+    `delta[q]` flattened letter by letter, and building and searching
     the products adds no state."""
     built = []
 
@@ -246,7 +316,7 @@ def test_automata_are_built_whole(monkeypatch):
         assert len(aut.moves) == size
         for q, moves in enumerate(aut.moves):
             assert all(q2 < size for q2, _ in moves)
-            assert moves == [(q2, x) for x in letters for q2 in aut.successors(q, x)]
+            assert moves == [(q2, x) for x in letters for q2 in aut.delta[q][x]]
 
 
 def _reference_tarjan(n, adj, roots):

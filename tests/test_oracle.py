@@ -197,13 +197,17 @@ def test_cross_validate_builds_each_walk_list_once(monkeypatch):
     second call starts cold and builds the same lists again."""
     counts = {"moves": 0}
     walks: list = []
+    # every move table seen stays alive, so no two tables share an id
+    alive: list = []
     sorted_moves, closed_walks = oracle._sorted_moves, oracle._closed_walks
 
     def counting_moves(graph):
         counts["moves"] += 1
-        return sorted_moves(graph)
+        alive.append(sorted_moves(graph))
+        return alive[-1]
 
     def counting_walks(origin, moves, cycle_bound, limit):
+        alive.append(moves)
         walks.append((id(moves), origin, cycle_bound))
         return closed_walks(origin, moves, cycle_bound, limit)
 
