@@ -372,3 +372,30 @@ def test_edge_label_outside_the_alphabet():
     assert not verdict.holds
     assert verdict.counterexample.render() == "a, z | (z)^\u03c9"
     assert model_check(graph, parse_formula("F G ![a]")).holds
+
+
+def test_tableau_tables_are_pinned():
+    """Both polarities of seeded random formulas over a-d, built over a-d
+    and one letter no formula names, hashed against a pinned digest: the
+    rows, the moves, each state's obligations, the Untils, which states
+    accept the empty word and the live components.  A change in how
+    obligations are keyed, ordered or expanded renumbers some state and
+    shows here."""
+    rng = random.Random(41)
+    alphabet, letters = ["a", "b", "c", "d"], {"a", "b", "c", "d", "z"}
+    digest = hashlib.sha256()
+    states = 0
+    for _ in range(300):
+        phi = random_formula(rng, alphabet, rng.randint(1, 4))
+        for negate in (False, True):
+            aut = TableauAutomaton(to_nnf(phi, negate=negate), letters)
+            n = len(aut.moves)
+            states += n
+            digest.update(json.dumps([
+                aut.delta, aut.moves,
+                [sorted(map(automata.nnf_key, aut.obligations(q))) for q in range(n)],
+                [automata.nnf_key(f) for f in aut.untils],
+                [aut.accepts_empty(q) for q in range(n)],
+                aut.live_components()]).encode())
+    assert states == 1590
+    assert digest.hexdigest() == "7310dd3f3e2cc0203c4390b3e30f31ff2c1776170766a1858d05c34da1b4e53f"
