@@ -21,8 +21,9 @@ pending obligation must hold on the empty trace, where atoms are false,
 negated atoms are true, and both Until and Release reduce to their
 right-hand side.
 
-The internal negation normal form adds a Release operator and a false
-literal; these never appear in the public Formula AST.
+Negation normal form is a shape of `formulas`' own classes, `Not` only over
+an atom or over `true` (false), plus this module's `Release`, which never
+reaches the parser or the printer.
 
 An automaton is built once, over the letters it will read: the
 constructor expands every reachable state exactly once and fills a
@@ -51,7 +52,7 @@ from typing import Optional
 
 from .errors import ExplorationLimitError
 from .formulas import (
-    And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
+    FALSE, TRUE, And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
 from .search import (
     Inside, nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
@@ -64,117 +65,75 @@ from .traces import FINITE, LASSO, Trace
 # negation normal form
 
 @dataclass(frozen=True)
-class NNF:
-    pass
+class Release(Formula):
+    """`left R right`, the dual of Until: right holds up to and including
+    the first step where left holds, or to the end of the word."""
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class NTrue(NNF):
-    pass
-
-
-@dataclass(frozen=True)
-class NFalse(NNF):
-    pass
-
-
-@dataclass(frozen=True)
-class NEv(NNF):
-    event: str
-
-
-@dataclass(frozen=True)
-class NNotEv(NNF):
-    event: str
-
-
-@dataclass(frozen=True)
-class NAnd(NNF):
-    left: NNF
-    right: NNF
-
-
-@dataclass(frozen=True)
-class NOr(NNF):
-    left: NNF
-    right: NNF
-
-
-@dataclass(frozen=True)
-class NUntil(NNF):
-    left: NNF
-    right: NNF
-
-
-@dataclass(frozen=True)
-class NRelease(NNF):
-    left: NNF
-    right: NNF
-
-
-_NTRUE = NTrue()
-_NFALSE = NFalse()
-
-
-def to_nnf(phi: Formula, negate: bool = False) -> NNF:
+def to_nnf(phi: Formula, negate: bool = False) -> Formula:
+    """`phi`, or its negation, with `Not` only over an atom or `true`, and
+    Finally and Globally unfolded into Until and Release."""
     if isinstance(phi, TrueFormula):
-        return _NFALSE if negate else _NTRUE
+        return FALSE if negate else TRUE
     if isinstance(phi, Atom):
-        return NNotEv(phi.event) if negate else NEv(phi.event)
+        return Not(phi) if negate else phi
     if isinstance(phi, Not):
         return to_nnf(phi.operand, not negate)
     if isinstance(phi, Or):
         l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return NAnd(l, r) if negate else NOr(l, r)
+        return And(l, r) if negate else Or(l, r)
     if isinstance(phi, And):
         l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return NOr(l, r) if negate else NAnd(l, r)
+        return Or(l, r) if negate else And(l, r)
     if isinstance(phi, Until):
         l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return NRelease(l, r) if negate else NUntil(l, r)
+        return Release(l, r) if negate else Until(l, r)
     if isinstance(phi, Finally):
         inner = to_nnf(phi.operand, negate)
-        return NRelease(_NFALSE, inner) if negate else NUntil(_NTRUE, inner)
+        return Release(FALSE, inner) if negate else Until(TRUE, inner)
     if isinstance(phi, Globally):
         inner = to_nnf(phi.operand, negate)
-        return NUntil(_NTRUE, inner) if negate else NRelease(_NFALSE, inner)
+        return Until(TRUE, inner) if negate else Release(FALSE, inner)
     raise TypeError(phi)
 
 
-def nnf_key(f: NNF) -> str:
-    if isinstance(f, NTrue):
+_KEY_NAMES = {And: "NAnd", Or: "NOr", Until: "NUntil", Release: "NRelease"}
+
+
+def nnf_key(f: Formula) -> str:
+    """The text obligations sort by, which fixes branch and state order."""
+    if isinstance(f, TrueFormula):
         return "1"
-    if isinstance(f, NFalse):
-        return "0"
-    if isinstance(f, NEv):
+    if isinstance(f, Atom):
         return f"[{f.event}]"
-    if isinstance(f, NNotEv):
-        return f"![{f.event}]"
-    name = type(f).__name__
-    return f"{name}({nnf_key(f.left)},{nnf_key(f.right)})"
+    if isinstance(f, Not):
+        return f"![{f.operand.event}]" if isinstance(f.operand, Atom) else "0"
+    return f"{_KEY_NAMES[type(f)]}({nnf_key(f.left)},{nnf_key(f.right)})"
 
 
-def empty_true(f: NNF) -> bool:
-    """Truth of an NNF formula on the empty trace."""
-    if isinstance(f, NTrue):
+def empty_true(f: Formula) -> bool:
+    """Truth of a formula in negation normal form on the empty trace."""
+    if isinstance(f, TrueFormula):
         return True
-    if isinstance(f, (NFalse, NEv)):
+    if isinstance(f, Atom):
         return False
-    if isinstance(f, NNotEv):
-        return True
-    if isinstance(f, NAnd):
+    if isinstance(f, Not):
+        return isinstance(f.operand, Atom)
+    if isinstance(f, And):
         return empty_true(f.left) and empty_true(f.right)
-    if isinstance(f, NOr):
+    if isinstance(f, Or):
         return empty_true(f.left) or empty_true(f.right)
-    if isinstance(f, (NUntil, NRelease)):
+    if isinstance(f, (Until, Release)):
         return empty_true(f.right)
     raise TypeError(f)
 
 
-def _collect_untils(f: NNF, out: list[NNF]) -> None:
-    if isinstance(f, NUntil) and f not in out:
+def _collect_untils(f: Formula, out: list[Formula]) -> None:
+    if isinstance(f, Until) and f not in out:
         out.append(f)
-    if isinstance(f, (NAnd, NOr, NUntil, NRelease)):
+    if isinstance(f, (And, Or, Until, Release)):
         _collect_untils(f.left, out)
         _collect_untils(f.right, out)
 
@@ -193,7 +152,7 @@ def _branches(obligations: frozenset) -> list[Branch]:
     results: list[Branch] = []
     seen = set()
 
-    def go(pending: list[NNF], req: Optional[str], forb: frozenset,
+    def go(pending: list[Formula], req: Optional[str], forb: frozenset,
            nxt: frozenset) -> None:
         if not pending:
             branch = (req, forb, nxt)
@@ -202,32 +161,33 @@ def _branches(obligations: frozenset) -> list[Branch]:
                 results.append(branch)
             return
         f, rest = pending[0], pending[1:]
-        if isinstance(f, NTrue):
+        # kinds tested most frequent first: negated literals, then Untils
+        if isinstance(f, Not):  # over an atom; over true it is false
+            x = f.operand
+            if isinstance(x, Atom):
+                if req is None:
+                    go(rest, req, forb | {x.event}, nxt)
+                elif req != x.event:
+                    go(rest, req, forb, nxt)
+        elif isinstance(f, Until):
+            go([f.right] + rest, req, forb, nxt)          # fulfil now
+            go([f.left] + rest, req, forb, nxt | {f})     # delay
+        elif isinstance(f, TrueFormula):
             go(rest, req, forb, nxt)
-        elif isinstance(f, NFalse):
-            return
-        elif isinstance(f, NEv):
+        elif isinstance(f, Release):
+            go([f.right, f.left] + rest, req, forb, nxt)  # release now
+            go([f.right] + rest, req, forb, nxt | {f})    # stay obliged
+        elif isinstance(f, Atom):
             if req is None:
                 if f.event not in forb:
                     go(rest, f.event, forb, nxt)
             elif req == f.event:
                 go(rest, req, forb, nxt)
-        elif isinstance(f, NNotEv):
-            if req is None:
-                go(rest, req, forb | {f.event}, nxt)
-            elif req != f.event:
-                go(rest, req, forb, nxt)
-        elif isinstance(f, NAnd):
+        elif isinstance(f, And):
             go([f.left, f.right] + rest, req, forb, nxt)
-        elif isinstance(f, NOr):
+        elif isinstance(f, Or):
             go([f.left] + rest, req, forb, nxt)
             go([f.right] + rest, req, forb, nxt)
-        elif isinstance(f, NUntil):
-            go([f.right] + rest, req, forb, nxt)          # fulfil now
-            go([f.left] + rest, req, forb, nxt | {f})     # delay
-        elif isinstance(f, NRelease):
-            go([f.right, f.left] + rest, req, forb, nxt)  # release now
-            go([f.right] + rest, req, forb, nxt | {f})    # stay obliged
         else:
             raise TypeError(f)
 
@@ -236,8 +196,8 @@ def _branches(obligations: frozenset) -> list[Branch]:
 
 
 class TableauAutomaton:
-    """Obligation-set automaton for one NNF formula over a given set of
-    letters, built whole in the constructor.
+    """Obligation-set automaton for one formula in negation normal form
+    (`to_nnf`) over a given set of letters, built whole in the constructor.
 
     State 0 is the initial obligation {root}; the others are numbered in
     the order a breadth-first walk over the sorted letters finds them.
@@ -248,8 +208,8 @@ class TableauAutomaton:
     and a letter outside the set is a KeyError.
     """
 
-    def __init__(self, root: NNF, letters):
-        untils: list[NNF] = []
+    def __init__(self, root: Formula, letters):
+        untils: list[Formula] = []
         _collect_untils(root, untils)
         self.untils = sorted(untils, key=nnf_key)
         letters = sorted(letters)

@@ -8,8 +8,8 @@ import random
 import pytest
 
 from ebltl import automata, preserve
-from ebltl.automata import NRelease, NFalse, NNotEv, Product, TableauAutomaton, to_nnf
-from ebltl.formulas import Atom, Finally, Globally, parse_formula
+from ebltl.automata import Product, Release, TableauAutomaton, to_nnf
+from ebltl.formulas import FALSE, Atom, Finally, Globally, Not, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine, parse_machine_file
 from ebltl.oracle import corpus_root, random_formula, random_graph, trace_realizable
@@ -181,7 +181,7 @@ def test_live_components_of_negated_recurrence():
     phi = to_nnf(parse_formula("!(G F [a])"))
     aut = TableauAutomaton(phi, {"a", "b"})
     live = aut.live_components()
-    always_not_a = frozenset({NRelease(NFalse(), NNotEv("a"))})
+    always_not_a = frozenset({Release(FALSE, Not(Atom("a")))})
     g_state = next(q for q in range(len(live)) if aut.obligations(q) == always_not_a)
     assert live[aut.initial] == -1
     assert live[g_state] >= 0
