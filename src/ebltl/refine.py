@@ -209,10 +209,10 @@ def build_chain(name: str, machines: list[Machine],
 def _link_well_formed(link) -> bool:
     if not isinstance(link, dict):
         return link is None
-    renaming = link.get("renaming") or {}
-    return (isinstance(renaming, dict)
-            and all(isinstance(v, str) for v in renaming.values())
-            and isinstance(link.get("linking") or "", str))
+    renaming, linking = link.get("renaming"), link.get("linking")
+    return ((renaming is None or isinstance(renaming, dict)
+             and all(isinstance(v, str) for v in renaming.values()))
+            and (linking is None or isinstance(linking, str)))
 
 
 def load_chain(path, constant_overrides: dict[str, int] | None = None) -> RefinementChain:

@@ -299,6 +299,14 @@ BAD_FILES = {
     "badtype.eb": b"machine Bad\nvariables\n  f : bool\nevents\n  event init then f := 3 end\nend\n",
     "empty.ltl": b"# no property\n",
 }
+# chain manifests over the lift pair, named by absolute path, whose one
+# link holds a value of the wrong type
+BAD_LINKS = {"linking-0": {"linking": 0}, "linking-false": {"linking": False},
+             "linking-list": {"linking": []}, "linking-object": {"linking": {}},
+             "renaming-0": {"renaming": 0}, "renaming-list": {"renaming": []}}
+BAD_FILES.update({f"{name}.json": json.dumps({
+    "machines": [str(LIFT_DIR / "lift.eb"), str(LIFT_DIR / "lift_prime.eb")],
+    "links": [link]}).encode() for name, link in BAD_LINKS.items()})
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -346,7 +354,7 @@ BAD_FILES = {
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
-], ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
+] + [(("po", "--chain", f"{{tmp}}/{name}.json"), 3) for name in BAD_LINKS], ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
         "chain-no-machines", "prop-file-directory", "missing-chain",
         "unknown-flag", "bound-not-int", "parse-bound-states",
         "gf-lasso-prefix", "oracle-set", "mc-verbose", "bound-states-negative",
@@ -358,7 +366,7 @@ BAD_FILES = {
         "at-not-ascii", "seed-not-ascii", "beta-prop-file-of-many",
         "beta-prop-file-of-none", "translate-prop-file-of-many",
         "preserve-prop-file-of-many", "mc-prop-file-of-none", "help",
-        "subcommand-help", "version"])
+        "subcommand-help", "version", *(f"link-{name}" for name in BAD_LINKS)])
 def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     """Bad command lines and unreadable or malformed inputs exit 3, never
     with a traceback; so do a flag the subcommand does not read, a

@@ -23,7 +23,7 @@ from ebltl.semantics import (
     static_env, value_to_json,
 )
 from ebltl.oracle import trace_realizable
-from tests.conftest import MUTANT_DIR, VM_DIR
+from tests.conftest import LIFT_DIR, MUTANT_DIR, VM_DIR
 
 
 def load_mutant_spec():
@@ -508,6 +508,33 @@ def test_chain_extension_agnostic(tmp_path):
     manifest.write_text((VM_DIR / "chain.json").read_text())
     chain = load_chain(manifest)
     assert [m.name for m in chain.machines] == ["VM0", "VM1", "VM2", "VM3", "VM4"]
+
+
+def _lift_manifest(tmp_path, link):
+    manifest = tmp_path / "lift.json"
+    manifest.write_text(json.dumps({"machines": [str(LIFT_DIR / "lift.eb"),
+                                                 str(LIFT_DIR / "lift_prime.eb")],
+                                    "links": [link]}))
+    return manifest
+
+
+@pytest.mark.parametrize("link", [
+    {"linking": 0}, {"linking": False}, {"linking": []}, {"linking": {}},
+    {"renaming": 0}, {"renaming": False}, {"renaming": []}, {"renaming": ""},
+    {"renaming": {"openDoors": 1}}, 0, [],
+])
+def test_malformed_link_is_rejected(tmp_path, link):
+    """A link is null or an object whose `renaming` is null or a map of
+    event names and whose `linking` is null or a string; any other value,
+    falsy ones included, is the manifest's own error."""
+    with pytest.raises(ChainError, match='"links" must list null or objects'):
+        load_chain(_lift_manifest(tmp_path, link))
+
+
+@pytest.mark.parametrize("link", [None, {}, {"linking": None, "renaming": None}])
+def test_null_link_values_mean_absent(tmp_path, link):
+    chain = load_chain(_lift_manifest(tmp_path, link))
+    assert chain.links[0].linking == chain.machines[1].linking
 
 
 def test_unlabelled_new_event_rejected(vm_machines):
