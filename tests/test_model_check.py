@@ -188,6 +188,26 @@ def test_live_components_of_negated_recurrence():
     assert set(TableauAutomaton(phi, {"a"}).live_components()) == {-1}
 
 
+def _wide_graph(rng, alphabet):
+    """A seeded graph of 20-60 states, 2-3 of them initial, where all but
+    about one state in twenty have 1-3 successors and the rest deadlock:
+    its products reach further than those of `oracle.random_graph`, which
+    starts from state 0 alone and gives half its states at most one
+    successor."""
+    n = rng.randint(20, 60)
+    edges = set()
+    for s in range(n):
+        for _ in range(0 if rng.random() < 0.05 else rng.randint(1, 3)):
+            edges.add((s, rng.choice(alphabet), rng.randrange(n)))
+    return make_graph(n, rng.sample(range(n), rng.randint(2, 3)), sorted(edges), alphabet)
+
+
+def _wide_draws(seed, count, alphabet):
+    rng = random.Random(seed)
+    return [(_wide_graph(rng, alphabet), random_formula(rng, alphabet, rng.randint(1, 4)))
+            for _ in range(count)]
+
+
 def test_live_marking_keeps_every_lasso():
     """On seeded random draws the product built with the live marking and
     the one built without it number the same nodes and return the same
@@ -196,9 +216,11 @@ def test_live_marking_keeps_every_lasso():
     rng = random.Random(29)
     alphabet = ["a", "b", "c", "d"]
     lassos = 0
+    draws = []
     for _ in range(200):
         graph = random_graph(rng, rng.randint(6, 60), alphabet)
-        phi = random_formula(rng, alphabet, rng.randint(1, 4))
+        draws.append((graph, random_formula(rng, alphabet, rng.randint(1, 4))))
+    for graph, phi in draws + _wide_draws(43, 80, alphabet):
         aut = TableauAutomaton(to_nnf(phi, negate=True),
                                {label for out in graph.moves for _, label in out})
         starts = [(s, aut.initial) for s in graph.initial]
@@ -261,7 +283,7 @@ def test_product_matches_the_reference_builder(vm_graphs, vm_props):
     for _ in range(200):
         graph = random_graph(rng, rng.randint(6, 60), alphabet)
         draws.append((graph, random_formula(rng, alphabet, rng.randint(1, 4))))
-    for graph, phi in draws:
+    for graph, phi in draws + _wide_draws(47, 80, alphabet):
         aut = TableauAutomaton(to_nnf(phi, negate=True), graph.labels)
         starts = [(s, aut.initial) for s in graph.initial * 2]  # a repeat is one node
         for live in (None, aut.live_components()):
