@@ -354,7 +354,8 @@ BAD_FILES.update({f"{name}.json": json.dumps({
     (("--help",), 0),
     (("explore", "--help"), 0),
     (("--version",), 0),
-] + [(("po", "--chain", f"{{tmp}}/{name}.json"), 3) for name in BAD_LINKS], ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
+] + [(("po", "--chain", f"{{tmp}}/{name}.json"), 3) for name in BAD_LINKS],
+   ids=["parse-directory", "parse-not-utf8", "chain-bad-json",
         "chain-no-machines", "prop-file-directory", "missing-chain",
         "unknown-flag", "bound-not-int", "parse-bound-states",
         "gf-lasso-prefix", "oracle-set", "mc-verbose", "bound-states-negative",
