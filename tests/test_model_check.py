@@ -421,3 +421,27 @@ def test_tableau_tables_are_pinned():
                 aut.live_components()]).encode())
     assert states == 1590
     assert digest.hexdigest() == "7310dd3f3e2cc0203c4390b3e30f31ff2c1776170766a1858d05c34da1b4e53f"
+
+
+def test_deep_tableau_tables_are_pinned():
+    """The same hash as `test_tableau_tables_are_pinned` over 300 seeded
+    formulas of depth 5, whose states hold many more obligations: a change
+    in how a state's branches are combined renumbers some state here."""
+    rng = random.Random(9)
+    alphabet, letters = ["a", "b", "c", "d"], {"a", "b", "c", "d", "z"}
+    digest = hashlib.sha256()
+    states = 0
+    for _ in range(300):
+        phi = random_formula(rng, alphabet, 5)
+        for negate in (False, True):
+            aut = TableauAutomaton(to_nnf(phi, negate=negate), letters)
+            n = len(aut.moves)
+            states += n
+            digest.update(json.dumps([
+                aut.delta, aut.moves,
+                [sorted(map(automata.nnf_key, aut.obligations(q))) for q in range(n)],
+                [automata.nnf_key(f) for f in aut.untils],
+                [aut.accepts_empty(q) for q in range(n)],
+                aut.live_components()]).encode())
+    assert states == 6379
+    assert digest.hexdigest() == "6376d3f98858bb8f38f371420791676192802b98c599c0ac15dd2226fd183986"
