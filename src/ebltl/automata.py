@@ -4,12 +4,13 @@ product searches used by the model checker.
 The letters of an automaton are event names, and at every step exactly one
 event occurs, so a transition constraint is simply "the letter must be x"
 and/or "the letter must avoid this set".  States are obligation sets: the
-formulas that must hold on the remaining word.  Expanding a state splits
-every obligation into a constraint on the current letter plus obligations
-on the rest, with the usual unfoldings
+formulas that must hold on the remaining word.  A branch is a constraint
+on the current letter plus obligations on the rest; a state's branches are
+the conjunction of its obligations', and those are unions and conjunctions
+of their operands' branches, by the usual unfoldings
 
     a U b  =  b  or  (a and next(a U b))
-    a R b  =  b and (a  or  next(a R b))
+    a R b  =  (b and a)  or  (b and next(a R b))
 
 Acceptance is generalized Buchi with one set per Until in the closure: a
 run may not delay an Until forever, and taking the fulfilling branch
@@ -48,6 +49,7 @@ projection of the word onto a set of letters, and keeps every edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .errors import ExplorationLimitError
@@ -142,57 +144,55 @@ def _collect_untils(f: Formula, out: list[Formula]) -> None:
 # the automaton
 
 Branch = tuple[Optional[str], frozenset, frozenset]  # (required, forbidden, next)
+_ANY: Branch = (None, frozenset(), frozenset())
+
+
+def _either(*lists: list[Branch]) -> list[Branch]:
+    """The union of branch lists, each branch kept at its first place."""
+    return list(dict.fromkeys(b for branches in lists for b in branches))
+
+
+def _both(xs: list[Branch], ys: list[Branch]) -> list[Branch]:
+    """Every consistent pair, `xs` outer; a required letter drops the forbidden set."""
+    out = []
+    for req1, forb1, nxt1 in xs:
+        for req2, forb2, nxt2 in ys:
+            req = req2 if req1 is None else req1
+            if req is None:
+                out.append((None, forb1 | forb2, nxt1 | nxt2))
+            elif req2 in (None, req) and req not in forb1 and req not in forb2:
+                out.append((req, frozenset(), nxt1 | nxt2))
+    return _either(out)
+
+
+def _expand(f: Formula) -> list[Branch]:
+    """The branches of one obligation, one rule per kind."""
+    if isinstance(f, Not):  # over an atom; over true it is false
+        x = f.operand
+        return [(None, frozenset({x.event}), frozenset())] if isinstance(x, Atom) else []
+    if isinstance(f, TrueFormula):
+        return [_ANY]
+    if isinstance(f, Atom):
+        return [(f.event, frozenset(), frozenset())]
+    if isinstance(f, And):
+        return _both(_expand(f.left), _expand(f.right))
+    if isinstance(f, Or):
+        return _either(_expand(f.left), _expand(f.right))
+    later = [(None, frozenset(), frozenset({f}))]  # f again on the rest
+    if isinstance(f, Until):
+        return _either(_expand(f.right), _both(_expand(f.left), later))
+    if isinstance(f, Release):
+        right = _expand(f.right)
+        return _either(_both(right, _expand(f.left)), _both(right, later))
+    raise TypeError(f)
 
 
 def _branches(obligations: frozenset) -> list[Branch]:
-    """The letter constraints and successor obligations of one state:
-    each obligation, taken in `nnf_key` order, split by the unfoldings
-    above into a constraint on the current letter and obligations on the
-    rest; contradictory branches are dropped and repeats kept once."""
-    results: list[Branch] = []
-    seen = set()
-
-    def go(pending: list[Formula], req: Optional[str], forb: frozenset,
-           nxt: frozenset) -> None:
-        if not pending:
-            branch = (req, forb, nxt)
-            if branch not in seen:
-                seen.add(branch)
-                results.append(branch)
-            return
-        f, rest = pending[0], pending[1:]
-        # kinds tested most frequent first: negated literals, then Untils
-        if isinstance(f, Not):  # over an atom; over true it is false
-            x = f.operand
-            if isinstance(x, Atom):
-                if req is None:
-                    go(rest, req, forb | {x.event}, nxt)
-                elif req != x.event:
-                    go(rest, req, forb, nxt)
-        elif isinstance(f, Until):
-            go([f.right] + rest, req, forb, nxt)          # fulfil now
-            go([f.left] + rest, req, forb, nxt | {f})     # delay
-        elif isinstance(f, TrueFormula):
-            go(rest, req, forb, nxt)
-        elif isinstance(f, Release):
-            go([f.right, f.left] + rest, req, forb, nxt)  # release now
-            go([f.right] + rest, req, forb, nxt | {f})    # stay obliged
-        elif isinstance(f, Atom):
-            if req is None:
-                if f.event not in forb:
-                    go(rest, f.event, forb, nxt)
-            elif req == f.event:
-                go(rest, req, forb, nxt)
-        elif isinstance(f, And):
-            go([f.left, f.right] + rest, req, forb, nxt)
-        elif isinstance(f, Or):
-            go([f.left] + rest, req, forb, nxt)
-            go([f.right] + rest, req, forb, nxt)
-        else:
-            raise TypeError(f)
-
-    go(sorted(obligations, key=nnf_key), None, frozenset(), frozenset())
-    return results
+    """The letter constraints and successor obligations of one state: the
+    conjunction of its obligations' branches, folded in `nnf_key` order.
+    Repeats are dropped as each union or conjunction is formed, so choices
+    that collapse to a few branches are never enumerated one by one."""
+    return reduce(_both, map(_expand, sorted(obligations, key=nnf_key)), [_ANY])
 
 
 class TableauAutomaton:

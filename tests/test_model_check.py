@@ -1,9 +1,11 @@
 """Model checking machines against properties."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
+import signal
 
 import pytest
 
@@ -445,3 +447,34 @@ def test_deep_tableau_tables_are_pinned():
                 aut.live_components()]).encode())
     assert states == 6379
     assert digest.hexdigest() == "6376d3f98858bb8f38f371420791676192802b98c599c0ac15dd2226fd183986"
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Fail the enclosed block with TimeoutError once `seconds` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_expansion_is_not_exponential_in_repeated_choices(vm_graphs):
+    """A state's branches are combined operand by operand, so choices that
+    collapse to a few branches are never enumerated one combination at a
+    time: a deep negated formula and a property of 22 equal disjuncts
+    each build in well under the bound."""
+    phi = parse_formula("F !([d] & [d] & [a] U [d]) U F F G [a] U (([c] | [a]) & [b])"
+                        " U ([d] & [b]) U ([a] & [d])")
+    with _within(2):
+        aut = TableauAutomaton(to_nnf(phi, negate=True), {"a", "b", "c", "d", "z"})
+    assert len(aut.moves) == 41
+    one = model_check(vm_graphs["VM1"], parse_formula("G ![selectChoc]"))
+    with _within(2):
+        many = model_check(vm_graphs["VM1"], parse_formula(" | ".join(["G ![selectChoc]"] * 22)))
+    assert not many.holds
+    assert many.counterexample == one.counterexample
