@@ -174,6 +174,8 @@ def _cmd_po(args, rep: _Reporter) -> int:
     limits = _limits(args)
     steps = range(len(chain.machines) - 1)
     if args.step is not None:
+        if not steps:
+            raise EbltlError(f"chain {chain.name} has no refinement step")
         if args.step not in steps:
             raise EbltlError(f"step {args.step} out of range 0..{len(steps) - 1}")
         steps = [args.step]

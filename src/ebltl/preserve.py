@@ -374,6 +374,8 @@ def apply_preservation(chain: RefinementChain, i: int, phi: Formula,
     property itself.
     """
     n = len(chain.machines) - 1
+    if n == 0:
+        raise EbltlError(f"chain {chain.name} has no refinement step")
     if not 0 <= i < n:
         raise EbltlError(f"level {i} out of range 0..{n - 1}")
     machine_i = chain.machines[i]

@@ -392,14 +392,21 @@ def test_bad_input_is_a_usage_error(tmp_path, argv, code):
      f"--prop @{VM_DIR / 'props.ltl'} holds 9 properties, expected exactly one"),
     (("mc", str(VM_DIR / "vm4.eb"), "--prop", "@{tmp}/empty.ltl"),
      "--prop @{tmp}/empty.ltl holds 0 properties, expected at least one"),
+    (("po", "--chain", "{tmp}/one.json", "--step", "0"),
+     "chain vm-one has no refinement step"),
+    (("preserve", "--chain", "{tmp}/one.json", "--at", "0", "--prop", "G ![selectChoc]"),
+     "chain vm-one has no refinement step"),
 ], ids=["translate-at-negative", "translate-at-high", "po-step-high",
-        "beta-prop-file-of-many", "mc-prop-file-of-none"])
+        "beta-prop-file-of-many", "mc-prop-file-of-none", "po-step-one-machine",
+        "preserve-at-one-machine"])
 def test_usage_error_names_the_flag_value(tmp_path, capsys, argv, message):
     """An out-of-range `--at` or `--step` is reported in the flag's own
-    terms with the range it takes, and a property file of the wrong size
-    with the count it holds."""
+    terms with the range it takes, or as a chain with no step to take, and
+    a property file of the wrong size with the count it holds."""
     from ebltl.cli import main
     (tmp_path / "empty.ltl").write_text("")
+    (tmp_path / "one.json").write_text(json.dumps(
+        {"name": "vm-one", "machines": [str(VM_DIR / "vm1.eb")]}))
     assert main([a.replace("{tmp}", str(tmp_path)) for a in (*argv, "--json")]) == 3
     error = json.loads(capsys.readouterr().out)["result"]["error"]
     assert error == message.replace("{tmp}", str(tmp_path))
