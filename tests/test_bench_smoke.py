@@ -1,8 +1,9 @@
-"""Smoke runs of the benchmark: one chain-vm pass and one enumerate pass,
-each with no timed budget.
+"""Smoke runs of the benchmark: one pass of each workload (chain-vm,
+mc-product and enumerate), each with no timed budget.
 
 They check that `bench/run.py` still runs end to end on this checkout and
-that every op's output passes the benchmark's own checks (for enumerate,
+that every op's output passes the benchmark's own checks (for mc-product,
+every tableau/product verdict replayed against the oracle; for enumerate,
 the `oracle` ops against the corpus expectation tables); they assert no
 timing.  The run record goes to a temporary file, so nothing is written
 under `bench/`.
@@ -38,3 +39,7 @@ def test_chain_vm_smoke_run(tmp_path):
 
 def test_enumerate_smoke_run(tmp_path):
     _smoke_run(tmp_path, "enumerate")
+
+
+def test_mc_product_smoke_run(tmp_path):
+    _smoke_run(tmp_path, "mc-product")
