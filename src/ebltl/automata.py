@@ -32,14 +32,15 @@ table of successors per letter (`delta`) and per state (`moves`), so no
 state is added while a product reads it.
 
 One `Product` class pairs a left side with an automaton's transition
-rows, breadth-first over node ids, recording each node's first edge and
-depth, and searches it for the closest accepting node (a finite trace)
-and for the shallowest accepting component (a lasso, looped by
-`search.stitch_cycle`); between components whose anchors are equally
-deep, the least node id wins.  The model checker's `CounterexampleSearch`
-steps a graph's successor table (`StateGraph.moves`) next to the rows
-(`delta`) of the negated formula's automaton, built over the graph's
-edge labels.  It marks the automaton's components that can accept
+rows, breadth-first over node ids, recording each node's first edge, and
+searches it for the closest accepting node (a finite trace) and for the
+shallowest accepting component (a lasso, looped by `search.stitch_cycle`).
+Ids are breadth-first order, so both rules read ids alone: the first
+accepting id is the closest node, and the least id of a component is its
+shallowest node, the least id winning between equally deep ones.  The
+model checker's `CounterexampleSearch` steps a graph's successor table
+(`StateGraph.moves`) next to the rows (`delta`) of the negated formula's
+automaton, built over the graph's edge labels.  It marks the automaton's components that can accept
 (`TableauAutomaton.live_components`) before building, so its product
 stores and searches only the edges that can close an accepting lasso.
 The beta-dependence decision's `ProjectionProduct` steps one automaton
@@ -57,7 +58,7 @@ from .formulas import (
     FALSE, TRUE, And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
 from .search import (
-    Inside, nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
+    nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
 )
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
@@ -270,25 +271,27 @@ class Product:
     """A left side that `step(left)` moves to `(successor, label)` pairs,
     next to an automaton whose `rows[right][label]` lists the successor
     ids.  Built once by walking node ids from `starts`: ids are the
-    discovery order, so the walk is breadth-first, and each new node's
-    first edge (`parent`) and `depth` are recorded as it is found.  More
-    than `limit` nodes raise ExplorationLimitError.  Each row becomes
-    `(right2, right2's id dict, store flag)` entries before the walk, so
-    an edge costs one lookup in a dict keyed by left states, with no call,
-    and builds a pair only for a new node.
+    discovery order, so the walk is breadth-first and depth never
+    decreases as the id grows, which is all the searches' tie rules read.
+    Each new node's first edge (`parent`) is recorded as it is found, and
+    its stored edges (`adj`) as it is expanded, in id order; a node that
+    stores no edge shares the empty tuple.  More than `limit` nodes raise
+    ExplorationLimitError.  Each row becomes `(right2, right2's id dict,
+    store flag)` entries before the walk, so an edge costs one lookup in a
+    dict keyed by left states, with no call, and builds a pair only for a
+    new node.
 
     `live`, when given, is `TableauAutomaton.live_components` of the right
     automaton: `adj` then keeps only the edges between two nodes whose
     right states share a live component, and `lasso` searches only from
     nodes with a live right state.  Every node is still numbered and
-    reached, so `first`, `parent` and `depth` do not depend on it."""
+    reached, so `first` and `parent` do not depend on it."""
 
     def __init__(self, starts, step, rows, limit: Optional[int] = None,
                  live: Optional[list[int]] = None):
         self.nodes = nodes = []
         self.adj = adj = []
         self.parent = parent = {}
-        self.depth = depth = []
         self.live = live
         ids = [{} for _ in rows]  # per right state: left -> node id
         # an edge is stored when its target's mark is its source's `keep`:
@@ -303,14 +306,11 @@ class Product:
             if left not in ids[right]:
                 ids[right][left] = len(nodes)
                 nodes.append((left, right))
-                adj.append([])
-                depth.append(0)
         for nid, (left, right) in enumerate(nodes):  # the walk appends as it goes
             # checked per expansion: the walk reaches every node it adds
             if limit is not None and len(nodes) > limit:
                 raise ExplorationLimitError(f"product size exceeded the limit of {limit}")
-            out = adj[nid]
-            below = depth[nid] + 1
+            out = []
             row = table[right]
             for left2, label in step(left):
                 for right2, at, store in row[label]:
@@ -318,11 +318,10 @@ class Product:
                     if tgt is None:
                         tgt = at[left2] = len(nodes)
                         nodes.append((left2, right2))
-                        adj.append([])
-                        depth.append(below)
                         parent[tgt] = (nid, label)
                     if store:
                         out.append((tgt, label))
+            adj.append(out or ())
 
     def first(self, accepting) -> Optional[Trace]:
         """The finite trace to the first node in id order, which is the
@@ -337,25 +336,24 @@ class Product:
         """A lasso over `adj` (the product's edges unless given) anchored at
         the shallowest node of a component that passes
         `accepting(scc, members)`, whose loop meets every goal
-        (`search.stitch_cycle`); on a tie in depth, the least node id wins,
-        whatever order the components are found in
-        (`search.shallowest_component`).  With a live marking only
-        components of nodes with a live right state are searched.
-        `close(anchor, inside, cycle)`, given the component's successor
-        lists (`search.Inside`), may lengthen the loop."""
+        (`search.stitch_cycle`): the least node id of the component, and
+        of the passing components the one with the least such id, whatever
+        order they are found in (`search.shallowest_component`).  With a
+        live marking only components of nodes with a live right state are
+        searched.  `close(anchor, members, cycle)`, given the component's
+        node set, may lengthen the loop."""
         adj = self.adj if adj is None else adj
         roots = None
         if self.live is not None:
             live = self.live
             roots = [n for n, (_, right) in enumerate(self.nodes) if live[right] >= 0]
-        found = shallowest_component(adj, self.depth, accepting, roots)
+        found = shallowest_component(adj, accepting, roots)
         if found is None:
             return None
         anchor, members = found
-        inside = Inside(adj, members)
-        cycle = stitch_cycle(inside, anchor, goals)
+        cycle = stitch_cycle(adj, members, anchor, goals)
         if close is not None:
-            cycle = close(anchor, inside, cycle)
+            cycle = close(anchor, members, cycle)
         return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
 
     def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
@@ -443,15 +441,14 @@ class ProjectionProduct(Product):
             return [n for n in scc
                     if any(x in beta and t in members for t, x in adj[n])]
 
-        def close(anchor, inside, cycle):
+        def close(anchor, members, cycle):
             if not beta.isdisjoint(cycle):
                 return cycle
             # append a second loop at the anchor through a beta edge
-            members = inside.members
-            lead, src = path_inside(inside, anchor, set(beta_sources(members, members)),
-                                    need_step=False)
-            tgt, letter = next((t, x) for t, x in inside[src] if x in beta)
-            back, _ = path_inside(inside, tgt, {anchor}, need_step=False)
+            lead, src = path_inside(adj, members, anchor,
+                                    set(beta_sources(members, members)), need_step=False)
+            tgt, letter = next((t, x) for t, x in adj[src] if x in beta and t in members)
+            back, _ = path_inside(adj, members, tgt, {anchor}, need_step=False)
             return cycle + lead + [letter] + back
 
         return self.lasso(

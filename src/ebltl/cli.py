@@ -186,6 +186,8 @@ def _cmd_po(args, rep: _Reporter) -> int:
                                      explore(chain.machines[k + 1], limits))
                for k in steps]
     ok = all(r.ok for r in reports)
+    if not reports:
+        rep.say(f"chain {chain.name} has no refinement step: no obligation checked")
     for r in reports:
         status = "pass" if r.ok else f"FAIL ({', '.join(r.failed())})"
         rep.say(f"{r.abstract} -> {r.concrete}: {status}")

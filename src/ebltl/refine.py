@@ -50,7 +50,7 @@ from .machine_ast import (
     ANTICIPATED, CONVERGENT, Expr, Machine, ORDINARY,
 )
 from .machine_parser import parse_expression, parse_machine_file
-from .search import Inside, path_inside, tarjan
+from .search import path_inside, tarjan
 from .semantics import (
     ExploreLimits, StateGraph, compile_gluing, compile_machine, explore,
     find_path, require_feasible, value_to_json,
@@ -586,7 +586,7 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     src, event, tgt = witness_edge
     # back from the target to the source without leaving their SCC
     members = {n for n, c in enumerate(comp) if c == comp[src]}
-    cycle = [event, *path_inside(Inside(keep, members), tgt, {src}, need_step=False)[0]]
+    cycle = [event, *path_inside(keep, members, tgt, {src}, need_step=False)[0]]
     return CAVerdict(False, c_sorted, o_sorted,
                      witness=Trace(LASSO, tuple(find_path(graph, src)), tuple(cycle)))
 

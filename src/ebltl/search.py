@@ -4,16 +4,17 @@ loop that builds a graph is its breadth-first search, and every witness
 path reads that tree (`path_to`); `automata.Product` is the one such loop
 for products, used by the model checker and the beta-dependence decision,
 and it reads its automaton from the transition rows (`rows[right][label]`).
-`bfs` builds it for a graph made by hand, `path_inside` finds paths within
-one strongly connected component (`tarjan`, `Inside`), `shallowest_component`
-picks the component a lasso loops in and `stitch_cycle` the loop.  The
-oracle keeps its own search on purpose."""
+`bfs` builds it for a graph made by hand.  `path_inside` finds paths within
+one strongly connected component (`tarjan`) over the graph's own successor
+lists, bounded by the component's member set, `shallowest_component`
+picks the component a lasso loops in by node id alone, and `stitch_cycle`
+the loop.  The oracle keeps its own search on purpose."""
 from __future__ import annotations
 
 from collections import deque
 
 
-def bfs(sources, successors, goal=None):
+def bfs(sources, successors, goal=None, within=None):
     """Breadth-first search from `sources`, expanded in the given order.
 
     `successors(node)` yields `(successor, label)` pairs.  Returns
@@ -21,7 +22,8 @@ def bfs(sources, successors, goal=None):
     discovery order, to that edge's `(node, label)`; sources never enter
     it.  The search stops at the first edge whose target satisfies `goal`,
     tested even on seen targets so an edge back to a source counts, and
-    `hit` is that edge as `(node, label, target)`, else None.
+    `hit` is that edge as `(node, label, target)`, else None.  A target
+    outside `within`, when given, is never enqueued.
     """
     parent: dict = {}
     seen = set(sources)
@@ -31,7 +33,7 @@ def bfs(sources, successors, goal=None):
         for succ, label in successors(node):
             if goal is not None and goal(succ):
                 return parent, (node, label, succ)
-            if succ not in seen:
+            if succ not in seen and (within is None or succ in within):
                 seen.add(succ)
                 parent[succ] = (node, label)
                 queue.append(succ)
@@ -48,64 +50,57 @@ def path_to(parent: dict, node) -> list:
     return labels
 
 
-class Inside(dict):
-    """`adj` within `members`, each node's list filtered once, on first
-    lookup; a node with no edge leaving `members` keeps its `adj` list."""
-
-    def __init__(self, adj, members):
-        self.adj, self.members = adj, members
-
-    def __missing__(self, node):
-        out = self.adj[node]
-        kept = [edge for edge in out if edge[0] in self.members]
-        self[node] = out = out if len(kept) == len(out) else kept
-        return out
-
-
-def path_inside(inside: Inside, source, goals, need_step: bool):
-    """`(labels, goal)`: a shortest path within `inside` from source to any
-    goal.  Goals are tested on edges, so a cycle back to the source counts;
-    need_step rejects the empty path at a source goal."""
+def path_inside(adj, members, source, goals, need_step: bool):
+    """`(labels, goal)`: a shortest path along `adj` within `members`, one
+    strongly connected component, from source to any goal in it.  Goals
+    are tested on edges, so a cycle back to the source counts; need_step
+    rejects the empty path at a source goal.  A path between two nodes of
+    one component never leaves it, so `members` bounds only the work:
+    the path is the one the whole graph gives."""
     if source in goals and not need_step:
         return [], source
-    parent, (node, label, goal) = bfs([source], inside.__getitem__, goals.__contains__)
+    parent, (node, label, goal) = bfs([source], adj.__getitem__, goals.__contains__, members)
     return path_to(parent, node) + [label], goal
 
 
-def stitch_cycle(inside: Inside, anchor, goals) -> list:
-    """Labels of a closed walk at `anchor` within `inside` that meets every
-    goal, a predicate on nodes, in order; a goal already met by a node the
-    walk has stopped at is skipped."""
+def stitch_cycle(adj, members, anchor, goals) -> list:
+    """Labels of a closed walk at `anchor` within `members`, its strongly
+    connected component of `adj`, that meets every goal, a predicate on
+    nodes, in order; a goal already met by a node the walk has stopped at
+    is skipped."""
     labels: list = []
     visited = {anchor}
     cur = anchor
     for goal in goals:
         if any(goal(n) for n in visited):
             continue
-        segment, cur = path_inside(inside, cur, {n for n in inside.members if goal(n)},
+        segment, cur = path_inside(adj, members, cur, {n for n in members if goal(n)},
                                    need_step=False)
         labels.extend(segment)
         visited.add(cur)
-    segment, _ = path_inside(inside, cur, {anchor}, need_step=not labels)
+    segment, _ = path_inside(adj, members, cur, {anchor}, need_step=not labels)
     labels.extend(segment)
     return labels
 
 
-def shallowest_component(adj, depth, accepting, roots=None):
+def shallowest_component(adj, accepting, roots=None):
     """`(anchor, members)` for the nontrivial strongly connected component
     of `adj` (one with an edge inside it) that passes
-    `accepting(scc, members)` and holds the shallowest node by `depth`,
-    which becomes the anchor.  The rule reads `(depth, node)` keys only,
-    not the order components are found in: the anchor is the least key
-    inside its component, and the component with the least anchor key
-    wins.  `roots` limits the search to the components Tarjan reaches
-    from them (`tarjan`).  None when no component passes."""
+    `accepting(scc, members)` and holds the shallowest node, which becomes
+    the anchor.  Node ids must be breadth-first discovery order, as in
+    `automata.Product`: depth then never decreases as the id grows, so the
+    least id in a component is its shallowest node, and of two equally
+    deep ones the lesser.  The rule reads ids only, not the order
+    components are found in: the anchor is the least id inside its
+    component, and the component with the least anchor wins.  `roots`
+    limits the search to the components Tarjan reaches from them
+    (`tarjan`).  None when no component passes."""
     best = None
     for scc in tarjan(len(adj), adj, roots):
         if not nontrivial(scc, adj):
             continue
-        anchor = min(scc, key=lambda n: (depth[n], n))
-        if best is not None and (depth[anchor], anchor) >= (depth[best[0]], best[0]):
+        anchor = min(scc)
+        if best is not None and anchor >= best[0]:
             continue
         members = set(scc)
         if accepting(scc, members):

@@ -95,6 +95,20 @@ def test_po_pass_and_step():
     assert [p["abstract"] for p in report["result"]["pairs"]] == ["VM0"]
 
 
+def test_po_on_one_machine_says_no_obligation_was_checked(tmp_path, capsys):
+    """A chain of one machine has no refinement step: `po` says so in one
+    line and passes, and its `--json` report is an empty pass."""
+    from ebltl.cli import main
+    chain = tmp_path / "one.json"
+    chain.write_text(json.dumps(
+        {"name": "vm-one", "machines": [str((VM_DIR / "vm1.eb").resolve())]}))
+    assert main(["po", "--chain", str(chain)]) == 0
+    assert capsys.readouterr().out == (
+        "chain vm-one has no refinement step: no obligation checked\n")
+    assert main(["po", "--chain", str(chain), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"ok": True, "pairs": []}
+
+
 def test_strategy_exit_codes():
     code, _ = run_json("strategy", "--chain", str(VM_DIR / "chain-vm1.json"))
     assert code == 0

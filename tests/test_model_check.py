@@ -210,6 +210,17 @@ def _wide_draws(seed, count, alphabet):
             for _ in range(count)]
 
 
+def _chain_lengths(product):
+    """Per node, the number of edges on its `parent` chain back to a start.
+    A parent is found before its child, so one pass in id order counts
+    every chain."""
+    lengths = []
+    for nid in range(len(product.nodes)):
+        up = product.parent.get(nid)
+        lengths.append(0 if up is None else lengths[up[0]] + 1)
+    return lengths
+
+
 def test_live_marking_keeps_every_lasso():
     """On seeded random draws the product built with the live marking and
     the one built without it number the same nodes and return the same
@@ -229,11 +240,13 @@ def test_live_marking_keeps_every_lasso():
         live = aut.live_components()
         full = Product(starts, graph.moves.__getitem__, aut.delta)
         pruned = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
-        assert pruned.nodes == full.nodes and pruned.depth == full.depth
+        assert pruned.nodes == full.nodes
+        assert _chain_lengths(pruned) == _chain_lengths(full)
         assert pruned.parent == full.parent
         side = [live[q] for _, q in full.nodes]
-        assert pruned.adj == [[(t, x) for t, x in out if side[n] >= 0 and side[t] == side[n]]
-                              for n, out in enumerate(full.adj)]
+        assert [list(out) for out in pruned.adj] == [
+            [(t, x) for t, x in out if side[n] >= 0 and side[t] == side[n]]
+            for n, out in enumerate(full.adj)]
         found = [p.lasso(lambda scc, members, p=p: p.fulfils(aut, 1, scc),
                          p.goals(aut, 1)) for p in (full, pruned)]
         assert found[0] == found[1]
@@ -272,13 +285,24 @@ def _reference_product(starts, step, successors, live=None):
     return nodes, parent, depth, adj
 
 
+def _assert_matches_reference(built, reference):
+    """`built` has the reference's nodes, first edges and stored edges,
+    and each node's `parent` chain is as long as its reference depth.  The
+    reference's depths never decrease as the id grows, which is what lets
+    the lasso search's tie rule read node ids alone."""
+    nodes, parent, depth, adj = reference
+    assert all(d <= e for d, e in zip(depth, depth[1:]))
+    assert (built.nodes, built.parent, _chain_lengths(built),
+            [list(out) for out in built.adj]) == (nodes, parent, depth, adj)
+
+
 def test_product_matches_the_reference_builder(vm_graphs, vm_props):
     """On the VM graphs with every catalogue property and on seeded random
     draws, `Product` over the automaton's rows gives the reference
-    builder's nodes, first edges, depths and stored edges, with and
-    without the live marking; `ProjectionProduct` gives those of the
-    reference stepping `b` by the projection, for formula pairs over
-    {a, b, z} with beta {a, b}."""
+    builder's nodes, first edges, depths (as `parent` chain lengths) and
+    stored edges, with and without the live marking; `ProjectionProduct`
+    gives those of the reference stepping `b` by the projection, for
+    formula pairs over {a, b, z} with beta {a, b}."""
     rng = random.Random(37)
     alphabet = ["a", "b", "c", "d"]
     draws = [(vm_graphs[m], phi) for m in ("VM1", "VM2", "VM4") for phi in vm_props.values()]
@@ -290,17 +314,17 @@ def test_product_matches_the_reference_builder(vm_graphs, vm_props):
         starts = [(s, aut.initial) for s in graph.initial * 2]  # a repeat is one node
         for live in (None, aut.live_components()):
             built = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
-            assert (built.nodes, built.parent, built.depth, built.adj) == _reference_product(
-                starts, graph.moves.__getitem__, lambda q, x: aut.delta[q][x], live)
+            _assert_matches_reference(built, _reference_product(
+                starts, graph.moves.__getitem__, lambda q, x: aut.delta[q][x], live))
     beta, letters = frozenset({"a", "b"}), {"a", "b", "z"}
     for _ in range(200):
         a, b = (TableauAutomaton(to_nnf(random_formula(rng, sorted(letters), rng.randint(1, 4)),
                                         negate=rng.random() < 0.5), letters)
                 for _ in range(2))
         built = automata.ProjectionProduct(a, b, beta)
-        assert (built.nodes, built.parent, built.depth, built.adj) == _reference_product(
+        _assert_matches_reference(built, _reference_product(
             [(a.initial, b.initial)], a.moves.__getitem__,
-            lambda qb, x: b.delta[qb][x] if x in beta else (qb,))
+            lambda qb, x: b.delta[qb][x] if x in beta else (qb,)))
 
 
 def test_product_work_counts_on_vm4():

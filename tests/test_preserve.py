@@ -219,6 +219,18 @@ def test_lasso_witness_adds_a_loop_through_beta(outside, prefix, cycle):
     assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"c"}), phi)
 
 
+def test_added_loop_takes_a_beta_edge_inside_the_component():
+    # the cycle closed first reads only z, and at the closest node with a
+    # beta edge inside the component the first a-edge in its list leaves
+    # the component: the added loop must take the a-edge that stays in it
+    phi = parse_formula("G (F G [a] | [a])")
+    verdict = check_beta_dependent(phi, {"a"}, {"a", "z"})
+    assert verdict.status == "refuted" and verdict.method == "tableau-product"
+    w = verdict.witness
+    assert (w.prefix, w.cycle) == (("z",), ("z", "a", "z"))
+    assert holds_on_trace(w, phi) != holds_on_trace(project_trace(w, {"a"}), phi)
+
+
 def test_decision_agrees_with_schema_and_enumeration():
     """Differential check on 1200 seeded random formulas over a and b, with
     beta = {a, b} and sigma with and without the outside event z: every
