@@ -32,20 +32,22 @@ table of successors per letter (`delta`) and per state (`moves`), so no
 state is added while a product reads it.
 
 One `Product` class pairs a left side with an automaton's transition
-rows, breadth-first over node ids, recording each node's first edge, and
-searches it for the closest accepting node (a finite trace) and for the
-shallowest accepting component (a lasso, looped by `search.stitch_cycle`).
-Ids are breadth-first order, so both rules read ids alone: the first
-accepting id is the closest node, and the least id of a component is its
+rows, breadth-first over node ids, in flat lists indexed by id (no tuple
+per node, stored edge or first-edge link), and searches it for the
+closest accepting node (a finite trace) and for the shallowest accepting
+component (a lasso, looped by `search.stitch_cycle`).  Ids are
+breadth-first order, so both rules read ids alone: the first accepting
+id is the closest node, and the least id of a component is its
 shallowest node, the least id winning between equally deep ones.  The
 model checker's `CounterexampleSearch` steps a graph's successor table
 (`StateGraph.moves`) next to the rows (`delta`) of the negated formula's
-automaton, built over the graph's edge labels.  It marks the automaton's components that can accept
-(`TableauAutomaton.live_components`) before building, so its product
-stores and searches only the edges that can close an accepting lasso.
-The beta-dependence decision's `ProjectionProduct` steps one automaton
-through its own `moves` next to the rows of another reading the
-projection of the word onto a set of letters, and keeps every edge.
+automaton, built over the graph's edge labels.  It marks the automaton's
+components that can accept (`TableauAutomaton.live_components`) before
+building, so its product stores and searches only the edges that can
+close an accepting lasso.  The beta-dependence decision's
+`ProjectionProduct` steps one automaton through its own `moves` next to
+the rows of another reading the projection of the word onto a set of
+letters, and keeps every edge.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ from .formulas import (
     FALSE, TRUE, And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
 from .search import (
-    nontrivial, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
+    nontrivial, pairs, path_inside, path_to, shallowest_component, stitch_cycle, tarjan,
 )
 from .semantics import StateGraph
 from .traces import FINITE, LASSO, Trace
@@ -255,7 +257,7 @@ class TableauAutomaton:
         side and stays inside one component, so its nodes can close an
         accepting lasso only through edges that join two states with one
         live id (`Product`)."""
-        moves = self.moves
+        moves = [[v for move in out for v in move] for out in self.moves]
         live = [-1] * len(moves)
         for cid, scc in enumerate(tarjan(len(moves), moves)):
             if nontrivial(scc, moves) and self.fulfils(scc):
@@ -273,27 +275,33 @@ class Product:
     ids.  Built once by walking node ids from `starts`: ids are the
     discovery order, so the walk is breadth-first and depth never
     decreases as the id grows, which is all the searches' tie rules read.
-    Each new node's first edge (`parent`) is recorded as it is found, and
-    its stored edges (`adj`) as it is expanded, in id order; a node that
-    stores no edge shares the empty tuple.  More than `limit` nodes raise
-    ExplorationLimitError.  Each row becomes `(right2, right2's id dict,
-    store flag)` entries before the walk, so an edge costs one lookup in a
-    dict keyed by left states, with no call, and builds a pair only for a
-    new node.
+    Lists indexed by id hold the data, with no tuple per node, edge or
+    link: each node's two sides (`left`, `right`), its first edge as it
+    is found (`parent`, `via`: the tree `search.path_to` reads), and the
+    edges it stores as it is expanded, one flat list each (`adj`, read by
+    `search.pairs`; a node that stores none shares the empty tuple); `nodes`
+    is the range of ids.  More than `limit` nodes raise ExplorationLimitError.
+    Each row becomes `(right2, right2's id dict, store flag)` entries before
+    the walk, so an edge costs one lookup in a dict keyed by left states.
 
     `live`, when given, is `TableauAutomaton.live_components` of the right
     automaton: `adj` then keeps only the edges between two nodes whose
     right states share a live component, and `lasso` searches only from
     nodes with a live right state.  Every node is still numbered and
-    reached, so `first` and `parent` do not depend on it."""
+    reached, so `first` and the tree do not depend on it."""
 
     def __init__(self, starts, step, rows, limit: Optional[int] = None,
                  live: Optional[list[int]] = None):
-        self.nodes = nodes = []
+        starts = dict.fromkeys(starts)  # a repeat is one node
+        self.left = lefts = [left for left, _ in starts]
+        self.right = rights = [right for _, right in starts]
+        self.parent = parent = [-1] * len(starts)
+        self.via = via = [None] * len(starts)
         self.adj = adj = []
-        self.parent = parent = {}
         self.live = live
         ids = [{} for _ in rows]  # per right state: left -> node id
+        for nid, (left, right) in enumerate(starts):
+            ids[right][left] = nid
         # an edge is stored when its target's mark is its source's `keep`:
         # the source's own mark if live, else -2, which no state has
         marks = [0] * len(rows) if live is None else live
@@ -302,34 +310,34 @@ class Product:
             keep = marks[right] if marks[right] >= 0 else -2
             table.append({label: [(r2, ids[r2], marks[r2] == keep) for r2 in row[label]]
                           for label in row})
-        for left, right in starts:
-            if left not in ids[right]:
-                ids[right][left] = len(nodes)
-                nodes.append((left, right))
-        for nid, (left, right) in enumerate(nodes):  # the walk appends as it goes
+        for nid, left in enumerate(lefts):  # the walk appends as it goes
             # checked per expansion: the walk reaches every node it adds
-            if limit is not None and len(nodes) > limit:
+            if limit is not None and len(lefts) > limit:
                 raise ExplorationLimitError(f"product size exceeded the limit of {limit}")
             out = []
-            row = table[right]
+            row = table[rights[nid]]
             for left2, label in step(left):
                 for right2, at, store in row[label]:
                     tgt = at.get(left2)
                     if tgt is None:
-                        tgt = at[left2] = len(nodes)
-                        nodes.append((left2, right2))
-                        parent[tgt] = (nid, label)
+                        tgt = at[left2] = len(lefts)
+                        lefts.append(left2)
+                        rights.append(right2)
+                        parent.append(nid)
+                        via.append(label)
                     if store:
-                        out.append((tgt, label))
+                        out.append(tgt)
+                        out.append(label)
             adj.append(out or ())
+        self.nodes = range(len(lefts))
 
     def first(self, accepting) -> Optional[Trace]:
         """The finite trace to the first node in id order, which is the
         closest one, whose `(left, right)` pass `accepting`; an accepting
         start node gives the empty trace."""
-        for nid, (left, right) in enumerate(self.nodes):
+        for nid, (left, right) in enumerate(zip(self.left, self.right)):
             if accepting(left, right):
-                return Trace(FINITE, tuple(path_to(self.parent, nid)))
+                return Trace(FINITE, tuple(path_to(self.parent, self.via, nid)))
         return None
 
     def lasso(self, accepting, goals, adj=None, close=None) -> Optional[Trace]:
@@ -343,10 +351,8 @@ class Product:
         searched.  `close(anchor, members, cycle)`, given the component's
         node set, may lengthen the loop."""
         adj = self.adj if adj is None else adj
-        roots = None
-        if self.live is not None:
-            live = self.live
-            roots = [n for n, (_, right) in enumerate(self.nodes) if live[right] >= 0]
+        live = self.live
+        roots = None if live is None else [n for n, q in enumerate(self.right) if live[q] >= 0]
         found = shallowest_component(adj, accepting, roots)
         if found is None:
             return None
@@ -354,22 +360,20 @@ class Product:
         cycle = stitch_cycle(adj, members, anchor, goals)
         if close is not None:
             cycle = close(anchor, members, cycle)
-        return Trace(LASSO, tuple(path_to(self.parent, anchor)), tuple(cycle))
+        return Trace(LASSO, tuple(path_to(self.parent, self.via, anchor)), tuple(cycle))
 
-    def fulfils(self, aut: TableauAutomaton, k: int, scc) -> bool:
-        """Whether the automaton states at position k of the component's
-        nodes fulfil `aut` (`TableauAutomaton.fulfils`).  Each distinct
-        automaton state is judged once, not each node."""
-        if not aut.untils:
-            return True
-        nodes = self.nodes
-        return aut.fulfils({nodes[n][k] for n in scc})
+    @staticmethod
+    def fulfils(aut: TableauAutomaton, side: list, scc) -> bool:
+        """Whether the automaton states on one side (`left` or `right`) of
+        the component's nodes fulfil `aut` (`TableauAutomaton.fulfils`).
+        Each distinct automaton state is judged once, not each node."""
+        return not aut.untils or aut.fulfils({side[n] for n in scc})
 
-    def goals(self, aut: TableauAutomaton, k: int) -> list:
-        """Per Until, whether a node's automaton state at position k no
+    @staticmethod
+    def goals(aut: TableauAutomaton, side: list) -> list:
+        """Per Until, whether a node's automaton state on one side no
         longer delays it."""
-        return [lambda n, f=f: f not in aut.obligations(self.nodes[n][k])
-                for f in aut.untils]
+        return [lambda n, f=f: f not in aut.obligations(side[n]) for f in aut.untils]
 
 
 def shortest(witnesses) -> Optional[Trace]:
@@ -402,8 +406,8 @@ class CounterexampleSearch(Product):
     def lasso_counterexample(self) -> Optional[Trace]:
         """An infinite trace: an accepting lasso."""
         aut = self.aut
-        return self.lasso(lambda scc, members: self.fulfils(aut, 1, scc),
-                          self.goals(aut, 1))
+        return self.lasso(lambda scc, members: self.fulfils(aut, self.right, scc),
+                          self.goals(aut, self.right))
 
 
 class ProjectionProduct(Product):
@@ -439,7 +443,7 @@ class ProjectionProduct(Product):
 
         def beta_sources(scc, members):
             return [n for n in scc
-                    if any(x in beta and t in members for t, x in adj[n])]
+                    if any(x in beta and t in members for t, x in pairs(adj[n]))]
 
         def close(anchor, members, cycle):
             if not beta.isdisjoint(cycle):
@@ -447,23 +451,28 @@ class ProjectionProduct(Product):
             # append a second loop at the anchor through a beta edge
             lead, src = path_inside(adj, members, anchor,
                                     set(beta_sources(members, members)), need_step=False)
-            tgt, letter = next((t, x) for t, x in adj[src] if x in beta and t in members)
+            tgt, letter = next((t, x) for t, x in pairs(adj[src]) if x in beta and t in members)
             back, _ = path_inside(adj, members, tgt, {anchor}, need_step=False)
             return cycle + lead + [letter] + back
 
         return self.lasso(
             lambda scc, members: bool(beta_sources(scc, members))
-            and self.fulfils(a, 0, scc) and self.fulfils(b, 1, scc),
-            self.goals(a, 0) + self.goals(b, 1), close=close)
+            and self.fulfils(a, self.left, scc) and self.fulfils(b, self.right, scc),
+            self.goals(a, self.left) + self.goals(b, self.right), close=close)
 
     def stutter_witness(self) -> Optional[Trace]:
         """w infinite with finitely many beta letters: a cycle of letters
         outside beta that meets `a`'s acceptance sets while `b`, frozen,
         accepts the empty rest -- the projection of such a lasso is the
         finite trace of its projected prefix, as in `project_trace`."""
-        nodes, beta, a, b = self.nodes, self.beta, self.a, self.b
-        stutter = [[(t, x) for t, x in out if x not in beta] for out in self.adj]
+        right, beta, a, b = self.right, self.beta, self.a, self.b
+        stutter = [()] * len(self.adj)  # a node with no edge outside beta shares ()
+        for n, out in enumerate(self.adj):
+            for t, x in pairs(out):
+                if x not in beta:
+                    stutter[n] = kept = stutter[n] or []
+                    kept += t, x
         return self.lasso(
-            lambda scc, members: b.accepts_empty(nodes[scc[0]][1])
-            and self.fulfils(a, 0, scc),
-            self.goals(a, 0), adj=stutter)
+            lambda scc, members: b.accepts_empty(right[scc[0]])
+            and self.fulfils(a, self.left, scc),
+            self.goals(a, self.left), adj=stutter)

@@ -561,12 +561,12 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     in C and O; they never occur, so they never matter."""
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
-    reachable = set(graph.initial) | graph.parents.keys()
+    reachable = graph.tree[0]
     steps = [(src, event, targets) for src, event, _params, targets in graph.firings
              if event not in ordinary and src in reachable]
-    keep: list[list[tuple[int, str]]] = [[] for _ in graph.states]
+    keep: list[list] = [[] for _ in graph.states]  # flat, as `search.tarjan` reads
     for src, event, targets in steps:
-        keep[src].extend((t, event) for t in targets)
+        keep[src].extend(v for t in targets for v in (t, event))
     comp = [0] * len(graph.states)  # each state's subgraph SCC
     for idx, scc in enumerate(tarjan(len(graph.states), keep)):
         for node in scc:

@@ -1,51 +1,55 @@
 """Graph search shared by the package.  Graphs and products number nodes in
 discovery order and record the edge that first reached each node, so the
 loop that builds a graph is its breadth-first search, and every witness
-path reads that tree (`path_to`); `automata.Product` is the one such loop
-for products, used by the model checker and the beta-dependence decision,
-and it reads its automaton from the transition rows (`rows[right][label]`).
-`bfs` builds it for a graph made by hand.  `path_inside` finds paths within
-one strongly connected component (`tarjan`) over the graph's own successor
-lists, bounded by the component's member set, `shallowest_component`
-picks the component a lasso loops in by node id alone, and `stitch_cycle`
-the loop.  The oracle keeps its own search on purpose."""
+path reads that tree (`path_to`): `parent[n]` is the source of n's first
+edge, -1 at a start, and `via[n]` its label.  `automata.Product` is the one
+such loop for products; `bfs` builds a tree for a graph made by hand.
+Successors are flat lists, `adj[node] = [t0, l0, t1, l1, ...]`, read in
+pairs (`pairs`) with no tuple stored.  `path_inside` finds paths within
+one strongly connected component (`tarjan`), bounded by its member set,
+`shallowest_component` picks the component a lasso loops in by node id
+alone, and `stitch_cycle` the loop.  The oracle keeps its own search on
+purpose."""
 from __future__ import annotations
 
 from collections import deque
 
 
-def bfs(sources, successors, goal=None, within=None):
-    """Breadth-first search from `sources`, expanded in the given order.
+def pairs(out):
+    """The `(successor, label)` pairs of one flat successor list."""
+    it = iter(out)
+    return zip(it, it)
 
-    `successors(node)` yields `(successor, label)` pairs.  Returns
-    `(parent, hit)`: `parent` maps each node first reached by an edge, in
-    discovery order, to that edge's `(node, label)`; sources never enter
-    it.  The search stops at the first edge whose target satisfies `goal`,
-    tested even on seen targets so an edge back to a source counts, and
-    `hit` is that edge as `(node, label, target)`, else None.  A target
-    outside `within`, when given, is never enqueued.
-    """
-    parent: dict = {}
-    seen = set(sources)
-    queue = deque(sources)
+
+def bfs(sources, adj, goal=None, within=None):
+    """Breadth-first search from `sources` over the flat lists `adj`,
+    expanded in the given order.  Returns `(parent, via, hit)`: the tree
+    over the nodes reached, as dicts in discovery order (`path_to`), and
+    the first edge whose target satisfies `goal`, tested even on seen
+    targets so an edge back to a source counts, as `(node, label,
+    target)`, else None.  A target outside `within`, when given, is never
+    enqueued."""
+    parent = dict.fromkeys(sources, -1)
+    via: dict = {}
+    queue = deque(parent)
     while queue:
         node = queue.popleft()
-        for succ, label in successors(node):
+        for succ, label in pairs(adj[node]):
             if goal is not None and goal(succ):
-                return parent, (node, label, succ)
-            if succ not in seen and (within is None or succ in within):
-                seen.add(succ)
-                parent[succ] = (node, label)
+                return parent, via, (node, label, succ)
+            if succ not in parent and (within is None or succ in within):
+                parent[succ] = node
+                via[succ] = label
                 queue.append(succ)
-    return parent, None
+    return parent, via, None
 
 
-def path_to(parent: dict, node) -> list:
-    """The labels along the parent links from a source down to `node`."""
+def path_to(parent, via, node) -> list:
+    """The labels along the tree `(parent, via)` from a source to `node`."""
     labels = []
-    while node in parent:
-        node, label = parent[node]
-        labels.append(label)
+    while (up := parent[node]) >= 0:
+        labels.append(via[node])
+        node = up
     labels.reverse()
     return labels
 
@@ -59,8 +63,8 @@ def path_inside(adj, members, source, goals, need_step: bool):
     the path is the one the whole graph gives."""
     if source in goals and not need_step:
         return [], source
-    parent, (node, label, goal) = bfs([source], adj.__getitem__, goals.__contains__, members)
-    return path_to(parent, node) + [label], goal
+    parent, via, (node, label, goal) = bfs([source], adj, goals.__contains__, members)
+    return path_to(parent, via, node) + [label], goal
 
 
 def stitch_cycle(adj, members, anchor, goals) -> list:
@@ -111,16 +115,16 @@ def shallowest_component(adj, accepting, roots=None):
 def nontrivial(scc, adj) -> bool:
     """Whether a strongly connected component of `adj` has an edge inside
     it: more than one node, or a self-loop."""
-    return len(scc) > 1 or any(t == scc[0] for t, _ in adj[scc[0]])
+    return len(scc) > 1 or scc[0] in adj[scc[0]][::2]
 
 
 def tarjan(n: int, adj, roots=None) -> list[list[int]]:
-    """Strongly connected components of nodes 0..n-1, where `adj[node]`
-    lists `(successor, label)` pairs (iterative Tarjan, one edge iterator
-    per node on the work stack).  The search starts from each of `roots`
-    in turn (every node when None) and returns the components reachable
-    from them, in reverse topological order; each lists its nodes in the
-    order they leave the stack."""
+    """Strongly connected components of nodes 0..n-1 over the flat lists
+    `adj` (iterative Tarjan, one edge iterator per node on the work
+    stack).  The search starts from each of `roots` in turn (every node
+    when None) and returns the components reachable from them, in reverse
+    topological order; each lists its nodes in the order they leave the
+    stack."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -134,7 +138,7 @@ def tarjan(n: int, adj, roots=None) -> list[list[int]]:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(adj[root]))]
+        work = [(root, pairs(adj[root]))]
         while work:
             node, edges = work[-1]
             for succ, _ in edges:
@@ -143,7 +147,7 @@ def tarjan(n: int, adj, roots=None) -> list[list[int]]:
                     counter += 1
                     stack.append(succ)
                     on_stack[succ] = True
-                    work.append((succ, iter(adj[succ])))
+                    work.append((succ, pairs(adj[succ])))
                     break
                 if on_stack[succ] and index[succ] < low[node]:
                     low[node] = index[succ]

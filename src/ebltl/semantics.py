@@ -19,7 +19,7 @@ are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
 identical graphs.  Walking the ids in order is the breadth-first search:
 `explore` records the edge that first reached each state, and the graph
-keeps that tree (`StateGraph.parents`).
+keeps that tree (`StateGraph.tree`).
 
 The graph stores one record, `StateGraph.firings`: every enabled firing,
 once, as (state, event, params, after-state ids) in exploration order.
@@ -330,11 +330,10 @@ class StateGraph:
         return tuple(i for i in range(len(self.states)) if i not in live)
 
     @cached_property
-    def parents(self) -> dict[int, tuple[int, str]]:
-        """The breadth-first tree from the initial states: each state first
-        reached by an edge maps to that edge's (source, event).  `explore`
-        sets the tree it built; a bare graph searches once, on first use."""
-        return bfs(self.initial, self.moves.__getitem__)[0]
+    def tree(self) -> tuple[dict[int, int], dict[int, str]]:
+        """The breadth-first tree from the initial states, `(parent, via)` dicts
+        (`search.bfs`): `explore` sets its own, a bare graph searches once."""
+        return bfs(self.initial, [[v for move in out for v in move] for out in self.moves])[:2]
 
     def state_json(self, i: int) -> dict:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}
@@ -397,10 +396,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
-    parents: dict[int, tuple[int, str]] = {}
+    parent, via = {}, {}  # the breadth-first tree, as `search.path_to` reads it
     firings: list[tuple] = []
 
-    def add_state(state: tuple, parent: tuple[int, str] | None) -> int:
+    def add_state(state: tuple, src: int, event: str | None) -> int:
         if state in index:
             return index[state]
         if len(states) >= limits.max_states:
@@ -409,11 +408,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         idx = len(states)
         index[state] = idx
         states.append(state)
-        if parent is not None:
-            parents[idx] = parent
+        parent[idx], via[idx] = src, event
         message = _check_state(compiled, var_names, state)
         if message:
-            path = path_to(parents, idx)
+            path = path_to(parent, via, idx)
             raise InvariantViolation(
                 f"state {idx} of {machine.name}: {message}"
                 + (f" (reached by {', '.join(path)})" if path else " (initial state)"),
@@ -423,15 +421,14 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     init_states = compiled.init()
     if not init_states:
         raise InvariantViolation(f"init of {machine.name} admits no state")
-    initial = dict.fromkeys(add_state(state, None) for state in init_states)
+    initial = dict.fromkeys(add_state(state, -1, None) for state in init_states)
 
     src = 0  # ids are the discovery order, so walking them is breadth-first
     while src < len(states):
         for name, event in compiled.events.items():
-            parent = (src, name)
             for valuation, posts in event(states[src]):
                 firings.append((src, name, valuation,
-                                tuple([add_state(post, parent) for post in posts])))
+                                tuple([add_state(post, src, name) for post in posts])))
         src += 1
 
     graph = StateGraph(
@@ -439,7 +436,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         initial=tuple(initial), firings=firings, alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
     )
-    graph.parents = parents
+    graph.tree = parent, via
     return graph
 
 
@@ -498,7 +495,7 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
 def check_deadlock_free(graph: StateGraph) -> GraphVerdict:
     """Judges the reachable deadlocks only; an explored graph has no other,
     but a bare graph may hold unreachable states without out-edges."""
-    reachable = [s for s in graph.deadlocks if s in graph.initial or s in graph.parents]
+    reachable = [s for s in graph.deadlocks if s in graph.tree[0]]
     if not reachable:
         return GraphVerdict(True, detail="no deadlocked states")
     return GraphVerdict(False, witness_state=reachable[0],
@@ -509,6 +506,6 @@ def check_deadlock_free(graph: StateGraph) -> GraphVerdict:
 def find_path(graph: StateGraph, target: int) -> list[str]:
     """Shortest event path from an initial state to `target`, read from the
     graph's breadth-first tree."""
-    if target not in graph.initial and target not in graph.parents:
+    if target not in graph.tree[0]:
         raise EvalError(f"state {target} is not reachable")
-    return path_to(graph.parents, target)
+    return path_to(*graph.tree, target)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import signal
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine, parse_machine_file
 from ebltl.oracle import corpus_root, random_formula, random_graph, trace_realizable
 from ebltl.refine import check_ca
-from ebltl.search import tarjan
+from ebltl.search import pairs, tarjan
 from ebltl.semantics import explore, find_path, make_graph
 from ebltl.traces import finite_trace
 from ebltl.errors import EvalError, ExplorationLimitError
@@ -210,22 +211,54 @@ def _wide_draws(seed, count, alphabet):
             for _ in range(count)]
 
 
+def _large_draws(seed, count, alphabet):
+    """Seeded graphs of 100-400 states, 3-5 of them initial, where every
+    state has 1-3 successors, each with a formula of depth 2-4: their
+    products reach hundreds to thousands of nodes."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        n = rng.randint(100, 400)
+        edges = {(s, rng.choice(alphabet), rng.randrange(n))
+                 for s in range(n) for _ in range(rng.randint(1, 3))}
+        graph = make_graph(n, rng.sample(range(n), rng.randint(3, 5)), sorted(edges), alphabet)
+        draws.append((graph, random_formula(rng, alphabet, rng.randint(2, 4))))
+    return draws
+
+
 def _chain_lengths(product):
     """Per node, the number of edges on its `parent` chain back to a start.
     A parent is found before its child, so one pass in id order counts
     every chain."""
     lengths = []
     for nid in range(len(product.nodes)):
-        up = product.parent.get(nid)
-        lengths.append(0 if up is None else lengths[up[0]] + 1)
+        up = product.parent[nid]
+        lengths.append(0 if up < 0 else lengths[up] + 1)
     return lengths
+
+
+def _node_pairs(product):
+    """The product's nodes as `(left, right)` pairs."""
+    return list(zip(product.left, product.right))
+
+
+def _first_edges(product):
+    """The product's tree as a dict from each non-start node to its first
+    edge's `(parent, label)`."""
+    return {n: (up, product.via[n]) for n, up in enumerate(product.parent) if up >= 0}
+
+
+def _edge_pairs(product):
+    """Per node, its stored edges as a list of `(target, label)` pairs."""
+    return [list(pairs(out)) for out in product.adj]
 
 
 def test_live_marking_keeps_every_lasso():
     """On seeded random draws the product built with the live marking and
     the one built without it number the same nodes and return the same
     lasso: the marking drops only edges no accepting cycle uses, and the
-    tie rule does not read Tarjan's order."""
+    tie rule does not read Tarjan's order.  The draws include products of
+    hundreds to thousands of nodes (`_large_draws`)."""
     rng = random.Random(29)
     alphabet = ["a", "b", "c", "d"]
     lassos = 0
@@ -233,22 +266,22 @@ def test_live_marking_keeps_every_lasso():
     for _ in range(200):
         graph = random_graph(rng, rng.randint(6, 60), alphabet)
         draws.append((graph, random_formula(rng, alphabet, rng.randint(1, 4))))
-    for graph, phi in draws + _wide_draws(43, 80, alphabet):
+    for graph, phi in draws + _wide_draws(43, 80, alphabet) + _large_draws(59, 40, alphabet):
         aut = TableauAutomaton(to_nnf(phi, negate=True),
                                {label for out in graph.moves for _, label in out})
         starts = [(s, aut.initial) for s in graph.initial]
         live = aut.live_components()
         full = Product(starts, graph.moves.__getitem__, aut.delta)
         pruned = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
-        assert pruned.nodes == full.nodes
+        assert _node_pairs(pruned) == _node_pairs(full)
         assert _chain_lengths(pruned) == _chain_lengths(full)
-        assert pruned.parent == full.parent
-        side = [live[q] for _, q in full.nodes]
-        assert [list(out) for out in pruned.adj] == [
+        assert _first_edges(pruned) == _first_edges(full)
+        side = [live[q] for q in full.right]
+        assert _edge_pairs(pruned) == [
             [(t, x) for t, x in out if side[n] >= 0 and side[t] == side[n]]
-            for n, out in enumerate(full.adj)]
-        found = [p.lasso(lambda scc, members, p=p: p.fulfils(aut, 1, scc),
-                         p.goals(aut, 1)) for p in (full, pruned)]
+            for n, out in enumerate(_edge_pairs(full))]
+        found = [p.lasso(lambda scc, members, p=p: p.fulfils(aut, p.right, scc),
+                         p.goals(aut, p.right)) for p in (full, pruned)]
         assert found[0] == found[1]
         lassos += found[0] is not None
     assert lassos > 50
@@ -292,15 +325,16 @@ def _assert_matches_reference(built, reference):
     the lasso search's tie rule read node ids alone."""
     nodes, parent, depth, adj = reference
     assert all(d <= e for d, e in zip(depth, depth[1:]))
-    assert (built.nodes, built.parent, _chain_lengths(built),
-            [list(out) for out in built.adj]) == (nodes, parent, depth, adj)
+    assert (_node_pairs(built), _first_edges(built), _chain_lengths(built),
+            _edge_pairs(built)) == (nodes, parent, depth, adj)
 
 
 def test_product_matches_the_reference_builder(vm_graphs, vm_props):
     """On the VM graphs with every catalogue property and on seeded random
-    draws, `Product` over the automaton's rows gives the reference
-    builder's nodes, first edges, depths (as `parent` chain lengths) and
-    stored edges, with and without the live marking; `ProjectionProduct`
+    draws, the largest with products of hundreds to thousands of nodes,
+    `Product` over the automaton's rows gives the reference builder's
+    nodes, first edges, depths (as `parent` chain lengths) and stored
+    edges, with and without the live marking; `ProjectionProduct`
     gives those of the reference stepping `b` by the projection, for
     formula pairs over {a, b, z} with beta {a, b}."""
     rng = random.Random(37)
@@ -309,13 +343,18 @@ def test_product_matches_the_reference_builder(vm_graphs, vm_props):
     for _ in range(200):
         graph = random_graph(rng, rng.randint(6, 60), alphabet)
         draws.append((graph, random_formula(rng, alphabet, rng.randint(1, 4))))
-    for graph, phi in draws + _wide_draws(47, 80, alphabet):
+    large = _large_draws(53, 40, alphabet)
+    sizes = []
+    for graph, phi in draws + _wide_draws(47, 80, alphabet) + large:
         aut = TableauAutomaton(to_nnf(phi, negate=True), graph.labels)
         starts = [(s, aut.initial) for s in graph.initial * 2]  # a repeat is one node
         for live in (None, aut.live_components()):
             built = Product(starts, graph.moves.__getitem__, aut.delta, live=live)
             _assert_matches_reference(built, _reference_product(
                 starts, graph.moves.__getitem__, lambda q, x: aut.delta[q][x], live))
+        sizes.append(len(built.nodes))
+    large_sizes = sorted(sizes[-len(large):])
+    assert large_sizes[len(large) // 2] >= 100 and large_sizes[-1] >= 1000
     beta, letters = frozenset({"a", "b"}), {"a", "b", "z"}
     for _ in range(200):
         a, b = (TableauAutomaton(to_nnf(random_formula(rng, sorted(letters), rng.randint(1, 4)),
@@ -334,8 +373,29 @@ def test_product_work_counts_on_vm4():
     phi = parse_formula("[selectChoc] U G (([pay] & [refund]) U (true & [refund]))")
     product = automata.CounterexampleSearch(graph, phi, 10**6)
     assert len(product.nodes) == 24536
-    assert sum(map(len, product.adj)) == 148722
-    assert sum(product.live[q] >= 0 for _, q in product.nodes) == 18360
+    assert sum(map(len, product.adj)) == 2 * 148722  # target and label per edge
+    assert sum(product.live[q] >= 0 for q in product.right) == 18360
+
+
+def test_product_memory_on_vm4():
+    """The same product, measured with tracemalloc: it stores flat lists,
+    with no tuple per stored edge, so it holds under half the 15.6 MiB
+    the `(target, label)` pair layout held (5.3-5.4 MiB on CPython 3.10 and
+    3.11, 64-bit)."""
+    graph = explore(parse_machine_file(corpus_root() / "vm" / "vm4.eb", {"capacity": 12}))
+    phi = parse_formula("[selectChoc] U G (([pay] & [refund]) U (true & [refund]))")
+    graph.moves, graph.labels  # views built on first read are the graph's, not the product's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        product = automata.CounterexampleSearch(graph, phi, 10**6)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(product.nodes) == 24536
+    assert all(out == () or type(out) is list for out in product.adj)
+    assert all(type(t) is int and type(x) is str for out in product.adj for t, x in pairs(out))
+    assert size < 7.8 * 2**20
 
 
 def test_automata_are_built_whole(monkeypatch):
@@ -406,9 +466,10 @@ def test_tarjan_matches_the_recursive_reference():
         n = rng.randint(1, 40)
         adj = [[(rng.randrange(n), "e") for _ in range(rng.choice([0, 1, 2, 3]))]
                for _ in range(n)]
+        flat = [[v for edge in out for v in edge] for out in adj]
         roots = rng.sample(range(n), rng.randint(0, n))
-        assert tarjan(n, adj) == _reference_tarjan(n, adj, None)
-        assert tarjan(n, adj, roots) == _reference_tarjan(n, adj, roots)
+        assert tarjan(n, flat) == _reference_tarjan(n, adj, None)
+        assert tarjan(n, flat, roots) == _reference_tarjan(n, adj, roots)
 
 
 def test_edge_label_outside_the_alphabet():
