@@ -157,7 +157,7 @@ def _cmd_explore(args, rep: _Reporter) -> int:
                 else json.dumps(graph_json, indent=2, sort_keys=True))
         return OK
     rep.say(f"{machine.name}: {len(graph.states)} state(s), "
-            f"{sum(len(targets) for *_, targets in graph.firings)} edge(s), "
+            f"{len(graph.firings.targets)} edge(s), "
             f"{len(graph.deadlocks)} deadlock(s)")
     rep.say(f"invariant: {'holds' if inv.holds else 'violated'}")
     if args.verbose:

@@ -147,10 +147,11 @@ def formula_to_text(f: Formula, need: int = 0) -> str:
 # parsing
 
 _FORMULA_TOKEN = re.compile(r"""
-      (?P<ws>\s+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<skip>\s+)
     | (?P<op>=>|[!|&()\[\]])
-""", re.VERBOSE)
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 _PREFIX = {"!": Not, "G": Globally, "F": Finally}
 

@@ -56,12 +56,12 @@ KEYWORDS = {
 }
 
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<skip>[ \t\r\n]+|//[^\n]*)
     | (?P<int>[0-9]+)
     | (?P<op><=>|:=|\.\.|=>|<=|>=|/=|<:|\\/|/\\|\|\||[\\(){},:=<>+\-*&])
-""", re.VERBOSE)
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class Token:
@@ -79,32 +79,29 @@ class Token:
 
 def tokenize(text: str, pattern: re.Pattern = _TOKEN_RE,
              keywords=KEYWORDS, where: str = "") -> list[Token]:
-    """Split `text` into tokens under `pattern`, whose named groups are the
-    token kinds: `ws` and `comment` matches are dropped, an `op` match is
-    its own kind and a `name` in `keywords` is a `kw`.  The list ends with
-    an `eof` token.  `where` ends the message for an unmatched character."""
+    """Split `text` into tokens in one `finditer` pass under `pattern`,
+    whose named groups are the token kinds and match every character:
+    `skip` matches (whitespace and comments) are dropped, an `op` match is
+    its own kind, a `name` in `keywords` is a `kw`, and a `bad` character
+    raises ParseError, its message ended by `where`.  The list ends with an
+    `eof` token."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = pattern.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}{where}", line, col)
-        kind = m.lastgroup
-        value = m.group()
+    line, begins = 1, 0  # begins: where the current line starts
+    for m in pattern.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - begins + 1
+        if kind == "skip":
+            if "\n" in value:
+                line += value.count("\n")
+                begins = m.start() + value.rfind("\n") + 1
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}{where}", line, col)
         if kind == "name" and value in keywords:
             kind = "kw"
         elif kind == "op":
             kind = value
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
-    tokens.append(Token("eof", "end of input", line, col))
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("eof", "end of input", line, len(text) - begins + 1))
     return tokens
 
 

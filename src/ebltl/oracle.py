@@ -223,10 +223,7 @@ class OracleVerdict:
 
 
 def _sorted_moves(graph: StateGraph) -> list[list[tuple[str, int]]]:
-    moves: list[set] = [set() for _ in graph.states]
-    for src, event, _params, targets in graph.firings:
-        moves[src].update((event, t) for t in targets)
-    return [sorted(pairs) for pairs in moves]
+    return [sorted((event, t) for t, event in out) for out in graph.moves]
 
 
 class _GraphTables:

@@ -561,9 +561,9 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     in C and O; they never occur, so they never matter."""
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
-    reachable = graph.tree[0]
+    parent = graph.tree[0]
     steps = [(src, event, targets) for src, event, _params, targets in graph.firings
-             if event not in ordinary and src in reachable]
+             if event not in ordinary and parent[src] != -2]
     keep: list[list] = [[] for _ in graph.states]  # flat, as `search.tarjan` reads
     for src, event, targets in steps:
         keep[src].extend(v for t in targets for v in (t, event))

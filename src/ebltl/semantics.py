@@ -19,23 +19,29 @@ are kept in sorted order, sets are canonical frozensets, and states are
 numbered in discovery order, so two explorations of one machine produce
 identical graphs.  Walking the ids in order is the breadth-first search:
 `explore` records the edge that first reached each state, and the graph
-keeps that tree (`StateGraph.tree`).
+keeps that tree as two lists indexed by state (`StateGraph.tree`).
 
-The graph stores one record, `StateGraph.firings`: every enabled firing,
-once, as (state, event, params, after-state ids) in exploration order.
-The successor table that every product reads (`moves`), its labels, the
-deadlocks, the edge views and the reports are all derived from it.  A
-firing whose bounded choice admits no value has no after-state ids and
-adds no transition, so one exploration serves both the commands that
-reject it (`require_feasible`) and the refinement obligations, which
-read the concrete machine only through the caller's graphs and report
-such a firing as FIS_REF.
+The graph stores one record, `StateGraph.firings` (`FiringRecord`): every
+enabled firing, once, in exploration order, as flat columns with no tuple
+per firing: its state, its event's index, its valuation (a tuple shared
+with the compiled parameter table), and offsets into one array of
+after-state ids.  Reading the record yields (state, event, params,
+after-state ids) tuples built as they are read.  The successor table that
+every product reads (`moves`), its labels, the deadlocks, the edge views
+and the reports are all derived from it, in record order.  A firing whose
+bounded choice admits no value has no after-state ids and adds no
+transition, so one exploration serves both the commands that reject it
+(`require_feasible`) and the refinement obligations, which read the
+concrete machine only through the caller's graphs and report such a
+firing as FIS_REF.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
@@ -277,45 +283,106 @@ class ExploreLimits:
     max_states: int = 100_000
 
 
+class FiringRecord:
+    """Every enabled firing of a graph, once, in exploration order, as flat
+    columns with no tuple per firing: firing i fires event
+    `events[event[i]]` under valuation `params[i]` at state `src[i]`, and
+    its after-state ids are `targets[start[i]:start[i + 1]]`, none for an
+    empty bounded choice.  Read in order it yields `(src, event, params,
+    targets)` tuples built as they are read."""
+
+    def __init__(self, events=()):
+        self.events = list(events)
+        self.src, self.event, self.params = array("i"), array("i"), []
+        self.start, self.targets = array("i", [0]), array("i")
+
+    @classmethod
+    def of(cls, firings: Iterable[tuple]) -> FiringRecord:
+        """The record of `(src, event, params, targets)` tuples, in their order."""
+        record, ids = cls(), {}
+        for src, event, params, targets in firings:
+            record.src.append(src)
+            record.event.append(ids.setdefault(event, len(ids)))
+            record.params.append(params)
+            record.targets.extend(targets)
+            record.start.append(len(record.targets))
+        record.events = list(ids)
+        return record
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self):
+        names, targets, start = self.events, self.targets, self.start
+        for src, e, params, a, b in zip(self.src, self.event, self.params,
+                                        start, islice(start, 1, None)):
+            yield src, names[e], params, tuple(targets[a:b])
+
+
 @dataclass
 class StateGraph:
-    """One record, `firings`: every enabled firing as (state, event, params,
-    targets) in exploration order, `targets` being its after-state ids, none
-    for an empty bounded choice.  The other graph data are views built from
-    it on first read."""
+    """One record, `firings` (`FiringRecord`, built from an iterable of
+    `(src, event, params, targets)` tuples when given one), and the
+    breadth-first tree from the initial states, `tree`: two lists indexed by
+    state, `parent` (-1 at an initial state, -2 at a state no initial state
+    reaches) and `via`, the event of the firing that first reached it, as
+    `search.path_to` reads them.  `explore` writes both as it goes; the
+    other graph data are views derived from the record, in record order."""
     machine: Optional[Machine]
     var_names: tuple[str, ...]
     states: list[tuple]
     initial: tuple[int, ...]
-    firings: list[tuple]
+    firings: FiringRecord
     alphabet: tuple[str, ...]
     bounds: dict = field(default_factory=dict)
 
-    @cached_property
+    def __post_init__(self):
+        if not isinstance(self.firings, FiringRecord):
+            self.firings = FiringRecord.of(self.firings)
+
+    @property
     def edges(self) -> list[Edge]:
-        """One edge per (firing, after-state), in record order."""
+        """One edge per (firing, after-state), in record order, built per call."""
         return [Edge(src, event, params, t)
                 for src, event, params, targets in self.firings for t in targets]
 
     @cached_property
-    def _edges_from(self) -> list[list[Edge]]:
-        out: list[list[Edge]] = [[] for _ in self.states]
-        for e in self.edges:
-            out[e.src].append(e)
-        return out
+    def _by_source(self) -> tuple[array, array]:
+        """The firing ids sorted by source, record order kept within one
+        source, and where each state's run of them starts, plus the end."""
+        src = self.firings.src
+        order = array("i", sorted(range(len(src)), key=src.__getitem__))
+        return order, array("i", [bisect_left(order, s, key=src.__getitem__)
+                                  for s in range(len(self.states) + 1)])
 
     def out_edges(self, state: int) -> list[Edge]:
-        return self._edges_from[state]
+        """The edges leaving `state`, in record order, built per call."""
+        record, (order, first) = self.firings, self._by_source
+        start, targets = record.start, record.targets
+        return [Edge(state, record.events[record.event[i]], record.params[i], t)
+                for i in order[first[state]:first[state + 1]]
+                for t in targets[start[i]:start[i + 1]]]
 
     @cached_property
     def moves(self) -> list[list[tuple[int, str]]]:
         """Per state, its distinct (target, event) pairs in record order:
-        parameter choices with equal labels collapse."""
-        out: list[dict] = [{} for _ in self.states]
-        for src, event, _params, targets in self.firings:
-            for t in targets:
-                out[src][t, event] = None
-        return [list(pairs) for pairs in out]
+        parameter choices with equal labels collapse.  One set dedupes a
+        run of firings from one source, so an explored graph, whose record
+        runs by source, holds one set at a time."""
+        record = self.firings
+        names, targets, start = record.events, record.targets, record.start
+        ids = list(range(len(self.states)))  # one int object per state, shared by its moves
+        out: list[list] = [[] for _ in ids]
+        last, seen = -1, set()
+        for src, e, a, b in zip(record.src, record.event, start, islice(start, 1, None)):
+            if src != last:
+                last, seen = src, set(out[src])
+            for t in targets[a:b]:
+                move = (ids[t], names[e])
+                if move not in seen:
+                    seen.add(move)
+                    out[src].append(move)
+        return out
 
     @cached_property
     def labels(self) -> frozenset[str]:
@@ -326,14 +393,23 @@ class StateGraph:
     @cached_property
     def deadlocks(self) -> tuple[int, ...]:
         """The states without a firing that has an after-state."""
-        live = {src for src, _event, _params, targets in self.firings if targets}
-        return tuple(i for i in range(len(self.states)) if i not in live)
+        start, live = self.firings.start, bytearray(len(self.states))
+        for src, a, b in zip(self.firings.src, start, islice(start, 1, None)):
+            if a != b:
+                live[src] = 1
+        return tuple(i for i, x in enumerate(live) if not x)
 
     @cached_property
-    def tree(self) -> tuple[dict[int, int], dict[int, str]]:
-        """The breadth-first tree from the initial states, `(parent, via)` dicts
-        (`search.bfs`): `explore` sets its own, a bare graph searches once."""
-        return bfs(self.initial, [[v for move in out for v in move] for out in self.moves])[:2]
+    def tree(self) -> tuple[array, list]:
+        """The tree of a bare graph, from one `search.bfs` over `moves`."""
+        parent, via, _ = bfs(self.initial, [[v for move in out for v in move] for out in self.moves])
+        ids = range(len(self.states))
+        return array("i", [parent.get(s, -2) for s in ids]), [via.get(s) for s in ids]
+
+    def reached(self, state: int) -> bool:
+        """Whether the tree reaches `state`; a state added later is not."""
+        parent = self.tree[0]
+        return 0 <= state < len(parent) and parent[state] != -2
 
     def state_json(self, i: int) -> dict:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}
@@ -365,7 +441,7 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     """A bare graph whose `(src, event, tgt)` edges are parameterless firings."""
     return StateGraph(
         machine=None, var_names=(), states=[(i,) for i in range(n_states)],
-        initial=tuple(initial), firings=[(s, ev, (), (t,)) for s, ev, t in edges],
+        initial=tuple(initial), firings=((s, ev, (), (t,)) for s, ev, t in edges),
         alphabet=tuple(sorted(alphabet)),
     )
 
@@ -387,17 +463,20 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     Raises InvariantViolation (with a witness event path) when a reachable
     state breaks the invariant or leaves a declared domain, and
     ExplorationLimitError past `limits.max_states`.  Each enabled firing
-    appends one entry to `firings` with the ids of its after-states; one
-    whose bounded choice admits no value gets none; see `require_feasible`.
+    is written to the record with the ids of its after-states; one whose
+    bounded choice admits no value gets none; see `require_feasible`.
     """
     compiled = compile_machine(machine)
     limits = limits or ExploreLimits()
     var_names = machine.sym.var_names
+    names, events = list(compiled.events), list(compiled.events.values())
+    record = FiringRecord(names)
+    fired, event_of, params, start, targets = (
+        record.src, record.event, record.params, record.start, record.targets)
 
     index: dict[tuple, int] = {}
     states: list[tuple] = []
-    parent, via = {}, {}  # the breadth-first tree, as `search.path_to` reads it
-    firings: list[tuple] = []
+    parent, via = array("i"), []  # the breadth-first tree, as `search.path_to` reads it
 
     def add_state(state: tuple, src: int, event: str | None) -> int:
         if state in index:
@@ -405,10 +484,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         if len(states) >= limits.max_states:
             raise ExplorationLimitError(
                 f"state count exceeded the limit of {limits.max_states}")
-        idx = len(states)
-        index[state] = idx
+        idx = index[state] = len(states)
         states.append(state)
-        parent[idx], via[idx] = src, event
+        parent.append(src)
+        via.append(event)
         message = _check_state(compiled, var_names, state)
         if message:
             path = path_to(parent, via, idx)
@@ -425,15 +504,21 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
 
     src = 0  # ids are the discovery order, so walking them is breadth-first
     while src < len(states):
-        for name, event in compiled.events.items():
-            for valuation, posts in event(states[src]):
-                firings.append((src, name, valuation,
-                                tuple([add_state(post, src, name) for post in posts])))
+        state = states[src]
+        for e, event in enumerate(events):
+            for valuation, posts in event(state):
+                for post in posts:
+                    t = index.get(post)
+                    targets.append(add_state(post, src, names[e]) if t is None else t)
+                fired.append(src)
+                event_of.append(e)
+                params.append(valuation)
+                start.append(len(targets))
         src += 1
 
     graph = StateGraph(
         machine=machine, var_names=var_names, states=states,
-        initial=tuple(initial), firings=firings, alphabet=machine.alphabet(),
+        initial=tuple(initial), firings=record, alphabet=machine.alphabet(),
         bounds={"max_states": limits.max_states, "reached_states": len(states)},
     )
     graph.tree = parent, via
@@ -495,7 +580,7 @@ def check_invariant(graph: StateGraph) -> GraphVerdict:
 def check_deadlock_free(graph: StateGraph) -> GraphVerdict:
     """Judges the reachable deadlocks only; an explored graph has no other,
     but a bare graph may hold unreachable states without out-edges."""
-    reachable = [s for s in graph.deadlocks if s in graph.tree[0]]
+    reachable = [s for s in graph.deadlocks if graph.reached(s)]
     if not reachable:
         return GraphVerdict(True, detail="no deadlocked states")
     return GraphVerdict(False, witness_state=reachable[0],
@@ -506,6 +591,6 @@ def check_deadlock_free(graph: StateGraph) -> GraphVerdict:
 def find_path(graph: StateGraph, target: int) -> list[str]:
     """Shortest event path from an initial state to `target`, read from the
     graph's breadth-first tree."""
-    if target not in graph.tree[0]:
+    if not graph.reached(target):
         raise EvalError(f"state {target} is not reachable")
     return path_to(*graph.tree, target)

@@ -19,7 +19,7 @@ from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
 from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
-    ExploreLimits, check_deadlock_free, check_invariant, compile_expr,
+    Edge, ExploreLimits, check_deadlock_free, check_invariant, compile_expr,
     compile_machine, explore, find_path, make_graph, require_feasible, static_env,
 )
 from tests.conftest import LIFT_DIR, VM_DIR
@@ -103,7 +103,7 @@ def test_infeasible_choice_is_an_error_by_default():
         "    then any x : set of IT where card(x) > 1 then s := x end end\nend")
     g = explore(m)
     assert g.deadlocks == (0,)
-    assert g.firings == [(0, "go", (), ())]
+    assert list(g.firings) == [(0, "go", (), ())]
     assert "firings" not in g.to_json_dict()
     with pytest.raises(InvariantViolation, match="no after-state") as err:
         require_feasible(g)
@@ -172,6 +172,21 @@ def test_views_expand_the_record(vm_graphs):
         assert [e for i in range(len(graph.states)) for e in graph.out_edges(i)] == \
             sorted(graph.edges, key=lambda e: e.src)
     assert [(e.event, e.tgt) for e in bare.out_edges(0)] == [("b", 1), ("a", 0)]
+
+
+def test_edge_views_cache_no_edge_list(vm_machines):
+    """`edges` and `out_edges` build their `Edge` tuples per call: walking
+    every `out_edges(i)` and reading `edges` leaves on the graph only the
+    per-source index of firing ids, no list of edges."""
+    g = explore(vm_machines["VM3"])
+    before = set(vars(g))
+    walked = [e for i in range(len(g.states)) for e in g.out_edges(i)]
+    assert len(walked) == len(g.edges) == 250 and g.edges is not g.edges
+    assert set(vars(g)) - before == {"_by_source"}
+    order, first = g._by_source
+    assert (len(order), len(first)) == (len(g.firings), len(g.states) + 1)
+    assert not any(isinstance(item, Edge) for value in vars(g).values()
+                   if isinstance(value, (list, tuple)) for item in value)
 
 
 def test_check_invariant_holds_on_corpus(vm_graphs):
