@@ -22,13 +22,10 @@ identical graphs.  Walking the ids in order is the breadth-first search:
 keeps that tree as two lists indexed by state (`StateGraph.tree`).
 
 The graph stores one record, `StateGraph.firings` (`FiringRecord`): every
-enabled firing, once, in exploration order, as flat columns with no tuple
-per firing: its state, its event's index, its valuation (a tuple shared
-with the compiled parameter table), and offsets into one array of
-after-state ids.  Reading the record yields (state, event, params,
-after-state ids) tuples built as they are read.  The successor table that
-every product reads (`moves`), its labels, the deadlocks, the edge views
-and the reports are all derived from it, in record order.  A firing whose
+enabled firing, once, in exploration order, in flat arrays with no tuple
+per firing.  The successor table that every product reads (`moves`), its
+labels, the deadlocks, the edge views and the reports are all derived
+from it, in record order.  A firing whose
 bounded choice admits no value has no after-state ids and adds no
 transition, so one exploration serves both the commands that reject it
 (`require_feasible`) and the refinement obligations, which read the
@@ -286,28 +283,25 @@ class ExploreLimits:
 class FiringRecord:
     """Every enabled firing of a graph, once, in exploration order, as flat
     columns with no tuple per firing: firing i fires event
-    `events[event[i]]` under valuation `params[i]` at state `src[i]`, and
+    `events[event[i]]` under valuation `params[i]` (a tuple an explored
+    graph shares with the compiled parameter table) at state `src[i]`, and
     its after-state ids are `targets[start[i]:start[i + 1]]`, none for an
     empty bounded choice.  Read in order it yields `(src, event, params,
     targets)` tuples built as they are read."""
 
-    def __init__(self, events=()):
-        self.events = list(events)
+    def __init__(self, events=(), firings: Iterable[tuple] = ()):
+        """A record over the event names `events`, holding the
+        `(src, event, params, targets)` tuples `firings` in their order."""
         self.src, self.event, self.params = array("i"), array("i"), []
         self.start, self.targets = array("i", [0]), array("i")
-
-    @classmethod
-    def of(cls, firings: Iterable[tuple]) -> FiringRecord:
-        """The record of `(src, event, params, targets)` tuples, in their order."""
-        record, ids = cls(), {}
+        ids = {name: e for e, name in enumerate(events)}
         for src, event, params, targets in firings:
-            record.src.append(src)
-            record.event.append(ids.setdefault(event, len(ids)))
-            record.params.append(params)
-            record.targets.extend(targets)
-            record.start.append(len(record.targets))
-        record.events = list(ids)
-        return record
+            self.src.append(src)
+            self.event.append(ids.setdefault(event, len(ids)))
+            self.params.append(params)
+            self.targets.extend(targets)
+            self.start.append(len(self.targets))
+        self.events = list(ids)
 
     def __len__(self) -> int:
         return len(self.src)
@@ -321,11 +315,10 @@ class FiringRecord:
 
 @dataclass
 class StateGraph:
-    """One record, `firings` (`FiringRecord`, built from an iterable of
-    `(src, event, params, targets)` tuples when given one), and the
-    breadth-first tree from the initial states, `tree`: two lists indexed by
-    state, `parent` (-1 at an initial state, -2 at a state no initial state
-    reaches) and `via`, the event of the firing that first reached it, as
+    """One record, `firings` (`FiringRecord`), and the breadth-first tree
+    from the initial states, `tree`: two lists indexed by state, `parent`
+    (-1 at an initial state, -2 at a state no initial state reaches) and
+    `via`, the event of the firing that first reached it, as
     `search.path_to` reads them.  `explore` writes both as it goes; the
     other graph data are views derived from the record, in record order."""
     machine: Optional[Machine]
@@ -336,10 +329,6 @@ class StateGraph:
     alphabet: tuple[str, ...]
     bounds: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not isinstance(self.firings, FiringRecord):
-            self.firings = FiringRecord.of(self.firings)
-
     @property
     def edges(self) -> list[Edge]:
         """One edge per (firing, after-state), in record order, built per call."""
@@ -347,7 +336,7 @@ class StateGraph:
                 for src, event, params, targets in self.firings for t in targets]
 
     @cached_property
-    def _by_source(self) -> tuple[array, array]:
+    def _edges_from(self) -> tuple[array, array]:
         """The firing ids sorted by source, record order kept within one
         source, and where each state's run of them starts, plus the end."""
         src = self.firings.src
@@ -357,7 +346,7 @@ class StateGraph:
 
     def out_edges(self, state: int) -> list[Edge]:
         """The edges leaving `state`, in record order, built per call."""
-        record, (order, first) = self.firings, self._by_source
+        record, (order, first) = self.firings, self._edges_from
         start, targets = record.start, record.targets
         return [Edge(state, record.events[record.event[i]], record.params[i], t)
                 for i in order[first[state]:first[state + 1]]
@@ -393,11 +382,10 @@ class StateGraph:
     @cached_property
     def deadlocks(self) -> tuple[int, ...]:
         """The states without a firing that has an after-state."""
-        start, live = self.firings.start, bytearray(len(self.states))
-        for src, a, b in zip(self.firings.src, start, islice(start, 1, None)):
-            if a != b:
-                live[src] = 1
-        return tuple(i for i, x in enumerate(live) if not x)
+        record = self.firings
+        live = {src for src, a, b in zip(record.src, record.start, islice(record.start, 1, None))
+                if a != b}
+        return tuple(i for i in range(len(self.states)) if i not in live)
 
     @cached_property
     def tree(self) -> tuple[array, list]:
@@ -439,10 +427,10 @@ class StateGraph:
 def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
                alphabet: Iterable[str]) -> StateGraph:
     """A bare graph whose `(src, event, tgt)` edges are parameterless firings."""
+    firings = FiringRecord(firings=((s, ev, (), (t,)) for s, ev, t in edges))
     return StateGraph(
         machine=None, var_names=(), states=[(i,) for i in range(n_states)],
-        initial=tuple(initial), firings=((s, ev, (), (t,)) for s, ev, t in edges),
-        alphabet=tuple(sorted(alphabet)),
+        initial=tuple(initial), firings=firings, alphabet=tuple(sorted(alphabet)),
     )
 
 
@@ -484,7 +472,8 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         if len(states) >= limits.max_states:
             raise ExplorationLimitError(
                 f"state count exceeded the limit of {limits.max_states}")
-        idx = index[state] = len(states)
+        idx = len(states)
+        index[state] = idx
         states.append(state)
         parent.append(src)
         via.append(event)

@@ -182,8 +182,8 @@ def test_edge_views_cache_no_edge_list(vm_machines):
     before = set(vars(g))
     walked = [e for i in range(len(g.states)) for e in g.out_edges(i)]
     assert len(walked) == len(g.edges) == 250 and g.edges is not g.edges
-    assert set(vars(g)) - before == {"_by_source"}
-    order, first = g._by_source
+    assert set(vars(g)) - before == {"_edges_from"}
+    order, first = g._edges_from
     assert (len(order), len(first)) == (len(g.firings), len(g.states) + 1)
     assert not any(isinstance(item, Edge) for value in vars(g).values()
                    if isinstance(value, (list, tuple)) for item in value)
