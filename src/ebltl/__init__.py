@@ -24,7 +24,6 @@ from .refine import (  # noqa: F401
     compose_renamings, explore_chain, load_chain,
 )
 from .semantics import (  # noqa: F401
-    ExploreLimits, StateGraph, check_deadlock_free, check_invariant, explore,
-    require_feasible,
+    ExploreLimits, StateGraph, check_deadlock_free, explore, require_feasible,
 )
 from .traces import Trace, project_trace  # noqa: F401

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
@@ -58,6 +59,8 @@ class _Reporter:
         self.lines.append(text)
 
     def emit(self, exit_code: int) -> int:
+        """Write the report; a reader that closes the pipe early (`| head`)
+        ends the output quietly, and the command keeps its exit code."""
         if self.as_json:
             envelope = {
                 "tool": "ebltl",
@@ -66,10 +69,17 @@ class _Reporter:
                 "exit": exit_code,
                 "result": self.result,
             }
-            sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+            text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
         else:
-            for line in self.lines:
-                sys.stdout.write(line + "\n")
+            text = "".join(line + "\n" for line in self.lines)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is still buffered goes to devnull at the flush at shutdown
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return exit_code
 
 
@@ -141,7 +151,7 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     machine = parse_machine_file(args.machine, _overrides(args))
     graph = require_feasible(explore(machine, _limits(args)))
     # explore raises at the first state that breaks the invariant or leaves
-    # a declared domain, so on its graph `check_invariant` can only hold
+    # a declared domain, so every state of its graph has passed both checks
     inv = GraphVerdict(True, detail=f"{len(graph.states)} states re-checked")
     dead = check_deadlock_free(graph)
     graph_json = graph.to_json_dict()
@@ -270,6 +280,11 @@ def _cmd_translate(args, rep: _Reporter) -> int:
     ((name, phi),) = props.items()
     if not 0 <= args.at < len(chain.machines):
         raise EbltlError(f"level {args.at} out of range 0..{len(chain.machines) - 1}")
+    machine = chain.machines[args.at]
+    foreign = formula_alphabet(phi) - frozenset(machine.alphabet())
+    if foreign:
+        warnings.warn(f"formula mentions events outside the alphabet of {machine.name} "
+                      f"(level {args.at}): {', '.join(sorted(foreign))}")
     g = compose_renamings(chain, args.at + 1)
     out = translate_formula(phi, g)
     rep.say(formula_to_text(out))

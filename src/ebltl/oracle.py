@@ -223,7 +223,12 @@ class OracleVerdict:
 
 
 def _sorted_moves(graph: StateGraph) -> list[list[tuple[str, int]]]:
-    return [sorted((event, t) for t, event in out) for out in graph.moves]
+    """Per state, its distinct (event, target) pairs, sorted, read from the
+    firing record rather than from the checker's own `moves` view."""
+    moves: list[set] = [set() for _ in graph.states]
+    for src, event, _params, targets in graph.firings:
+        moves[src].update((event, t) for t in targets)
+    return [sorted(pairs) for pairs in moves]
 
 
 class _GraphTables:

@@ -5,9 +5,9 @@ A typechecked machine is compiled once and kept on the machine
 its initialisation, its events, its invariant and its variant, `_MEMBER`
 gives the test of each declared domain, and `exec` turns that into
 functions over state tuples, with each parameter domain resolved once.
-Exploration, the invariant check and the refinement obligations all
-evaluate through those functions; the gluing relation of a refinement
-pair is compiled the same way (`compile_gluing`).
+Exploration and the refinement obligations both evaluate through those
+functions; the gluing relation of a refinement pair is compiled the same
+way (`compile_gluing`).
 
 States are tuples of the declared variables' values in sorted name order,
 and evaluation on a machine builds no name-to-value environment (only
@@ -22,14 +22,14 @@ identical graphs.  Walking the ids in order is the breadth-first search:
 keeps that tree as two lists indexed by state (`StateGraph.tree`).
 
 The graph stores one record, `StateGraph.firings` (`FiringRecord`): every
-enabled firing, once, in exploration order, in flat arrays with no tuple
-per firing.  The successor table that every product reads (`moves`), its
-labels, the deadlocks, the edge views and the reports are all derived
-from it, in record order.  A firing whose
-bounded choice admits no value has no after-state ids and adds no
-transition, so one exploration serves both the commands that reject it
-(`require_feasible`) and the refinement obligations, which read the
-concrete machine only through the caller's graphs and report such a
+enabled firing, once, in flat arrays with no tuple per firing, grouped by
+source state (exploration order for an explored graph).  The successor
+table that every product reads (`moves`), its labels, the deadlocks, the
+edge views and the reports are all derived from it, in record order.  A
+firing whose bounded choice admits no value has no after-state ids and
+adds no transition, so one exploration serves both the commands that
+reject it (`require_feasible`) and the refinement obligations, which read
+the concrete machine only through the caller's graphs and report such a
 firing as FIS_REF.
 """
 from __future__ import annotations
@@ -39,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
@@ -281,21 +282,24 @@ class ExploreLimits:
 
 
 class FiringRecord:
-    """Every enabled firing of a graph, once, in exploration order, as flat
-    columns with no tuple per firing: firing i fires event
-    `events[event[i]]` under valuation `params[i]` (a tuple an explored
-    graph shares with the compiled parameter table) at state `src[i]`, and
-    its after-state ids are `targets[start[i]:start[i + 1]]`, none for an
-    empty bounded choice.  Read in order it yields `(src, event, params,
-    targets)` tuples built as they are read."""
+    """Every enabled firing of a graph, once, as flat columns with no tuple
+    per firing, grouped by source state: `src` never decreases, so one
+    state's firings are one run, found by bisecting `src`.  Firing i fires
+    event `events[event[i]]` under valuation `params[i]` (a tuple an
+    explored graph shares with the compiled parameter table) at state
+    `src[i]`, and its after-state ids are `targets[start[i]:start[i + 1]]`,
+    none for an empty bounded choice.  Read in order it yields `(src,
+    event, params, targets)` tuples built as they are read."""
 
     def __init__(self, events=(), firings: Iterable[tuple] = ()):
         """A record over the event names `events`, holding the
-        `(src, event, params, targets)` tuples `firings` in their order."""
+        `(src, event, params, targets)` tuples `firings` stably sorted by
+        source, so each source keeps its firings in input order.  `explore`
+        starts empty and appends in source order."""
         self.src, self.event, self.params = array("i"), array("i"), []
         self.start, self.targets = array("i", [0]), array("i")
         ids = {name: e for e, name in enumerate(events)}
-        for src, event, params, targets in firings:
+        for src, event, params, targets in sorted(firings, key=itemgetter(0)):
             self.src.append(src)
             self.event.append(ids.setdefault(event, len(ids)))
             self.params.append(params)
@@ -320,7 +324,8 @@ class StateGraph:
     (-1 at an initial state, -2 at a state no initial state reaches) and
     `via`, the event of the firing that first reached it, as
     `search.path_to` reads them.  `explore` writes both as it goes; the
-    other graph data are views derived from the record, in record order."""
+    other graph data are views derived from the record, in record order,
+    which runs by source state."""
     machine: Optional[Machine]
     var_names: tuple[str, ...]
     states: list[tuple]
@@ -335,29 +340,20 @@ class StateGraph:
         return [Edge(src, event, params, t)
                 for src, event, params, targets in self.firings for t in targets]
 
-    @cached_property
-    def _edges_from(self) -> tuple[array, array]:
-        """The firing ids sorted by source, record order kept within one
-        source, and where each state's run of them starts, plus the end."""
-        src = self.firings.src
-        order = array("i", sorted(range(len(src)), key=src.__getitem__))
-        return order, array("i", [bisect_left(order, s, key=src.__getitem__)
-                                  for s in range(len(self.states) + 1)])
-
     def out_edges(self, state: int) -> list[Edge]:
-        """The edges leaving `state`, in record order, built per call."""
-        record, (order, first) = self.firings, self._edges_from
-        start, targets = record.start, record.targets
+        """The edges leaving `state`, in record order, built per call from
+        the run of its firings."""
+        record = self.firings
+        src, start, targets = record.src, record.start, record.targets
         return [Edge(state, record.events[record.event[i]], record.params[i], t)
-                for i in order[first[state]:first[state + 1]]
+                for i in range(bisect_left(src, state), bisect_left(src, state + 1))
                 for t in targets[start[i]:start[i + 1]]]
 
     @cached_property
     def moves(self) -> list[list[tuple[int, str]]]:
         """Per state, its distinct (target, event) pairs in record order:
-        parameter choices with equal labels collapse.  One set dedupes a
-        run of firings from one source, so an explored graph, whose record
-        runs by source, holds one set at a time."""
+        parameter choices with equal labels collapse.  The record runs by
+        source, so one fresh set per source dedupes its run of firings."""
         record = self.firings
         names, targets, start = record.events, record.targets, record.start
         ids = list(range(len(self.states)))  # one int object per state, shared by its moves
@@ -365,7 +361,7 @@ class StateGraph:
         last, seen = -1, set()
         for src, e, a, b in zip(record.src, record.event, start, islice(start, 1, None)):
             if src != last:
-                last, seen = src, set(out[src])
+                last, seen = src, set()
             for t in targets[a:b]:
                 move = (ids[t], names[e])
                 if move not in seen:
@@ -434,17 +430,6 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     )
 
 
-def _check_state(compiled: CompiledMachine, var_names, state: tuple) -> str | None:
-    """Domain membership plus invariant truth at `state`; returns a message
-    on failure."""
-    i = compiled.out_of_domain(state)
-    if i >= 0:
-        return f"{var_names[i]} = {value_to_json(state[i])!r} leaves its declared domain"
-    if not compiled.invariant(state):
-        return "invariant is false"
-    return None
-
-
 def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph:
     """Breadth-first reachability closure of a typechecked machine.
 
@@ -477,8 +462,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
         states.append(state)
         parent.append(src)
         via.append(event)
-        message = _check_state(compiled, var_names, state)
-        if message:
+        i = compiled.out_of_domain(state)
+        if i >= 0 or not compiled.invariant(state):
+            message = ("invariant is false" if i < 0 else
+                       f"{var_names[i]} = {value_to_json(state[i])!r} leaves its declared domain")
             path = path_to(parent, via, idx)
             raise InvariantViolation(
                 f"state {idx} of {machine.name}: {message}"
@@ -544,26 +531,6 @@ class GraphVerdict:
     def to_json_dict(self) -> dict:
         return {"holds": self.holds, "witness_state": self.witness_state,
                 "witness_path": self.witness_path, "detail": self.detail}
-
-
-def check_invariant(graph: StateGraph) -> GraphVerdict:
-    """Re-evaluate invariant and domains on every stored state.  `explore`
-    already judges each state as it finds it, so this is for graphs built
-    or altered by hand."""
-    machine = graph.machine
-    if machine is None:
-        return GraphVerdict(True, detail="bare graph, nothing to check")
-    compiled = compile_machine(machine)
-    for i, state in enumerate(graph.states):
-        message = _check_state(compiled, machine.sym.var_names, state)
-        if message:
-            try:
-                path = find_path(graph, i)
-            except EvalError:  # a hand-built graph may hold unreachable states
-                path = None
-            return GraphVerdict(False, witness_state=i,
-                                witness_path=path, detail=message)
-    return GraphVerdict(True, detail=f"{len(graph.states)} states re-checked")
 
 
 def check_deadlock_free(graph: StateGraph) -> GraphVerdict:

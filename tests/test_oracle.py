@@ -18,7 +18,7 @@ from ebltl.oracle import (
     oracle_holds_on, oracle_model_check, random_formula, random_graph,
     trace_realizable,
 )
-from ebltl.semantics import explore, make_graph
+from ebltl.semantics import StateGraph, explore, make_graph
 from ebltl.traces import finite_trace, lasso
 
 
@@ -189,6 +189,23 @@ def test_walk_list_reuse_rule(monkeypatch):
     assert sum(pops for pops, _ in full) == 15
     assert tables.walks(0, 4, 10**9) is full and tables.walks(0, 4, 1) is full
     assert limits == [5, 6, 15]
+
+
+def test_oracle_catches_a_fault_in_the_checkers_moves(monkeypatch):
+    """The oracle reads each graph's firing record, not the `moves` view
+    the main checker reads, so a `moves` that drops every self-loop move
+    after a state's first shows up as disagreements."""
+    moves = StateGraph.moves.func
+
+    def faulty(graph):
+        out = []
+        for s, pairs in enumerate(moves(graph)):
+            loops = [move for move in pairs if move[0] == s]
+            out.append([move for move in pairs if move[0] != s or move is loops[0]])
+        return out
+
+    monkeypatch.setattr(StateGraph, "moves", property(faulty))
+    assert cross_validate(entries=[], random_pairs=400, seed=5).disagreements
 
 
 def test_cross_validate_builds_each_walk_list_once(monkeypatch):

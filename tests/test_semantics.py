@@ -19,8 +19,8 @@ from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
 from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
-    Edge, ExploreLimits, check_deadlock_free, check_invariant, compile_expr,
-    compile_machine, explore, find_path, make_graph, require_feasible, static_env,
+    ExploreLimits, FiringRecord, check_deadlock_free, compile_expr, compile_machine, explore,
+    find_path, make_graph, require_feasible, static_env,
 )
 from tests.conftest import LIFT_DIR, VM_DIR
 
@@ -175,35 +175,30 @@ def test_views_expand_the_record(vm_graphs):
 
 
 def test_edge_views_cache_no_edge_list(vm_machines):
-    """`edges` and `out_edges` build their `Edge` tuples per call: walking
-    every `out_edges(i)` and reading `edges` leaves on the graph only the
-    per-source index of firing ids, no list of edges."""
+    """`edges` and `out_edges` build their `Edge` tuples per call from the
+    record: walking every `out_edges(i)` and reading `edges` adds nothing
+    to the graph."""
     g = explore(vm_machines["VM3"])
-    before = set(vars(g))
+    before = dict(vars(g))
     walked = [e for i in range(len(g.states)) for e in g.out_edges(i)]
     assert len(walked) == len(g.edges) == 250 and g.edges is not g.edges
-    assert set(vars(g)) - before == {"_edges_from"}
-    order, first = g._edges_from
-    assert (len(order), len(first)) == (len(g.firings), len(g.states) + 1)
-    assert not any(isinstance(item, Edge) for value in vars(g).values()
-                   if isinstance(value, (list, tuple)) for item in value)
+    assert vars(g) == before
 
 
-def test_check_invariant_holds_on_corpus(vm_graphs):
-    for name in ["VM1", "VM2", "VM3", "VM4"]:
-        assert check_invariant(vm_graphs[name]).holds
-
-
-def test_check_invariant_catches_forged_state(vm_graphs):
-    g = vm_graphs["VM2"]
-    forged = g.__class__(
-        machine=g.machine, var_names=g.var_names,
-        states=list(g.states) + [(-1, frozenset(), False)],
-        initial=g.initial, firings=g.firings, alphabet=g.alphabet)
-    verdict = check_invariant(forged)
-    assert not verdict.holds
-    assert verdict.witness_state == len(g.states)
-    assert "credit" in verdict.detail
+def test_bare_record_runs_by_source():
+    """A record built from ungrouped firings holds them grouped by source,
+    each source's firings in input order, and every view reads that order."""
+    given = [(2, "a", (), (0,)), (0, "b", (), (1,)), (2, "c", (), ()), (1, "a", (), (2,)),
+             (0, "a", (), (0, 2)), (2, "b", (), (1,))]
+    record = FiringRecord("abc", given)
+    assert list(record.src) == [0, 0, 1, 2, 2, 2]
+    assert list(record) == sorted(given, key=lambda f: f[0])
+    g = make_graph(3, [0], [(2, "a", 0), (0, "b", 1), (1, "c", 1), (0, "a", 2)], "abc")
+    assert [(f[0], f[1], f[3]) for f in g.firings] == [
+        (0, "b", (1,)), (0, "a", (2,)), (1, "c", (1,)), (2, "a", (0,))]
+    assert g.moves == [[(1, "b"), (2, "a")], [(1, "c")], [(0, "a")]]
+    assert [tuple(e) for e in g.edges] == [
+        (0, "b", (), 1), (0, "a", (), 2), (1, "c", (), 1), (2, "a", (), 0)]
 
 
 # variables declared z, flag, item, bag; states hold them in sorted order
@@ -215,26 +210,30 @@ _GOOD = {"bag": frozenset({"a"}), "flag": True, "item": "b", "z": 2}
 
 
 @pytest.mark.parametrize("values, verdict", [
-    ({"z": 4}, (False, 1, "z = 4 leaves its declared domain")),
-    ({"z": 0}, (False, 1, "z = 0 leaves its declared domain")),
-    ({"z": True}, (True, None, "2 states re-checked")),  # a bool is an int
-    ({"flag": 1}, (False, 1, "flag = 1 leaves its declared domain")),
-    ({"item": "c"}, (False, 1, "item = 'c' leaves its declared domain")),
-    ({"bag": frozenset({"a", "c"})}, (False, 1, "bag = ['a', 'c'] leaves its declared domain")),
-    ({"bag": {"a"}}, (False, 1, "bag = {'a'} leaves its declared domain")),
-    ({"z": 9, "bag": frozenset({"c"})}, (False, 1, "z = 9 leaves its declared domain")),
-    ({"flag": 0, "item": "z"}, (False, 1, "flag = 0 leaves its declared domain")),
-    ({"z": 3}, (False, 1, "invariant is false")),
+    ({"z": 4}, ("z", False)),
+    ({"z": 0}, ("z", True)),
+    ({"z": True}, (None, True)),  # a bool is an int
+    ({"flag": 1}, ("flag", True)),
+    ({"item": "c"}, ("item", True)),
+    ({"bag": frozenset({"a", "c"})}, ("bag", True)),
+    ({"bag": {"a"}}, ("bag", True)),
+    ({"z": 9, "bag": frozenset({"c"})}, ("z", False)),
+    ({"flag": 0, "item": "z"}, ("flag", True)),
+    ({"z": 3}, (None, False)),
 ], ids=["int-above", "int-below", "true-in-int-range", "int-in-bool", "foreign-element",
         "foreign-member", "set-not-frozen", "first-declared-wins", "flag-before-item",
         "invariant-false"])
 def test_check_invariant_judges_domains(values, verdict):
-    g = explore(parse_machine(DOMAINS))
-    assert g.var_names == ("bag", "flag", "item", "z") and len(g.states) == 1
-    g.states.append(tuple({**_GOOD, **values}[n] for n in g.var_names))
-    got = check_invariant(g)
-    assert (got.holds, got.witness_state, got.detail) == verdict
-    assert got.witness_path is None
+    """The compiled state checks `explore` runs on every state it finds:
+    `out_of_domain` names the first variable, in declaration order,
+    outside its declared type, and `invariant` is evaluated on its own."""
+    m = parse_machine(DOMAINS)
+    compiled = compile_machine(m)
+    var_names = m.sym.var_names
+    assert var_names == ("bag", "flag", "item", "z")
+    state = tuple({**_GOOD, **values}[n] for n in var_names)
+    i = compiled.out_of_domain(state)
+    assert (var_names[i] if i >= 0 else None, bool(compiled.invariant(state))) == verdict
 
 
 def test_deadlock_free_on_corpus(vm_graphs):
