@@ -4,7 +4,8 @@ A typechecked machine is compiled once and kept on the machine
 (`compile_machine`): one small translator (`_py`) writes Python source for
 its initialisation, its events, its invariant and its variant, `_MEMBER`
 gives the test of each declared domain, and `exec` turns that into
-functions over state tuples, with each parameter domain resolved once.
+functions over state tuples.  An event with parameters is a comprehension
+over its domain, resolved once; one without tests its guard, then fires.
 Exploration and the refinement obligations both evaluate through those
 functions; the gluing relation of a refinement pair is compiled the same
 way (`compile_gluing`).
@@ -38,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
+from itertools import pairwise, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -156,9 +157,10 @@ class CompiledMachine:
     states.  `events[name](state, guarded=True)`, keyed and ordered by name,
     lists (valuation, [after-state]) for every parameter valuation whose
     guard holds, in canonical order, or for every valuation when `guarded`
-    is false; an empty list of after-states means that a bounded choice
-    admits no value.  `invariant` and `variant` evaluate at a state, and
-    `out_of_domain` gives the state position of the first variable, in
+    is false (a parameterless event tests its guard, then gives its one
+    valuation `()`); an empty list of after-states means that a bounded
+    choice admits no value.  `invariant` and `variant` evaluate at a state,
+    and `out_of_domain` gives the state position of the first variable, in
     declaration order, outside its declared type, or -1."""
 
     init: Callable[[], list[tuple]]
@@ -220,9 +222,14 @@ def compile_machine(machine: Machine) -> CompiledMachine:
     events = sorted(machine.events, key=lambda e: e.name)
     source = [f"def init():\n    return {after_states(machine.init.actions, scope)}\n"]
     for i, event in enumerate(events):
-        k, clause, inner = block(event.params, event.guard, scope, guarded=True)
-        source.append(f"def e{i}(s, guarded=True):\n{unpack}    return "
-                      f"[(v{k}, {after_states(event.actions, inner)}){clause}]\n")
+        if event.params:
+            k, clause, inner = block(event.params, event.guard, scope, guarded=True)
+            body = f"return [(v{k}, {after_states(event.actions, inner)}){clause}]"
+        else:  # no parameter block: the guard's test, then the one valuation
+            test = "" if event.guard is None else \
+                f"if guarded and not {_py(event.guard, scope.__getitem__)}:\n        return []\n    "
+            body = f"{test}return [((), {after_states(event.actions, scope)})]"
+        source.append(f"def e{i}(s, guarded=True):\n{unpack}    {body}\n")
     for fn, expr in (("invariant", machine.invariant or BoolLit(True)),
                      ("variant", machine.variant)):
         if expr is not None:
@@ -311,9 +318,8 @@ class FiringRecord:
         return len(self.src)
 
     def __iter__(self):
-        names, targets, start = self.events, self.targets, self.start
-        for src, e, params, a, b in zip(self.src, self.event, self.params,
-                                        start, islice(start, 1, None)):
+        names, targets = self.events, self.targets
+        for src, e, params, (a, b) in zip(self.src, self.event, self.params, pairwise(self.start)):
             yield src, names[e], params, tuple(targets[a:b])
 
 
@@ -355,11 +361,11 @@ class StateGraph:
         parameter choices with equal labels collapse.  The record runs by
         source, so one fresh set per source dedupes its run of firings."""
         record = self.firings
-        names, targets, start = record.events, record.targets, record.start
+        names, targets = record.events, record.targets
         ids = list(range(len(self.states)))  # one int object per state, shared by its moves
         out: list[list] = [[] for _ in ids]
         last, seen = -1, set()
-        for src, e, a, b in zip(record.src, record.event, start, islice(start, 1, None)):
+        for src, e, (a, b) in zip(record.src, record.event, pairwise(record.start)):
             if src != last:
                 last, seen = src, set()
             for t in targets[a:b]:
@@ -379,8 +385,7 @@ class StateGraph:
     def deadlocks(self) -> tuple[int, ...]:
         """The states without a firing that has an after-state."""
         record = self.firings
-        live = {src for src, a, b in zip(record.src, record.start, islice(record.start, 1, None))
-                if a != b}
+        live = {src for src, (a, b) in zip(record.src, pairwise(record.start)) if a != b}
         return tuple(i for i in range(len(self.states)) if i not in live)
 
     @cached_property
@@ -508,10 +513,11 @@ def require_feasible(graph: StateGraph) -> StateGraph:
     exploration order, with a shortest event path to its state.  Commands
     that reject such machines call this right after `explore`.
     """
-    for src, event, _params, targets in graph.firings:
-        if not targets:
+    record = graph.firings
+    for src, e, (lo, hi) in zip(record.src, record.event, pairwise(record.start)):
+        if lo == hi:
             raise InvariantViolation(
-                f"event {event} of {graph.machine.name} is enabled but has no "
+                f"event {record.events[e]} of {graph.machine.name} is enabled but has no "
                 f"after-state at state {src} (empty bounded choice)",
                 state=dict(zip(graph.var_names, graph.states[src])),
                 path=find_path(graph, src))

@@ -12,11 +12,15 @@ import re
 import subprocess
 import sys
 import tokenize
+import types
+from itertools import product
 
 import pytest
 
 from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
+from ebltl.machine_ast import AnyChoice
 from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
+from ebltl.oracle import corpus_root
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
     ExploreLimits, FiringRecord, check_deadlock_free, compile_expr, compile_machine, explore,
@@ -536,3 +540,55 @@ def test_generated_source_holds_only_prefixed_names(monkeypatch, tmp_path):
                 assert tok.string.isdigit(), source
             if tok.type == tokenize.NAME:
                 assert tok.string in _PYTHON_WORDS or _SCAFFOLD.fullmatch(tok.string), tok
+
+
+CORPUS_MACHINES = sorted(corpus_root().rglob("*.eb"))
+
+
+def _parameterless(machine):
+    """The machine's events without parameters, and whether each one's
+    actions hold a bounded choice."""
+    return [(e, any(isinstance(a, AnyChoice) for a in e.actions))
+            for e in machine.events if not e.params]
+
+
+@pytest.mark.parametrize("path", CORPUS_MACHINES, ids=lambda p: p.stem)
+def test_parameterless_events_build_no_comprehension(path):
+    """An event without parameters compiles to a guard test and one firing:
+    its function holds no nested code object, which a comprehension would
+    be before Python 3.12 inlined them, unless a bounded choice needs one."""
+    machine = parse_machine_file(path)
+    events = compile_machine(machine).events
+    assert _parameterless(machine)
+    for event, has_choice in _parameterless(machine):
+        nested = [c for c in events[event.name].__code__.co_consts
+                  if isinstance(c, types.CodeType)]
+        assert has_choice or not nested, event.name
+
+
+@pytest.mark.parametrize("path", CORPUS_MACHINES, ids=lambda p: p.stem)
+def test_parameterless_events_match_their_guard_and_assignments(path):
+    """At every state of the universe (the declared domains under the
+    invariant), a parameterless event without a bounded choice gives the
+    firings that its guard and assignments give through `compile_expr`:
+    none when `guarded` is set and the guard fails, else one firing with
+    the valuation () and the one after-state."""
+    machine = parse_machine_file(path, {"capacity": 1})
+    sym, compiled, static = machine.sym, compile_machine(machine), static_env(machine)
+    universe = [state for state in product(*(sym.domain(sym.var_types[v]) for v in sym.var_names))
+                if compiled.invariant(state)]
+    checked = 0
+    for event, has_choice in _parameterless(machine):
+        if has_choice:
+            continue
+        guard = compile_expr(event.guard) if event.guard is not None else (lambda env: True)
+        assigned = {a.target: compile_expr(a.expr) for a in event.actions}
+        for state in universe:
+            env = {**static, **dict(zip(sym.var_names, state))}
+            for guarded in (True, False):
+                expected = [((), [tuple(assigned[v](env) if v in assigned else env[v]
+                                        for v in sym.var_names)])] \
+                    if not guarded or guard(env) else []
+                assert compiled.events[event.name](state, guarded) == expected, (event.name, state)
+                checked += 1
+    assert checked
