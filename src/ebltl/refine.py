@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import pairwise, product
 from math import prod
 from pathlib import Path
 from typing import Callable, Optional
@@ -465,60 +465,70 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
                                      "message": "no abstract initial state is linked to "
                                                 "this concrete initial state"})
 
-    # one pass over the recorded firings: FIS_REF and GRD_REF judge each
+    # one pass over the record's columns: FIS_REF and GRD_REF judge each
     # firing, INV_REF each transition (some abstract post-state, inside the
     # universe or not, must be linked to the concrete one)
-    def firing_json(src: int, name: str, valuation) -> dict:
-        return {"event": name, "params": [[n, value_to_json(v)] for n, v in valuation],
+    record = graph.firings
+    names, all_targets, start = record.events, record.targets, record.start
+
+    def firing_json(src: int, e: int, valuation) -> dict:
+        return {"event": names[e], "params": [[n, value_to_json(v)] for n, v in valuation],
                 "concrete_state": graph.state_json(src)}
 
-    for src, name, valuation, targets in graph.firings:
-        results["FIS_REF"].checked += 1
-        if not targets:
-            fail("FIS_REF", lambda: {"kind": "no-after-state", **firing_json(src, name, valuation)})
-        target = renaming.get(name)
-        pairs = pairs_per_state[src]
+    refined = [renaming.get(name) for name in names]
+    paired_at = [set(pairs) for pairs in pairs_per_state]  # isdisjoint scans the smaller set
+    grd = inv = wfd = 0
+    for src, e, params, (lo, hi) in zip(record.src, record.event, record.params, pairwise(start)):
+        if lo == hi:
+            fail("FIS_REF", lambda: {"kind": "no-after-state", **firing_json(src, e, params)})
+        target, pairs = refined[e], pairs_per_state[src]
         if target is not None:
-            results["GRD_REF"].checked += len(pairs)
+            grd += len(pairs)
             for a in pairs:
                 if not abs_enabled(a, target):
                     fail("GRD_REF", lambda: {"kind": "guard-not-strengthened",
-                                             **firing_json(src, name, valuation),
+                                             **firing_json(src, e, params),
                                              "abstract_event": target,
                                              "abstract_state": abstract_json(a)})
-        for tgt in targets:
-            results["INV_REF"].checked += len(pairs)
-            # a set, so that each disjointness test scans the smaller side
-            conc_post, paired = graph.states[tgt], set(pairs_per_state[tgt])
+        inv += (hi - lo) * len(pairs)
+        for tgt in all_targets[lo:hi]:
+            paired = paired_at[tgt]
             for a in pairs:
-                # a new event must leave the abstract state unchanged
-                ids, outside = (frozenset((a,)), ()) if target is None else abs_posts(a, target)
-                if ids.isdisjoint(paired) and not any(glued(s, conc_post) for s in outside):
+                if target is None:  # a new event must leave the abstract state unchanged
+                    matched = a in paired
+                else:
+                    ids, outside = abs_posts(a, target)
+                    matched = not ids.isdisjoint(paired) or \
+                        any(glued(s, graph.states[tgt]) for s in outside)
+                if not matched:
                     fail("INV_REF", lambda: {
                         "kind": "unmatched-transition" if target else "new-event-disturbs-link",
-                        "event": name, "abstract_event": target,
+                        "event": names[e], "abstract_event": target,
                         "concrete_pre": graph.state_json(src),
                         "concrete_post": graph.state_json(tgt), "abstract_state": abstract_json(a)})
+    results["FIS_REF"].checked = len(record)
+    results["GRD_REF"].checked = grd
+    results["INV_REF"].checked = inv
 
     # WFD_REF is local to the concrete machine's variant
     if conc_compiled.variant is not None:
-        statuses = {e.name: e.effective_status for e in concrete.events}
+        status_of = [concrete.event(name).effective_status for name in names]
         variant_at = [conc_compiled.variant(state) for state in graph.states]
         for i, value in enumerate(variant_at):
-            results["WFD_REF"].checked += 1
             if type(value) is not int or value < 0:  # a bool is no natural
                 fail("WFD_REF", lambda: {"kind": "variant-not-natural",
                                          "state": graph.state_json(i), "variant": value})
-        for src, name, _valuation, targets in graph.firings:
-            status = statuses[name]
-            for tgt in () if status == ORDINARY else targets:
-                before, after = variant_at[src], variant_at[tgt]
-                results["WFD_REF"].checked += 1
+        for src, e, (lo, hi) in zip(record.src, record.event, pairwise(start)):
+            status, before = status_of[e], variant_at[src]
+            for tgt in () if status == ORDINARY else all_targets[lo:hi]:
+                after = variant_at[tgt]
+                wfd += 1
                 if (status == CONVERGENT and not after < before) or \
                         (status == ANTICIPATED and after > before):
                     fail("WFD_REF", lambda: {"kind": f"variant-violation-{status}",
-                                             "event": name, "before": before, "after": after,
+                                             "event": names[e], "before": before, "after": after,
                                              "state": graph.state_json(src)})
+        results["WFD_REF"].checked = len(variant_at) + wfd
 
     return POReport(abstract=abstract.name, concrete=concrete.name,
                     results=results,
