@@ -13,6 +13,10 @@ Warnings go to stderr, one `warning: ...` line each.
 A call builds only its own subcommand's parser, because building all
 eleven costs about as much as a short `beta` decision; help, version and
 top-level usage errors still go through the full parser.
+
+`--json` reports and `explore --format graph` are written by `_json_text`:
+the text of `json.dumps(indent=2, sort_keys=True)` for dicts with str keys,
+lists, tuples, str, int, bool and None, with the C string encoder.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -48,6 +53,25 @@ from .semantics import (
 OK, FAILURE, BLOCKED, USAGE, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4, 70
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`; `indent` closes `value`."""
+    t, inner = type(value), indent + "  "
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return repr(value)
+    if value is None or t is bool:
+        return "null" if value is None else "true" if value else "false"
+    if t is dict:  # a key other than a str raises TypeError
+        items, ends = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+                       for k in sorted(value)], "{}"
+    elif t is list or t is tuple:
+        items, ends = [inner + _json_text(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return ends[0] + ",".join(items) + indent + ends[1] if items else ends
+
+
 class _Reporter:
     def __init__(self, command: str, as_json: bool):
         self.command = command
@@ -69,7 +93,7 @@ class _Reporter:
                 "exit": exit_code,
                 "result": self.result,
             }
-            text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+            text = _json_text(envelope) + "\n"
         else:
             text = "".join(line + "\n" for line in self.lines)
         try:
@@ -164,7 +188,7 @@ def _cmd_explore(args, rep: _Reporter) -> int:
         return OK
     if args.format != "summary":
         rep.say(graph.edge_list_text().rstrip("\n") if args.format == "edgelist"
-                else json.dumps(graph_json, indent=2, sort_keys=True))
+                else _json_text(graph_json))
         return OK
     rep.say(f"{machine.name}: {len(graph.states)} state(s), "
             f"{len(graph.firings.targets)} edge(s), "

@@ -556,3 +556,57 @@ def test_po_bound_states_covers_the_abstract_universe(tmp_path):
     assert "40401 candidate states" in report["result"]["error"]
     code, _ = run_json("po", "--chain", str(chain))
     assert code == 0
+
+
+def test_json_text_matches_json_dumps_on_golden_payloads(tmp_path, monkeypatch, capsys):
+    """Every value that the golden corpus's `--json` and `--format graph`
+    commands write goes through `_json_text`, whose text is that of
+    `json.dumps(indent=2, sort_keys=True)`."""
+    from ebltl import cli
+    from ebltl.oracle import corpus_root
+    from tests.test_golden import MANIFEST, write_mutant_chains
+
+    writer, payloads = cli._json_text, []
+
+    def recording(value, indent="\n"):  # the writer's own nested calls pass `indent`
+        if indent == "\n":
+            payloads.append(value)
+        return writer(value, indent)
+    monkeypatch.setattr(cli, "_json_text", recording)
+    write_mutant_chains(tmp_path)
+    monkeypatch.chdir(corpus_root())
+    monkeypatch.setenv("COLUMNS", "80")
+    written = 0
+    for row in json.loads(MANIFEST.read_text())["rows"]:
+        if "--json" in row["argv"] or "graph" in row["argv"]:
+            try:
+                cli.main([arg.replace("{mutants}", str(tmp_path)) for arg in row["argv"]])
+            except SystemExit:  # argparse's usage and help exits write no report
+                continue
+            written += 1
+    capsys.readouterr()
+    assert len(payloads) == written > 100
+    for value in payloads:
+        assert writer(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {"ascii": "plain", "non-ascii": "é ß 中 😀", "controls": "\x00\x1f\n\t\r\"\\\x7f",
+     "  key": "\ud800 lone surrogate", "": ""},
+    {}, [], (), "", {"a": {}, "b": [], "c": ((),), "d": [[{}]], "e": {"f": {}}},
+    (1, (2, [3, ()])), [True, False, None, 0, -1, 1], {"t": True, "f": False, "n": None},
+    [-2**63 - 1, -2**100, 2**64 + 1, 2**200], "top-level", 7, True, False, None,
+], ids=lambda v: type(v).__name__)
+def test_json_text_matches_json_dumps(value):
+    from ebltl.cli import _json_text
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0.0]}, {1, 2}, {"a": frozenset()}, {1: "int key"}, {"a": {2: 3}}, {"a": 1, 2: 3},
+], ids=["float", "nested-float", "set", "nested-frozenset", "int-key", "nested-int-key",
+        "mixed-keys"])
+def test_json_text_rejects_other_types(value):
+    from ebltl.cli import _json_text
+    with pytest.raises(TypeError):
+        _json_text(value)
