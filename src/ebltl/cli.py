@@ -176,7 +176,7 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     graph = require_feasible(explore(machine, _limits(args)))
     # explore raises at the first state that breaks the invariant or leaves
     # a declared domain, so every state of its graph has passed both checks
-    inv = GraphVerdict(True, detail=f"{len(graph.states)} states re-checked")
+    inv = GraphVerdict(True, detail=f"{len(graph.states)} states checked as explored")
     dead = check_deadlock_free(graph)
     graph_json = graph.to_json_dict()
     rep.result = {
@@ -193,7 +193,7 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     rep.say(f"{machine.name}: {len(graph.states)} state(s), "
             f"{len(graph.firings.targets)} edge(s), "
             f"{len(graph.deadlocks)} deadlock(s)")
-    rep.say(f"invariant: {'holds' if inv.holds else 'violated'}")
+    rep.say("invariant: holds")
     if args.verbose:
         for i in range(len(graph.states)):
             rep.say(f"  state {i}: {json.dumps(graph.state_json(i), sort_keys=True)}")

@@ -258,7 +258,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
         (("mc", str(VM_DIR / "vm4.eb"), "--prop", "phi2"), 0,
          "5cb3328ad3c05545139d18efe712687d118bfebce7890e74b0d8f8843d970d3b"),
         (("explore", str(VM_DIR / "vm4.eb")), 0,
-         "0ae6f26115ddd89a888c961b62b3ecea9231e3a437b63a574ecd35df5be553a2"),
+         "41e2cec35ddcee85ad6d184b94e3d8054424ea82111cdc003f4beddd2db2e4d3"),
         (("po", "--chain", str(VM_DIR / "chain.json")), 0,
          "0d85f5282f6a5d13ae6e94cd5d4b8b3b472ef59a476cfb8689a61e28347c0f2c"),
         (("strategy", "--chain", str(VM_DIR / "chain-vm1.json")), 0,
@@ -315,7 +315,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
         (("gf", "--chain", str(VM_DIR / "chain.json"), "--set", "capacity=3"), 0,
          "6c5e36af384bf50cdadcd54dcce7cf8e4ae5a1bf9121fbef7f3b4cbfa1f46bf4"),
         (("explore", str(VM_DIR / "vm4.eb"), "--format", "graph", "--set", "capacity=3"), 0,
-         "17da19179df62954aeeca08fd970ad4ddbba7466751542d66824c65fff833e88"),
+         "fe857e877f519feb919aff9d8ba610b04c90cce84e72b382e2eb7f5b679f043b"),
     ]
     for argv, code, digest in commands:
         runs = [
