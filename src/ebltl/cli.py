@@ -55,13 +55,13 @@ OK, FAILURE, BLOCKED, USAGE, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4, 70
 
 def _json_text(value, indent: str = "\n") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`; `indent` closes `value`."""
-    t, inner = type(value), indent + "  "
+    t = type(value)
     if t is str:
         return encode_basestring_ascii(value)
-    if t is int:
-        return repr(value)
-    if value is None or t is bool:
-        return "null" if value is None else "true" if value else "false"
+    if t is int or t is bool or value is None:
+        return repr(value) if t is int else \
+            "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
     if t is dict:  # a key other than a str raises TypeError
         items, ends = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
                        for k in sorted(value)], "{}"
@@ -69,7 +69,7 @@ def _json_text(value, indent: str = "\n") -> str:
         items, ends = [inner + _json_text(v, inner) for v in value], "[]"
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-    return ends[0] + ",".join(items) + indent + ends[1] if items else ends
+    return f"{ends[0]}{','.join(items)}{indent}{ends[1]}" if items else ends
 
 
 class _Reporter:
