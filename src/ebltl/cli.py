@@ -178,17 +178,17 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     # a declared domain, so every state of its graph has passed both checks
     inv = GraphVerdict(True, detail=f"{len(graph.states)} states checked as explored")
     dead = check_deadlock_free(graph)
-    graph_json = graph.to_json_dict()
-    rep.result = {
-        "graph": graph_json,
-        "invariant": inv.to_json_dict(),
-        "deadlock_free": dead.to_json_dict(),
-    }
     if rep.as_json:  # --json shows no text report, so none is built
+        rep.result = {
+            "graph": graph.to_json_dict(),
+            "invariant": inv.to_json_dict(),
+            "deadlock_free": dead.to_json_dict(),
+        }
         return OK
+    # the text report reads no JSON, apart from the graph's own for --format graph
     if args.format != "summary":
         rep.say(graph.edge_list_text().rstrip("\n") if args.format == "edgelist"
-                else _json_text(graph_json))
+                else _json_text(graph.to_json_dict()))
         return OK
     rep.say(f"{machine.name}: {len(graph.states)} state(s), "
             f"{len(graph.firings.targets)} edge(s), "

@@ -10,11 +10,11 @@ with deliberately different algorithms:
     a (position, subformula) pair only on demand.  The formula is first
     compiled (`_truth_program`) into its distinct subformulas in
     post-order, each naming its operands by index.  `_fill_truth_rows`
-    then settles a lasso's cycle on its own, with a fixpoint for Until,
-    and sweeps the prefix backwards in one pass, so a lasso with prefix u
-    and cycle v takes time linear in |u| + |v| per subformula (Markey &
-    Schnoebelen, "Model checking a path", CONCUR 2003).  A finite trace
-    is one backward sweep from its empty suffix.
+    fills every F, G and U row with one backward recurrence, Until's,
+    swept twice over a lasso's cycle and once over its prefix, so a lasso
+    with prefix u and cycle v takes time linear in |u| + |v| per
+    subformula (Markey & Schnoebelen, "Model checking a path", CONCUR
+    2003).  A finite trace is one backward sweep from its empty suffix.
   * `oracle_model_check` enumerates candidate executions of the graph
     directly -- deadlock-terminated walks and prefix+cycle lassos within
     length bounds -- and refutes on the first failing one.  No automaton is
@@ -110,23 +110,30 @@ def _fill_truth_rows(program: list[tuple], prefix: tuple, cycle: tuple = (),
     then `cycle`, filled bottom-up; their first entries are the column
     (each entry's truth value) at the first position.
 
-    A nonempty cycle repeats forever and is settled first, on its own:
-    every cycle position reaches every other, so F and G take their
-    operand's any and all there, and Until is a fixpoint over the cycle.
-    Then each temporal row is swept backwards over the prefix in one pass,
-    from the cycle's first position, or else from `after`, the column
-    after the prefix; with one prefix event that is a single step.  With
-    neither, the prefix is a finite trace ending in its empty suffix, which
-    reads the event None and is followed by nothing: past it, every G holds
-    and every F and U fails.
+    Every temporal row is one backward sweep of Until's recurrence,
+    `later = row[i] = b[i] or (a[i] and later)`: for `x U y`, a is x's row
+    and b is y's, from false; for `F x`, read as `true U x`, a is all true
+    and b is x's row, from false; for `G x`, its dual, a is x's row and b
+    is all false, from true.  A nonempty cycle repeats forever and is swept
+    twice, from its last position back to its first: a witness never needs
+    a second lap, so the first sweep is already exact at the cycle's first
+    position, and the second is exact everywhere.  The prefix is swept
+    once after it.  The starting value is also the value past a finite
+    trace's end, which reads the event None and is followed by nothing:
+    every G holds there and every F and U fails.  `after`, the column
+    after a prefix with no cycle, replaces it; with one prefix event that
+    is a single step.
     """
     p = len(prefix)
     n = p + len(cycle)
     events = prefix + cycle
+    yes, no = [True] * n, [False] * n
+    cycle_sweep = range(n - 1, p - 1, -1)
+    sweep = [*cycle_sweep, *cycle_sweep, *range(p - 1, -1, -1)]
     rows: list[list[bool]] = []
     for kind, left, right in program:
         if kind is TrueFormula:
-            row = [True] * n
+            row = yes
         elif kind is Atom:
             row = [e == left for e in events]
         elif kind is Not:
@@ -136,35 +143,17 @@ def _fill_truth_rows(program: list[tuple], prefix: tuple, cycle: tuple = (),
         elif kind is And:
             row = list(map(and_, rows[left], rows[right]))
         else:
-            a = rows[left]
-            row = list(rows[right] if kind is Until else a)
-            if p < n:  # settle the cycle
-                if kind is Finally:
-                    row[p:] = [any(a[p:])] * (n - p)
-                elif kind is Globally:
-                    row[p:] = [all(a[p:])] * (n - p)
-                else:
-                    changed = True
-                    while changed:
-                        changed = False
-                        for i in range(n - 1, p - 1, -1):
-                            if not row[i] and a[i] and row[i + 1 if i + 1 < n else p]:
-                                row[i] = changed = True
-                later = row[p]
-            elif after is not None:
+            if kind is Until:
+                a, b, later = rows[left], rows[right], False
+            elif kind is Finally:
+                a, b, later = yes, rows[left], False
+            else:  # Globally
+                a, b, later = rows[left], no, True
+            if after is not None and p == n:
                 later = after[len(rows)]
-            else:  # past a finite trace's end
-                later = kind is Globally
-            if kind is Finally:
-                for i in range(p - 1, -1, -1):
-                    later = row[i] = a[i] or later
-            elif kind is Globally:
-                for i in range(p - 1, -1, -1):
-                    later = row[i] = a[i] and later
-            else:  # Until
-                b = rows[right]
-                for i in range(p - 1, -1, -1):
-                    later = row[i] = b[i] or (a[i] and later)
+            row = [False] * n
+            for i in sweep:
+                later = row[i] = b[i] or (a[i] and later)
         rows.append(row)
     return rows
 
@@ -383,70 +372,34 @@ def _closed_walks(origin: int, moves, cycle_bound: int, limit: int
 def trace_realizable(graph: StateGraph, trace: Trace) -> bool:
     """Is the trace an actual maximal execution of the graph?
 
-    Subset stepping handles nondeterminism; for lassos the cycle must be
-    repeatable forever, i.e. the cycle-word relation reached from the
-    prefix must contain a cycle of graph states.
+    The set of states a run can be in is stepped event by event, which
+    handles nondeterminism.  A finite trace must leave a deadlock in the
+    final set.  A lasso reads its cycle word again and again: it is not
+    realizable once the set is empty, and it is once the set repeats at a
+    word boundary, or once the word has been read once per graph state,
+    since a run that long revisits a state between two readings.
     """
     return _realizable(graph, _sorted_moves(graph), trace)
 
 
 def _realizable(graph: StateGraph, moves, trace: Trace) -> bool:
     """`trace_realizable` over the graph's sorted move table."""
-    def step(states: set[int], event: str) -> set[int]:
-        out = set()
-        for s in states:
-            for ev, tgt in moves[s]:
-                if ev == event:
-                    out.add(tgt)
-        return out
-
-    cur = set(graph.initial)
-    for event in trace.prefix:
-        cur = step(cur, event)
-        if not cur:
-            return False
-    if not trace.is_lasso:
-        return not cur.isdisjoint(graph.deadlocks)
-
-    def cycle_step(s: int) -> set[int]:
-        states = {s}
-        for event in trace.cycle:
-            states = step(states, event)
-            if not states:
-                return set()
+    def read(states: frozenset[int], word: tuple[str, ...]) -> frozenset[int]:
+        for event in word:
+            states = frozenset(t for s in states for ev, t in moves[s] if ev == event)
         return states
 
-    # find a cycle in the "one full cycle-word" relation, starting from cur
-    reach: dict[int, set[int]] = {}
-    work = list(cur)
-    while work:
-        s = work.pop()
-        if s in reach:
-            continue
-        reach[s] = cycle_step(s)
-        work.extend(reach[s])
-    color: dict[int, int] = {}
-
-    def has_cycle(s: int) -> bool:
-        stack = [(s, iter(sorted(reach.get(s, ()))))]
-        color[s] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if color.get(succ) == 1:
-                    return True
-                if succ not in color:
-                    color[succ] = 1
-                    stack.append((succ, iter(sorted(reach.get(succ, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-        return False
-
-    return any(has_cycle(s) for s in sorted(cur) if s not in color)
+    states = read(frozenset(graph.initial), trace.prefix)
+    if not trace.is_lasso:
+        return not states.isdisjoint(graph.deadlocks)
+    seen: set[frozenset[int]] = set()
+    # with no graph state the loop never runs, and the empty set answers
+    for _ in graph.states:
+        if not states or states in seen:
+            return bool(states)
+        seen.add(states)
+        states = read(states, trace.cycle)
+    return bool(states)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +528,18 @@ def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
     # except in this comparison driver
     from .ltl import holds_on_trace, model_check
 
+    def replay(side: str, other: str, holds, cex: Trace):
+        """A counterexample must fail under the other side's evaluator and
+        be a trace of the graph."""
+        if holds(cex, phi):
+            raise ToolkitBug(
+                f"{subject}/{prop_name}: {side} counterexample satisfies "
+                f"the formula under the {other} evaluator: {cex.render()}")
+        if not _realizable(graph, tables.moves, cex):
+            raise ToolkitBug(
+                f"{subject}/{prop_name}: {side} counterexample is not a "
+                f"trace of the graph: {cex.render()}")
+
     main = model_check(graph, phi)
     note = ""
 
@@ -587,29 +552,14 @@ def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
             finite=max(base_bounds.finite, len(cex.prefix)),
             budget=base_bounds.budget,
         )
-        if oracle_holds_on(cex, phi):
-            raise ToolkitBug(
-                f"{subject}/{prop_name}: main counterexample satisfies the "
-                f"formula under the oracle evaluator: {cex.render()}")
-        if not _realizable(graph, tables.moves, cex):
-            raise ToolkitBug(
-                f"{subject}/{prop_name}: main counterexample is not a trace "
-                f"of the graph: {cex.render()}")
+        replay("main", "oracle", oracle_holds_on, cex)
 
     oracle_holds: Optional[bool]
     try:
         overdict = _enumerate(graph, tables, _truth_program(phi), bounds)
         oracle_holds = overdict.holds
         if not overdict.holds:
-            cex = overdict.counterexample
-            if holds_on_trace(cex, phi):
-                raise ToolkitBug(
-                    f"{subject}/{prop_name}: oracle counterexample satisfies "
-                    f"the formula under the main evaluator: {cex.render()}")
-            if not _realizable(graph, tables.moves, cex):
-                raise ToolkitBug(
-                    f"{subject}/{prop_name}: oracle counterexample is not a "
-                    f"trace of the graph: {cex.render()}")
+            replay("oracle", "main", holds_on_trace, overdict.counterexample)
     except EnumerationBudgetError:
         oracle_holds = None
         note = "oracle verdict withheld (budget); counterexample replay used instead"

@@ -505,27 +505,47 @@ def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
 LIFT_EXPECTED = json.loads((LIFT_DIR / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("expected", [
-    '{"machines": ',
-    json.dumps({k: v for k, v in LIFT_EXPECTED.items() if k != "properties"}),
-    "[]",
-    json.dumps({**LIFT_EXPECTED, "verdicts": [
+_MANIFEST_SHAPE = (' needs a "machines" map of file names, a "properties" file name and '
+                   'a "verdicts" list of objects with a "machine", a "property" and a '
+                   'boolean "holds"')
+
+
+@pytest.mark.parametrize("expected, message", [
+    ('{"machines": ', " is not valid JSON: "),
+    (json.dumps({k: v for k, v in LIFT_EXPECTED.items() if k != "properties"}),
+     _MANIFEST_SHAPE),
+    ("[]", _MANIFEST_SHAPE),
+    (json.dumps({**LIFT_EXPECTED, "verdicts": [
         {"machine": "Elevator", "property": "top_then_ground", "holds": True}]}),
-    json.dumps({**LIFT_EXPECTED, "verdicts": [
+     ": a verdict names the unknown machine 'Elevator'"),
+    (json.dumps({**LIFT_EXPECTED, "verdicts": [
         {"machine": "Lift", "property": "no_such_property", "holds": True}]}),
+     ": a verdict names the unknown property 'no_such_property'"),
+    (json.dumps({k: v for k, v in LIFT_EXPECTED.items() if k != "verdicts"}),
+     _MANIFEST_SHAPE),
+    (json.dumps({**LIFT_EXPECTED, "verdicts": {}}), _MANIFEST_SHAPE),
+    (json.dumps({**LIFT_EXPECTED, "verdicts": [
+        {"machine": "Lift", "property": "top_then_ground", "holds": "yes"}]}),
+     _MANIFEST_SHAPE),
 ], ids=["bad-json", "no-properties", "top-level-list", "unknown-machine",
-        "unknown-property"])
-def test_oracle_rejects_malformed_corpus_entry(tmp_path, expected):
-    """A malformed expected.json in an `oracle --corpus` directory is a
-    usage error, not a traceback."""
+        "unknown-property", "no-verdicts", "verdicts-not-a-list", "holds-not-boolean"])
+def test_oracle_rejects_malformed_corpus_entry(tmp_path, expected, message):
+    """A malformed expected.json in an `oracle --corpus` directory raises
+    its own EbltlError, and `oracle` prints that message as a usage error,
+    not a traceback."""
+    from ebltl.errors import EbltlError
+    from ebltl.oracle import load_entry
     entry = tmp_path / "lift"
     entry.mkdir()
     for name in ("lift.eb", "lift_prime.eb", "props.ltl"):
         (entry / name).write_text((LIFT_DIR / name).read_text())
     (entry / "expected.json").write_text(expected)
+    with pytest.raises(EbltlError) as caught:
+        load_entry(entry)
+    assert str(caught.value).startswith(f"{entry / 'expected.json'}{message}")
     code, out, err = run_cli("oracle", "--corpus", str(tmp_path))
     assert code == 3, out + err
-    assert "Traceback" not in out + err
+    assert out == f"error: {caught.value}\n" and not err
 
 
 def test_oracle_rejects_a_corpus_root_without_entries():

@@ -8,7 +8,8 @@ import shutil
 
 import pytest
 
-from ebltl.errors import EnumerationBudgetError
+from ebltl import cli, search
+from ebltl.errors import EnumerationBudgetError, ToolkitBug
 from ebltl.formulas import And, Atom, Formula, Globally, TRUE, parse_formula
 from ebltl.ltl import holds_on_trace, model_check
 import ebltl.oracle as oracle
@@ -359,3 +360,180 @@ def test_trace_invariants():
         Trace(LASSO, ("a",), ())  # a lasso needs a nonempty cycle
     with pytest.raises(ValueError):
         Trace(FINITE, ("a",), ("b",))  # a finite trace has no cycle
+
+
+def _reference_realizable(graph: StateGraph, trace) -> bool:
+    """Realizability read off the product of the graph with the trace's
+    positions: node (state, position) steps on the position's event to
+    (target, next position), the last cycle position wrapping to the first.
+    A lasso is realizable when a nontrivial component over cycle positions
+    is reachable from an initial state at position 0, a finite trace when
+    (deadlock, end) is."""
+    events = trace.prefix + trace.cycle
+    width = len(events) + 1
+    p = len(trace.prefix)
+
+    def after(pos: int) -> int:
+        return p if trace.is_lasso and pos + 1 == len(events) else pos + 1
+
+    adj: list[list] = [[] for _ in range(len(graph.states) * width)]
+    for s, out in enumerate(graph.moves):
+        for pos, event in enumerate(events):
+            for t, ev in out:
+                if ev == event:
+                    adj[s * width + pos] += [t * width + after(pos), ev]
+    comps = search.tarjan(len(adj), adj, [s * width for s in graph.initial])
+    if trace.is_lasso:
+        return any(search.nontrivial(comp, adj) and comp[0] % width >= p
+                   for comp in comps)
+    reached = {node for comp in comps for node in comp}
+    return any(d * width + len(events) in reached for d in graph.deadlocks)
+
+
+def _walk_events(rng: random.Random, graph: StateGraph, length: int) -> tuple:
+    """The events of a random walk from an initial state, cut at a deadlock."""
+    moves = graph.moves
+    state = rng.choice(graph.initial)
+    events = []
+    for _ in range(length):
+        if not moves[state]:
+            break
+        state, event = rng.choice(moves[state])
+        events.append(event)
+    return tuple(events)
+
+
+def test_trace_realizable_matches_a_product_reference():
+    """2 000 seeded graphs, from `random_graph` and `make_graph` with several
+    targets per label and from zero to two initial states, each with finite
+    and lasso traces drawn at random or read off a random walk: the stepped
+    state sets agree with realizability read off the graph-by-position
+    product."""
+    rng = random.Random(29)
+    alphabet = ["a", "b", "c"]
+    outcomes = {True: 0, False: 0}
+    for k in range(2_000):
+        if k % 2:
+            graph = random_graph(rng, rng.randint(2, 10), alphabet)
+        else:
+            n = rng.randint(1, 8)
+            edges = {(rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3 * n))}
+            graph = make_graph(n, sorted(rng.sample(range(n), rng.randint(0, min(2, n)))),
+                               sorted(edges), alphabet)
+        for _ in range(3):
+            if graph.initial and rng.random() < 0.5:
+                events = _walk_events(rng, graph, rng.randint(0, 7))
+            else:
+                events = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            cut = rng.randint(0, max(len(events) - 1, 0))
+            traces = [finite_trace(*events)]
+            if events:
+                traces.append(lasso(events[:cut], events[cut:]))
+            for trace in traces:
+                got = trace_realizable(graph, trace)
+                assert got == _reference_realizable(graph, trace), (graph.to_json_dict(), trace)
+                outcomes[got] += 1
+    assert min(outcomes.values()) > 1_000, outcomes
+
+
+def test_trace_realizable_reads_the_cycle_once_per_state():
+    """A path of k states in an n-state graph dies on the k-th reading of
+    its cycle word, k = n included, so the word is read once per graph
+    state before the lasso counts as realizable; on a ring of n states the
+    set changes on every reading until that bound, and the lasso holds."""
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            # the states past the path form a ring of their own
+            edges = [(i, "a", i + 1) for i in range(k - 1)]
+            edges += [(i, "a", i + 1 if i + 1 < n else k) for i in range(k, n)]
+            path = make_graph(n, [0], edges, ["a"])
+            assert not trace_realizable(path, lasso((), ("a",))), (n, k)
+            assert trace_realizable(path, finite_trace(*"a" * (k - 1))), (n, k)
+        ring = make_graph(n, [0], [(i, "a", (i + 1) % n) for i in range(n)], ["a"])
+        assert trace_realizable(ring, lasso((), ("a",)))
+        assert trace_realizable(ring, lasso(("a",) * n, ("a",) * n))
+        assert not trace_realizable(ring, finite_trace(*"a" * n))
+
+
+def test_trace_realizable_stops_when_the_set_repeats():
+    """A lasso whose state set repeats at a word boundary is settled there,
+    not after one reading per graph state."""
+    n = 500
+    graph = make_graph(n, [0], [(0, "a", 0)], ["a"])
+
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, s):
+            Counting.reads += 1
+            return super().__getitem__(s)
+
+    assert oracle._realizable(graph, Counting(oracle._sorted_moves(graph)),
+                              lasso((), ("a",)))
+    assert Counting.reads <= 2
+
+
+def test_trace_realizable_without_initial_states_or_known_events():
+    """A graph with no initial state, or with no state at all, realizes
+    nothing; neither does a trace reading an event outside the alphabet."""
+    for graph in (make_graph(2, [], [(0, "a", 0), (1, "a", 0)], ["a"]),
+                  make_graph(0, [], [], ["a"])):
+        assert not trace_realizable(graph, lasso((), ("a",)))
+        assert not trace_realizable(graph, finite_trace())
+    graph = make_graph(2, [0], [(0, "a", 0), (0, "b", 1)], ["a", "b"])
+    assert trace_realizable(graph, lasso((), ("a",)))
+    assert trace_realizable(graph, finite_trace("b"))
+    assert not trace_realizable(graph, lasso((), ("z",)))
+    assert not trace_realizable(graph, lasso(("a",), ("a", "z")))
+    assert not trace_realizable(graph, finite_trace("z"))
+
+
+@pytest.mark.parametrize("side, phi, message", [
+    ("main", TRUE, "main counterexample satisfies the formula under the oracle evaluator"),
+    ("main", Globally(Atom("a")), "main counterexample is not a trace of the graph"),
+    ("oracle", TRUE, "oracle counterexample satisfies the formula under the main evaluator"),
+    ("oracle", Globally(Atom("a")), "oracle counterexample is not a trace of the graph"),
+])
+def test_counterexample_replay_checks_truth_before_realizability(monkeypatch, side,
+                                                                  phi, message):
+    """A counterexample from either side is tested under the other side's
+    evaluator first and for realizability second: `z` never occurs in the
+    graph, so a counterexample reading it fails the second test, and under
+    TRUE it fails the first as well and is reported for that."""
+    import ebltl.ltl as ltl
+    graph = make_graph(1, [0], [(0, "a", 0)], ["a"])
+    bogus = lasso((), ("z",))
+    if side == "main":
+        monkeypatch.setattr(ltl, "model_check", lambda g, f: ltl.Verdict(False, bogus))
+    else:
+        monkeypatch.setattr(ltl, "model_check", lambda g, f: ltl.Verdict(True))
+        monkeypatch.setattr(oracle, "_enumerate",
+                            lambda *args: oracle.OracleVerdict(False, bogus))
+    with pytest.raises(ToolkitBug) as caught:
+        _compare_on("g", "phi", graph, phi, None, OracleBounds(), _GraphTables(graph))
+    assert str(caught.value) == f"g/phi: {message}: {bogus.render()}"
+
+
+def test_a_verdict_against_the_expectation_table_is_a_disagreement(tmp_path, capsys):
+    """A corpus entry whose table expects the opposite of a verdict both
+    checkers agree on reports that row as a disagreement, and `oracle`
+    exits 1 on it."""
+    directory = tmp_path / "vm"
+    shutil.copytree(corpus_root() / "vm", directory)
+    spec = json.loads((directory / "expected.json").read_text())
+    row = next(v for v in spec["verdicts"] if (v["machine"], v["property"]) == ("VM1", "phi4"))
+    assert row["holds"] is False
+    row["holds"] = True
+    (directory / "expected.json").write_text(json.dumps(spec))
+    report = cross_validate([load_entry(directory)])
+    assert [r.to_json_dict() for r in report.disagreements] == [{
+        "subject": "vm/VM1", "property": "phi4", "main": False, "oracle": False,
+        "expected": True, "agree": False,
+        "note": "main verdict contradicts the expectation table"}]
+    assert len(report.rows) == len(spec["verdicts"])
+    assert cli.main(["oracle", "--corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert ("DISAGREE vm/VM1 phi4: main=False oracle=False expected=True "
+            "main verdict contradicts the expectation table\n") in out
+    assert f"{len(report.rows)} comparison(s), 1 disagreement(s)" in out
