@@ -442,6 +442,35 @@ def test_usage_error_names_the_flag_value(tmp_path, capsys, argv, message):
     assert error == message.replace("{tmp}", str(tmp_path))
 
 
+_VM01 = [str(VM_DIR / "vm0.eb"), str(VM_DIR / "vm1.eb")]
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"machines": []}, "a chain needs at least one machine"),
+    ({"machines": [str(LIFT_DIR / "lift.eb"), str(LIFT_DIR / "lift_prime.eb")],
+      "links": [None, None]}, "chain {path} lists 2 machines but 2 links"),
+    ({"machines": _VM01, "links": [{"renaming": {"ghost": "dispenseItem"}}]},
+     "'ghost' is not a concrete event"),
+    ({"machines": _VM01, "links": [{"renaming": {"pay": "ghost"}}]},
+     "VM1.pay refines 'ghost', which is not an event of VM0"),
+    ({"name": "skips", "machines": [str(VM_DIR / "vm1.eb"), str(VM_DIR / "vm3.eb")]},
+     "VM3 declares refines 'VM2' but follows VM1 in chain 'skips'"),
+], ids=["no-machine", "links-count", "not-concrete", "unknown-abstract", "skipped-level"])
+def test_chain_manifest_error_message(tmp_path, capsys, manifest, message):
+    """A chain manifest that names no machine, lists the wrong number of
+    links, renames an event the concrete machine lacks or onto one the
+    abstract machine lacks, or skips a level exits 3 with one `error:`
+    line naming the fault, and the `--json` report carries the message."""
+    from ebltl.cli import main
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(manifest))
+    message = message.format(path=path)
+    assert main(["po", "--chain", str(path)]) == 3
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert main(["po", "--chain", str(path), "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"] == {"error": message}
+
+
 def _parse_outcome(parse, argv, capsys):
     """The namespace `parse` reads from `argv`, or its exit code, with what
     it printed."""
