@@ -30,13 +30,13 @@ the model checker cannot both be right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .automata import ProjectionProduct, TableauAutomaton, shortest, to_nnf
 from .errors import EbltlError, RenamingError, ToolkitBug
 from .formulas import (
-    And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
+    And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula,
     formula_to_text, or_all,
 )
 from .ltl import Verdict, alphabet, holds_on_trace, model_check
@@ -57,33 +57,14 @@ def translate_formula(phi: Formula, h: RenamingMap) -> Formula:
     the empty disjunction, written !true.  A singleton preimage stays a
     plain atom, so identity renamings translate a formula to itself.
     """
-    if isinstance(phi, TrueFormula):
-        return phi
     if isinstance(phi, Atom):
-        pre = h.preimage(phi.event)
-        return or_all([Atom(e) for e in pre])
-    if isinstance(phi, Not):
-        return Not(translate_formula(phi.operand, h))
-    if isinstance(phi, Or):
-        return Or(translate_formula(phi.left, h), translate_formula(phi.right, h))
-    if isinstance(phi, And):
-        return And(translate_formula(phi.left, h), translate_formula(phi.right, h))
-    if isinstance(phi, Until):
-        return Until(translate_formula(phi.left, h), translate_formula(phi.right, h))
-    if isinstance(phi, Finally):
-        return Finally(translate_formula(phi.operand, h))
-    if isinstance(phi, Globally):
-        return Globally(translate_formula(phi.operand, h))
-    raise TypeError(phi)
+        return or_all([Atom(e) for e in h.preimage(phi.event)])
+    return type(phi)(*(translate_formula(getattr(phi, f.name), h) for f in fields(phi)))
 
 
 def complete_renaming(h: RenamingMap) -> RenamingMap:
     """Total completion: identity on every concrete event outside dom(h)."""
-    mapping = h.mapping
-    for event in sorted(h.concrete_alphabet - h.domain()):
-        mapping[event] = event
-    return RenamingMap(tuple(sorted(mapping.items())), h.concrete_alphabet,
-                       h.abstract_alphabet | frozenset(h.concrete_alphabet - h.domain()))
+    return RenamingMap({e: e for e in h.new_events()} | h.mapping, h.concrete_alphabet)
 
 
 def map_trace(h: RenamingMap, u: Trace) -> Trace:
@@ -122,14 +103,15 @@ class DependenceVerdict:
                 "bounds": self.bounds, "detail": self.detail}
 
 
-def _atom_disjunction(phi: Formula) -> Optional[frozenset[str]]:
-    if isinstance(phi, Atom):
-        return frozenset({phi.event})
-    if isinstance(phi, Or):
-        left = _atom_disjunction(phi.left)
-        right = _atom_disjunction(phi.right)
-        if left is not None and right is not None:
-            return left | right
+def _atoms(phi: Formula) -> Optional[frozenset[str]]:
+    """The events of a disjunction of atoms; None for any other shape."""
+    match phi:
+        case Atom(event):
+            return frozenset({event})
+        case Or(left, right):
+            left, right = _atoms(left), _atoms(right)
+            if left is not None and right is not None:
+                return left | right
     return None
 
 
@@ -148,28 +130,16 @@ def _schema_atom(phi: Formula) -> bool:
     empty-suffix corner cases agree on both sides, so each shape evaluates
     identically on a trace and on its projection.
     """
-    if isinstance(phi, TrueFormula):
-        return True
-    if isinstance(phi, Globally):
-        inner = phi.operand
-        if isinstance(inner, Finally) and _atom_disjunction(inner.operand):
-            return True  # GF(D)
-        if isinstance(inner, Or):
-            # G(!D1 | F D2) in either operand order
-            for neg, pos in ((inner.left, inner.right), (inner.right, inner.left)):
-                if (isinstance(neg, Not) and _atom_disjunction(neg.operand)
-                        and isinstance(pos, Finally)
-                        and _atom_disjunction(pos.operand)):
-                    return True
-        return False
-    if isinstance(phi, Finally):
-        inner = phi.operand
-        if _atom_disjunction(inner):
-            return True  # F(D)
-        if isinstance(inner, Globally) and isinstance(inner.operand, Not) \
-                and _atom_disjunction(inner.operand.operand):
-            return True  # FG(!D)
-        return False
+    match phi:
+        case TrueFormula():
+            return True
+        # before F(D), which would take G !D for its D
+        case Finally(Globally(Not(d))) if _atoms(d) is not None:
+            return True
+        case Globally(Finally(d)) | Finally(d):
+            return _atoms(d) is not None
+        case Globally(Or(Not(d1), Finally(d2)) | Or(Finally(d2), Not(d1))):
+            return _atoms(d1) is not None and _atoms(d2) is not None
     return False
 
 
@@ -326,14 +296,21 @@ def _chain_hypotheses(chain: RefinementChain, graphs: list[StateGraph],
     return hyps
 
 
-def _cross_validate(conclusion: Formula, graph_n: StateGraph) -> Verdict:
-    verdict = model_check(graph_n, conclusion)
+def _settle(cert: Certificate, graph_n: StateGraph) -> Certificate:
+    """Drop the conclusion of a certificate that a failed hypothesis blocks;
+    otherwise model check it on the final graph and keep the verdict, which
+    must hold."""
+    if not cert.asserted:
+        cert.conclusion = None
+        return cert
+    verdict = model_check(graph_n, cert.conclusion)
     if not verdict.holds:
         raise ToolkitBug(
             "certificate asserts a conclusion the model checker refutes: "
-            f"{formula_to_text(conclusion)} with counterexample "
+            f"{formula_to_text(cert.conclusion)} with counterexample "
             f"{verdict.counterexample.render()}")
-    return verdict
+    cert.cross_validation = verdict
+    return cert
 
 
 def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph]) -> Certificate:
@@ -348,17 +325,11 @@ def apply_lemma_gf(chain: RefinementChain, graphs: list[StateGraph]) -> Certific
     hyps = _chain_hypotheses(chain, graphs)
     g = compose_renamings(chain, 1)
     events = g.preimage_set(chain.machines[0].alphabet())
-    conclusion = Globally(Finally(or_all([Atom(e) for e in events])))
-    lemma = 1 if g.is_identity() else 3
-    cert = Certificate(
-        lemma=lemma, chain=chain.name, machines=[m.name for m in chain.machines],
-        hypotheses=hyps, conclusion=conclusion,
-        bounds={"final_states": len(graphs[-1].states)})
-    if not cert.asserted:
-        cert.conclusion = None
-        return cert
-    cert.cross_validation = _cross_validate(conclusion, graphs[-1])
-    return cert
+    return _settle(Certificate(
+        lemma=1 if g.is_identity() else 3, chain=chain.name,
+        machines=[m.name for m in chain.machines], hypotheses=hyps,
+        conclusion=Globally(Finally(or_all([Atom(e) for e in events]))),
+        bounds={"final_states": len(graphs[-1].states)}), graphs[-1])
 
 
 def apply_preservation(chain: RefinementChain, i: int, phi: Formula,
@@ -403,17 +374,10 @@ def apply_preservation(chain: RefinementChain, i: int, phi: Formula,
         "contained" if not extra else f"outside events: {', '.join(sorted(extra))}"))
 
     g = compose_renamings(chain, i + 1)
-    conclusion = translate_formula(phi, g)
-    lemma = 2 if g.is_identity() else 4
-    cert = Certificate(
-        lemma=lemma, chain=chain.name,
+    return _settle(Certificate(
+        lemma=2 if g.is_identity() else 4, chain=chain.name,
         machines=[m.name for m in chain.machines[i:]],
-        hypotheses=hyps, conclusion=conclusion,
+        hypotheses=hyps, conclusion=translate_formula(phi, g),
         bounds={"level": i, "beta": sorted(beta),
                 "dependence": dependence.to_json_dict(),
-                "final_states": len(graphs[-1].states)})
-    if not cert.asserted:
-        cert.conclusion = None
-        return cert
-    cert.cross_validation = _cross_validate(conclusion, graphs[-1])
-    return cert
+                "final_states": len(graphs[-1].states)}), graphs[-1])

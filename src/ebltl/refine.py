@@ -67,11 +67,11 @@ PO_NAMES = ("FIS_REF", "GRD_REF", "INV_REF", "WFD_REF")
 @dataclass(frozen=True)
 class RenamingMap:
     """Partial map from concrete event names to the abstract events they
-    refine.  Events outside the domain are the new events."""
+    refine.  Events outside the domain are the new events.  Every reader
+    shares `mapping`, so nothing may change it."""
 
-    forward: tuple[tuple[str, str], ...]  # sorted (concrete, abstract) pairs
+    mapping: dict[str, str]  # concrete event -> the abstract event it refines
     concrete_alphabet: frozenset[str]
-    abstract_alphabet: frozenset[str]
 
     @staticmethod
     def make(mapping: dict[str, str], concrete_alphabet, abstract_alphabet) -> "RenamingMap":
@@ -82,31 +82,26 @@ class RenamingMap:
                 raise RenamingError(f"{conc!r} is not a concrete event")
             if abs_ not in abstract_alphabet:
                 raise RenamingError(f"{conc!r} refines unknown abstract event {abs_!r}")
-        return RenamingMap(tuple(sorted(mapping.items())),
-                           concrete_alphabet, abstract_alphabet)
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.forward)
+        return RenamingMap(dict(mapping), concrete_alphabet)
 
     def apply(self, event: str) -> Optional[str]:
         return self.mapping.get(event)
 
     def domain(self) -> frozenset[str]:
-        return frozenset(c for c, _ in self.forward)
+        return frozenset(self.mapping)
 
     def new_events(self) -> tuple[str, ...]:
-        return tuple(sorted(self.concrete_alphabet - self.domain()))
+        return tuple(sorted(self.concrete_alphabet - self.mapping.keys()))
 
     def preimage(self, abstract_event: str) -> tuple[str, ...]:
-        return tuple(sorted(c for c, a in self.forward if a == abstract_event))
+        return self.preimage_set((abstract_event,))
 
     def preimage_set(self, events) -> tuple[str, ...]:
         target = frozenset(events)
-        return tuple(sorted(c for c, a in self.forward if a in target))
+        return tuple(sorted(c for c, a in self.mapping.items() if a in target))
 
     def is_identity(self) -> bool:
-        return all(c == a for c, a in self.forward)
+        return all(c == a for c, a in self.mapping.items())
 
     def then(self, step: "RenamingMap") -> "RenamingMap":
         """Sequential composition: apply self first, then `step`.
@@ -114,22 +109,16 @@ class RenamingMap:
         self : B -> A and step : A -> Z give B -> Z, undefined wherever
         either stage is undefined.
         """
-        mapping = {}
-        for conc, mid in self.forward:
-            out = step.apply(mid)
-            if out is not None:
-                mapping[conc] = out
-        return RenamingMap(tuple(sorted(mapping.items())),
-                           self.concrete_alphabet, step.abstract_alphabet)
+        return RenamingMap({c: step.mapping[m] for c, m in self.mapping.items()
+                            if m in step.mapping}, self.concrete_alphabet)
 
     @staticmethod
     def identity(alphabet) -> "RenamingMap":
         alphabet = frozenset(alphabet)
-        return RenamingMap(tuple(sorted((e, e) for e in alphabet)), alphabet, alphabet)
+        return RenamingMap({e: e for e in alphabet}, alphabet)
 
     def to_json_dict(self) -> dict:
-        return {"map": {c: a for c, a in self.forward},
-                "new_events": list(self.new_events())}
+        return {"map": dict(self.mapping), "new_events": list(self.new_events())}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +305,7 @@ def check_strategy(chain: RefinementChain) -> StrategyReport:
         abstract, concrete = machines[k], machines[k + 1]
         renaming = link.renaming
         # rule 2: every abstract event is refined by at least one event
-        refined = {a for _, a in renaming.forward}
+        refined = set(renaming.mapping.values())
         for name in abstract.alphabet():
             if name not in refined:
                 violate(2, abstract, name,
@@ -571,9 +560,8 @@ def check_ca(graph: StateGraph, convergent, ordinary) -> CAVerdict:
     in C and O; they never occur, so they never matter."""
     convergent = frozenset(convergent)
     ordinary = frozenset(ordinary)
-    parent = graph.tree[0]
     steps = [(src, event, targets) for src, event, _params, targets in graph.firings
-             if event not in ordinary and parent[src] != -2]
+             if event not in ordinary and graph.reached(src)]
     keep: list[list] = [[] for _ in graph.states]  # flat, as `search.tarjan` reads
     for src, event, targets in steps:
         keep[src].extend(v for t in targets for v in (t, event))

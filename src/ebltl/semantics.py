@@ -456,9 +456,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     states: list[tuple] = []
     parent, via = array("i"), []  # the breadth-first tree, as `search.path_to` reads it
 
-    def add_state(state: tuple, src: int, event: str | None) -> int:
-        if state in index:
-            return index[state]
+    def add_state(state: tuple, src: int, event: str | None) -> int:  # a state not in index
         if len(states) >= limits.max_states:
             raise ExplorationLimitError(
                 f"state count exceeded the limit of {limits.max_states}")
@@ -478,10 +476,10 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
                 state=dict(zip(var_names, state)), path=path)
         return idx
 
-    init_states = compiled.init()
+    init_states = dict.fromkeys(compiled.init())  # each once, in order
     if not init_states:
         raise InvariantViolation(f"init of {machine.name} admits no state")
-    initial = dict.fromkeys(add_state(state, -1, None) for state in init_states)
+    initial = [add_state(state, -1, None) for state in init_states]
 
     src = 0  # ids are the discovery order, so walking them is breadth-first
     while src < len(states):

@@ -263,8 +263,7 @@ class _Checker:
             extra[p.name] = _sem_type(resolved)
         return {**env, **extra}
 
-    def check_actions(self, actions, env: dict, targets: list, event: Event,
-                      init_mode: bool) -> None:
+    def check_actions(self, actions, env: dict, targets: list, init_mode: bool) -> None:
         for a in actions:
             if isinstance(a, Assign):
                 if a.target not in self.sym.var_types:
@@ -284,14 +283,14 @@ class _Checker:
                     for name in free_names(a.where):
                         if name in self.sym.var_types:
                             self.error("init expressions cannot read variables", a)
-                self.check_actions(a.actions, inner_env, targets, event, init_mode)
+                self.check_actions(a.actions, inner_env, targets, init_mode)
 
     def check_event(self, ev: Event, init_mode: bool = False) -> None:
         env = self.param_env(ev.params, base_env(self.sym), set())
         if ev.guard is not None:
             self.check(ev.guard, BOOL, env)
         targets: list[str] = []
-        self.check_actions(ev.actions, env, targets, ev, init_mode)
+        self.check_actions(ev.actions, env, targets, init_mode)
         if init_mode:
             missing = set(self.sym.var_types) - set(targets)
             if missing:

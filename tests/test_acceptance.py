@@ -191,7 +191,7 @@ def test_criterion_8_appendix_properties():
     # completion leaves the translation of range-only formulas untouched
     for _ in range(300):
         h = rand_renaming()
-        ran = sorted({a for _, a in h.forward})
+        ran = sorted(set(h.mapping.values()))
         phi = random_formula(rng, ran, rng.randint(0, 4))
         assert translate_formula(phi, h) == \
             translate_formula(phi, complete_renaming(h))
@@ -200,7 +200,7 @@ def test_criterion_8_appendix_properties():
     failures = 0
     for _ in range(1000):
         h = rand_renaming()
-        ran = sorted({a for _, a in h.forward})
+        ran = sorted(set(h.mapping.values()))
         phi = random_formula(rng, ran, rng.randint(0, 4))
         u = rand_trace(sorted(h.domain()))
         if holds_on_trace(u, translate_formula(phi, h)) != \
@@ -217,7 +217,7 @@ def test_criterion_8_appendix_properties():
         for _ in range(30):
             h = rand_renaming()
             out = translate_formula(phi, h)
-            pre = h.preimage_set(alphabet(phi) & frozenset(a for _, a in h.forward))
+            pre = h.preimage_set(alphabet(phi) & frozenset(h.mapping.values()))
             sigma = tuple(sorted(h.domain() | frozenset(h.concrete_alphabet)))
             for u in _bounded_traces(sigma, 2, 2):
                 assert holds_on_trace(u, out) == \

@@ -92,6 +92,17 @@ def test_completion_of_total_map_is_itself():
     assert complete_renaming(ident).mapping == ident.mapping
 
 
+def test_the_map_cannot_be_changed_from_outside():
+    """`make` keeps its own copy of the dict it is given, and completion
+    builds a new map, leaving the one it completes as it was."""
+    given = {"a": "A"}
+    h = RenamingMap.make(given, (e for e in "ab"), (e for e in "A"))
+    given["b"] = "A"
+    assert h.mapping == {"a": "A"} and h.new_events() == ("b",)
+    assert complete_renaming(h).mapping == {"a": "A", "b": "b"}
+    assert h.mapping == {"a": "A"} and h.new_events() == ("b",)
+
+
 def test_completion_of_empty_map_is_identity():
     empty = RenamingMap.make({}, {"a", "b"}, set())
     total = complete_renaming(empty)
@@ -104,7 +115,7 @@ def test_lemma_translation_unchanged_by_completion():
     rng = random.Random(21)
     for _ in range(300):
         h = random_renaming(rng)
-        ran = sorted({a for _, a in h.forward})
+        ran = sorted(set(h.mapping.values()))
         phi = random_formula(rng, ran, rng.randint(0, 4))
         assert translate_formula(phi, h) == translate_formula(phi, complete_renaming(h))
 
@@ -145,7 +156,7 @@ def test_lemma_trace_translation_equivalence():
     for _ in range(1000):
         h = random_renaming(rng)
         total = complete_renaming(h)
-        ran = sorted({a for _, a in h.forward})
+        ran = sorted(set(h.mapping.values()))
         phi = random_formula(rng, ran, rng.randint(0, 4))
         u = random_trace_over(rng, sorted(h.domain()))
         lhs = holds_on_trace(u, translate_formula(phi, h))
@@ -271,8 +282,10 @@ def test_schema_shapes():
     certified = [
         "G F [a]", "F G !([a] | [b])", "G([a] => F [b])", "F [a]", "true",
         "(G F [a]) & !(F [b])", "G(([a] | [b]) => F([c] | [d]))",
+        "G(F [b] | ![a])",
     ]
-    rejected = ["[a]", "G [a]", "[a] U [b]", "G([a] => [b])", "F G [a]"]
+    rejected = ["[a]", "G [a]", "[a] U [b]", "G([a] => [b])", "F G [a]",
+                "G(![a] | F ![b])", "G F ([a] & [b])", "F G ![a] | [b]"]
     for text in certified:
         assert _schema_certified(parse_formula(text)), text
     for text in rejected:

@@ -99,6 +99,19 @@ def test_state_limit():
         explore(m, ExploreLimits(max_states=10))
 
 
+def test_repeated_initial_states_are_admitted_once():
+    """An initialisation that lists one state twice gives one initial
+    state, and the repeat takes no room under the state bound."""
+    m = parse_machine(
+        "machine Twice\nvariables\n  x : 0..1\n"
+        "events\n  event init then any p : 0..1 where true then x := 0 end end\n"
+        "  event flip\n    status ordinary\n    then x := 1 - x end\nend")
+    assert compile_machine(m).init() == [(0,), (0,)]
+    g = explore(m, ExploreLimits(max_states=2))
+    assert g.initial == (0,)
+    assert g.states == [(0,), (1,)]
+
+
 def test_infeasible_choice_is_an_error_by_default():
     m = parse_machine(
         "machine Stuck\ncarriers\n  IT = { a }\nvariables\n  s : set of IT\n"
