@@ -16,7 +16,12 @@ top-level usage errors still go through the full parser.
 
 `--json` reports and `explore --format graph` are written by `_json_text`:
 the text of `json.dumps(indent=2, sort_keys=True)` for dicts with str keys,
-lists, tuples, str, int, bool and None, with the C string encoder.
+lists, tuples, str, int, bool and None, with the C string encoder.  A
+report that holds a graph (`explore --json`, `--format graph` and
+`--format edgelist`) is written as it is read from the graph's record of
+firings and its state tuples, in pieces of at most `_BATCH` states or
+edges, so neither its dict form nor its whole text is ever held; every
+other report is one `_json_text` call.
 """
 from __future__ import annotations
 
@@ -26,8 +31,11 @@ import os
 import re
 import sys
 import warnings
+from functools import partial
+from itertools import chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import (
@@ -47,7 +55,8 @@ from .refine import (
     explore_chain, load_chain,
 )
 from .semantics import (
-    ExploreLimits, GraphVerdict, check_deadlock_free, explore, require_feasible,
+    ExploreLimits, GraphVerdict, StateGraph, check_deadlock_free, explore,
+    require_feasible, value_to_json,
 )
 
 OK, FAILURE, BLOCKED, USAGE, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4, 70
@@ -72,19 +81,122 @@ def _json_text(value, indent: str = "\n") -> str:
     return f"{ends[0]}{','.join(items)}{indent}{ends[1]}" if items else ends
 
 
+# the most states, edges or edge-list lines in one piece of a graph report
+_BATCH = 4096
+
+
+def _batches(texts: Iterator[str]) -> Iterator[list[str]]:
+    while batch := list(islice(texts, _BATCH)):
+        yield batch
+
+
+def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
+    """The text of `_json_text(value, indent)` in pieces, with any
+    `StateGraph` in it written as its `to_json_dict()`: a dict key by key,
+    a graph's fields from `_graph_fields`, an item writer (a callable from
+    the item indent to the items' texts) as their list in pieces of at most
+    `_BATCH` items, and anything else in one piece."""
+    if type(value) is StateGraph:
+        value = _graph_fields(value)
+    if callable(value):
+        opening = "["
+        for batch in _batches(value(indent + "  ")):
+            yield opening + ",".join(batch)
+            opening = ","
+        yield "[]" if opening == "[" else indent + "]"
+    elif type(value) is dict and value:
+        inner, opening = indent + "  ", "{"
+        for k in sorted(value):
+            yield f"{opening}{inner}{encode_basestring_ascii(k)}: "
+            yield from _json_chunks(value[k], inner)
+            opening = ","
+        yield indent + "}"
+    else:
+        yield _json_text(value, indent)
+
+
+def _graph_fields(graph: StateGraph) -> dict:
+    """The fields of `graph.to_json_dict()`, with item writers in place of
+    its state and edge lists, so that neither list is built."""
+    return {
+        "machine": graph.machine.name if graph.machine else None,
+        "variables": list(graph.var_names),
+        "states": partial(_state_texts, graph),
+        "initial": list(graph.initial),
+        "edges": partial(_edge_texts, graph),
+        "deadlocks": list(graph.deadlocks),
+        "alphabet": list(graph.alphabet),
+        "bounds": graph.bounds,
+    }
+
+
+def _state_texts(graph: StateGraph, indent: str) -> Iterator[str]:
+    """Each state's JSON object at `indent`, from its tuple.  Each distinct
+    value of a variable is rendered once, keyed by its type and value, since
+    `True == 1`; a repeated variable name keeps its last value, as in a dict."""
+    key, close = indent + "  ", indent + "}"
+    slots = {name: i for i, name in enumerate(graph.var_names)}
+    columns = [(slots[name], f"{key}{encode_basestring_ascii(name)}: ", {})
+               for name in sorted(slots)]
+    for state in graph.states:
+        parts = []
+        for i, head, texts in columns:
+            value = state[i]
+            text = texts.get((type(value), value))
+            if text is None:
+                text = texts[type(value), value] = head + _json_text(value_to_json(value), key)
+            parts.append(text)
+        yield f"{indent}{{{','.join(parts)}{close}" if parts else indent + "{}"
+
+
+def _edge_texts(graph: StateGraph, indent: str) -> Iterator[str]:
+    """Each edge's JSON object at `indent`, in record order.  The text up to
+    its source is rendered once per event and valuation object: an explored
+    graph's valuations are tuples shared by its compiled parameter tables,
+    and identity never takes `True` for `1`."""
+    record, key = graph.firings, indent + "  "
+    events = [encode_basestring_ascii(name) for name in record.events]
+    heads: dict[tuple[int, int], str] = {}
+    tgt, close = f',{key}"tgt": ', indent + "}"
+    targets = record.targets
+    for src, e, params, (a, b) in zip(record.src, record.event, record.params,
+                                      pairwise(record.start)):
+        head = heads.get((e, id(params)))
+        if head is None:
+            valuation = _json_text([[n, value_to_json(v)] for n, v in params], key)
+            head = heads[e, id(params)] = (f'{indent}{{{key}"event": {events[e]},'
+                                           f'{key}"params": {valuation},{key}"src": ')
+        for t in targets[a:b]:
+            yield f"{head}{src}{tgt}{t}{close}"
+
+
+def _edge_list_chunks(graph: StateGraph) -> Iterator[str]:
+    """`graph.edge_lines()` in pieces of at most `_BATCH` lines; a graph
+    without edges gives one empty line."""
+    empty = True
+    for batch in _batches(graph.edge_lines()):
+        yield "".join(batch)
+        empty = False
+    if empty:
+        yield "\n"
+
+
 class _Reporter:
     def __init__(self, command: str, as_json: bool):
         self.command = command
         self.as_json = as_json
         self.lines: list[str] = []
         self.result: dict = {}
+        self.pieces: Iterable[str] | None = None  # a text report written piece by piece
 
     def say(self, text: str):
         self.lines.append(text)
 
     def emit(self, exit_code: int) -> int:
         """Write the report; a reader that closes the pipe early (`| head`)
-        ends the output quietly, and the command keeps its exit code."""
+        ends the output quietly, and the command keeps its exit code.  A
+        result that holds a graph, and a text report set as `pieces`, are
+        written piece by piece; every other report in one write."""
         if self.as_json:
             envelope = {
                 "tool": "ebltl",
@@ -93,11 +205,15 @@ class _Reporter:
                 "exit": exit_code,
                 "result": self.result,
             }
-            text = _json_text(envelope) + "\n"
+            if any(type(v) is StateGraph for v in self.result.values()):
+                pieces = chain(_json_chunks(envelope), ("\n",))
+            else:
+                pieces = (_json_text(envelope) + "\n",)
         else:
-            text = "".join(line + "\n" for line in self.lines)
+            pieces = self.pieces or ("".join(line + "\n" for line in self.lines),)
         try:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
             sys.stdout.flush()
         except BrokenPipeError:
             # what is still buffered goes to devnull at the flush at shutdown
@@ -178,17 +294,18 @@ def _cmd_explore(args, rep: _Reporter) -> int:
     # a declared domain, so every state of its graph has passed both checks
     inv = GraphVerdict(True, detail=f"{len(graph.states)} states checked as explored")
     dead = check_deadlock_free(graph)
+    # both verdicts, and with them `graph.deadlocks`, are computed before the
+    # report's first byte; the graph is written as it is read (`_json_chunks`)
     if rep.as_json:  # --json shows no text report, so none is built
         rep.result = {
-            "graph": graph.to_json_dict(),
+            "graph": graph,
             "invariant": inv.to_json_dict(),
             "deadlock_free": dead.to_json_dict(),
         }
         return OK
-    # the text report reads no JSON, apart from the graph's own for --format graph
     if args.format != "summary":
-        rep.say(graph.edge_list_text().rstrip("\n") if args.format == "edgelist"
-                else _json_text(graph.to_json_dict()))
+        rep.pieces = _edge_list_chunks(graph) if args.format == "edgelist" \
+            else chain(_json_chunks(graph), ("\n",))
         return OK
     rep.say(f"{machine.name}: {len(graph.states)} state(s), "
             f"{len(graph.firings.targets)} edge(s), "

@@ -25,8 +25,11 @@ keeps that tree as two lists indexed by state (`StateGraph.tree`).
 The graph stores one record, `StateGraph.firings` (`FiringRecord`): every
 enabled firing, once, in flat arrays with no tuple per firing, grouped by
 source state (exploration order for an explored graph).  The successor
-table that every product reads (`moves`), its labels, the deadlocks, the
-edge views and the reports are all derived from it, in record order.  A
+table that every product reads (`moves`), its labels, the deadlocks and the
+edge views are all derived from it, in record order, and `explore`'s graph
+reports (`cli`) are written as they are read from it and from the state
+tuples, a bounded piece at a time; `StateGraph.to_json_dict` is the dict
+form those reports are tested against, and no command builds it.  A
 firing whose bounded choice admits no value has no after-state ids and
 adds no transition, so one exploration serves both the commands that
 reject it (`require_feasible`) and the refinement obligations, which read
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise, product
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EvalError, ExplorationLimitError, InvariantViolation
 from .machine_ast import (
@@ -404,6 +407,8 @@ class StateGraph:
         return {n: value_to_json(v) for n, v in zip(self.var_names, self.states[i])}
 
     def to_json_dict(self) -> dict:
+        """The graph report's dict form: the reference that `cli`'s writer,
+        which reads the record, is tested against."""
         return {
             "machine": self.machine.name if self.machine else None,
             "variables": list(self.var_names),
@@ -419,10 +424,14 @@ class StateGraph:
             "bounds": self.bounds,
         }
 
-    def edge_list_text(self) -> str:
-        """One `src event tgt` line per edge, for external graph tools."""
-        return "".join(f"{src} {event} {t}\n"
-                       for src, event, _params, targets in self.firings for t in targets)
+    def edge_lines(self) -> Iterator[str]:
+        """One `src event tgt` line per edge, in record order, for external
+        graph tools, each built as it is read."""
+        record = self.firings
+        for src, e, (a, b) in zip(record.src, record.event, pairwise(record.start)):
+            head = f"{src} {record.events[e]} "
+            for t in record.targets[a:b]:
+                yield f"{head}{t}\n"
 
 
 def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
@@ -533,6 +542,8 @@ class GraphVerdict:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
+        """The graph report's dict form: the reference that `cli`'s writer,
+        which reads the record, is tested against."""
         return {"holds": self.holds, "witness_state": self.witness_state,
                 "witness_path": self.witness_path, "detail": self.detail}
 

@@ -74,6 +74,24 @@ def test_closed_pipe_ends_quietly():
     assert first == b"VM4: 3172 state(s), 9638 edge(s), 0 deadlock(s)\n"
 
 
+@pytest.mark.parametrize("argv, first_line", [
+    (["--json"], b"{\n"), (["--format", "edgelist"], b"0 pay 1\n"),
+], ids=["json", "edgelist"])
+def test_closed_pipe_ends_quietly_on_streamed_reports(argv, first_line):
+    """The graph reports written piece by piece from the record end as the
+    text report does when the reader stops after one line."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ebltl.cli", "explore", str(VM_DIR / "vm4.eb"),
+         "--set", "capacity=12", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert first == first_line
+
+
 def test_explore_invariant_violation_exit_1(tmp_path):
     bad = tmp_path / "bad.eb"
     bad.write_text(
@@ -607,21 +625,40 @@ def test_po_bound_states_covers_the_abstract_universe(tmp_path):
     assert code == 0
 
 
+def as_dicts(value):
+    """`value` with each graph in it as its dict form, `to_json_dict()`."""
+    from ebltl.semantics import StateGraph
+    if isinstance(value, StateGraph):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {k: as_dicts(v) for k, v in value.items()}
+    return value
+
+
 def test_json_text_matches_json_dumps_on_golden_payloads(tmp_path, monkeypatch, capsys):
     """Every value that the golden corpus's `--json` and `--format graph`
     commands write goes through `_json_text`, whose text is that of
-    `json.dumps(indent=2, sort_keys=True)`."""
+    `json.dumps(indent=2, sort_keys=True)`, or, when it holds a graph,
+    through `_json_chunks`, whose pieces join to that text of the value
+    with each graph as its `to_json_dict()`."""
     from ebltl import cli
     from ebltl.oracle import corpus_root
     from tests.test_golden import MANIFEST, write_mutant_chains
 
     writer, payloads = cli._json_text, []
+    chunks, streamed = cli._json_chunks, []
 
     def recording(value, indent="\n"):  # the writer's own nested calls pass `indent`
         if indent == "\n":
             payloads.append(value)
         return writer(value, indent)
+
+    def recording_chunks(value, indent="\n"):
+        if indent == "\n":
+            streamed.append(value)
+        return chunks(value, indent)
     monkeypatch.setattr(cli, "_json_text", recording)
+    monkeypatch.setattr(cli, "_json_chunks", recording_chunks)
     write_mutant_chains(tmp_path)
     monkeypatch.chdir(corpus_root())
     monkeypatch.setenv("COLUMNS", "80")
@@ -634,9 +671,12 @@ def test_json_text_matches_json_dumps_on_golden_payloads(tmp_path, monkeypatch, 
                 continue
             written += 1
     capsys.readouterr()
-    assert len(payloads) == written > 100
+    assert len(payloads) + len(streamed) == written > 100
+    assert len(streamed) > 20  # explore's --json and --format graph rows
     for value in payloads:
         assert writer(value) == json.dumps(value, indent=2, sort_keys=True)
+    for value in streamed:
+        assert "".join(chunks(value)) == json.dumps(as_dicts(value), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [
@@ -659,3 +699,83 @@ def test_json_text_rejects_other_types(value):
     from ebltl.cli import _json_text
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def edge_list_text(graph) -> str:
+    """The edge list as `StateGraph.edge_list_text` wrote it before the
+    report was written from the record: one `src event tgt` line per edge."""
+    return "".join(f"{src} {event} {t}\n"
+                   for src, event, _params, targets in graph.firings for t in targets)
+
+
+def hand_built_graphs():
+    from types import SimpleNamespace
+
+    from ebltl.semantics import FiringRecord, StateGraph, make_graph
+    mixed = StateGraph(  # states holding both True and 1, set-valued and parameterised firings
+        machine=SimpleNamespace(name="Caf\u00e9 \u4e2d"), var_names=("n", "flag", "s"),
+        states=[(1, True, frozenset()), (True, 1, frozenset({"b", "a"})),
+                (0, False, frozenset({"a"}))],
+        initial=(0,),
+        firings=FiringRecord(["go", "pick", "\u00e9v"], [
+            (0, "go", (("x", True),), (1,)), (0, "go", (("x", 1),), (1, 2)),
+            (1, "pick", (("s", frozenset({"b", "a"})), ("k", 0)), (0,)),
+            (1, "pick", (("s", frozenset()), ("k", False)), ()),
+            (2, "\u00e9v", (), (2, 0)), (1, "go", (("x", True),), (2,))]),
+        alphabet=("go", "pick", "\u00e9v"), bounds={"max_states": 3, "reached_states": 3})
+    return {
+        "make_graph": make_graph(4, [0, 2], [(0, "a", 1), (1, "b", 0), (2, "a", 2), (1, "a", 3)],
+                                 {"a", "b", "c"}),
+        "no-firings": make_graph(2, [0], [], ()),
+        "no-states": make_graph(0, [], [], ()),
+        "mixed": mixed,
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4096])
+@pytest.mark.parametrize("name", ["make_graph", "no-firings", "no-states", "mixed"])
+def test_graph_writer_matches_json_dumps_on_hand_built_graphs(monkeypatch, name, batch):
+    """The writer's pieces join to `json.dumps` of the graph's dict form, at
+    the top level and nested in a report, for any piece size; the edge list
+    is the old `edge_list_text`, or one empty line for a graph without edges."""
+    from ebltl import cli
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    graph = hand_built_graphs()[name]
+    for value in (graph, {"result": {"graph": graph, "z": [1]}, "a": {}}):
+        assert "".join(cli._json_chunks(value)) == \
+            json.dumps(as_dicts(value), indent=2, sort_keys=True)
+    pieces = list(cli._edge_list_chunks(graph))
+    assert "".join(pieces) == (edge_list_text(graph) or "\n")
+    assert all(piece.count("\n") <= batch for piece in pieces)
+
+
+class Writes(list):
+    """A stdout that keeps each write apart."""
+    write = list.append
+
+    def flush(self):
+        pass
+
+
+def test_graph_reports_are_written_in_bounded_pieces(monkeypatch):
+    """`explore` writes a graph report to stdout a piece at a time, none
+    holding more than `_BATCH` edges, and the bytes are those of the dict
+    form and of the old edge list."""
+    from ebltl import cli
+    from ebltl.machine_parser import parse_machine_file
+    from ebltl.semantics import explore
+    monkeypatch.setattr(cli, "_BATCH", 100)
+    graph = explore(parse_machine_file(VM_DIR / "vm4.eb", {"capacity": 3}))
+    as_json = json.dumps(graph.to_json_dict(), indent=2, sort_keys=True)
+    for argv, lines_per_edge in [(["--json"], 16), (["--format", "graph"], 16),
+                                 (["--format", "edgelist"], 1)]:
+        writes = Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert cli.main(["explore", str(VM_DIR / "vm4.eb"), "--set", "capacity=3", *argv]) == 0
+        text = "".join(writes)
+        if argv == ["--json"]:
+            assert json.loads(text)["result"]["graph"] == json.loads(as_json)
+        else:
+            assert text == (as_json + "\n" if argv[1] == "graph" else edge_list_text(graph))
+        assert len(writes) > len(graph.firings.targets) // 100
+        assert max(w.count("\n") for w in writes) <= 100 * lines_per_edge

@@ -308,7 +308,7 @@ def test_unreachable_deadlocks_do_not_count():
 
 
 def test_edge_list_format(vm_graphs):
-    text = vm_graphs["VM0"].edge_list_text()
+    text = "".join(vm_graphs["VM0"].edge_lines())
     lines = text.strip().split("\n")
     assert len(lines) == 6
     src, event, tgt = lines[0].split()
