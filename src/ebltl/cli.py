@@ -91,11 +91,11 @@ def _batches(texts: Iterator[str]) -> Iterator[list[str]]:
 
 
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
-    """The text of `_json_text(value, indent)` in pieces, with any
-    `StateGraph` in it written as its `to_json_dict()`: a dict key by key,
-    a graph's fields from `_graph_fields`, an item writer (a callable from
-    the item indent to the items' texts) as their list in pieces of at most
-    `_BATCH` items, and anything else in one piece."""
+    """The text of `_json_text(value, indent)`, with each `StateGraph` in
+    `value` taken as its `to_json_dict()`, in pieces: a dict key by key, a
+    graph as its `_graph_fields`, an item writer (a callable from the items'
+    indent to their texts) as a list of at most `_BATCH` items a piece, and
+    anything else whole."""
     if type(value) is StateGraph:
         value = _graph_fields(value)
     if callable(value):
@@ -133,7 +133,7 @@ def _graph_fields(graph: StateGraph) -> dict:
 def _state_texts(graph: StateGraph, indent: str) -> Iterator[str]:
     """Each state's JSON object at `indent`, from its tuple.  Each distinct
     value of a variable is rendered once, keyed by its type and value, since
-    `True == 1`; a repeated variable name keeps its last value, as in a dict."""
+    `True == 1`."""
     key, close = indent + "  ", indent + "}"
     slots = {name: i for i, name in enumerate(graph.var_names)}
     columns = [(slots[name], f"{key}{encode_basestring_ascii(name)}: ", {})

@@ -702,8 +702,8 @@ def test_json_text_rejects_other_types(value):
 
 
 def edge_list_text(graph) -> str:
-    """The edge list as `StateGraph.edge_list_text` wrote it before the
-    report was written from the record: one `src event tgt` line per edge."""
+    """The reference edge list: one `src event tgt` line per edge, read
+    from the record's firing tuples."""
     return "".join(f"{src} {event} {t}\n"
                    for src, event, _params, targets in graph.firings for t in targets)
 
