@@ -6,8 +6,10 @@ import hashlib
 import json
 import random
 import signal
+import time
 import tracemalloc
 from array import array
+from collections import deque
 
 import pytest
 
@@ -18,7 +20,7 @@ from ebltl.ltl import holds_on_trace, model_check
 from ebltl.machine_parser import parse_machine, parse_machine_file
 from ebltl.oracle import corpus_root, random_formula, random_graph, trace_realizable
 from ebltl.refine import check_ca
-from ebltl.search import pairs, tarjan
+from ebltl.search import bfs, nontrivial, pairs, path_inside, path_to, tarjan
 from ebltl.semantics import compile_machine, explore, find_path, make_graph
 from ebltl.traces import finite_trace
 from ebltl.errors import EvalError, ExplorationLimitError
@@ -493,6 +495,81 @@ def test_tarjan_matches_the_recursive_reference():
         roots = rng.sample(range(n), rng.randint(0, n))
         assert tarjan(n, flat) == _reference_tarjan(n, adj, None)
         assert tarjan(n, flat, roots) == _reference_tarjan(n, adj, roots)
+
+
+def test_tarjan_on_deep_graphs():
+    """A 200 000-node cycle is one component and a 200 000-node path is n
+    singletons in reverse topological order, from every node and from a
+    subset of roots, with no recursion and in time linear in the graph:
+    a recursive search overflows and a quadratic stack scan times out."""
+    n = 200_000
+    cycle = [[(v + 1) % n, "e"] for v in range(n)]
+    path = [[v + 1, "e"] for v in range(n - 1)] + [[]]
+    for run, want in [
+        (lambda: tarjan(n, cycle), [[*range(n - 1, 0, -1), 0]]),
+        (lambda: tarjan(n, path), [[v] for v in range(n - 1, -1, -1)]),
+        (lambda: tarjan(n, path, [n // 2, n // 4]), [[v] for v in range(n - 1, n // 4 - 1, -1)]),
+    ]:
+        start = time.perf_counter()
+        got = run()
+        elapsed = time.perf_counter() - start
+        assert got == want
+        assert elapsed < 1, f"tarjan took {elapsed:.2f}s on {n} nodes"
+
+
+def _reference_bfs(sources, adj, goal=None, within=None):
+    """Deque-and-predicate breadth-first search over pair lists: the tree
+    and hit `search.bfs` must give, `goal` a predicate on nodes."""
+    parent = dict.fromkeys(sources, -1)
+    via: dict = {}
+    queue = deque(parent)
+    while queue:
+        node = queue.popleft()
+        for succ, label in adj[node]:
+            if goal is not None and goal(succ):
+                return parent, via, (node, label, succ)
+            if succ not in parent and (within is None or succ in within):
+                parent[succ] = node
+                via[succ] = label
+                queue.append(succ)
+    return parent, via, None
+
+
+class _GoalSet(frozenset):
+    """A goal set that also answers as its own predicate, so one call
+    reads whether `bfs` takes its goals as a set or as a predicate."""
+    __call__ = frozenset.__contains__
+
+
+def test_bfs_matches_the_reference():
+    """The same tree, in the same dict order, and the same hit as the
+    reference on seeded random graphs, for random sources, goal sets and
+    `within` sets; and `path_inside` from a source that is a goal, with
+    and without a step, gives the reference's path."""
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        adj = [[(rng.randrange(n), rng.choice("abc")) for _ in range(rng.choice([0, 1, 2, 3]))]
+               for _ in range(n)]
+        flat = [[v for edge in out for v in edge] for out in adj]
+        sources = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        goals = _GoalSet(rng.sample(range(n), rng.randint(0, min(n, 3))))
+        within = rng.choice([None, set(rng.sample(range(n), rng.randint(0, n)))])
+        got = bfs(sources, flat, goals, within)
+        want = _reference_bfs(sources, adj, goals.__contains__, within)
+        assert [list(got[0].items()), list(got[1].items()), got[2]] == \
+            [list(want[0].items()), list(want[1].items()), want[2]]
+        assert list(bfs(sources, flat)[0].items()) == list(_reference_bfs(sources, adj)[0].items())
+        for scc in tarjan(n, flat):
+            if not nontrivial(scc, flat):
+                continue
+            members, source = set(scc), rng.choice(scc)
+            goals = _GoalSet({source, *rng.sample(scc, rng.randint(0, len(scc)))})
+            assert path_inside(flat, members, source, goals, need_step=False) == ([], source)
+            parent, via, (node, label, goal) = _reference_bfs([source], adj, goals.__contains__,
+                                                              members)
+            assert path_inside(flat, members, source, goals, need_step=True) == \
+                (path_to(parent, via, node) + [label], goal)
 
 
 def test_edge_label_outside_the_alphabet():
