@@ -5,14 +5,17 @@ path reads that tree (`path_to`): `parent[n]` is the source of n's first
 edge, -1 at a start, and `via[n]` its label.  `automata.Product` is the one
 such loop for products; `bfs` builds a tree for a graph made by hand.
 Successors are flat lists, `adj[node] = [t0, l0, t1, l1, ...]`, read in
-pairs (`pairs`) with no tuple stored.  `path_inside` finds paths within
-one strongly connected component (`tarjan`), bounded by its member set,
+pairs (`pairs`) with no tuple stored; `tarjan` and `bfs` walk each list
+with one iterator, taking a label with `next`.  `tarjan` keeps
+no on-stack flag: a node's index becomes n once its component is
+emitted, above every low link, so only nodes still on the stack can
+lower one.  `bfs` takes its goals as a set and tests each edge's target
+against it inline.  `path_inside` finds paths within one strongly
+connected component (`tarjan`), bounded by its member set,
 `shallowest_component` picks the component a lasso loops in by node id
 alone, and `stitch_cycle` the loop.  The oracle keeps its own search on
 purpose."""
 from __future__ import annotations
-
-from collections import deque
 
 
 def pairs(out):
@@ -21,21 +24,22 @@ def pairs(out):
     return zip(it, it)
 
 
-def bfs(sources, adj, goal=None, within=None):
+def bfs(sources, adj, goals=frozenset(), within=None):
     """Breadth-first search from `sources` over the flat lists `adj`,
     expanded in the given order.  Returns `(parent, via, hit)`: the tree
     over the nodes reached, as dicts in discovery order (`path_to`), and
-    the first edge whose target satisfies `goal`, tested even on seen
-    targets so an edge back to a source counts, as `(node, label,
+    the first edge whose target is in the set `goals`, tested even on
+    seen targets so an edge back to a source counts, as `(node, label,
     target)`, else None.  A target outside `within`, when given, is never
-    enqueued."""
+    added.  The queue is the list of nodes added, walked as it grows."""
     parent = dict.fromkeys(sources, -1)
     via: dict = {}
-    queue = deque(parent)
-    while queue:
-        node = queue.popleft()
-        for succ, label in pairs(adj[node]):
-            if goal is not None and goal(succ):
+    queue = list(parent)
+    for node in queue:
+        it = iter(adj[node])
+        for succ in it:
+            label = next(it)
+            if succ in goals:
                 return parent, via, (node, label, succ)
             if succ not in parent and (within is None or succ in within):
                 parent[succ] = node
@@ -63,7 +67,7 @@ def path_inside(adj, members, source, goals, need_step: bool):
     the path is the one the whole graph gives."""
     if source in goals and not need_step:
         return [], source
-    parent, via, (node, label, goal) = bfs([source], adj, goals.__contains__, members)
+    parent, via, (node, label, goal) = bfs([source], adj, goals, members)
     return path_to(parent, via, node) + [label], goal
 
 
@@ -120,14 +124,15 @@ def nontrivial(scc, adj) -> bool:
 
 def tarjan(n: int, adj, roots=None) -> list[list[int]]:
     """Strongly connected components of nodes 0..n-1 over the flat lists
-    `adj` (iterative Tarjan, one edge iterator per node on the work
-    stack).  The search starts from each of `roots` in turn (every node
-    when None) and returns the components reachable from them, in reverse
-    topological order; each lists its nodes in the order they leave the
-    stack."""
+    `adj` (iterative Tarjan).  The work stack is two parallel lists, the
+    nodes and one iterator over each node's flat list, which skips the
+    labels.  A node's index becomes n when its component is emitted, above
+    every low link, so no on-stack flag is kept (Pearce's marking).  The
+    search starts from each of `roots` in turn (every node when None) and
+    returns the components reachable from them, in reverse topological
+    order; each lists its nodes in the order they leave the stack."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
@@ -137,34 +142,37 @@ def tarjan(n: int, adj, roots=None) -> list[list[int]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        work = [(root, pairs(adj[root]))]
-        while work:
-            node, edges = work[-1]
-            for succ, _ in edges:
-                if index[succ] == -1:
+        nodes = [root]
+        edges = [iter(adj[root])]
+        while nodes:
+            node = nodes[-1]
+            it = edges[-1]
+            for succ in it:
+                next(it)
+                mark = index[succ]
+                if mark == -1:
                     index[succ] = low[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, pairs(adj[succ])))
+                    nodes.append(succ)
+                    edges.append(iter(adj[succ]))
                     break
-                if on_stack[succ] and index[succ] < low[node]:
-                    low[node] = index[succ]
+                if mark < low[node]:
+                    low[node] = mark
             else:
-                work.pop()
-                if low[node] == index[node]:
+                nodes.pop()
+                edges.pop()
+                lo = low[node]
+                if lo == index[node]:
                     at = len(stack) - 1
-                    while stack[at] != node:
+                    while (w := stack[at]) != node:
+                        index[w] = n
                         at -= 1
+                    index[node] = n
                     comp = stack[at:]
                     del stack[at:]
                     comp.reverse()
-                    for w in comp:
-                        on_stack[w] = False
                     sccs.append(comp)
-                if work:
-                    pnode = work[-1][0]
-                    if low[node] < low[pnode]:
-                        low[pnode] = low[node]
+                elif lo < low[nodes[-1]]:  # only the root of a search has no parent
+                    low[nodes[-1]] = lo
     return sccs
