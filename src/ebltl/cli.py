@@ -21,7 +21,8 @@ report that holds a graph (`explore --json`, `--format graph` and
 `--format edgelist`) is written as it is read from the graph's record of
 firings and its state tuples, in pieces of at most `_BATCH` states or
 edges, so neither its dict form nor its whole text is ever held; every
-other report is one `_json_text` call.
+other report is one `_json_text` call.  The text of `explore` is written
+the same way, its `--verbose` state lines `_BATCH` lines a piece.
 """
 from __future__ import annotations
 
@@ -130,23 +131,39 @@ def _graph_fields(graph: StateGraph) -> dict:
     }
 
 
-def _state_texts(graph: StateGraph, indent: str) -> Iterator[str]:
-    """Each state's JSON object at `indent`, from its tuple.  Each distinct
-    value of a variable is rendered once, keyed by its type and value, since
-    `True == 1`."""
-    key, close = indent + "  ", indent + "}"
+def _state_parts(graph: StateGraph, key_text, value_text) -> Iterator[list[str]]:
+    """Each state's variables in name order, from its tuple, as
+    `key_text(name) + value_text(value_to_json(value))`.  Each distinct
+    value of a variable is rendered once, keyed by its type and value,
+    since `True == 1`."""
     slots = {name: i for i, name in enumerate(graph.var_names)}
-    columns = [(slots[name], f"{key}{encode_basestring_ascii(name)}: ", {})
-               for name in sorted(slots)]
+    columns = [(slots[name], key_text(name), {}) for name in sorted(slots)]
     for state in graph.states:
         parts = []
         for i, head, texts in columns:
             value = state[i]
             text = texts.get((type(value), value))
             if text is None:
-                text = texts[type(value), value] = head + _json_text(value_to_json(value), key)
+                text = texts[type(value), value] = head + value_text(value_to_json(value))
             parts.append(text)
+        yield parts
+
+
+def _state_texts(graph: StateGraph, indent: str) -> Iterator[str]:
+    """Each state's JSON object at `indent`."""
+    key, close = indent + "  ", indent + "}"
+    for parts in _state_parts(graph, lambda name: f"{key}{encode_basestring_ascii(name)}: ",
+                              partial(_json_text, indent=key)):
         yield f"{indent}{{{','.join(parts)}{close}" if parts else indent + "{}"
+
+
+def _state_lines(graph: StateGraph) -> Iterator[str]:
+    """`explore --verbose`'s line for each state: `json.dumps` of its
+    `state_json`, with sorted keys."""
+    parts = _state_parts(graph, lambda name: f"{encode_basestring_ascii(name)}: ",
+                         partial(json.dumps, sort_keys=True))
+    for n, items in enumerate(parts):
+        yield f"  state {n}: {{{', '.join(items)}}}\n"
 
 
 def _edge_texts(graph: StateGraph, indent: str) -> Iterator[str]:
@@ -307,16 +324,14 @@ def _cmd_explore(args, rep: _Reporter) -> int:
         rep.pieces = _edge_list_chunks(graph) if args.format == "edgelist" \
             else chain(_json_chunks(graph), ("\n",))
         return OK
-    rep.say(f"{machine.name}: {len(graph.states)} state(s), "
+    head = (f"{machine.name}: {len(graph.states)} state(s), "
             f"{len(graph.firings.targets)} edge(s), "
-            f"{len(graph.deadlocks)} deadlock(s)")
-    rep.say("invariant: holds")
-    if args.verbose:
-        for i in range(len(graph.states)):
-            rep.say(f"  state {i}: {json.dumps(graph.state_json(i), sort_keys=True)}")
-    if not dead.holds:
-        rep.say(f"deadlocked state {dead.witness_state} reached by "
-                f"{', '.join(dead.witness_path) or '(initial)'}")
+            f"{len(graph.deadlocks)} deadlock(s)\n"
+            "invariant: holds\n")
+    tail = "" if dead.holds else (f"deadlocked state {dead.witness_state} reached by "
+                                  f"{', '.join(dead.witness_path) or '(initial)'}\n")
+    states = _batches(_state_lines(graph)) if args.verbose else ()
+    rep.pieces = chain((head,), map("".join, states), (tail,))
     return OK
 
 
