@@ -6,15 +6,14 @@ edge, -1 at a start, and `via[n]` its label.  `automata.Product` is the one
 such loop for products; `bfs` builds a tree for a graph made by hand.
 Successors are flat lists, `adj[node] = [t0, l0, t1, l1, ...]`, read in
 pairs (`pairs`) with no tuple stored; `tarjan` and `bfs` walk each list
-with one iterator, taking a label with `next`.  `tarjan` keeps
-no on-stack flag: a node's index becomes n once its component is
-emitted, above every low link, so only nodes still on the stack can
-lower one.  `bfs` takes its goals as a set and tests each edge's target
-against it inline.  `path_inside` finds paths within one strongly
-connected component (`tarjan`), bounded by its member set,
-`shallowest_component` picks the component a lasso loops in by node id
-alone, and `stitch_cycle` the loop.  The oracle keeps its own search on
-purpose."""
+with one iterator, taking a label with `next`.  `tarjan` keeps no
+on-stack flag: a node's index becomes n once its component is emitted,
+above every low link, so only nodes still on the stack can lower one.
+`bfs` takes its goals as a set and tests each edge's target against it
+inline.  `path_inside` finds paths within one strongly connected
+component (`tarjan`), bounded by its member set, `shallowest_component`
+picks the component a lasso loops in by node id alone, and
+`stitch_cycle` the loop.  The oracle keeps its own search on purpose."""
 from __future__ import annotations
 
 
@@ -173,6 +172,6 @@ def tarjan(n: int, adj, roots=None) -> list[list[int]]:
                     del stack[at:]
                     comp.reverse()
                     sccs.append(comp)
-                elif lo < low[nodes[-1]]:  # only the root of a search has no parent
+                elif lo < low[nodes[-1]]:  # a root always emits, so node has a parent
                     low[nodes[-1]] = lo
     return sccs

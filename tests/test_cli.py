@@ -781,14 +781,11 @@ def test_graph_reports_are_written_in_bounded_pieces(monkeypatch):
         assert max(w.count("\n") for w in writes) <= 100 * lines_per_edge
 
 
-def verbose_text(graph, name: str) -> str:
-    """The reference `explore --verbose` text: each state line through
-    `json.dumps` of the state's dict."""
-    lines = [f"{name}: {len(graph.states)} state(s), {len(graph.firings.targets)} edge(s), "
-             f"{len(graph.deadlocks)} deadlock(s)", "invariant: holds",
-             *(f"  state {i}: {json.dumps(graph.state_json(i), sort_keys=True)}"
-               for i in range(len(graph.states)))]
-    return "".join(line + "\n" for line in lines)
+def state_lines_text(graph) -> str:
+    """The reference `explore --verbose` state lines: `json.dumps` of each
+    state's dict."""
+    return "".join(f"  state {i}: {json.dumps(graph.state_json(i), sort_keys=True)}\n"
+                   for i in range(len(graph.states)))
 
 
 @pytest.mark.parametrize("name", ["make_graph", "no-firings", "no-states", "mixed"])
@@ -796,23 +793,32 @@ def test_verbose_state_lines_match_json_dumps_on_hand_built_graphs(name):
     """Each state line is `json.dumps` of its dict, `True` and `1` kept apart."""
     from ebltl import cli
     graph = hand_built_graphs()[name]
-    assert "".join(cli._state_lines(graph)) == \
-        "".join(f"  state {i}: {json.dumps(graph.state_json(i), sort_keys=True)}\n"
-                for i in range(len(graph.states)))
+    assert "".join(cli._state_lines(graph)) == state_lines_text(graph)
 
 
-def test_verbose_report_is_written_in_bounded_pieces(monkeypatch):
+DRAIN = ("machine Drain\nvariables\n  n : 0..40\nevents\n  event init then n := 40 end\n"
+         "  event down\n    status ordinary\n    when n > 0 then n := n - 1 end\nend\n")
+
+
+def test_verbose_report_is_written_in_bounded_pieces(monkeypatch, tmp_path):
     """`explore --verbose` writes its state lines a piece at a time, none
     holding more than `_BATCH` of them, in the bytes of one `json.dumps`
-    per state."""
+    per state, and ends with the deadlock line when there is one."""
     from ebltl import cli
     from ebltl.machine_parser import parse_machine_file
     from ebltl.semantics import explore
-    monkeypatch.setattr(cli, "_BATCH", 100)
-    graph = explore(parse_machine_file(VM_DIR / "vm4.eb", {"capacity": 3}))
-    writes = Writes()
-    monkeypatch.setattr(sys, "stdout", writes)
-    assert cli.main(["explore", str(VM_DIR / "vm4.eb"), "--set", "capacity=3", "--verbose"]) == 0
-    assert "".join(writes) == verbose_text(graph, "VM4")
-    assert len(writes) > len(graph.states) // 100
-    assert max(w.count("\n") for w in writes) <= 100
+    monkeypatch.setattr(cli, "_BATCH", 10)
+    drain = tmp_path / "drain.eb"
+    drain.write_text(DRAIN)
+    down = ", ".join(["down"] * 40)
+    for path, name, dead in [(VM_DIR / "vm4.eb", "VM4", ""),
+                             (drain, "Drain", f"deadlocked state 40 reached by {down}\n")]:
+        graph = explore(parse_machine_file(path, {"capacity": 1}))
+        writes = Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert cli.main(["explore", str(path), "--set", "capacity=1", "--verbose"]) == 0
+        head = (f"{name}: {len(graph.states)} state(s), {len(graph.firings.targets)} edge(s), "
+                f"{len(graph.deadlocks)} deadlock(s)\ninvariant: holds\n")
+        assert "".join(writes) == head + state_lines_text(graph) + dead
+        assert len(writes) > len(graph.states) // 10
+        assert max(w.count("\n") for w in writes) <= 10

@@ -501,7 +501,8 @@ def test_tarjan_on_deep_graphs():
     """A 200 000-node cycle is one component and a 200 000-node path is n
     singletons in reverse topological order, from every node and from a
     subset of roots, with no recursion and in time linear in the graph:
-    a recursive search overflows and a quadratic stack scan times out."""
+    a recursive search overflows, and a quadratic stack scan overruns
+    the bound."""
     n = 200_000
     cycle = [[(v + 1) % n, "e"] for v in range(n)]
     path = [[v + 1, "e"] for v in range(n - 1)] + [[]]
@@ -536,8 +537,8 @@ def _reference_bfs(sources, adj, goal=None, within=None):
 
 
 class _GoalSet(frozenset):
-    """A goal set that also answers as its own predicate, so one call
-    reads whether `bfs` takes its goals as a set or as a predicate."""
+    """A goal set that is also its own predicate: `bfs` reads it as a set
+    and `_reference_bfs` calls it."""
     __call__ = frozenset.__contains__
 
 
@@ -556,7 +557,7 @@ def test_bfs_matches_the_reference():
         goals = _GoalSet(rng.sample(range(n), rng.randint(0, min(n, 3))))
         within = rng.choice([None, set(rng.sample(range(n), rng.randint(0, n)))])
         got = bfs(sources, flat, goals, within)
-        want = _reference_bfs(sources, adj, goals.__contains__, within)
+        want = _reference_bfs(sources, adj, goals, within)
         assert [list(got[0].items()), list(got[1].items()), got[2]] == \
             [list(want[0].items()), list(want[1].items()), want[2]]
         assert list(bfs(sources, flat)[0].items()) == list(_reference_bfs(sources, adj)[0].items())
@@ -566,8 +567,7 @@ def test_bfs_matches_the_reference():
             members, source = set(scc), rng.choice(scc)
             goals = _GoalSet({source, *rng.sample(scc, rng.randint(0, len(scc)))})
             assert path_inside(flat, members, source, goals, need_step=False) == ([], source)
-            parent, via, (node, label, goal) = _reference_bfs([source], adj, goals.__contains__,
-                                                              members)
+            parent, via, (node, label, goal) = _reference_bfs([source], adj, goals, members)
             assert path_inside(flat, members, source, goals, need_step=True) == \
                 (path_to(parent, via, node) + [label], goal)
 
