@@ -5,7 +5,11 @@ sha256 of its stdout and of its stderr.
 Machine and chain paths in the manifest are relative to the corpus root,
 the working directory of each run.  `{mutants}/NAME.json` is a chain
 manifest written from `vm/mutants/mutants.json`: a pair mutant after its
-abstract machine, a chain mutant, or the divergent chain.  Each stream
+abstract machine, a chain mutant, or the divergent chain.  The same
+directory holds `one-machine.json`, a chain of VM1 alone, and two
+property files, `no-property.ltl` and `two-properties.ltl`; its path is
+read back as `{mutants}` in each stream, since a report may name a file
+in it.  Each stream
 also carries digests of at most 32 blocks of its lines, so a differing
 row names the first block of lines that differs (the exact line for a
 stream of 32 lines or fewer); the manifest is never rewritten here.
@@ -35,6 +39,10 @@ def write_mutant_chains(directory: Path) -> None:
     for name, files in chains.items():
         (directory / f"{name}.json").write_text(json.dumps(
             {"name": name, "machines": [str((MUTANT_DIR / f).resolve()) for f in files]}))
+    (directory / "one-machine.json").write_text(json.dumps(
+        {"name": "vm-one", "machines": [str((MUTANT_DIR.parent / "vm1.eb").resolve())]}))
+    (directory / "no-property.ltl").write_text("")
+    (directory / "two-properties.ltl").write_text("one = G F [pay]\ntwo = F [refund]\n")
 
 
 def block_size(lines: int) -> int:
@@ -74,7 +82,8 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
             code = main([arg.replace("{mutants}", str(tmp_path)) for arg in row["argv"]])
         except SystemExit as exc:
             code = exc.code
-        streams = dict(zip(("stdout", "stderr"), capsys.readouterr()))
+        streams = {name: text.replace(str(tmp_path), "{mutants}")
+                   for name, text in zip(("stdout", "stderr"), capsys.readouterr())}
         notes = [] if code == row["exit"] else [f"exit {code}, pinned {row['exit']}"]
         notes += [f"{name} {first_difference(text, row[name])}"
                   for name, text in streams.items()
