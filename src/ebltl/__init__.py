@@ -23,7 +23,5 @@ from .refine import (  # noqa: F401
     check_ca, check_refinement_pair, check_strategy, check_theorem1,
     compose_renamings, explore_chain, load_chain,
 )
-from .semantics import (  # noqa: F401
-    ExploreLimits, StateGraph, check_deadlock_free, explore, require_feasible,
-)
+from .semantics import StateGraph, check_deadlock_free, explore, require_feasible  # noqa: F401
 from .traces import Trace, project_trace  # noqa: F401

@@ -14,15 +14,16 @@ A call builds only its own subcommand's parser, because building all
 eleven costs about as much as a short `beta` decision; help, version and
 top-level usage errors still go through the full parser.
 
-`--json` reports and `explore --format graph` are written by `_json_text`:
-the text of `json.dumps(indent=2, sort_keys=True)` for dicts with str keys,
-lists, tuples, str, int, bool and None, with the C string encoder.  A
-report that holds a graph (`explore --json`, `--format graph` and
-`--format edgelist`) is written as it is read from the graph's record of
-firings and its state tuples, in pieces of at most `_BATCH` states or
-edges, so neither its dict form nor its whole text is ever held; every
-other report is one `_json_text` call.  The text of `explore` is written
-the same way, its `--verbose` state lines `_BATCH` lines a piece.
+Every `--json` report and `explore --format graph` is written by
+`_json_chunks`, in pieces: a dict key by key, and each leaf by
+`_json_text`, the text of `json.dumps(indent=2, sort_keys=True)` for
+dicts with str keys, lists, tuples, str, int, bool and None, with the C
+string encoder.  A graph (`explore --json`, `--format graph` and
+`--format edgelist`) is written as it is read from its record of firings
+and its state tuples, in pieces of at most `_BATCH` states or edges, so
+neither its dict form nor its whole text is ever held.  The text of
+`explore` is written the same way, its `--verbose` state lines `_BATCH`
+lines a piece.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ from .refine import (
     explore_chain, load_chain,
 )
 from .semantics import (
-    ExploreLimits, GraphVerdict, StateGraph, check_deadlock_free, explore,
-    require_feasible, value_to_json,
+    MAX_STATES, GraphVerdict, StateGraph, check_deadlock_free, explore, require_feasible,
+    value_to_json,
 )
 
 OK, FAILURE, BLOCKED, USAGE, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4, 70
@@ -212,8 +213,9 @@ class _Reporter:
     def emit(self, exit_code: int) -> int:
         """Write the report; a reader that closes the pipe early (`| head`)
         ends the output quietly, and the command keeps its exit code.  A
-        result that holds a graph, and a text report set as `pieces`, are
-        written piece by piece; every other report in one write."""
+        `--json` report is written as `_json_chunks` gives it, and a text
+        report set as `pieces` piece by piece; any other text report in one
+        write."""
         if self.as_json:
             envelope = {
                 "tool": "ebltl",
@@ -222,10 +224,7 @@ class _Reporter:
                 "exit": exit_code,
                 "result": self.result,
             }
-            if any(type(v) is StateGraph for v in self.result.values()):
-                pieces = chain(_json_chunks(envelope), ("\n",))
-            else:
-                pieces = (_json_text(envelope) + "\n",)
+            pieces = chain(_json_chunks(envelope), ("\n",))
         else:
             pieces = self.pieces or ("".join(line + "\n" for line in self.lines),)
         try:
@@ -240,10 +239,6 @@ class _Reporter:
         return exit_code
 
 
-def _limits(args) -> ExploreLimits:
-    return ExploreLimits(max_states=args.bound_states)
-
-
 def _ascii_int(text: str) -> int | None:
     """`text` as an integer if it is an optional `-` and ASCII digits."""
     return int(text) if re.fullmatch(r"-?[0-9]+", text) else None
@@ -251,7 +246,7 @@ def _ascii_int(text: str) -> int | None:
 
 def _overrides(args) -> dict[str, int]:
     out: dict[str, int] = {}
-    for item in getattr(args, "overrides", []):
+    for item in args.overrides:
         name, eq, text = item.partition("=")
         value = _ascii_int(text) if eq else None
         if value is None:
@@ -306,7 +301,7 @@ def _cmd_parse(args, rep: _Reporter) -> int:
 
 def _cmd_explore(args, rep: _Reporter) -> int:
     machine = parse_machine_file(args.machine, _overrides(args))
-    graph = require_feasible(explore(machine, _limits(args)))
+    graph = require_feasible(explore(machine, args.bound_states))
     # explore raises at the first state that breaks the invariant or leaves
     # a declared domain, so every state of its graph has passed both checks
     inv = GraphVerdict(True, detail=f"{len(graph.states)} states checked as explored")
@@ -337,7 +332,6 @@ def _cmd_explore(args, rep: _Reporter) -> int:
 
 def _cmd_po(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
-    limits = _limits(args)
     steps = range(len(chain.machines) - 1)
     if args.step is not None:
         if not steps:
@@ -349,7 +343,7 @@ def _cmd_po(args, rep: _Reporter) -> int:
     # an infeasible one as FIS_REF, so the graphs are used as explored
     reports = [check_refinement_pair(chain.machines[k], chain.machines[k + 1],
                                      chain.links[k],
-                                     explore(chain.machines[k + 1], limits))
+                                     explore(chain.machines[k + 1], args.bound_states))
                for k in steps]
     ok = all(r.ok for r in reports)
     if not reports:
@@ -385,7 +379,7 @@ def _cmd_strategy(args, rep: _Reporter) -> int:
 
 def _cmd_mc(args, rep: _Reporter) -> int:
     machine = parse_machine_file(args.machine, _overrides(args))
-    graph = require_feasible(explore(machine, _limits(args)))
+    graph = require_feasible(explore(machine, args.bound_states))
     props = _resolve_props(args.prop, Path(args.machine))
     results = {}
     ok = True
@@ -452,7 +446,7 @@ def _cmd_translate(args, rep: _Reporter) -> int:
 
 def _cmd_gf(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
-    graphs = explore_chain(chain, _limits(args))
+    graphs = explore_chain(chain, args.bound_states)
     cert = apply_lemma_gf(chain, graphs)
     return _report_certificate(cert, rep)
 
@@ -460,7 +454,7 @@ def _cmd_gf(args, rep: _Reporter) -> int:
 def _cmd_preserve(args, rep: _Reporter) -> int:
     beta = _event_set(args.beta)
     chain = load_chain(args.chain, _overrides(args))
-    graphs = explore_chain(chain, _limits(args))
+    graphs = explore_chain(chain, args.bound_states)
     props = _resolve_props(args.prop, Path(args.chain), one=True)
     ((name, phi),) = props.items()
     cert = apply_preservation(chain, args.at, phi, beta, graphs)
@@ -482,7 +476,7 @@ def _report_certificate(cert, rep: _Reporter) -> int:
 
 def _cmd_theorem1(args, rep: _Reporter) -> int:
     chain = load_chain(args.chain, _overrides(args))
-    report = check_theorem1(chain, explore_chain(chain, _limits(args)))
+    report = check_theorem1(chain, explore_chain(chain, args.bound_states))
     rep.say(f"C* = {', '.join(report.c_star) or '-'}")
     rep.say(f"O* = {', '.join(report.o_star) or '-'}")
     rep.say(f"chain obligations and strategy: "
@@ -538,101 +532,68 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _common(p, func, chain=False, machine=False, prop=False, overrides=False,
-            bound=False, verbose=False):
-    """--json plus exactly the shared flags the subcommand reads; `func`
-    runs the subcommand."""
+# the arguments several subcommands read, as `(flag, options)`
+_VERBOSE = ("--verbose", {"action": "store_true",
+                          "help": "include full witness listings in text reports"})
+_BOUND = ("--bound-states", {"type": _int_at_least(1), "default": MAX_STATES,
+                             "help": "state exploration limit"})
+_SET = ("--set", {"action": "append", "default": [], "metavar": "NAME=INT", "dest": "overrides",
+                  "help": "override a declared constant (repeatable; names a machine does "
+                          "not declare are ignored)"})
+_CHAIN = ("--chain", {"required": True, "help": "chain manifest (JSON)"})
+_MACHINE = ("machine", {"help": "machine source file (.eb)"})
+_PROP = ("--prop", {"required": True,
+                    "help": "formula, @file, or a name from the sibling props.ltl"})
+
+# each subcommand's help line, its function and the arguments it reads after
+# --json, in usage order
+_SUBCOMMANDS = {
+    "parse": ("parse and typecheck a machine", _cmd_parse, [_SET, _MACHINE]),
+    "explore": ("build the reachable state graph", _cmd_explore, [
+        _VERBOSE, _BOUND, _SET, _MACHINE,
+        ("--format", {"choices": ["summary", "graph", "edgelist"], "default": "summary"})]),
+    "po": ("check refinement obligations of a chain", _cmd_po, [
+        _VERBOSE, _BOUND, _SET, _CHAIN,
+        ("--step", {"type": _int, "help": "check one step only (0-based)"})]),
+    "strategy": ("check the development-strategy rules", _cmd_strategy, [_SET, _CHAIN]),
+    "mc": ("model check properties on a machine", _cmd_mc, [_BOUND, _SET, _MACHINE, _PROP]),
+    "beta": ("check projection-insensitivity of a property", _cmd_beta, [
+        _PROP,
+        ("--beta", {"help": "comma-separated event set"}),
+        ("--sigma", {"help": "ambient alphabet the traces range over (defaults to beta); "
+                             "only whether it has an event outside beta matters to the "
+                             "verdict"}),
+        ("--chain", {"help": "optional chain manifest used to resolve property names"})]),
+    "translate": ("translate a property through the chain's composed renaming",
+                  _cmd_translate, [_SET, _CHAIN, _PROP, (
+                      "--at", {"type": _int, "required": True,
+                               "help": "level the property is stated at (0-based)"})]),
+    "gf": ("certify recurrence of the initial machine's events", _cmd_gf,
+           [_BOUND, _SET, _CHAIN]),
+    "preserve": ("carry a property to the final machine", _cmd_preserve, [
+        _BOUND, _SET, _CHAIN, _PROP,
+        ("--at", {"type": _int, "required": True,
+                  "help": "level the property is established at (0-based)"}),
+        ("--beta", {"help": "comma-separated event set (defaults to the property's alphabet)"})]),
+    "theorem1": ("divergence freedom of the final machine", _cmd_theorem1,
+                 [_BOUND, _SET, _CHAIN]),
+    "oracle": ("differential run against the brute-force oracle", _cmd_oracle, [
+        ("--lasso-prefix", {"type": _int_at_least(0), "default": 4, "metavar": "P"}),
+        ("--lasso-cycle", {"type": _int_at_least(1), "default": 4, "metavar": "Q"}),
+        ("--corpus", {"help": "corpus root override"}),
+        ("--random", {"type": _int_at_least(0), "default": 0,
+                      "help": "additional random (graph, formula) pairs"}),
+        ("--seed", {"type": _int, "default": 20240})]),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str):
+    """--json and then subcommand `name`'s arguments, in usage order."""
+    _, func, arguments = _SUBCOMMANDS[name]
     p.set_defaults(func=func)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    if verbose:
-        p.add_argument("--verbose", action="store_true",
-                       help="include full witness listings in text reports")
-    if bound:
-        p.add_argument("--bound-states", type=_int_at_least(1), default=100_000,
-                       help="state exploration limit")
-    if overrides:
-        p.add_argument("--set", action="append", default=[], metavar="NAME=INT",
-                       dest="overrides",
-                       help="override a declared constant (repeatable; names "
-                            "a machine does not declare are ignored)")
-    if chain:
-        p.add_argument("--chain", required=True, help="chain manifest (JSON)")
-    if machine:
-        p.add_argument("machine", help="machine source file (.eb)")
-    if prop:
-        p.add_argument("--prop", required=True,
-                       help="formula, @file, or a name from the sibling props.ltl")
-
-
-def _explore_args(p):
-    _common(p, _cmd_explore, machine=True, overrides=True, bound=True, verbose=True)
-    p.add_argument("--format", choices=["summary", "graph", "edgelist"],
-                   default="summary")
-
-
-def _po_args(p):
-    _common(p, _cmd_po, chain=True, overrides=True, bound=True, verbose=True)
-    p.add_argument("--step", type=_int, default=None,
-                   help="check one step only (0-based)")
-
-
-def _beta_args(p):
-    _common(p, _cmd_beta, prop=True)
-    p.add_argument("--beta", default=None, help="comma-separated event set")
-    p.add_argument("--sigma", default=None,
-                   help="ambient alphabet the traces range over (defaults to "
-                        "beta); only whether it has an event outside beta "
-                        "matters to the verdict")
-    p.add_argument("--chain", default=None,
-                   help="optional chain manifest used to resolve property names")
-
-
-def _translate_args(p):
-    _common(p, _cmd_translate, chain=True, prop=True, overrides=True)
-    p.add_argument("--at", type=_int, required=True,
-                   help="level the property is stated at (0-based)")
-
-
-def _preserve_args(p):
-    _common(p, _cmd_preserve, chain=True, prop=True, overrides=True, bound=True)
-    p.add_argument("--at", type=_int, required=True,
-                   help="level the property is established at (0-based)")
-    p.add_argument("--beta", default=None, help="comma-separated event set "
-                   "(defaults to the property's alphabet)")
-
-
-def _oracle_args(p):
-    _common(p, _cmd_oracle)
-    p.add_argument("--lasso-prefix", type=_int_at_least(0), default=4, metavar="P")
-    p.add_argument("--lasso-cycle", type=_int_at_least(1), default=4, metavar="Q")
-    p.add_argument("--corpus", default=None, help="corpus root override")
-    p.add_argument("--random", type=_int_at_least(0), default=0,
-                   help="additional random (graph, formula) pairs")
-    p.add_argument("--seed", type=_int, default=20240)
-
-
-# each subcommand's help line and the function that adds its arguments
-_SUBCOMMANDS = {
-    "parse": ("parse and typecheck a machine",
-              lambda p: _common(p, _cmd_parse, machine=True, overrides=True)),
-    "explore": ("build the reachable state graph", _explore_args),
-    "po": ("check refinement obligations of a chain", _po_args),
-    "strategy": ("check the development-strategy rules",
-                 lambda p: _common(p, _cmd_strategy, chain=True, overrides=True)),
-    "mc": ("model check properties on a machine",
-           lambda p: _common(p, _cmd_mc, machine=True, prop=True, overrides=True,
-                             bound=True)),
-    "beta": ("check projection-insensitivity of a property", _beta_args),
-    "translate": ("translate a property through the chain's composed renaming",
-                  _translate_args),
-    "gf": ("certify recurrence of the initial machine's events",
-           lambda p: _common(p, _cmd_gf, chain=True, overrides=True, bound=True)),
-    "preserve": ("carry a property to the final machine", _preserve_args),
-    "theorem1": ("divergence freedom of the final machine",
-                 lambda p: _common(p, _cmd_theorem1, chain=True, overrides=True,
-                                   bound=True)),
-    "oracle": ("differential run against the brute-force oracle", _oracle_args),
-}
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "specifications")
     parser.add_argument("--version", action="version", version=f"ebltl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=text))
+    for name, (text, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -654,7 +615,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     goes to the full parser, whose messages list every subcommand."""
     if argv and argv[0] in _SUBCOMMANDS:
         parser = _ArgumentParser(prog=f"ebltl {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
+        _add_arguments(parser, argv[0])
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]

@@ -52,7 +52,7 @@ from .machine_ast import (
 from .machine_parser import parse_expression, parse_machine_file
 from .search import path_inside, tarjan
 from .semantics import (
-    ExploreLimits, StateGraph, compile_gluing, compile_machine, explore,
+    MAX_STATES, StateGraph, compile_gluing, compile_machine, explore,
     find_path, require_feasible, value_to_json,
 )
 from .traces import LASSO, Trace
@@ -227,11 +227,10 @@ def load_chain(path, constant_overrides: dict[str, int] | None = None) -> Refine
     return build_chain(data.get("name", path.stem), machines, links)
 
 
-def explore_chain(chain: RefinementChain,
-                  limits: ExploreLimits | None = None) -> list[StateGraph]:
+def explore_chain(chain: RefinementChain, max_states: int = MAX_STATES) -> list[StateGraph]:
     """One graph per level, in order; a machine with an infeasible firing
     stops the chain with that error, as `require_feasible` reports it."""
-    return [require_feasible(explore(m, limits)) for m in chain.machines]
+    return [require_feasible(explore(m, max_states)) for m in chain.machines]
 
 
 def compose_renamings(chain: RefinementChain, i: int) -> RenamingMap:

@@ -286,9 +286,8 @@ class Edge(NamedTuple):
     tgt: int
 
 
-@dataclass
-class ExploreLimits:
-    max_states: int = 100_000
+# the most states `explore` reaches unless told otherwise (`--bound-states`)
+MAX_STATES = 100_000
 
 
 class FiringRecord:
@@ -444,17 +443,16 @@ def make_graph(n_states: int, initial: Iterable[int], edges: Iterable[tuple],
     )
 
 
-def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph:
+def explore(machine: Machine, max_states: int = MAX_STATES) -> StateGraph:
     """Breadth-first reachability closure of a typechecked machine.
 
     Raises InvariantViolation (with a witness event path) when a reachable
     state breaks the invariant or leaves a declared domain, and
-    ExplorationLimitError past `limits.max_states`.  Each enabled firing
+    ExplorationLimitError past `max_states` states.  Each enabled firing
     is written to the record with the ids of its after-states; one whose
     bounded choice admits no value gets none; see `require_feasible`.
     """
     compiled = compile_machine(machine)
-    limits = limits or ExploreLimits()
     var_names = machine.sym.var_names
     names, events = list(compiled.events), list(compiled.events.values())
     record = FiringRecord(names)
@@ -466,9 +464,8 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     parent, via = array("i"), []  # the breadth-first tree, as `search.path_to` reads it
 
     def add_state(state: tuple, src: int, event: str | None) -> int:  # a state not in index
-        if len(states) >= limits.max_states:
-            raise ExplorationLimitError(
-                f"state count exceeded the limit of {limits.max_states}")
+        if len(states) >= max_states:
+            raise ExplorationLimitError(f"state count exceeded the limit of {max_states}")
         idx = len(states)
         index[state] = idx
         states.append(state)
@@ -507,7 +504,7 @@ def explore(machine: Machine, limits: ExploreLimits | None = None) -> StateGraph
     graph = StateGraph(
         machine=machine, var_names=var_names, states=states,
         initial=tuple(initial), firings=record, alphabet=machine.alphabet(),
-        bounds={"max_states": limits.max_states, "reached_states": len(states)},
+        bounds={"max_states": max_states, "reached_states": len(states)},
     )
     graph.tree = parent, via
     return graph
@@ -542,8 +539,7 @@ class GraphVerdict:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        """The graph report's dict form: the reference that `cli`'s writer,
-        which reads the record, is tested against."""
+        """The verdict's own report form."""
         return {"holds": self.holds, "witness_state": self.witness_state,
                 "witness_path": self.witness_path, "detail": self.detail}
 

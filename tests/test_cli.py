@@ -542,6 +542,23 @@ def test_a_subcommand_call_builds_only_its_own_parser(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_shared_argument_specs_carry_no_state_between_calls(capsys):
+    """The subcommand table shares one options dict per argument, so `--set`
+    has one default list object across calls; argparse copies it before it
+    appends, and neither `--set` nor `--bound-states` reaches the next call."""
+    from ebltl import cli
+    vm4 = str(VM_DIR / "vm4.eb")
+
+    def result(*argv):
+        cli.main([*argv, "--json"])
+        return json.loads(capsys.readouterr().out)["result"]
+
+    assert "capacity = 3\n" in result("parse", vm4, "--set", "capacity=3")["normalized"]
+    assert "capacity = 2\n" in result("parse", vm4)["normalized"]
+    assert result("explore", vm4, "--bound-states", "5")["kind"] == "bound"
+    assert result("explore", vm4)["graph"]["bounds"]["max_states"] == 100_000
+
+
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
     from ebltl.cli import main
     monkeypatch.setattr(sys, "argv", ["ebltl", "beta", "--prop", "G F [pay]", "--json"])

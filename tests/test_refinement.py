@@ -19,7 +19,7 @@ from ebltl.refine import (
     derive_renaming, explore_chain, load_chain,
 )
 from ebltl.semantics import (
-    ExploreLimits, compile_expr, compile_gluing, compile_machine, explore, make_graph,
+    compile_expr, compile_gluing, compile_machine, explore, make_graph,
     static_env, value_to_json,
 )
 from ebltl.oracle import trace_realizable
@@ -254,9 +254,9 @@ def test_abstract_universe_bound_is_exact():
     two states, so the bound alone decides."""
     step = parse_machine(STEP)
     link = ChainLink(RenamingMap.identity(step.alphabet()), None)
-    graph = explore(step, ExploreLimits(max_states=3))
+    graph = explore(step, max_states=3)
     assert check_refinement_pair(step, step, link, graph).ok
-    graph = explore(step, ExploreLimits(max_states=2))
+    graph = explore(step, max_states=2)
     with pytest.raises(ExplorationLimitError,
                        match="abstract universe of Step has 3 candidate states, "
                              "over the limit of 2"):

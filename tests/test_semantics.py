@@ -23,7 +23,7 @@ from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_
 from ebltl.oracle import corpus_root
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
 from ebltl.semantics import (
-    ExploreLimits, FiringRecord, check_deadlock_free, compile_expr, compile_machine, explore,
+    FiringRecord, check_deadlock_free, compile_expr, compile_machine, explore,
     find_path, make_graph, require_feasible, static_env,
 )
 from tests.conftest import LIFT_DIR, VM_DIR
@@ -96,7 +96,7 @@ def test_state_limit():
         "events\n  event init then n := 0 end\n"
         "  event up\n    status ordinary\n    when n < 99 then n := n + 1 end\nend")
     with pytest.raises(ExplorationLimitError):
-        explore(m, ExploreLimits(max_states=10))
+        explore(m, max_states=10)
 
 
 def test_repeated_initial_states_are_admitted_once():
@@ -107,7 +107,7 @@ def test_repeated_initial_states_are_admitted_once():
         "events\n  event init then any p : 0..1 where true then x := 0 end end\n"
         "  event flip\n    status ordinary\n    then x := 1 - x end\nend")
     assert compile_machine(m).init() == [(0,), (0,)]
-    g = explore(m, ExploreLimits(max_states=2))
+    g = explore(m, max_states=2)
     assert g.initial == (0,)
     assert g.states == [(0,), (1,)]
 
@@ -144,7 +144,7 @@ def test_infeasible_firing_then_later_error():
         explore(m)
     assert err.value.path == ["up", "up", "up"]
     with pytest.raises(ExplorationLimitError):
-        explore(m, ExploreLimits(max_states=2))
+        explore(m, max_states=2)
 
 
 def test_edges_are_sound(vm_machines, vm_graphs):
