@@ -215,6 +215,9 @@ def load_chain(path, constant_overrides: dict[str, int] | None = None) -> Refine
     names = data.get("machines") if isinstance(data, dict) else None
     if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
         raise ChainError(f'chain {path} needs a "machines" list of file names')
+    name = data.get("name", path.stem)
+    if not isinstance(name, str):
+        raise ChainError(f'chain {path}: "name" must be a string')
     links = data.get("links")
     if links is not None and not (isinstance(links, list)
                                   and all(map(_link_well_formed, links))):
@@ -224,7 +227,7 @@ def load_chain(path, constant_overrides: dict[str, int] | None = None) -> Refine
     if links is not None and len(links) != len(machines) - 1:
         raise ChainError(
             f"chain {path} lists {len(machines)} machines but {len(links)} links")
-    return build_chain(data.get("name", path.stem), machines, links)
+    return build_chain(name, machines, links)
 
 
 def explore_chain(chain: RefinementChain, max_states: int = MAX_STATES) -> list[StateGraph]:

@@ -473,12 +473,15 @@ _VM01 = [str(VM_DIR / "vm0.eb"), str(VM_DIR / "vm1.eb")]
      "VM1.pay refines 'ghost', which is not an event of VM0"),
     ({"name": "skips", "machines": [str(VM_DIR / "vm1.eb"), str(VM_DIR / "vm3.eb")]},
      "VM3 declares refines 'VM2' but follows VM1 in chain 'skips'"),
-], ids=["no-machine", "links-count", "not-concrete", "unknown-abstract", "skipped-level"])
+    ({"name": 5, "machines": _VM01}, 'chain {path}: "name" must be a string'),
+], ids=["no-machine", "links-count", "not-concrete", "unknown-abstract", "skipped-level",
+        "name-not-a-string"])
 def test_chain_manifest_error_message(tmp_path, capsys, manifest, message):
     """A chain manifest that names no machine, lists the wrong number of
     links, renames an event the concrete machine lacks or onto one the
-    abstract machine lacks, or skips a level exits 3 with one `error:`
-    line naming the fault, and the `--json` report carries the message."""
+    abstract machine lacks, skips a level or has a `name` that is not a
+    string exits 3 with one `error:` line naming the fault, and the
+    `--json` report carries the message."""
     from ebltl.cli import main
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(manifest))
