@@ -45,11 +45,9 @@ from .formulas import (
     And, Atom, Finally, Formula, Globally, Not, Or, TrueFormula, Until,
 )
 from .semantics import StateGraph
-from .traces import Trace, project_trace  # re-export: projection lives with traces
+from .traces import Trace
 
-__all__ = [
-    "alphabet", "holds_on_trace", "project_trace", "Verdict", "model_check",
-]
+__all__ = ["alphabet", "holds_on_trace", "Verdict", "model_check"]
 
 
 def alphabet(phi: Formula) -> frozenset[str]:
