@@ -565,9 +565,10 @@ _SUBCOMMANDS = {
                              "verdict"}),
         ("--chain", {"help": "optional chain manifest used to resolve property names"})]),
     "translate": ("translate a property through the chain's composed renaming",
-                  _cmd_translate, [_SET, _CHAIN, _PROP, (
-                      "--at", {"type": _int, "required": True,
-                               "help": "level the property is stated at (0-based)"})]),
+                  _cmd_translate, [
+                      _SET, _CHAIN, _PROP,
+                      ("--at", {"type": _int, "required": True,
+                                "help": "level the property is stated at (0-based)"})]),
     "gf": ("certify recurrence of the initial machine's events", _cmd_gf,
            [_BOUND, _SET, _CHAIN]),
     "preserve": ("carry a property to the final machine", _cmd_preserve, [
