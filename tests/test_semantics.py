@@ -14,11 +14,12 @@ import sys
 import tokenize
 import types
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation
-from ebltl.machine_ast import AnyChoice
+from ebltl.errors import EvalError, ExplorationLimitError, InvariantViolation, TypecheckError
+from ebltl.machine_ast import BINARY_LEVELS, AnyChoice
 from ebltl.machine_parser import parse_expression, parse_machine, parse_machine_file
 from ebltl.oracle import corpus_root
 from ebltl.refine import check_chain_pairs, explore_chain, load_chain
@@ -26,6 +27,7 @@ from ebltl.semantics import (
     FiringRecord, check_deadlock_free, compile_expr, compile_machine, explore,
     find_path, make_graph, require_feasible, static_env,
 )
+from ebltl.typecheck import _Checker, base_env
 from tests.conftest import LIFT_DIR, VM_DIR
 
 
@@ -394,6 +396,84 @@ def test_compile_expr_operators(text, expected):
         return
     value = evaluate(EVAL_ENV)
     assert value == expected and type(value) is type(expected)
+
+
+# a machine whose names and types are those of EVAL_ENV
+EVAL_MACHINE = """machine Typed
+carriers
+  IT = { a, b, c }
+variables
+  S : set of IT
+  T : set of IT
+  x : 0..9
+  y : 0..9
+  t : bool
+  f : bool
+events
+  event init then S := {} || T := {} || x := 0 || y := 0 || t := true || f := false end
+end
+"""
+
+# each type of the typing table in docs/language.md: two names of EVAL_ENV
+# that have it, the type the checker infers, and the Python type of a value
+TYPE_SAMPLES = {
+    "bool": (("t", "f"), "bool", bool),
+    "int": (("x", "y"), "int", int),
+    "element of C": (("a", "b"), ("elem", "IT"), str),
+    "set of C": (("S", "T"), ("set", "IT"), frozenset),
+}
+
+
+def typing_rows():
+    """(operator, operand types, result type) for each operator of the
+    typing table in docs/language.md, its `T` read as each type in turn."""
+    doc = (Path(__file__).parent.parent / "docs" / "language.md").read_text()
+    rows = re.findall(r"^\| ((?:`[^`]+` +)+)\| ([\w ,]+?) +\| ([\w ]+?) +\|$",
+                      doc, re.MULTILINE)
+    out = []
+    for ops, operands, result in rows:
+        kinds = operands.split(", ")
+        for t in TYPE_SAMPLES if "T" in kinds else (None,):
+            fill = {"T": t}
+            out.extend((op, [fill.get(k, k) for k in kinds], fill.get(result, result))
+                       for op in re.findall(r"`([^`]+)`", ops))
+    return out
+
+
+def typing_use(op: str, kinds: list[str]) -> str:
+    """A use of `op` over names of the given types; a type's second operand
+    is its second name."""
+    names = [TYPE_SAMPLES[k][0][kinds[:i].count(k) % 2] for i, k in enumerate(kinds)]
+    if op in ("card", "min", "max"):
+        return f"{op}({', '.join(names)})"
+    if op == "if":
+        return "if {} then {} else {} end".format(*names)
+    return f"{op} {names[0]}" if len(names) == 1 else f"{names[0]} {op} {names[1]}"
+
+
+def test_typing_table_gives_each_operator_its_result_type():
+    """Every row of the typing table in docs/language.md: a well-typed use of
+    each operator typechecks to the row's result type, and evaluates over
+    EVAL_ENV to a value of that type."""
+    machine = parse_machine(EVAL_MACHINE)
+    env = base_env(machine.sym)
+    assert set(env) == set(EVAL_ENV)
+    rows = typing_rows()
+    assert {(op, len(kinds)) for op, kinds, _ in rows} >= {
+        *((op, 2) for _, ops in BINARY_LEVELS for op in ops),
+        ("not", 1), ("-", 1), ("card", 1), ("min", 2), ("max", 2), ("if", 3)}
+    wrong = []
+    for op, kinds, result in rows:
+        text = typing_use(op, kinds)
+        _, inferred, python_type = TYPE_SAMPLES[result]
+        try:
+            got = _Checker(machine).infer(parse_expression(text), env)
+        except TypecheckError as err:
+            got = str(err)
+        value = compile_expr(parse_expression(text))(EVAL_ENV)
+        if got != inferred or type(value) is not python_type:
+            wrong.append((text, got, type(value).__name__))
+    assert wrong == []
 
 
 # names that are Python keywords or builtins, or that look like the names
