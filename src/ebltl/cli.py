@@ -248,7 +248,7 @@ def _overrides(args) -> dict[str, int]:
     out: dict[str, int] = {}
     for item in args.overrides:
         name, eq, text = item.partition("=")
-        value = _ascii_int(text) if eq else None
+        value = _ascii_int(text) if eq and name.isascii() and name.isidentifier() else None
         if value is None:
             raise EbltlError(f"bad --set argument {item!r}, expected NAME=INT")
         out[name] = value

@@ -264,6 +264,15 @@ def test_constant_override_and_verbose():
     assert code == 3
 
 
+@pytest.mark.parametrize("item", ["=3", "3x=1", " capacity=3", "capacity =3", "cap-acity=3"])
+def test_set_name_must_be_an_identifier(item, capsys):
+    """`--set` rejects a NAME that is not an identifier, where it would
+    otherwise be an override no machine can declare, silently ignored."""
+    from ebltl import cli
+    assert cli.main(["explore", str(VM_DIR / "vm4.eb"), "--set", item]) == 3
+    assert capsys.readouterr().out == f"error: bad --set argument {item!r}, expected NAME=INT\n"
+
+
 def test_set_makes_a_range_bound_negative(tmp_path):
     """Source text cannot write a negative constant, but `--set` can; the
     domain check then honours the negative bound (docs/language.md)."""
