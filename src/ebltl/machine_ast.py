@@ -13,6 +13,7 @@ trips compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
@@ -232,11 +233,10 @@ class SymbolTable:
         if isinstance(vtype, ElemType):
             return tuple(sorted(self.carrier_elems[vtype.carrier]))
         if isinstance(vtype, SetType):
-            elems = tuple(sorted(self.carrier_elems[vtype.carrier]))
-            out = []
-            for mask in range(1 << len(elems)):
-                out.append(frozenset(e for i, e in enumerate(elems) if mask >> i & 1))
-            return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+            # by size, then in element order, as `combinations` lists them
+            elems = sorted(self.carrier_elems[vtype.carrier])
+            return tuple(frozenset(subset) for size in range(len(elems) + 1)
+                         for subset in combinations(elems, size))
         raise TypeError(f"unknown type {vtype!r}")
 
     def domain_size(self, vtype: VarType) -> int:
@@ -339,27 +339,16 @@ def machine_to_text(m: Machine) -> str:
     if m.refines:
         head += f" refines {m.refines}"
     out.append(head)
-    if m.carriers:
-        out.append("carriers")
-        for name, elems in m.carriers:
-            out.append(f"  {name} = {{ {', '.join(elems)} }}")
-    if m.constants:
-        out.append("constants")
-        for name, value in m.constants:
-            out.append(f"  {name} = {value}")
-    if m.variables:
-        out.append("variables")
-        for name, vtype in m.variables:
-            out.append(f"  {name} : {vtype}")
-    if m.invariant is not None:
-        out.append("invariant")
-        out.append(f"  {expr_to_text(m.invariant)}")
-    if m.variant is not None:
-        out.append("variant")
-        out.append(f"  {expr_to_text(m.variant)}")
-    if m.linking is not None:
-        out.append("linking")
-        out.append(f"  {expr_to_text(m.linking)}")
+    for keyword, lines in (
+            ("carriers", [f"{name} = {{ {', '.join(elems)} }}" for name, elems in m.carriers]),
+            ("constants", [f"{name} = {value}" for name, value in m.constants]),
+            ("variables", [f"{name} : {vtype}" for name, vtype in m.variables]),
+            ("invariant", [expr_to_text(e) for e in (m.invariant,) if e is not None]),
+            ("variant", [expr_to_text(e) for e in (m.variant,) if e is not None]),
+            ("linking", [expr_to_text(e) for e in (m.linking,) if e is not None])):
+        if lines:
+            out.append(keyword)
+            out.extend(f"  {line}" for line in lines)
     out.append("events")
     _event_to_text(m.init, out)
     for e in m.events:

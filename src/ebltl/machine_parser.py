@@ -30,6 +30,10 @@ are `machine_ast.BINARY_LEVELS`.  Comments run from `//` to end of line.
 input languages: this module runs `tokenize` under the machine pattern and
 `KEYWORDS`, `formulas` under its own pattern and no keywords.  Both parse
 binary operators with `TokenCursor.binary` over their own level table.
+The machine parser reads every separated list (carrier elements,
+parameters, call arguments, set literals and `||` actions) with one helper,
+`items`, and the `carriers`, `constants` and `variables` blocks with
+another, `section`.
 
 `parse_machine` also runs the typechecker, so a returned Machine is
 well-formed except for its `linking` clause, which can only be checked
@@ -182,33 +186,9 @@ class _Parser(TokenCursor):
         if self.accept("kw", "refines"):
             refines = self.expect_name("abstract machine name").value
 
-        carriers: list[tuple[str, tuple[str, ...]]] = []
-        if self.accept("kw", "carriers"):
-            while self.peek().kind == "name":
-                cname = self.advance().value
-                self.expect("=")
-                self.expect("{")
-                elems = [self.expect_name("carrier element").value]
-                while self.accept(","):
-                    elems.append(self.expect_name("carrier element").value)
-                self.expect("}")
-                carriers.append((cname, tuple(elems)))
-
-        constants: list[tuple[str, int]] = []
-        if self.accept("kw", "constants"):
-            while self.peek().kind == "name":
-                cname = self.advance().value
-                self.expect("=")
-                tok = self.expect("int")
-                constants.append((cname, int(tok.value)))
-
-        variables: list[tuple[str, VarType]] = []
-        if self.accept("kw", "variables"):
-            while self.peek().kind == "name":
-                vname = self.advance().value
-                self.expect(":")
-                variables.append((vname, self.var_type()))
-
+        carriers = self.section("carriers", "=", self.carrier)
+        constants = self.section("constants", "=", lambda: int(self.expect("int").value))
+        variables = self.section("variables", ":", self.var_type)
         invariant = self.expr() if self.accept("kw", "invariant") else None
         variant = self.expr() if self.accept("kw", "variant") else None
         linking = self.expr() if self.accept("kw", "linking") else None
@@ -231,11 +211,35 @@ class _Parser(TokenCursor):
         self.expect("eof")
 
         return Machine(
-            name=name, refines=refines, carriers=tuple(carriers),
-            constants=tuple(constants), variables=tuple(variables),
+            name=name, refines=refines, carriers=carriers,
+            constants=constants, variables=variables,
             invariant=invariant, variant=variant, linking=linking,
             init=init, events=tuple(events), pos=(head.line, head.col),
         )
+
+    def items(self, item, sep: str = ",") -> tuple:
+        """One or more `item()`s, separated by `sep` tokens."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return tuple(out)
+
+    def section(self, keyword: str, sep: str, value) -> tuple:
+        """The `NAME sep value()` entries of a `keyword` block, read while a
+        name comes next; none when the block is absent."""
+        entries = []
+        if self.accept("kw", keyword):
+            while self.at("name"):
+                name = self.advance().value
+                self.expect(sep)
+                entries.append((name, value()))
+        return tuple(entries)
+
+    def carrier(self) -> tuple[str, ...]:
+        self.expect("{")
+        elems = self.items(lambda: self.expect_name("carrier element").value)
+        self.expect("}")
+        return elems
 
     def var_type(self) -> VarType:
         t = self.peek()
@@ -279,9 +283,8 @@ class _Parser(TokenCursor):
 
         params: tuple[Param, ...] = ()
         guard: Expr | None = None
-        if self.at("kw", "any"):
-            self.advance()
-            params = self.param_list()
+        if self.accept("kw", "any"):
+            params = self.items(self.param)
             self.expect("kw", "where")
             guard = self.expr()
         elif self.accept("kw", "when"):
@@ -292,35 +295,24 @@ class _Parser(TokenCursor):
                              head.line, head.col)
 
         self.expect("kw", "then")
-        actions = self.action_list()
+        actions = self.items(self.action, "||")
         self.expect("kw", "end")
         return Event(name=name, status=status, refines=refines, params=params,
                      guard=guard, actions=actions, pos=(head.line, head.col))
 
-    def param_list(self) -> tuple[Param, ...]:
-        params = []
-        while True:
-            t = self.expect_name("parameter name")
-            self.expect(":")
-            params.append(Param(t.value, self.var_type(), (t.line, t.col)))
-            if not self.accept(","):
-                break
-        return tuple(params)
-
-    def action_list(self) -> tuple:
-        actions = [self.action()]
-        while self.accept("||"):
-            actions.append(self.action())
-        return tuple(actions)
+    def param(self) -> Param:
+        t = self.expect_name("parameter name")
+        self.expect(":")
+        return Param(t.value, self.var_type(), (t.line, t.col))
 
     def action(self):
         if self.at("kw", "any"):
             head = self.advance()
-            params = self.param_list()
+            params = self.items(self.param)
             self.expect("kw", "where")
             where = self.expr()
             self.expect("kw", "then")
-            inner = self.action_list()
+            inner = self.items(self.action, "||")
             self.expect("kw", "end")
             return AnyChoice(params, where, inner, (head.line, head.col))
         t = self.expect_name("assignment target")
@@ -352,14 +344,12 @@ class _Parser(TokenCursor):
         if t.kind == "kw" and t.value in ("card", "min", "max"):
             self.advance()
             self.expect("(")
-            args = [self.expr()]
-            while self.accept(","):
-                args.append(self.expr())
+            args = self.items(self.expr)
             self.expect(")")
             want = 1 if t.value == "card" else 2
             if len(args) != want:
                 raise ParseError(f"{t.value} takes {want} argument(s)", t.line, t.col)
-            return Call(t.value, tuple(args), pos)
+            return Call(t.value, args, pos)
         if self.accept("kw", "if"):
             cond = self.expr()
             self.expect("kw", "then")
@@ -373,13 +363,9 @@ class _Parser(TokenCursor):
             self.expect(")")
             return inner
         if self.accept("{"):
-            items = []
-            if not self.at("}"):
-                items.append(self.expr())
-                while self.accept(","):
-                    items.append(self.expr())
+            items = () if self.at("}") else self.items(self.expr)
             self.expect("}")
-            return SetLit(tuple(items), pos)
+            return SetLit(items, pos)
         if t.kind == "name":
             self.advance()
             return Name(t.value, pos)

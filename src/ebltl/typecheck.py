@@ -7,6 +7,11 @@ ties the presence of a variant to the presence of anticipated or convergent
 events.  The linking clause is only syntax-checked here; its names may
 belong to the abstract machine and are resolved by `link_typecheck` once a
 refinement pair is assembled.
+
+Expression types follow the typing table of docs/language.md.  One table,
+`_SHARED_OPERAND`, types every binary operator whose two operands share a
+type: the logical connectives, the arithmetic and the integer comparisons,
+and the set operators, whose operand types join.
 """
 from __future__ import annotations
 
@@ -40,10 +45,14 @@ def _sem_type(vtype: VarType):
     raise TypeError(vtype)
 
 
-# operators whose left-nested chains are checked in a loop, with the type
-# every operand must have (None: the set operators, which join set types)
-_CHAINS = {"&": BOOL, "or": BOOL, "+": INT, "-": INT, "*": INT,
-           "union": None, "inter": None, "diff": None}
+# binary operators whose operands share one type: that type and the result
+# type (None, None: the set operators, which join set types)
+_SHARED_OPERAND = {
+    "&": (BOOL, BOOL), "or": (BOOL, BOOL), "=>": (BOOL, BOOL), "<=>": (BOOL, BOOL),
+    "+": (INT, INT), "-": (INT, INT), "*": (INT, INT),
+    "<": (INT, BOOL), "<=": (INT, BOOL), ">": (INT, BOOL), ">=": (INT, BOOL),
+    "union": (None, None), "inter": (None, None), "diff": (None, None),
+}
 
 
 def _unify(a, b):
@@ -64,15 +73,10 @@ def resolve_type(vtype: VarType, sym: SymbolTable) -> VarType:
     Errors point at the type's position when the parser set one."""
     where = vtype.pos or ()
     if isinstance(vtype, IntRangeType):
-        lo, hi = vtype.lo, vtype.hi
-        if isinstance(lo, str):
-            if lo not in sym.constants:
-                raise TypecheckError(f"range bound {lo!r} is not a declared constant", *where)
-            lo = sym.constants[lo]
-        if isinstance(hi, str):
-            if hi not in sym.constants:
-                raise TypecheckError(f"range bound {hi!r} is not a declared constant", *where)
-            hi = sym.constants[hi]
+        for bound in (vtype.lo, vtype.hi):
+            if isinstance(bound, str) and bound not in sym.constants:
+                raise TypecheckError(f"range bound {bound!r} is not a declared constant", *where)
+        lo, hi = (sym.constants.get(bound, bound) for bound in (vtype.lo, vtype.hi))
         if lo > hi:
             raise TypecheckError(f"empty integer range {lo}..{hi}", *where)
         return IntRangeType(lo, hi)
@@ -131,17 +135,13 @@ class _Checker:
             claim(name, "constant")
             constants[name] = value
 
-        self.sym = SymbolTable(carrier_elems=carrier_elems, constants=constants,
-                               var_types={}, var_names=())
-
-        var_types: dict[str, VarType] = {}
+        sym = SymbolTable(carrier_elems=carrier_elems, constants=constants,
+                          var_types={}, var_names=())
         for name, vtype in m.variables:
             claim(name, "variable")
-            var_types[name] = resolve_type(vtype, self.sym)
-
-        self.sym.var_types = var_types
-        self.sym.var_names = tuple(sorted(var_types))
-        return self.sym
+            sym.var_types[name] = resolve_type(vtype, sym)
+        sym.var_names = tuple(sorted(sym.var_types))
+        return sym
 
     # -- expression typing ----------------------------------------------------
 
@@ -167,11 +167,9 @@ class _Checker:
                     self.error("set literal mixes carriers", item)
             return ("set", carrier)
         if isinstance(e, Unary):
-            if e.op == "neg":
-                self.check(e.operand, INT, env)
-                return INT
-            self.check(e.operand, BOOL, env)
-            return BOOL
+            t = INT if e.op == "neg" else BOOL
+            self.check(e.operand, t, env)
+            return t
         if isinstance(e, Binary):
             return self.infer_binary(e, env)
         if isinstance(e, Call):
@@ -195,20 +193,21 @@ class _Checker:
 
     def infer_binary(self, e: Binary, env: dict):
         op = e.op
-        if op in _CHAINS:
-            # a left-nested chain of one operator, as the parser builds it, is
-            # checked in a loop, leftmost operand first, so that its length
-            # costs no stack
+        if op in _SHARED_OPERAND:
+            # a left-nested chain of one operator that gives its operand type,
+            # as the parser builds it, is checked in a loop, leftmost operand
+            # first, so that its length costs no stack
+            operand, result = _SHARED_OPERAND[op]
             chain = [e]
-            while isinstance(chain[-1].left, Binary) and chain[-1].left.op == op:
+            while (operand == result and isinstance(chain[-1].left, Binary)
+                   and chain[-1].left.op == op):
                 chain.append(chain[-1].left)
             chain.reverse()
-            expected = _CHAINS[op]
-            if expected is not None:
-                self.check(chain[0].left, expected, env)
+            if operand is not None:
+                self.check(chain[0].left, operand, env)
                 for node in chain:
-                    self.check(node.right, expected, env)
-                return expected
+                    self.check(node.right, operand, env)
+                return result
             t = self.infer(chain[0].left, env)
             for node in chain:
                 t1, t2 = t, self.infer(node.right, env)
@@ -216,14 +215,6 @@ class _Checker:
                 if t is None or not (isinstance(t, tuple) and t[0] == "set"):
                     self.error(f"set operator over {_fmt(t1)} and {_fmt(t2)}", node)
             return t
-        if op in ("=>", "<=>"):
-            self.check(e.left, BOOL, env)
-            self.check(e.right, BOOL, env)
-            return BOOL
-        if op in ("<", "<=", ">", ">="):
-            self.check(e.left, INT, env)
-            self.check(e.right, INT, env)
-            return BOOL
         if op in ("=", "/="):
             t1 = self.infer(e.left, env)
             t2 = self.infer(e.right, env)
@@ -271,22 +262,18 @@ class _Checker:
                 if a.target in targets:
                     self.error(f"parallel assignments both write {a.target!r}", a)
                 targets.append(a.target)
-                if init_mode:
-                    for name in free_names(a.expr):
-                        if name in self.sym.var_types:
-                            self.error("init expressions cannot read variables", a)
+                if init_mode and not free_names(a.expr).isdisjoint(self.sym.var_types):
+                    self.error("init expressions cannot read variables", a)
                 self.check(a.expr, _sem_type(self.sym.var_types[a.target]), env)
             else:  # AnyChoice
                 inner_env = self.param_env(a.params, env, set(targets))
                 self.check(a.where, BOOL, inner_env)
-                if init_mode:
-                    for name in free_names(a.where):
-                        if name in self.sym.var_types:
-                            self.error("init expressions cannot read variables", a)
+                if init_mode and not free_names(a.where).isdisjoint(self.sym.var_types):
+                    self.error("init expressions cannot read variables", a)
                 self.check_actions(a.actions, inner_env, targets, init_mode)
 
     def check_event(self, ev: Event, init_mode: bool = False) -> None:
-        env = self.param_env(ev.params, base_env(self.sym), set())
+        env = self.param_env(ev.params, self.env, set())
         if ev.guard is not None:
             self.check(ev.guard, BOOL, env)
         targets: list[str] = []
@@ -301,12 +288,12 @@ class _Checker:
     def run(self) -> None:
         m = self.m
         self.sym = self.build_symbols()
-        env = base_env(self.sym)
+        self.env = base_env(self.sym)
 
         if m.invariant is not None:
-            self.check(m.invariant, BOOL, env)
+            self.check(m.invariant, BOOL, self.env)
         if m.variant is not None:
-            self.check(m.variant, INT, env)
+            self.check(m.variant, INT, self.env)
 
         names = [e.name for e in m.events]
         dupes = {n for n in names if names.count(n) > 1}
@@ -330,28 +317,18 @@ class _Checker:
 
 
 def free_names(e: Expr) -> set[str]:
-    """All identifiers an expression mentions."""
-    if isinstance(e, Name):
-        return {e.name}
-    if isinstance(e, (IntLit, BoolLit)):
-        return set()
-    if isinstance(e, SetLit):
-        out: set[str] = set()
-        for item in e.items:
-            out |= free_names(item)
-        return out
-    if isinstance(e, Unary):
-        return free_names(e.operand)
-    if isinstance(e, Binary):
-        return free_names(e.left) | free_names(e.right)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_names(a)
-        return out
-    if isinstance(e, IfExpr):
-        return free_names(e.cond) | free_names(e.then) | free_names(e.orelse)
-    raise TypeError(e)
+    """All identifiers an expression mentions: one walk over each node's
+    `Expr` fields, and those inside its tuple fields."""
+    names: set[str] = set()
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Name):
+            names.add(node.name)
+        elif isinstance(node, Expr):
+            for value in vars(node).values():
+                todo.extend(value if isinstance(value, tuple) else (value,))
+    return names
 
 
 def typecheck(machine: Machine) -> Machine:
@@ -367,16 +344,13 @@ def link_typecheck(abstract: Machine, concrete: Machine, linking: Expr | None) -
     machines; the linking expression may then mention names from either
     side (this is the one place abstract variables are legal).
     """
-    for cname, elems in concrete.carriers:
-        for aname, aelems in abstract.carriers:
-            if cname == aname and tuple(elems) != tuple(aelems):
+    for what, mine, theirs in (
+            ("carrier", concrete.sym.carrier_elems, abstract.sym.carrier_elems),
+            ("constant", concrete.sym.constants, abstract.sym.constants)):
+        for name, value in mine.items():
+            if theirs.get(name, value) != value:
                 raise TypecheckError(
-                    f"carrier {cname!r} differs between {abstract.name} and {concrete.name}")
-    for name, value in concrete.constants:
-        for aname, avalue in abstract.constants:
-            if name == aname and value != avalue:
-                raise TypecheckError(
-                    f"constant {name!r} differs between {abstract.name} and {concrete.name}")
+                    f"{what} {name!r} differs between {abstract.name} and {concrete.name}")
     shared = set(abstract.sym.var_types) & set(concrete.sym.var_types)
     for name in sorted(shared):
         if abstract.sym.var_types[name] != concrete.sym.var_types[name]:
