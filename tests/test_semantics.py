@@ -476,6 +476,30 @@ def test_typing_table_gives_each_operator_its_result_type():
     assert wrong == []
 
 
+def test_left_chains_typecheck_in_a_loop():
+    """A left-nested chain of 2000 operands of each left-associative
+    operator whose result has its operands' type typechecks without a
+    stack frame per operand; an operator whose result has another type
+    cannot take its own result as its left operand."""
+    machine = parse_machine(EVAL_MACHINE)
+    env = base_env(machine.sym)
+    left = {op for assoc, ops in BINARY_LEVELS if assoc == "left" for op in ops}
+    rows = [(op, kinds[0], result) for op, kinds, result in typing_rows()
+            if len(kinds) == 2 and kinds[0] == kinds[1]]
+    chaining = [(op, kind) for op, kind, result in rows if op in left and kind == result]
+    assert sorted(op for op, _ in chaining) == sorted(
+        ["<=>", "or", "&", "+", "-", "*", "\\/", "/\\", "\\"])
+    for op, kind in chaining:
+        names, inferred, _ = TYPE_SAMPLES[kind]
+        chain = parse_expression(f" {op} ".join([names[0]] * 2000))
+        assert _Checker(machine).infer(chain, env) == inferred, op
+    for op, kind, result in rows:
+        if kind != result:
+            a, b = TYPE_SAMPLES[kind][0]
+            with pytest.raises(TypecheckError):
+                _Checker(machine).infer(parse_expression(f"({a} {op} {b}) {op} {a}"), env)
+
+
 # names that are Python keywords or builtins, or that look like the names
 # the compiled functions use themselves: `s` (the state), `guarded`, the
 # prefixes k_ and p0_, the domain list d0 and the valuation v0
