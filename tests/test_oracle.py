@@ -537,3 +537,26 @@ def test_a_verdict_against_the_expectation_table_is_a_disagreement(tmp_path, cap
     assert ("DISAGREE vm/VM1 phi4: main=False oracle=False expected=True "
             "main verdict contradicts the expectation table\n") in out
     assert f"{len(report.rows)} comparison(s), 1 disagreement(s)" in out
+
+
+WITHHELD = "oracle verdict withheld (budget); counterexample replay used instead"
+
+
+@pytest.mark.parametrize("machine, prop, main, expected, agree, note", [
+    ("VM1", "phi4", False, False, True, WITHHELD),
+    ("VM4", "phi7", True, True, False, WITHHELD),
+    ("VM1", "phi4", False, True, False,
+     WITHHELD + "; main verdict contradicts the expectation table"),
+], ids=["main-refutes", "main-holds", "wrong-expectation"])
+def test_a_withheld_oracle_verdict_confirms_only_a_refutation(vm_graphs, vm_props, machine,
+                                                              prop, main, expected, agree, note):
+    """With a budget of one step the oracle withholds every verdict: a
+    refutation still agrees, through its replayed counterexample, a verdict
+    that holds does not, and a contradicted expectation adds its note after
+    the budget's."""
+    graph = vm_graphs[machine]
+    row = _compare_on(f"vm/{machine}", prop, graph, vm_props[prop], expected,
+                      OracleBounds(budget=1), _GraphTables(graph))
+    assert row.to_json_dict() == {
+        "subject": f"vm/{machine}", "property": prop, "main": main, "oracle": None,
+        "expected": expected, "agree": agree, "note": note}
