@@ -24,7 +24,9 @@ right-hand side.
 
 Negation normal form is a shape of `formulas`' own classes, `Not` only over
 an atom or over `true` (false), plus this module's `Release`, which never
-reaches the parser or the printer.
+reaches the parser or the printer.  `to_nnf` turns a negated binary
+operator into its dual (`_DUAL`) and reads `F x` as `true U x` and `G x`
+as `!F !x`.
 
 An automaton is built once, over the letters it will read: the
 constructor expands every reachable state exactly once and fills a
@@ -77,31 +79,27 @@ class Release(Formula):
     right: Formula
 
 
+_DUAL = {Or: And, And: Or, Until: Release}
+
+
 def to_nnf(phi: Formula, negate: bool = False) -> Formula:
-    """`phi`, or its negation, with `Not` only over an atom or `true`, and
-    Finally and Globally unfolded into Until and Release."""
+    """`phi`, or its negation, in negation normal form; a chain of `Not`
+    takes one call, so the calls nest no deeper than the formula."""
+    while isinstance(phi, Not):
+        phi, negate = phi.operand, not negate
     if isinstance(phi, TrueFormula):
         return FALSE if negate else TRUE
     if isinstance(phi, Atom):
         return Not(phi) if negate else phi
-    if isinstance(phi, Not):
-        return to_nnf(phi.operand, not negate)
-    if isinstance(phi, Or):
-        l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return And(l, r) if negate else Or(l, r)
-    if isinstance(phi, And):
-        l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return Or(l, r) if negate else And(l, r)
-    if isinstance(phi, Until):
-        l, r = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
-        return Release(l, r) if negate else Until(l, r)
-    if isinstance(phi, Finally):
-        inner = to_nnf(phi.operand, negate)
-        return Release(FALSE, inner) if negate else Until(TRUE, inner)
     if isinstance(phi, Globally):
-        inner = to_nnf(phi.operand, negate)
-        return Until(TRUE, inner) if negate else Release(FALSE, inner)
-    raise TypeError(phi)
+        phi, negate = Finally(Not(phi.operand)), not negate
+    if isinstance(phi, Finally):
+        phi = Until(TRUE, phi.operand)
+    build = type(phi)
+    if build not in _DUAL:
+        raise TypeError(phi)
+    left, right = to_nnf(phi.left, negate), to_nnf(phi.right, negate)
+    return _DUAL[build](left, right) if negate else build(left, right)
 
 
 _KEY_NAMES = {And: "NAnd", Or: "NOr", Until: "NUntil", Release: "NRelease"}

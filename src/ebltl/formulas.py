@@ -92,7 +92,12 @@ def _implies(left: Formula, right: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# binary operators, read by the parser and by the printer
+# operators, read by the parser and by the printer
+
+# each prefix operator's source text mapped to the builder of its tree, and
+# back to its printed text, a letter spaced off the name that may follow it
+_PREFIX = {"!": Not, "G": Globally, "F": Finally}
+_PREFIX_TEXT = {build: op + " " * op.isalpha() for op, build in _PREFIX.items()}
 
 # One entry per precedence level, loosest first: its associativity and each
 # operator's source text mapped to the builder of its tree.
@@ -125,12 +130,8 @@ def formula_to_text(f: Formula, need: int = 0) -> str:
         return "true"
     if isinstance(f, Atom):
         return f"[{f.event}]"
-    if isinstance(f, Not):
-        return "!" + formula_to_text(f.operand, len(_BINARY) + 1)
-    if isinstance(f, Finally):
-        return "F " + formula_to_text(f.operand, len(_BINARY) + 1)
-    if isinstance(f, Globally):
-        return "G " + formula_to_text(f.operand, len(_BINARY) + 1)
+    if type(f) in _PREFIX_TEXT:
+        return _PREFIX_TEXT[type(f)] + formula_to_text(f.operand, len(_BINARY) + 1)
     if isinstance(f, (Or, And, Until)):
         build, left = type(f), f.left
         if build is Or and isinstance(left, Not):
@@ -152,8 +153,6 @@ _FORMULA_TOKEN = re.compile(r"""
     | (?P<op>=>|[!|&()\[\]])
     | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
-
-_PREFIX = {"!": Not, "G": Globally, "F": Finally}
 
 
 class _FormulaParser(TokenCursor):

@@ -57,9 +57,7 @@ def alphabet(phi: Formula) -> frozenset[str]:
         return frozenset()
     if isinstance(phi, Atom):
         return frozenset({phi.event})
-    if isinstance(phi, Not):
-        return alphabet(phi.operand)
-    if isinstance(phi, (Finally, Globally)):
+    if isinstance(phi, (Not, Finally, Globally)):
         return alphabet(phi.operand)
     if isinstance(phi, (Or, And, Until)):
         return alphabet(phi.left) | alphabet(phi.right)
@@ -125,14 +123,13 @@ def holds_on_trace(u: Trace, phi: Formula) -> bool:
 class Verdict:
     holds: bool
     counterexample: Optional[Trace] = None
-    method: str = "automaton-product"
 
     def to_json_dict(self) -> dict:
         return {
             "holds": self.holds,
             "counterexample": self.counterexample.to_json_dict() if self.counterexample else None,
             "counterexample_text": self.counterexample.render() if self.counterexample else None,
-            "method": self.method,
+            "method": "automaton-product",
         }
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 from operator import and_, not_, or_
 from pathlib import Path
@@ -198,15 +198,13 @@ class OracleBounds:
 class OracleVerdict:
     holds: bool
     counterexample: Optional[Trace] = None
-    method: str = "lasso-enumeration"
-    bounds: Optional[OracleBounds] = None
     traces_checked: int = 0
 
     def to_json_dict(self) -> dict:
         return {
             "holds": self.holds,
             "counterexample": self.counterexample.to_json_dict() if self.counterexample else None,
-            "method": self.method,
+            "method": "lasso-enumeration",
             "traces_checked": self.traces_checked,
         }
 
@@ -262,7 +260,6 @@ def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
     cycle word's column and each `(event, column)` step are computed once."""
     moves = tables.moves
     deadlocks = set(graph.deadlocks)
-    cycle_columns: dict[tuple[str, ...], tuple] = {}
     stepped: dict[tuple, tuple] = {}
     steps = 0
     checked = 0
@@ -272,7 +269,8 @@ def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
                   after: Optional[tuple] = None) -> tuple:
         return tuple([row[0] for row in _fill_truth_rows(program, prefix, cycle, after)])
 
-    empty = column_at((None,))
+    # each cycle word's column; the empty word's is the end of a finite trace
+    cycle_columns: dict[tuple[str, ...], tuple] = {(): column_at((None,))}
 
     def spend(k: int = 1):
         nonlocal steps
@@ -291,12 +289,9 @@ def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
         seen_traces.add(key)
         checked += 1
         spend(4)
-        if not cycle:
-            column = empty
-        else:
-            column = cycle_columns.get(cycle)
-            if column is None:
-                column = cycle_columns[cycle] = column_at((), cycle)
+        column = cycle_columns.get(cycle)
+        if column is None:
+            column = cycle_columns[cycle] = column_at((), cycle)
         for event in reversed(prefix):
             before = stepped.get((event, column))
             if before is None:
@@ -305,7 +300,7 @@ def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
         if column[-1]:
             return None
         trace = Trace(LASSO, prefix, cycle) if cycle else Trace(FINITE, prefix)
-        return OracleVerdict(False, trace, bounds=bounds, traces_checked=checked)
+        return OracleVerdict(False, trace, traces_checked=checked)
 
     # breadth-first walk enumeration from the initial states
     frontier = dict.fromkeys((s, ()) for s in graph.initial)
@@ -332,7 +327,7 @@ def _enumerate(graph: StateGraph, tables: _GraphTables, program: list[tuple],
                     next_frontier.setdefault((tgt, events + (event,)))
         frontier = next_frontier
 
-    return OracleVerdict(True, bounds=bounds, traces_checked=checked)
+    return OracleVerdict(True, traces_checked=checked)
 
 
 def _closed_walks(origin: int, moves, cycle_bound: int, limit: int
@@ -541,41 +536,31 @@ def _compare_on(subject: str, prop_name: str, graph: StateGraph, phi: Formula,
                 f"trace of the graph: {cex.render()}")
 
     main = model_check(graph, phi)
-    note = ""
-
-    bounds = base_bounds
-    if not main.holds and main.counterexample is not None:
-        cex = main.counterexample
-        bounds = OracleBounds(
-            prefix=max(base_bounds.prefix, len(cex.prefix)),
-            cycle=max(base_bounds.cycle, len(cex.cycle)),
-            finite=max(base_bounds.finite, len(cex.prefix)),
-            budget=base_bounds.budget,
-        )
+    bounds, cex = base_bounds, main.counterexample
+    if cex is not None:
+        bounds = replace(base_bounds, prefix=max(base_bounds.prefix, len(cex.prefix)),
+                         cycle=max(base_bounds.cycle, len(cex.cycle)),
+                         finite=max(base_bounds.finite, len(cex.prefix)))
         replay("main", "oracle", oracle_holds_on, cex)
 
-    oracle_holds: Optional[bool]
+    notes = []
     try:
         overdict = _enumerate(graph, tables, _truth_program(phi), bounds)
-        oracle_holds = overdict.holds
-        if not overdict.holds:
-            replay("oracle", "main", holds_on_trace, overdict.counterexample)
     except EnumerationBudgetError:
-        oracle_holds = None
-        note = "oracle verdict withheld (budget); counterexample replay used instead"
-
-    if oracle_holds is None:
         # replay already validated main's counterexample, or main holds and
         # the oracle simply could not finish: only a refutation can be confirmed
-        agree = not main.holds
+        oracle_holds, agree = None, not main.holds
+        notes.append("oracle verdict withheld (budget); counterexample replay used instead")
     else:
-        agree = main.holds == oracle_holds
+        oracle_holds, agree = overdict.holds, main.holds == overdict.holds
+        if not overdict.holds:
+            replay("oracle", "main", holds_on_trace, overdict.counterexample)
     if expected is not None and main.holds != expected:
         agree = False
-        note = (note + "; " if note else "") + "main verdict contradicts the expectation table"
+        notes.append("main verdict contradicts the expectation table")
     return DifferentialRow(subject=subject, prop=prop_name, main_holds=main.holds,
                            oracle_holds=oracle_holds, expected=expected,
-                           agree=agree, note=note)
+                           agree=agree, note="; ".join(notes))
 
 
 def random_formula(rng: random.Random, alphabet: list[str], depth: int) -> Formula:
@@ -587,12 +572,9 @@ def random_formula(rng: random.Random, alphabet: list[str], depth: int) -> Formu
     kind = rng.choice(["atom", "not", "or", "and", "until", "finally", "globally"])
     if kind == "atom":
         return Atom(rng.choice(alphabet))
-    if kind == "not":
-        return Not(random_formula(rng, alphabet, depth - 1))
-    if kind == "finally":
-        return Finally(random_formula(rng, alphabet, depth - 1))
-    if kind == "globally":
-        return Globally(random_formula(rng, alphabet, depth - 1))
+    if kind in ("not", "finally", "globally"):
+        operand = random_formula(rng, alphabet, depth - 1)
+        return {"not": Not, "finally": Finally, "globally": Globally}[kind](operand)
     left = random_formula(rng, alphabet, depth - 1)
     right = random_formula(rng, alphabet, depth - 1)
     return {"or": Or, "and": And, "until": Until}[kind](left, right)

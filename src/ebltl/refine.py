@@ -24,8 +24,8 @@ split them:
             (witnessed by some abstract parameter choice);
   INV_REF   every concrete transition is matched by an outcome of the
             abstract event's action relation re-establishing the linking
-            invariant (new events must leave the abstract state unchanged,
-            and initial states must be linkable to abstract initials);
+            invariant (a new event refines skip, which keeps the abstract
+            state, and initial states must be linkable to abstract initials);
   FIS_REF   an enabled concrete event has at least one after-state;
   WFD_REF   the concrete variant is a natural number everywhere, strictly
             decreases on convergent transitions and never increases on
@@ -247,8 +247,8 @@ def compose_renamings(chain: RefinementChain, i: int) -> RenamingMap:
     if not 1 <= i <= n + 1:
         raise ChainError(f"composition level {i} out of range 1..{n + 1}")
     result = RenamingMap.identity(chain.final.alphabet())
-    for j in range(n, i - 1, -1):
-        result = result.then(chain.links[j - 1].renaming)
+    for link in reversed(chain.links[i - 1:]):
+        result = result.then(link.renaming)
     return result
 
 
@@ -438,12 +438,13 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         return (frozenset(universe_id[s] for s in states if s in universe_id),
                 [s for s in states if s not in universe_id])
 
-    # the abstract side, once per (universe state, refined abstract event)
-    # that a concrete firing reads: whether some parameter choice satisfies
-    # the guard, and every outcome of the action relation over all parameter
-    # valuations, the guard ignored (the proof-obligation reading of simulation)
+    # the abstract side, once per (universe state, abstract event) that a
+    # concrete firing reads: whether some parameter choice satisfies the guard,
+    # and every outcome of the action relation, the guard ignored (the proof-
+    # obligation reading of simulation): for a new event, which refines skip, the state
     abs_enabled = cache(lambda a, target: bool(abs_compiled.events[target](abs_universe[a])))
     abs_posts = cache(lambda a, target: split(
+        [abs_universe[a]] if target is None else
         [p for _, posts in abs_compiled.events[target](abs_universe[a], False) for p in posts]))
 
     # initial linkability: each concrete initial state needs an abstract
@@ -485,13 +486,9 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
         for tgt in all_targets[lo:hi]:
             paired = paired_at[tgt]
             for a in pairs:
-                if target is None:  # a new event must leave the abstract state unchanged
-                    matched = a in paired
-                else:
-                    ids, outside = abs_posts(a, target)
-                    matched = not ids.isdisjoint(paired) or \
-                        any(glued(s, graph.states[tgt]) for s in outside)
-                if not matched:
+                ids, outside = abs_posts(a, target)
+                if ids.isdisjoint(paired) and \
+                        not any(glued(s, graph.states[tgt]) for s in outside):
                     fail("INV_REF", lambda: {
                         "kind": "unmatched-transition" if target else "new-event-disturbs-link",
                         "event": names[e], "abstract_event": target,
@@ -620,29 +617,25 @@ def check_theorem1(chain: RefinementChain,
                    graphs: list[StateGraph]) -> Theorem1Report:
     """Divergence freedom of the final machine from the chain structure.
 
-    C* pulls every level's convergent set down to the final alphabet via
-    the composed renamings and adds the final machine's own convergent
-    events; O* is the preimage of the first machine's ordinary events.  The
-    theorem-level certificate (obligations plus strategy, over `graphs`,
-    one per level) and a direct cycle analysis of the final graph are both
-    reported; their disagreement would be a toolkit bug and raises.
+    C* is the union, over every level, of its convergent events pulled
+    back to the final alphabet through the composed renamings (the final
+    level's is the identity); O* is the preimage of the first machine's
+    ordinary events.  The theorem-level certificate (obligations plus
+    strategy, over `graphs`, one per level) and a direct cycle analysis of
+    the final graph are both reported; their disagreement would be a
+    toolkit bug and raises.
     """
-    n = len(chain.machines) - 1
-    c_star: set[str] = set()
-    for level in range(n + 1):
-        conv = chain.machines[level].events_with_status(CONVERGENT)
-        # level n composes the empty map sequence, i.e. the identity
-        g = compose_renamings(chain, level + 1)
-        c_star.update(g.preimage_set(conv))
+    c_star = tuple(sorted({e for level, machine in enumerate(chain.machines)
+                           for e in compose_renamings(chain, level + 1).preimage_set(
+                               machine.events_with_status(CONVERGENT))}))
     o_star = compose_renamings(chain, 1).preimage_set(
         chain.machines[0].events_with_status(ORDINARY))
 
     strategy = check_strategy(chain)
     po_reports = check_chain_pairs(chain, graphs)
-    direct = check_ca(graphs[-1], tuple(sorted(c_star)), tuple(o_star))
+    direct = check_ca(graphs[-1], c_star, o_star)
     certified = strategy.ok and all(r.ok for r in po_reports)
-    report = Theorem1Report(tuple(sorted(c_star)), tuple(o_star), po_reports,
-                            strategy, direct, certified)
+    report = Theorem1Report(c_star, o_star, po_reports, strategy, direct, certified)
     if not report.consistent:
         raise ToolkitBug(
             "chain obligations hold but the final machine has a divergent "
