@@ -636,27 +636,27 @@ def main(argv: list[str] | None = None) -> int:
             warnings.showwarning = _show_warning
             code = args.func(args, rep)
     except InvariantViolation as exc:
-        rep.say(f"invariant violation: {exc}")
+        code, line = FAILURE, f"invariant violation: {exc}"
         rep.result = {"error": str(exc), "kind": "invariant",
                       "path": list(exc.path)}
-        return rep.emit(FAILURE)
     except (ExplorationLimitError, EnumerationBudgetError) as exc:
-        rep.say(f"bound exhausted: {exc}")
+        code, line = EXHAUSTED, f"bound exhausted: {exc}"
         rep.result = {"error": str(exc), "kind": "bound"}
-        return rep.emit(EXHAUSTED)
     except ToolkitBug as exc:
-        rep.say(f"internal cross-check failed: {exc}")
+        code, line = INTERNAL, f"internal cross-check failed: {exc}"
         rep.result = {"error": str(exc), "kind": "internal"}
-        return rep.emit(INTERNAL)
     except (EbltlError, OSError, UnicodeDecodeError, RecursionError) as exc:
         # parse, typecheck, chain and renaming errors; unreadable inputs;
         # input nested deeper than the recursive parsers and checkers reach
         message = "input nests too deeply" if isinstance(exc, RecursionError) else str(exc)
-        rep.say(f"error: {message}")
+        code, line = USAGE, f"error: {message}"
         rep.result = {"error": message}
-        return rep.emit(USAGE)
+    else:
+        return rep.emit(code)
+    # a failed command's text report is its error line alone, whatever the
+    # command said before it failed, as its --json report is the error alone
+    rep.lines, rep.pieces = [line], None
     return rep.emit(code)
-
 
 if __name__ == "__main__":
     sys.exit(main())

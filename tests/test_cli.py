@@ -438,6 +438,26 @@ def test_bad_input_is_a_usage_error(tmp_path, argv, code):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "{tmp}/iff.eb"),
+    ("mc", str(VM_DIR / "vm4.eb"), "--prop", "@{tmp}/props.ltl"),
+], ids=["parse-deep-invariant", "mc-deep-second-property"])
+def test_a_failed_command_prints_its_error_line_alone(tmp_path, argv):
+    """A command that fails after its text report has begun prints the
+    error line alone, as its --json report holds the error alone: `parse`
+    fails printing a 1000-operand invariant after its summary lines, and
+    `mc` on a 3000-conjunct property after reporting the one before it."""
+    (tmp_path / "iff.eb").write_text(
+        "machine Iff\nvariables\n  b : bool\ninvariant\n  " + " & ".join(["b"] * 1000)
+        + " or true\nevents\n  event init then b := true end\nend\n")
+    (tmp_path / "props.ltl").write_text(
+        "ok = G F [pay]\ntoo_deep = " + " & ".join(["F [pay]"] * 3000) + "\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run_cli(*argv) == (3, "error: input nests too deeply\n", "")
+    code, report = run_json(*argv)
+    assert code == 3 and report["result"] == {"error": "input nests too deeply"}
+
+
 @pytest.mark.parametrize("argv,message", [
     (("translate", "--chain", str(VM_DIR / "chain.json"), "--at", "-1", "--prop", "phi1"),
      "level -1 out of range 0..4"),
@@ -665,28 +685,20 @@ def as_dicts(value):
 
 
 def test_json_text_matches_json_dumps_on_golden_payloads(tmp_path, monkeypatch, capsys):
-    """Every value that the golden corpus's `--json` and `--format graph`
-    commands write goes through `_json_text`, whose text is that of
-    `json.dumps(indent=2, sort_keys=True)`, or, when it holds a graph,
-    through `_json_chunks`, whose pieces join to that text of the value
-    with each graph as its `to_json_dict()`."""
+    """Every report that the golden corpus's `--json` and `--format graph`
+    commands write is streamed by `_json_chunks`, whose pieces join to the
+    text of `json.dumps(indent=2, sort_keys=True)` of the value with each
+    graph as its `to_json_dict()`."""
     from ebltl import cli
     from ebltl.oracle import corpus_root
     from tests.test_golden import MANIFEST, write_mutant_chains
 
-    writer, payloads = cli._json_text, []
     chunks, streamed = cli._json_chunks, []
 
-    def recording(value, indent="\n"):  # the writer's own nested calls pass `indent`
-        if indent == "\n":
-            payloads.append(value)
-        return writer(value, indent)
-
-    def recording_chunks(value, indent="\n"):
+    def recording_chunks(value, indent="\n"):  # the writer's own nested calls pass `indent`
         if indent == "\n":
             streamed.append(value)
         return chunks(value, indent)
-    monkeypatch.setattr(cli, "_json_text", recording)
     monkeypatch.setattr(cli, "_json_chunks", recording_chunks)
     write_mutant_chains(tmp_path)
     monkeypatch.chdir(corpus_root())
@@ -700,10 +712,7 @@ def test_json_text_matches_json_dumps_on_golden_payloads(tmp_path, monkeypatch, 
                 continue
             written += 1
     capsys.readouterr()
-    assert len(payloads) + len(streamed) == written > 100
-    assert len(streamed) > 20  # explore's --json and --format graph rows
-    for value in payloads:
-        assert writer(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert len(streamed) == written > 100
     for value in streamed:
         assert "".join(chunks(value)) == json.dumps(as_dicts(value), indent=2, sort_keys=True)
 
