@@ -658,5 +658,6 @@ def main(argv: list[str] | None = None) -> int:
     rep.lines, rep.pieces = [line], None
     return rep.emit(code)
 
+
 if __name__ == "__main__":
     sys.exit(main())
