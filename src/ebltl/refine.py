@@ -440,8 +440,9 @@ def check_refinement_pair(abstract: Machine, concrete: Machine,
 
     # the abstract side, once per (universe state, abstract event) that a
     # concrete firing reads: whether some parameter choice satisfies the guard,
-    # and every outcome of the action relation, the guard ignored (the proof-
-    # obligation reading of simulation): for a new event, which refines skip, the state
+    # and every outcome of the action relation over all parameter valuations,
+    # the guard ignored (the proof-obligation reading of simulation); a new
+    # event refines skip, whose one outcome is the state itself
     abs_enabled = cache(lambda a, target: bool(abs_compiled.events[target](abs_universe[a])))
     abs_posts = cache(lambda a, target: split(
         [abs_universe[a]] if target is None else
@@ -618,12 +619,11 @@ def check_theorem1(chain: RefinementChain,
     """Divergence freedom of the final machine from the chain structure.
 
     C* is the union, over every level, of its convergent events pulled
-    back to the final alphabet through the composed renamings (the final
-    level's is the identity); O* is the preimage of the first machine's
-    ordinary events.  The theorem-level certificate (obligations plus
-    strategy, over `graphs`, one per level) and a direct cycle analysis of
-    the final graph are both reported; their disagreement would be a
-    toolkit bug and raises.
+    back to the final alphabet through the composed renamings; O* is the
+    preimage of the first machine's ordinary events.  The theorem-level
+    certificate (obligations plus strategy, over `graphs`, one per level)
+    and a direct cycle analysis of the final graph are both reported;
+    their disagreement would be a toolkit bug and raises.
     """
     c_star = tuple(sorted({e for level, machine in enumerate(chain.machines)
                            for e in compose_renamings(chain, level + 1).preimage_set(
